@@ -42,14 +42,17 @@ Equivalence contract (pinned by ``tests/core/test_fastpath.py`` and
 ``tests/topology/test_provider_equivalence.py``)
 ----------------------------------------------------------------
 
-*Bit-identical*: per-node swarm dynamics.  Node state is initialized by
-the same :func:`~repro.pso.swarm.initial_swarm_state` from the same
-per-node stream ``("node", nid, "pso")``, and whenever a node's
-per-cycle allowance is a whole synchronous sweep (``r = k``, the
-paper's default timing) the batched update consumes that stream exactly
-like :meth:`~repro.pso.swarm.Swarm.step_cycle` and produces the same
-floating-point trajectory.  Consequently a whole run is same-seed
-**trajectory-identical** to the reference engine at ``r = k`` whenever
+*Bit-identical*: per-node swarm dynamics.  The network's initial state
+is one :func:`~repro.pso.swarm.initial_swarm_soa` call — per node only
+its private stream ``("node", nid, "pso")`` and one ``(2, k, d)``
+uniform fill, the box and ±vmax maps once over ``(n, k, d)`` — the
+initializer the reference swarm and churn joiners run at ``n = 1``.
+Whenever a node's per-cycle allowance is a whole synchronous sweep
+(``r = k``, the paper's default timing) the batched update consumes
+that stream exactly like :meth:`~repro.pso.swarm.Swarm.step_cycle` and
+produces the same floating-point trajectory.  Consequently a whole run
+is same-seed **trajectory-identical** to the reference engine at
+``r = k`` whenever
 gossip exchanges cannot reorder information flow mid-cycle: ``n = 1``
 under the default NEWSCAST setup, and any ``n`` with gossip disabled
 (reference: a peerless topology; fast: ``gossip=False``).  Topology
@@ -100,8 +103,8 @@ from repro.core.metrics import (
 from repro.core.runner import RunResult
 from repro.functions.base import Function, get_function
 from repro.functions.problem import DynamicsSpec, EvalContext, build_problem
-from repro.pso.state import SwarmStateSoA, stack_states
-from repro.pso.swarm import initial_swarm_state
+from repro.pso.state import SwarmStateSoA
+from repro.pso.swarm import initial_swarm_soa, initial_swarm_state
 from repro.pso.velocity import resolve_vmax
 from repro.simulator.adversary import Adversary, AdversarySpec
 from repro.simulator.observers import StopCondition
@@ -270,23 +273,28 @@ class FastEngine:
                 )
         n = node_ids.shape[0]
         id_span = int(node_ids.max(initial=-1)) + 1
-        self._gens: list[np.random.Generator] = []
-        states = []
-        for nid in node_ids:
-            rng = tree.rng("node", int(nid), "pso")
-            states.append(
-                initial_swarm_state(self._function_of(int(nid)), config.pso, rng)
-            )
-            self._gens.append(rng)
-        self.soa: SwarmStateSoA = stack_states(states)
+        self._gens: list[np.random.Generator] = [
+            tree.rng("node", nid, "pso") for nid in node_ids.tolist()
+        ]
+        if self._node_group is None:
+            lower, upper = self.function.lower, self.function.upper
+        else:
+            lower = self._group_lower[self._node_group]
+            upper = self._group_upper[self._node_group]
+        self.soa: SwarmStateSoA = initial_swarm_soa(
+            self._gens, config.pso, lower, upper
+        )
 
         # Liveness mirror of Network: a swap-remove live list keeps
         # churn victim selection order-compatible with the reference.
         # ``_live`` holds node *ids*; the indirection tables map ids to
         # SoA slots (identical until churn reuses a crashed slot).
-        self._live: list[int] = [int(nid) for nid in node_ids]
+        # ``_live_arr`` mirrors the list in a capacity-backed array, so
+        # ``live_ids`` is a prefix copy, not a list conversion per call.
+        self._live: list[int] = node_ids.tolist()
+        self._live_arr = node_ids.copy()
         self._live_pos: dict[int, int] = {
-            int(nid): i for i, nid in enumerate(node_ids)
+            nid: i for i, nid in enumerate(self._live)
         }
         self._initial_size = n
         self._next_id = id_span
@@ -447,7 +455,7 @@ class FastEngine:
 
     def live_ids(self) -> np.ndarray:
         """Live node ids as an index array (live-list order)."""
-        return np.asarray(self._live, dtype=np.int64)
+        return self._live_arr[: len(self._live)].copy()
 
     def live_slots(self) -> np.ndarray:
         """SoA slots of the live nodes (live-list order).
@@ -472,6 +480,7 @@ class FastEngine:
         pos = self._live_pos.pop(nid)
         last = self._live[-1]
         self._live[pos] = last
+        self._live_arr[pos] = last
         self._live.pop()
         if last != nid:
             self._live_pos[last] = pos
@@ -484,13 +493,11 @@ class FastEngine:
         nid = self._next_id
         self._next_id += 1
         rng = self._tree.rng("node", nid, "pso")
-        function = self.function
         group = None
         if self._group_of_id is not None:
             group = self._group_of_id[nid % self._initial_size]
             self._group_of_id.append(group)
-            function = self._functions[group]
-        state = initial_swarm_state(function, self.config.pso, rng)
+        state = initial_swarm_state(self._function_of(nid), self.config.pso, rng)
 
         if self._free_slots:
             slot = self._free_slots.pop()
@@ -511,8 +518,11 @@ class FastEngine:
         self._slot_of_id[nid] = slot
         self._alive = _grow_1d(self._alive, nid + 1, False)
         self._alive[nid] = True
-        self._live_pos[nid] = len(self._live)
+        n_live = len(self._live)
+        self._live_pos[nid] = n_live
         self._live.append(nid)
+        self._live_arr = _grow_1d(self._live_arr, n_live + 1, -1)
+        self._live_arr[n_live] = nid
         self.provider.ensure_capacity(self._next_id)
         self.provider.on_join(nid, self.live_ids(), float(self.now))
         return nid
@@ -720,28 +730,29 @@ class FastEngine:
         # this stream owes bit-compatibility to nothing.
         out = self._draw_buffer((nl, 2, width, d))
 
-        def block_rows(block: int) -> np.ndarray:
-            rng = np.random.Generator(
+        def block_rng(block: int) -> np.random.Generator:
+            return np.random.Generator(
                 np.random.SFC64(
                     self._tree.seed_sequence(
                         "fastpath", "draws", self.cycle, chunk, block
                     )
                 )
             )
-            return rng.random((_DRAW_BLOCK, 2, width, d))
 
         if self.crashes == 0 and self._default_ids:
-            # No churn holes: live row i is node id i — fill by
-            # contiguous block slices.
+            # No churn holes: live row i is node id i — each block's
+            # generator fills its slice in place (a generator fills in
+            # C order, so a short last slice holds exactly the leading
+            # rows of the full block).
             for block in range((nl + _DRAW_BLOCK - 1) >> _DRAW_BLOCK_BITS):
                 lo = block << _DRAW_BLOCK_BITS
-                hi = min(nl, lo + _DRAW_BLOCK)
-                out[lo:hi] = block_rows(block)[: hi - lo]
+                block_rng(block).random(out=out[lo : lo + _DRAW_BLOCK])
             return out
         ids = self._id_of_slot[live]
         for block in np.unique(ids >> _DRAW_BLOCK_BITS):
             sel = (ids >> _DRAW_BLOCK_BITS) == block
-            out[sel] = block_rows(int(block))[ids[sel] & (_DRAW_BLOCK - 1)]
+            rows = block_rng(int(block)).random((_DRAW_BLOCK, 2, width, d))
+            out[sel] = rows[ids[sel] & (_DRAW_BLOCK - 1)]
         return out
 
     def _chunk_step(

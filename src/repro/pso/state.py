@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["SwarmState", "SwarmStateSoA", "stack_states"]
+__all__ = ["SwarmState", "SwarmStateSoA"]
 
 
 @dataclass
@@ -330,28 +330,3 @@ class SwarmStateSoA:
         for state in states:
             self.append_state(state)
 
-
-def stack_states(states: Sequence[SwarmState]) -> SwarmStateSoA:
-    """Stack per-node :class:`SwarmState` rows into a :class:`SwarmStateSoA`.
-
-    All states must agree on ``(k, d)``.  Arrays are copied, so the
-    originals stay independent.
-    """
-    if not states:
-        raise ValueError("need at least one swarm state to stack")
-    k, d = states[0].positions.shape
-    for st in states:
-        if st.positions.shape != (k, d):
-            raise ValueError(
-                f"cannot stack swarms of shapes {(k, d)} and {st.positions.shape}"
-            )
-    return SwarmStateSoA(
-        positions=np.stack([st.positions for st in states]).astype(float),
-        velocities=np.stack([st.velocities for st in states]).astype(float),
-        pbest_positions=np.stack([st.pbest_positions for st in states]).astype(float),
-        pbest_values=np.stack([st.pbest_values for st in states]).astype(float),
-        best_positions=np.stack([st.best_position for st in states]).astype(float),
-        best_values=np.asarray([st.best_value for st in states], dtype=float),
-        evaluations=np.asarray([st.evaluations for st in states], dtype=np.int64),
-        cursors=np.asarray([st.cursor for st in states], dtype=np.int64),
-    )

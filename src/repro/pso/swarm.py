@@ -33,43 +33,70 @@ from __future__ import annotations
 import numpy as np
 
 from repro.functions.base import Function
-from repro.pso.state import SwarmState
+from repro.pso.state import SwarmState, SwarmStateSoA
 from repro.pso.velocity import resolve_vmax
 from repro.utils.config import PSOConfig
 
-__all__ = ["Swarm", "initial_swarm_state"]
+__all__ = ["Swarm", "initial_swarm_soa", "initial_swarm_state"]
 
 
-def initial_swarm_state(
-    function: Function, config: PSOConfig, rng: np.random.Generator
-) -> SwarmState:
-    """Random positions in the domain; velocities in ±vmax; pbest unset.
+def initial_swarm_soa(
+    rngs: list[np.random.Generator],
+    config: PSOConfig,
+    lower: np.ndarray,
+    upper: np.ndarray,
+) -> SwarmStateSoA:
+    """Initial state of ``len(rngs)`` swarms, built straight into SoA arrays.
 
+    Random positions in the box, velocities in ±vmax, pbest unset.
     Initial particles are *not* evaluated here — evaluation costs
     budget, so it happens on the first step.  ``pbest_values`` start at
     +inf and the swarm optimum is +inf with a placeholder position;
     both resolve on the first evaluations.
 
-    This is the **only** initializer: both the reference
-    :class:`Swarm` and the batched network engine
-    (:mod:`repro.core.fastpath`) build node state through it, consuming
-    the node's private stream in exactly the same order — which is what
-    makes the two engines same-seed comparable.
+    ``lower`` / ``upper`` are one ``(d,)`` box for every swarm or
+    ``(n, d)`` per-swarm rows.  Swarm ``i`` draws one ``(2, k, d)``
+    uniform block from ``rngs[i]`` — the doubles, in the order, that
+    ``rng.uniform(lower, upper, (k, d))`` then
+    ``rng.uniform(-vmax, vmax, (k, d))`` consume — and ``uniform``'s
+    per-element map ``low + (high − low)·u`` runs once over the whole
+    network: bit-identical to the per-swarm calls
+    (``tests/pso/test_swarm.py``).
+
+    This is the **only** initializer: the reference :class:`Swarm`
+    (``n = 1``, via :func:`initial_swarm_state`) and the batched
+    network engine (:mod:`repro.core.fastpath`) both build node state
+    through it, consuming each node's private stream in exactly the
+    same order — which is what makes the two engines same-seed
+    comparable.
     """
-    k, d = config.particles, function.dimension
-    positions = function.sample_uniform(rng, k)
-    width = function.domain_width
+    n, k = len(rngs), config.particles
+    u = np.empty((n, 2, k, lower.shape[-1]))
+    for i, rng in enumerate(rngs):
+        rng.random(out=u[i])
+    if lower.ndim == 2:
+        lower, upper = lower[:, None, :], upper[:, None, :]
+    width = upper - lower
     vmax = (config.vmax_fraction or 1.0) * width
-    velocities = rng.uniform(-vmax, vmax, size=(k, d))
-    return SwarmState(
+    positions = lower + width * u[:, 0]
+    return SwarmStateSoA(
         positions=positions,
-        velocities=velocities,
+        velocities=-vmax + 2 * vmax * u[:, 1],
         pbest_positions=positions.copy(),
-        pbest_values=np.full(k, np.inf),
-        best_position=positions[0].copy(),
-        best_value=np.inf,
-        evaluations=0,
+        pbest_values=np.full((n, k), np.inf),
+        best_positions=positions[:, 0].copy(),
+        best_values=np.full(n, np.inf),
+        evaluations=np.zeros(n, dtype=np.int64),
+        cursors=np.zeros(n, dtype=np.int64),
     )
+
+
+def initial_swarm_state(
+    function: Function, config: PSOConfig, rng: np.random.Generator
+) -> SwarmState:
+    """One swarm's initial state: :func:`initial_swarm_soa` at ``n = 1``."""
+    soa = initial_swarm_soa([rng], config, function.lower, function.upper)
+    return soa.node_state(0)
 
 
 class Swarm:

@@ -45,15 +45,33 @@ packed keys:
 
 Sorting packed ``int64`` values (not argsort: no indirection) costs
 ~0.3 ms per thousand 83-wide rows, letting one call merge every
-exchange of a whole overlay cycle.  The property tests in
+exchange of a round.  The property tests in
 ``tests/topology/test_array_views.py`` pin exact equality against
 ``PartialView.merge`` on integer timestamps.
+
+One merge per NEWSCAST exchange
+-------------------------------
+
+In an exchange between ``a`` and ``b`` both ends merge the *same*
+multiset — ``view(a) ∪ view(b) ∪ {fresh a, fresh b}`` — and differ
+only in which own id is dropped.  Dedup is per id, so dropping ``a``
+before the merge (a row per end with ``self_ids = a``) equals deleting
+``a``'s one surviving entry after it.  :meth:`NewscastArrayViews._exchange`
+therefore merges one ``2c + 2`` wide row *per pair* with no self id and
+capacity ``c + 1``, and each end keeps the first ``c`` entries left
+after deleting its own id: a shift-left from that id's column, or the
+plain prefix when the id is not among the ``c + 1`` freshest; padding
+stays at the tail.  Half the rows through the sorts and half the gather
+volume of a row per end, the same views bit for bit — stale descriptors
+of the partner, short views and equal-timestamp ties included (pinned
+against the row-per-end merge in ``tests/topology/test_array_views.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.kernels import Workspace, get_backend
 from repro.core.kernels import numpy_backend as _np_kernels
 from repro.topology.provider import ViewProvider
 from repro.utils.exceptions import ConfigurationError
@@ -164,10 +182,11 @@ class _ArrayViewBase(ViewProvider):
         self._ts = np.full((n, capacity), _EMPTY_TS, dtype=np.int64)
         self.exchanges = 0
         self.failed_exchanges = 0
-        #: Kernel seam (set by attach_kernels): without it the view
-        #: kernels run the plain allocating NumPy paths.
-        self._backend = None
-        self._workspace = None
+        #: Kernel seam: a stand-alone provider runs the NumPy oracle
+        #: over a private arena; an engine shares its own through
+        #: attach_kernels.
+        self._backend = get_backend("numpy")
+        self._workspace = Workspace()
 
     # -- ViewProvider ----------------------------------------------------------
 
@@ -210,14 +229,10 @@ class _ArrayViewBase(ViewProvider):
         so a uniform draw over the first ``count`` columns is a
         uniform draw over the view.
         """
-        ws = self._workspace
-        if ws is None:
-            own = self._ids[live_ids]
-        else:
-            own = ws.take(
-                "gt_own", (live_ids.shape[0], self._ids.shape[1]), np.int64
-            )
-            np.take(self._ids, live_ids, axis=0, out=own, mode="clip")
+        own = self._workspace.take(
+            "gt_own", (live_ids.shape[0], self._ids.shape[1]), np.int64
+        )
+        np.take(self._ids, live_ids, axis=0, out=own, mode="clip")
         counts = (own >= 0).sum(axis=1)
         pick = np.minimum(
             (rng.random(live_ids.shape[0]) * counts).astype(np.int64),
@@ -388,48 +403,45 @@ class NewscastArrayViews(_ArrayViewBase):
             first_k[key[first] >> 32] = key[first] & 0xFFFFFFFF
             accept = (first_k[e_init] == ks) & (first_k[e_tgt] == ks)
             self.exchanges += int(accept.sum())
-
-            a, b = e_init[accept], e_tgt[accept]
-            rows = np.concatenate([a, b])
-            srcs = np.concatenate([b, a])
-            ws = self._workspace
-            if ws is None or self._backend is None:
-                cand_ids = np.concatenate(
-                    [self._ids[rows], self._ids[srcs], srcs[:, None]], axis=1
-                )
-                cand_ts = np.concatenate(
-                    [self._ts[rows], self._ts[srcs], self_ts[srcs][:, None]],
-                    axis=1,
-                )
-                ids, ts = merge_candidates(
-                    cand_ids, cand_ts, rows, self.capacity
-                )
-            else:
-                # Workspace path: assemble the candidate matrix column
-                # block by column block through one reusable gather
-                # buffer (np.take with out= cannot write strided
-                # blocks), then merge through the kernel backend.
-                m2 = rows.shape[0]
-                c = self._ids.shape[1]
-                cand_ids = ws.take("nc_cand_ids", (m2, 2 * c + 1), np.int64)
-                cand_ts = ws.take("nc_cand_ts", (m2, 2 * c + 1), np.int64)
-                gather = ws.take("nc_gather", (m2, c), np.int64)
-                np.take(self._ids, rows, axis=0, out=gather, mode="clip")
-                np.copyto(cand_ids[:, :c], gather)
-                np.take(self._ids, srcs, axis=0, out=gather, mode="clip")
-                np.copyto(cand_ids[:, c : 2 * c], gather)
-                cand_ids[:, 2 * c] = srcs
-                np.take(self._ts, rows, axis=0, out=gather, mode="clip")
-                np.copyto(cand_ts[:, :c], gather)
-                np.take(self._ts, srcs, axis=0, out=gather, mode="clip")
-                np.copyto(cand_ts[:, c : 2 * c], gather)
-                cand_ts[:, 2 * c] = self_ts[srcs]
-                ids, ts = self._backend.merge_candidates(
-                    cand_ids, cand_ts, rows, self.capacity, ws=ws
-                )
-            self._ids[rows] = ids
-            self._ts[rows] = ts
+            self._exchange(
+                np.stack([e_init[accept], e_tgt[accept]], axis=1), self_ts
+            )
             pending = e_init[~accept]
+
+    def _exchange(self, pairs: np.ndarray, self_ts: np.ndarray) -> None:
+        """Symmetric view exchange of vertex-disjoint ``(p, 2)`` id pairs.
+
+        One merge per pair, then each end drops its own id (see "One
+        merge per NEWSCAST exchange" in the module docstring);
+        ``self_ts`` holds the fresh self-descriptor stamps by node id.
+        """
+        p, c = pairs.shape[0], self.capacity
+        ws = self._workspace
+        cand_ids = ws.take("nc_cand_ids", (p, 2 * c + 2), np.int64)
+        cand_ts = ws.take("nc_cand_ts", (p, 2 * c + 2), np.int64)
+        # np.take needs a contiguous out=: gather both views of every
+        # pair in one call, then copy the block into place.
+        gather = ws.take("nc_gather", (p, 2, c), np.int64)
+        for cand, views, fresh in (
+            (cand_ids, self._ids, pairs), (cand_ts, self._ts, self_ts[pairs])
+        ):
+            np.take(views, pairs, axis=0, out=gather, mode="clip")
+            np.copyto(cand[:, : 2 * c], gather.reshape(p, 2 * c))
+            cand[:, 2 * c :] = fresh
+        ids, ts = self._backend.merge_candidates(
+            cand_ids, cand_ts, np.full(p, _EMPTY_ID), c + 1, ws=ws
+        )
+        # Delete each end's own id by a shift-left from its column
+        # (padding stays at the tail); axis 1 is the end (a, b).
+        shifted = ws.take("nc_shifted", (p, 2, c), bool)
+        np.equal(ids[:, None, :c], pairs[:, :, None], out=shifted)
+        np.logical_or.accumulate(shifted, axis=2, out=shifted)
+        kept = ws.take("nc_kept", (p, 2, c), np.int64)
+        for merged, views in ((ids, self._ids), (ts, self._ts)):
+            np.copyto(kept, merged[:, None, :c])
+            np.copyto(kept, merged[:, None, 1:], where=shifted)
+            views[pairs.ravel()] = kept.reshape(2 * p, c)
+
 
 class CyclonArrayViews(_ArrayViewBase):
     """CYCLON shuffles as whole-overlay array kernels.

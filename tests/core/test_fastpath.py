@@ -118,6 +118,39 @@ class TestTrajectoryIdentity:
             assert np.array_equal(row.best_position, swarm.state.best_position)
             assert row.evaluations == swarm.state.evaluations
 
+    @pytest.mark.parametrize("case", ["objective_map", "id_subset"])
+    def test_build_matches_per_node_uniform_streams(self, case):
+        """The one-call network build equals per-node ``uniform`` draws
+        from each node's own stream — heterogeneous boxes and
+        non-contiguous id subsets included — and leaves every node
+        generator where the per-node initializer would."""
+        from repro.functions.base import get_function
+        from repro.topology.array_views import OracleViews
+
+        cfg = small_config(nodes=9, particles_per_node=4, seed=23,
+                           pso=PSOConfig(particles=4, vmax_fraction=0.5))
+        if case == "objective_map":
+            names = ["sphere", "zakharov", "rastrigin"]
+            omap = {nid: names[nid % 3] for nid in range(cfg.nodes)}
+            ids = np.arange(cfg.nodes)
+            engine = FastEngine(cfg, repetition=2, gossip=False,
+                                objective_map=omap)
+        else:
+            omap = {nid: "sphere" for nid in range(cfg.nodes)}
+            ids = np.array([1, 4, 5, 8])
+            engine = FastEngine(cfg, repetition=2, gossip=False,
+                                topology=OracleViews(), node_ids=ids)
+        tree = SeedSequenceTree(cfg.seed).subtree("rep", 2)
+        for slot, nid in enumerate(ids.tolist()):
+            f = get_function(omap[nid])
+            rng = tree.rng("node", nid, "pso")
+            positions = rng.uniform(f.lower, f.upper, size=(4, f.dimension))
+            vmax = 0.5 * f.domain_width
+            velocities = rng.uniform(-vmax, vmax, size=(4, f.dimension))
+            np.testing.assert_array_equal(engine.soa.positions[slot], positions)
+            np.testing.assert_array_equal(engine.soa.velocities[slot], velocities)
+            assert engine._gens[slot].random() == rng.random()
+
     def test_repetitions_are_independent_streams(self):
         cfg = small_config(nodes=1, particles_per_node=8, gossip_cycle=8,
                            total_evaluations=8 * 10)
@@ -358,6 +391,20 @@ class TestBatchedRng:
         assert np.array_equal(row1.positions, row4.positions)
         assert row1.best_value == row4.best_value
 
+    def test_in_place_block_fill_equals_id_indexed_rows(self):
+        """Without churn holes each draw block fills its slice of the
+        buffer in place; the rows must be the ones the id-indexed path
+        (whole blocks, rows picked by node id) hands the same nodes —
+        the short last slice included."""
+        cfg = small_config(nodes=300, total_evaluations=300 * 8 * 2)
+        engine = FastEngine(cfg, gossip=False, rng_mode="batched")
+        live = np.arange(300)
+        in_place = engine._chunk_draws(live, live, 8, 0).copy()
+        engine.crashes = 1  # what selects the id-indexed path
+        np.testing.assert_array_equal(
+            engine._chunk_draws(live, live, 8, 0), in_place
+        )
+
     def test_invalid_mode_rejected(self):
         with pytest.raises(Exception, match="rng_mode"):
             FastEngine(small_config(), rng_mode="philox")
@@ -383,6 +430,27 @@ class TestChurnSlotReuse:
         assert engine.total_evaluations() == int(
             engine.soa.evaluations.sum()
         ) + engine._retired_evaluations
+
+    def test_live_ids_mirror_tracks_the_live_list(self):
+        cfg = small_config(
+            nodes=12,
+            total_evaluations=12 * 8 * 40,
+            churn=ChurnConfig(crash_rate=0.25, join_rate=0.25, min_population=4),
+            seed=83,
+        )
+        engine = FastEngine(cfg)
+        engine.budget = None
+        for _ in range(40):
+            engine.run(1)
+            ids = engine.live_ids()
+            assert ids.dtype == np.int64
+            assert ids.tolist() == engine._live  # same order: victim selection
+        engine.crash_node(int(ids[0]))
+        assert engine.live_ids().tolist() == engine._live
+        # A copy: callers may keep or mutate it across later churn.
+        ids = engine.live_ids()
+        ids[:] = -7
+        assert engine.live_ids().tolist() == engine._live
 
     def test_quality_still_matches_reference_under_heavy_churn(self):
         cfg = small_config(

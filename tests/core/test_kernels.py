@@ -25,6 +25,7 @@ from repro.core.kernels import (
     get_backend,
     register_backend,
 )
+from repro.core.kernels import numpy_backend
 from repro.core.kernels.numpy_backend import NumpyKernelBackend
 from repro.topology.array_views import merge_candidates as oracle_merge
 from repro.utils.exceptions import ConfigurationError
@@ -209,6 +210,38 @@ class TestFusedUpdateContract:
         np.testing.assert_array_equal(ws_pos, plain_pos, strict=True)
         assert ws_vel is out_vel and ws_pos is out_pos
 
+    @pytest.mark.parametrize("m", [0, 2, 3, 4, 7])
+    @pytest.mark.parametrize("bounds", ["broadcast", "per-row"])
+    @pytest.mark.parametrize("arena", [False, True])
+    def test_row_blocks_bitwise_equal_whole_array_expression(
+        self, backend, monkeypatch, m, bounds, arena
+    ):
+        """Row-blocked passes == the unblocked expression, at every
+        block boundary: no rows, under one block, exactly one block,
+        one row over, several blocks with a short tail (3-row blocks).
+        Per-row ``vmax``/box rows are sliced with their block;
+        broadcast ones pass through whole."""
+        k, d = 5, 4
+        monkeypatch.setattr(numpy_backend, "BLOCK_ELEMENTS", 3 * k * d)
+        pos, vel, pb, gbest, r1, r2 = _update_inputs(8, m=m, k=k, d=d)
+        rng = np.random.default_rng(9)
+        if bounds == "broadcast":
+            kw = dict(vmax=np.full(d, 0.7), lower=np.full(d, -1.5),
+                      upper=np.full(d, 1.5))
+        else:
+            kw = dict(vmax=rng.uniform(0.3, 0.9, size=(m, 1, d)),
+                      lower=rng.uniform(-2.0, -1.0, size=(m, 1, d)),
+                      upper=rng.uniform(1.0, 2.0, size=(m, 1, d)))
+        want_vel, want_pos = _expression_oracle(
+            pos, vel, pb, gbest, r1, r2, 0.72, 1.49, 1.51, **kw
+        )
+        ws = Workspace() if arena else None
+        got_vel, got_pos = backend.fused_pso_update(
+            pos, vel, pb, gbest, r1, r2, 0.72, 1.49, 1.51, ws=ws, **kw
+        )
+        np.testing.assert_array_equal(got_vel, want_vel, strict=True)
+        np.testing.assert_array_equal(got_pos, want_pos, strict=True)
+
     def test_inputs_not_mutated(self, backend):
         pos, vel, pb, gbest, r1, r2 = _update_inputs(5)
         copies = [a.copy() for a in (pos, vel, pb, gbest, r1, r2)]
@@ -383,23 +416,20 @@ class TestBatchEvalContract:
 
 
 class TestExchangeArrays:
-    def _soa(self, n, k, d, spare=0):
-        from repro.pso.state import SwarmState, stack_states
+    def _soa(self, n, k, d):
+        from repro.pso.state import SwarmStateSoA
 
         rng = np.random.default_rng(40)
-        states = [
-            SwarmState(
-                positions=rng.normal(size=(k, d)),
-                velocities=rng.normal(size=(k, d)),
-                pbest_positions=rng.normal(size=(k, d)),
-                pbest_values=rng.random(k),
-                best_position=rng.normal(size=d),
-                best_value=0.0,
-            )
-            for _ in range(n + spare)
-        ]
-        soa = stack_states(states)
-        return soa
+        return SwarmStateSoA(
+            positions=rng.normal(size=(n, k, d)),
+            velocities=rng.normal(size=(n, k, d)),
+            pbest_positions=rng.normal(size=(n, k, d)),
+            pbest_values=rng.random((n, k)),
+            best_positions=rng.normal(size=(n, d)),
+            best_values=np.zeros(n),
+            evaluations=np.zeros(n, dtype=np.int64),
+            cursors=np.zeros(n, dtype=np.int64),
+        )
 
     def test_full_capacity_adopts_by_reference_and_returns_old(self):
         soa = self._soa(3, 2, 4)

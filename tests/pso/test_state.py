@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.functions.base import get_function
-from repro.pso.state import stack_states
-from repro.pso.swarm import initial_swarm_state
+from repro.pso.swarm import initial_swarm_soa, initial_swarm_state
 from repro.utils.config import PSOConfig
 
 
@@ -17,7 +16,11 @@ def make_state(seed):
 
 
 def make_soa(n=4):
-    return stack_states([make_state(i) for i in range(n)])
+    f = get_function("sphere")
+    return initial_swarm_soa(
+        [np.random.default_rng(i) for i in range(n)],
+        PSOConfig(particles=3), f.lower, f.upper,
+    )
 
 
 class TestCapacity:

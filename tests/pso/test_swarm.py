@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.functions.base import get_function
 from repro.functions.counting import CountingFunction
 from repro.functions.suite import Sphere
-from repro.pso.swarm import Swarm
+from repro.pso.swarm import Swarm, initial_swarm_soa, initial_swarm_state
 from repro.utils.config import PSOConfig
 
 
@@ -231,3 +233,81 @@ class TestDeterminism:
         a = make_swarm(k=5, seed=1)
         b = make_swarm(k=5, seed=2)
         assert not np.array_equal(a.state.positions, b.state.positions)
+
+
+# -- the batched initializer ----------------------------------------------------
+
+
+def _uniform_reference(function, config, rng):
+    """The per-swarm initializer as it stood before batching.
+
+    Two ``Generator.uniform`` calls — box positions, then ±vmax
+    velocities.  Kept here as the arithmetic reference: the batched
+    initializer owes it every bit and the same stream position.
+    """
+    k, d = config.particles, function.dimension
+    positions = rng.uniform(function.lower, function.upper, size=(k, d))
+    vmax = (config.vmax_fraction or 1.0) * function.domain_width
+    velocities = rng.uniform(-vmax, vmax, size=(k, d))
+    return positions, velocities
+
+
+#: Ten-dimensional objectives with different boxes (zakharov's is
+#: asymmetric: [-5, 10]).
+_BOXES = ("sphere", "rastrigin", "griewank", "ackley", "zakharov")
+
+
+class TestBatchedInitializer:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        names=st.lists(st.sampled_from(_BOXES), min_size=1, max_size=6),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=6, max_size=6,
+                       unique=True),
+        particles=st.integers(1, 5),
+        vmax_fraction=st.sampled_from([None, 0.5, 1.0]),
+    )
+    def test_equals_per_swarm_initializers_bit_for_bit(
+        self, names, seeds, particles, vmax_fraction
+    ):
+        """One call over n swarms == n per-swarm calls, and every
+        generator ends at the same stream position.  ``names`` draws a
+        heterogeneous network (per-swarm box rows), n = 1 included;
+        ``seeds`` stands for arbitrary, non-contiguous node streams."""
+        config = PSOConfig(particles=particles, vmax_fraction=vmax_fraction)
+        functions = [get_function(name) for name in names]
+        n = len(functions)
+        rngs = [np.random.default_rng(s) for s in seeds[:n]]
+        soa = initial_swarm_soa(
+            rngs, config,
+            np.stack([f.lower for f in functions]),
+            np.stack([f.upper for f in functions]),
+        )
+        assert soa.n == n and soa.capacity == n
+        for i, (function, seed) in enumerate(zip(functions, seeds)):
+            ref_rng = np.random.default_rng(seed)
+            positions, velocities = _uniform_reference(function, config, ref_rng)
+            single = initial_swarm_state(
+                function, config, np.random.default_rng(seed)
+            )
+            for got in (soa.node_state(i), single):
+                np.testing.assert_array_equal(got.positions, positions, strict=True)
+                np.testing.assert_array_equal(got.velocities, velocities, strict=True)
+                np.testing.assert_array_equal(got.pbest_positions, positions)
+                np.testing.assert_array_equal(got.best_position, positions[0])
+                assert np.all(np.isposinf(got.pbest_values))
+                assert got.best_value == np.inf
+                assert got.evaluations == 0 and got.cursor == 0
+            assert rngs[i].random() == ref_rng.random()
+
+    def test_shared_box_equals_per_swarm_rows(self):
+        f = get_function("zakharov")
+        config = PSOConfig(particles=3, vmax_fraction=0.5)
+        shared = initial_swarm_soa(
+            [np.random.default_rng(s) for s in (5, 9)], config, f.lower, f.upper
+        )
+        rows = initial_swarm_soa(
+            [np.random.default_rng(s) for s in (5, 9)], config,
+            np.stack([f.lower] * 2), np.stack([f.upper] * 2),
+        )
+        np.testing.assert_array_equal(shared.positions, rows.positions)
+        np.testing.assert_array_equal(shared.velocities, rows.velocities)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.topology.array_views import (
     CyclonArrayViews,
@@ -168,6 +169,58 @@ class TestNewscastArrayViews:
         for cycle in range(4):
             provider.begin_cycle(live, alive, float(cycle))
         assert int(provider._ts[live].max()) >= 3 * TS_SCALE
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 14),
+        c=st.integers(1, 6),
+        ts_range=st.sampled_from([2, 5, 40]),
+    )
+    def test_pair_exchange_equals_a_merge_row_per_end(self, seed, n, c, ts_range):
+        """One merge per pair == the row-per-end merge it replaced.
+
+        Random left-compacted views, often shorter than ``c``; partners
+        routinely hold stale descriptors of each other (``n`` is
+        small), and the narrow timestamp ranges make equal-timestamp
+        ties — among entries, and between a stale and a fresh
+        descriptor — the common case.
+        """
+        rng = np.random.default_rng(seed)
+        provider = NewscastArrayViews(n, c, rng)
+        for nid in range(n):
+            others = np.delete(np.arange(n), nid)
+            fill = int(rng.integers(0, min(c, n - 1) + 1))
+            provider._ids[nid, :fill] = rng.permutation(others)[:fill]
+            provider._ts[nid, :fill] = rng.integers(0, ts_range, fill)
+        self_ts = rng.integers(0, ts_range, n)
+        p = int(rng.integers(1, n // 2 + 1))
+        pairs = rng.permutation(n)[: 2 * p].reshape(p, 2)
+
+        # The replaced exchange: a candidate row per end — own view,
+        # the partner's view, the partner's fresh descriptor.
+        before_ids, before_ts = provider._ids.copy(), provider._ts.copy()
+        rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        srcs = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        want_ids, want_ts = merge_candidates(
+            np.concatenate(
+                [before_ids[rows], before_ids[srcs], srcs[:, None]], axis=1
+            ),
+            np.concatenate(
+                [before_ts[rows], before_ts[srcs], self_ts[srcs][:, None]],
+                axis=1,
+            ),
+            rows,
+            c,
+        )
+
+        provider._exchange(pairs, self_ts)
+        np.testing.assert_array_equal(provider._ids[rows], want_ids)
+        np.testing.assert_array_equal(provider._ts[rows], want_ts)
+        idle = np.setdiff1d(np.arange(n), rows)
+        np.testing.assert_array_equal(provider._ids[idle], before_ids[idle])
+        np.testing.assert_array_equal(provider._ts[idle], before_ts[idle])
 
 
 class TestCyclonArrayViews:
