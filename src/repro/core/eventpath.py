@@ -22,10 +22,9 @@ fused kernels at once:
 * **peer-sampling cohorts** initiate NEWSCAST view exchanges through
   :class:`~repro.topology.array_views.NewscastArrayViews` (the
   ``initiators=`` subset form of its vertex-disjoint exchange rounds);
-* **gossip cohorts** run an array-level anti-entropy exchange whose
-  partners come from the initiators' own views and may be *any* node
-  in the network — dead contacts lose the message, exactly like the
-  reference transport.
+* **gossip cohorts** run :meth:`FastEngine._gossip_phase` — the one
+  anti-entropy exchange (see :mod:`repro.core.fastpath`, step 4) —
+  with the window's loss stream; partners may be *any* node.
 
 Within a window the phase order is topology → optimization →
 coordination (the reference stack's service order); across windows
@@ -58,13 +57,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.fastpath import (
-    _DRAW_BLOCK,
-    _DRAW_BLOCK_BITS,
-    FastEngine,
-    scatter_min_fold,
-)
-from repro.core.metrics import MessageTally
+from repro.core.fastpath import FastEngine
+from repro.core.metrics import DynamicsTracker, MessageTally
 from repro.deployment.runtime import DeploymentConfig, DeploymentResult
 from repro.utils.config import ExperimentConfig
 from repro.utils.exceptions import ConfigurationError
@@ -154,11 +148,7 @@ class CohortEventEngine(FastEngine):
             dynamics=dynamics,
             adversary=adversary,
         )
-        self._dyn_tracker = None
-        if self._dynamic:
-            from repro.core.metrics import DynamicsTracker
-
-            self._dyn_tracker = DynamicsTracker()
+        self._dyn_tracker = DynamicsTracker() if self._dynamic else None
         n = config.nodes
         rng = self._tree.rng("eventpath", "timers")
         # Per-id next-firing clocks, random initial phase in [0, period)
@@ -271,182 +261,8 @@ class CohortEventEngine(FastEngine):
             ids = self._due(live_ids, self._next_gossip, w_end)
             if ids.size == 0:
                 return
-            self._gossip_cohort(ids, rng)
+            self._gossip_phase(ids, rng, cfg.loss_rate)
             self._advance(self._next_gossip, ids, cfg.gossip_period, rng)
-
-    def _gossip_cohort(self, ids: np.ndarray, rng: np.random.Generator) -> None:
-        """Anti-entropy exchanges for one cohort of initiators.
-
-        Mirrors :meth:`FastEngine._gossip_phase` except partners may be
-        *any* node (cohort members gossip with nodes outside the
-        cohort), receiver folds scatter straight onto the global SoA
-        arrays, and each message independently survives the configured
-        loss rate.  Offer/reply values are cohort-entry snapshots — the
-        value a message carries is the value at send time — and
-        adoption uses the same phased semantics as the fast engine
-        (at most one adoption per receiver per cohort).
-        """
-        soa = self.soa
-        cfg = self.deployment
-        mode = self.config.coordination.mode
-        m = ids.shape[0]
-
-        peers = self.provider.gossip_targets(ids, rng)
-        known = peers >= 0
-        if not np.any(known):
-            return
-        peers_safe = np.maximum(peers, 0)
-        peer_alive = known & self._alive[peers_safe]
-        slots = self._slot_of_id[ids]
-        pslots = np.maximum(self._slot_of_id[peers_safe], 0)
-
-        val = soa.best_values[slots].copy()  # send-time snapshots
-        posm = soa.best_positions[slots].copy()
-        pval = soa.best_values[pslots].copy()
-        ppos = soa.best_positions[pslots].copy()
-        has = np.isfinite(val)
-        p_has = np.isfinite(pval) & peer_alive
-
-        def survives(mask: np.ndarray) -> np.ndarray:
-            if cfg.loss_rate <= 0:
-                return mask
-            return mask & (rng.random(m) >= cfg.loss_rate)
-
-        # Hostile seam (same structure as FastEngine._gossip_phase):
-        # honest cohorts alias the snapshots; Byzantine rows are
-        # transformed and offer_ok masks who offers at all.
-        adv = self._adversary
-        if adv is None:
-            send_val, send_pos = val, posm
-            offer_ok = has
-            sendable = None
-        else:
-            send_val, send_pos, sendable = adv.tamper(
-                ids, val, posm, self.function.lower, self.function.upper
-            )
-            offer_ok = np.isfinite(send_val) & sendable
-
-        if mode in ("push", "push-pull"):
-            attempted = offer_ok & known
-            self.messages_sent += int(attempted.sum())
-            carried = survives(attempted)
-            self.transport_to_dead += int((carried & ~peer_alive).sum())
-            delivered = carried & peer_alive
-            senders = np.nonzero(delivered)[0]
-            fold_val = send_val
-            if adv is not None and adv.spec.defense and senders.size:
-                fold_val = send_val.copy()
-                verified = self._verify_values(send_pos[senders])
-                adv.screen_batch(send_val[senders], verified)
-                fold_val[senders] = verified
-            # Offers fold straight onto the receivers' global SoA rows
-            # (receivers may be outside the cohort).
-            self.adoptions += scatter_min_fold(
-                senders, pslots, fold_val, send_pos,
-                soa.best_values, soa.best_values, soa.best_positions,
-            )
-            if mode == "push-pull":
-                # Receiver at least as good -> replies with its own
-                # (pre-fold) optimum; initiator adopts iff better.
-                if adv is None:
-                    replied = delivered & p_has & (val >= pval)
-                    self.messages_sent += int(replied.sum())
-                    back = survives(replied) & (pval < soa.best_values[slots])
-                    if np.any(back):
-                        soa.best_values[slots[back]] = pval[back]
-                        soa.best_positions[slots[back]] = ppos[back]
-                        self.adoptions += int(back.sum())
-                else:
-                    replied = delivered & p_has & (fold_val >= pval)
-                    self.messages_sent += int(replied.sum())
-                    self._cohort_reply_fold(
-                        adv, survives(replied), peers_safe, pval, ppos, slots
-                    )
-        else:  # pull: blind requests, reply iff the peer knows anything
-            if adv is None:
-                self.messages_sent += int(known.sum())
-                carried = survives(known)
-                self.transport_to_dead += int((carried & ~peer_alive).sum())
-                replied = carried & p_has
-                self.messages_sent += int(replied.sum())
-                back = survives(replied) & (pval < soa.best_values[slots])
-                if np.any(back):
-                    soa.best_values[slots[back]] = pval[back]
-                    soa.best_positions[slots[back]] = ppos[back]
-                    self.adoptions += int(back.sum())
-            else:
-                requests = known & sendable  # "drop" nodes ask nothing
-                self.messages_sent += int(requests.sum())
-                carried = survives(requests)
-                self.transport_to_dead += int((carried & ~peer_alive).sum())
-                replied = carried & p_has
-                self.messages_sent += int(replied.sum())
-                self._cohort_reply_fold(
-                    adv, survives(replied), peers_safe, pval, ppos, slots
-                )
-
-    def _cohort_reply_fold(
-        self, adv, replied, peer_ids, pval, ppos, slots
-    ) -> None:
-        """Adversary-aware reply fold onto the initiators' global rows.
-
-        Replying peers may themselves be Byzantine — their reply
-        payloads go through the same transformation as offers (and the
-        same plausibility filter at the receiving initiators).
-        """
-        soa = self.soa
-        rows = np.nonzero(replied)[0]
-        if rows.size == 0:
-            return
-        r_val, r_pos, r_send = adv.tamper(
-            peer_ids[rows], pval[rows], ppos[rows],
-            self.function.lower, self.function.upper,
-        )
-        keep = np.nonzero(r_send)[0]
-        if keep.size == 0:
-            return
-        rows, r_val, r_pos = rows[keep], r_val[keep], r_pos[keep]
-        if adv.spec.defense:
-            verified = self._verify_values(r_pos)
-            adv.screen_batch(r_val, verified)
-            r_val = verified
-        better = r_val < soa.best_values[slots[rows]]
-        if np.any(better):
-            win = rows[better]
-            soa.best_values[slots[win]] = r_val[better]
-            soa.best_positions[slots[win]] = r_pos[better]
-            self.adoptions += int(better.sum())
-
-    # -- batched draws over arbitrary cohorts --------------------------------------
-
-    def _chunk_draws(
-        self, live: np.ndarray, moving_nodes: np.ndarray, width: int, chunk: int
-    ) -> np.ndarray:
-        """Cohorts are arbitrary slot subsets: always key blocks by id.
-
-        :meth:`FastEngine._chunk_draws` has a contiguous fast path that
-        assumes row ``i`` is node id ``i`` — true for whole-population
-        cycles without churn, never guaranteed for a cohort — so the
-        batched regime here always takes the id-keyed block fill (same
-        streams: ``("fastpath", "draws", epoch, chunk, block)``).
-        """
-        if self.rng_mode == "strict":
-            return super()._chunk_draws(live, moving_nodes, width, chunk)
-        nl, d = live.shape[0], self.soa.d
-        out = self._draw_buffer((nl, 2, width, d))
-        ids = self._id_of_slot[live]
-        for block in np.unique(ids >> _DRAW_BLOCK_BITS):
-            rng = np.random.Generator(
-                np.random.SFC64(
-                    self._tree.seed_sequence(
-                        "fastpath", "draws", self.cycle, chunk, int(block)
-                    )
-                )
-            )
-            rows = rng.random((_DRAW_BLOCK, 2, width, d))
-            sel = (ids >> _DRAW_BLOCK_BITS) == block
-            out[sel] = rows[ids[sel] & (_DRAW_BLOCK - 1)]
-        return out
 
     # -- monitoring / stopping ------------------------------------------------------
 
@@ -523,16 +339,9 @@ class CohortEventEngine(FastEngine):
             self._window_index += 1
             self._monitor()
         best = self.global_best()
-        dynamics_dict = None
-        if self._dyn_tracker is not None:
-            dynamics_dict = self._dyn_tracker.metrics(
-                final_error=self.current_true_error()
-            )
-            dynamics_dict["reevaluations"] = int(self.reevaluations)
-        adversary_dict = None
-        if self._adversary is not None:
-            adversary_dict = self._adversary.tally_dict()
-            adversary_dict["final_true_error"] = self.current_true_error()
+        dynamics_dict, adversary_dict = self.problem_layer_metrics(
+            self._dyn_tracker
+        )
         return DeploymentResult(
             best_value=best,
             quality=self.quality_of(best),

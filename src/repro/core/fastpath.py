@@ -29,14 +29,38 @@ handful of whole-network array operations:
    ``n·k`` particles, one batched objective evaluation over the
    ``(n·k, d)`` reshape, and vectorized pbest/swarm-optimum folds
    (``np.where`` / row ``argmin`` reductions);
-4. **coordination** — an array-level anti-entropy exchange: each node's
-   partner drawn *from its own overlay view* via the provider,
-   scatter-min adoption of the better optimum, with message, loss and
-   adoption tallies tracked in the returned
-   :class:`~repro.core.metrics.MessageTally` (adoption counts use
-   phased semantics — at most one adoption per receiver per cycle,
-   where the reference's sequential delivery can count several — so
-   compare them within an engine, not across).
+4. **coordination** — one anti-entropy exchange per node, its partner
+   drawn *from its own overlay view* via the provider.  The exchange
+   exists once, as three legs every SoA engine runs (this engine over
+   all live nodes, :mod:`repro.core.eventpath` over a timer cohort,
+   :mod:`repro.sharding.engine` over an id block):
+
+   * **offer** (:meth:`FastEngine._exchange`) — a message carries the
+     sender's optimum *as of send time* (one snapshot per call).  Each
+     outgoing payload passes the adversary's per-message tamper (no
+     adversary = the identity; a pull request carries no payload, so
+     only ``"drop"`` touches it), then the per-message loss draw.
+     Partners held by this engine are served by the two legs below;
+     the mask of messages whose partner is *not held here* — its id
+     has no live SoA row — is returned to the caller, who knows what
+     that means: crashed, so sent and lost (``transport_to_dead``:
+     fast, event), or owned by another shard, so routed there;
+   * **receive** (:meth:`FastEngine._receive`) — snapshots the
+     receivers, then folds the offers straight onto the SoA by
+     scatter-min (best offer per receiver, adopted iff strictly
+     better; the kernel compares before it writes, so output aliases
+     comparand).  A push-pull receiver at least as good as the offer,
+     or a pulled node that knows anything, answers with its
+     *pre-fold* snapshot; a Byzantine answer is tampered when sent;
+   * **reply** (:meth:`FastEngine._fold_replies`) — the initiator
+     adopts the answer iff strictly better than its *current* value.
+
+   With the plausibility filter on, both receiving legs fold on
+   re-evaluated values.  Message, loss and adoption tallies land in
+   the returned :class:`~repro.core.metrics.MessageTally` (phased
+   adoption counts — at most one per receiver per fold, where the
+   reference's sequential delivery can count several — so compare
+   them within an engine, not across).
 
 Equivalence contract (pinned by ``tests/core/test_fastpath.py`` and
 ``tests/topology/test_provider_equivalence.py``)
@@ -93,7 +117,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.kernels import KernelBackend, Workspace, get_backend
-from repro.core.kernels.numpy_backend import scatter_min_fold
 from repro.core.metrics import (
     DynamicsObserver,
     DynamicsTracker,
@@ -113,7 +136,7 @@ from repro.utils.config import ExperimentConfig
 from repro.utils.exceptions import ConfigurationError
 from repro.utils.rng import SeedSequenceTree
 
-__all__ = ["FastEngine", "run_single_fast", "RNG_MODES", "scatter_min_fold"]
+__all__ = ["FastEngine", "run_single_fast", "RNG_MODES"]
 
 #: Supported per-particle draw regimes (see module docstring).
 RNG_MODES = ("strict", "batched")
@@ -188,7 +211,9 @@ class FastEngine:
         streams, batched draw-block keys and the budget formula all
         use the global ids, so a shard engine over a contiguous id
         block evolves its nodes on exactly the streams the
-        whole-network engine would (see :mod:`repro.sharding`).
+        whole-network engine would (see :mod:`repro.sharding`).  The
+        liveness and slot tables still span ``config.nodes`` ids, so a
+        gossip partner owned elsewhere reads as *not held here*.
         Subset engines must be churn-free and homogeneous, and take a
         ready ``ViewProvider`` (or run ``gossip=False``).
     """
@@ -243,6 +268,7 @@ class FastEngine:
             )
         else:
             self._adversary = None
+        self._defense = self._adversary is not None and adversary.defense
 
         # ``node_ids`` is the sharding seam: an engine may own any
         # subset of a larger overlay's id space.  Per-node streams and
@@ -272,7 +298,7 @@ class FastEngine:
                     "refresh and Byzantine membership span the whole overlay"
                 )
         n = node_ids.shape[0]
-        id_span = int(node_ids.max(initial=-1)) + 1
+        id_span = config.nodes
         self._gens: list[np.random.Generator] = [
             tree.rng("node", nid, "pso") for nid in node_ids.tolist()
         ]
@@ -568,7 +594,7 @@ class FastEngine:
         Message counts follow the reference protocol's send rules —
         including sends to dead peers, which also land in
         ``transport_to_dead``; adoption counts use the phased
-        semantics described in :meth:`_gossip_phase` and run slightly
+        semantics of the module docstring's step 4 and run slightly
         below the reference's sequential counting.
         """
         return MessageTally(
@@ -655,6 +681,19 @@ class FastEngine:
         verified = self._verify_values(self.soa.best_positions[rows[mask]])
         return max(0.0, float(verified.min()) - self._problem.optimum_value)
 
+    def problem_layer_metrics(
+        self, tracker: DynamicsTracker | None
+    ) -> tuple[dict | None, dict | None]:
+        """A record's ``(dynamics, adversary)`` dicts (``None``: static / honest)."""
+        dynamics = adversary = None
+        if tracker is not None:
+            dynamics = tracker.metrics(final_error=self.current_true_error())
+            dynamics["reevaluations"] = int(self.reevaluations)
+        if self._adversary is not None:
+            adversary = self._adversary.tally_dict()
+            adversary["final_true_error"] = self.current_true_error()
+        return dynamics, adversary
+
     # -- cycle phases ------------------------------------------------------------
 
     def _churn_phase(self) -> None:
@@ -739,11 +778,12 @@ class FastEngine:
                 )
             )
 
-        if self.crashes == 0 and self._default_ids:
-            # No churn holes: live row i is node id i — each block's
-            # generator fills its slice in place (a generator fills in
-            # C order, so a short last slice holds exactly the leading
-            # rows of the full block).
+        if self.crashes == 0 and self._default_ids and nl == self._next_id:
+            # The whole population, no churn holes: live row i is node
+            # id i — each block's generator fills its slice in place (a
+            # generator fills in C order, so a short last slice holds
+            # exactly the leading rows of the full block).  Any other
+            # cohort picks its rows from whole blocks by node id.
             for block in range((nl + _DRAW_BLOCK - 1) >> _DRAW_BLOCK_BITS):
                 lo = block << _DRAW_BLOCK_BITS
                 block_rng(block).random(out=out[lo : lo + _DRAW_BLOCK])
@@ -896,161 +936,141 @@ class FastEngine:
             soa.best_values[winners] = cand_val[better]
             soa.best_positions[winners] = new_pb[idx[better], best_j[better]]
 
-    def _gossip_phase(self, live_ids: np.ndarray, live: np.ndarray) -> None:
-        """One anti-entropy exchange per live node, array-level.
+    def _gossip_phase(
+        self, ids: np.ndarray, rng: np.random.Generator, loss_rate: float = 0.0
+    ) -> None:
+        """One anti-entropy exchange per node of ``ids`` (module docstring, step 4)."""
+        peers = self.provider.gossip_targets(ids, rng)
+        away, _, _ = self._exchange(ids, peers, rng, loss_rate)
+        # Every node of the network lives in this engine's SoA, so a
+        # partner not held here has crashed: sent and lost, exactly
+        # like the reference transport.
+        self.transport_to_dead += int(away.sum())
 
-        Every node draws one partner from its overlay view (via the
-        topology provider) and the configured mode's exchange is
-        applied against consistent cycle-start snapshots: incoming
-        offers fold by scatter-min (best offer per receiver wins;
-        adopted iff strictly better), then push-pull / pull replies
-        fold back onto the initiators.  Messages to dead contacts are
-        sent and lost, exactly like the reference engine's transport
-        (counted in both ``transport_sent`` and ``transport_to_dead``).
-        Message counts follow the reference protocol's send rules;
-        adoptions are counted per applied fold, so a receiver drawing
-        several better offers in one cycle counts one adoption where
-        the reference's sequential delivery may count each.
+    def _exchange(
+        self,
+        ids: np.ndarray,
+        peers: np.ndarray,
+        rng: np.random.Generator | None = None,
+        loss_rate: float = 0.0,
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """Offer leg: node ``ids[i]`` opens an exchange with ``peers[i]`` (``-1`` = nobody).
+
+        Exchanges whose partner this engine holds are completed here
+        (:meth:`_receive`, :meth:`_fold_replies`).  Returns ``(away,
+        send_val, send_pos)``: the mask of messages that left for a
+        partner not held here, and the payloads as sent.  ``rng`` is
+        read only when ``loss_rate > 0`` (one draw per message leg).
         """
-        nl = live.shape[0]
-        if nl < 2:
-            return
-        soa = self.soa
-        ws = self.workspace
-        mode = self.config.coordination.mode
-
-        peers = self.provider.gossip_targets(live_ids, self._gossip_rng)
         known = peers >= 0
         if not np.any(known):
-            return
+            return known, None, None
+        soa, ws, adv = self.soa, self.workspace, self._adversary
+        mode = self.config.coordination.mode
+        lower, upper = self.function.lower, self.function.upper
+        m = ids.shape[0]
         peers_safe = np.maximum(peers, 0)
-        peer_alive = known & self._alive[peers_safe]
-        # Peer position in the live list (only meaningful where alive).
-        pos_of = ws.take("gp_pos_of", (self._next_id,), np.int64)
-        pos_of[:] = 0
-        pos_of[live_ids] = np.arange(nl)
-        peer_pos = pos_of[peers_safe]
+        held = known & self._alive[peers_safe]
+        slots = self._slot_of_id[ids]
+        # Send-time snapshots (np.take with out= gathers without a temporary).
+        val = ws.take("gp_val", (m,))
+        np.take(soa.best_values, slots, out=val, mode="clip")
+        pos = ws.take("gp_posm", (m, soa.d))
+        np.take(soa.best_positions, slots, axis=0, out=pos, mode="clip")
 
-        # Cycle-start snapshots, in workspace buffers (np.take with an
-        # out= target gathers without a temporary).
-        val = ws.take("gp_val", (nl,))
-        np.take(soa.best_values, live, axis=0, out=val, mode="clip")
-        posm = ws.take("gp_posm", (nl, soa.d))
-        np.take(soa.best_positions, live, axis=0, out=posm, mode="clip")
-        has = np.isfinite(val)
-        new_val = ws.take("gp_new_val", (nl,))
-        np.copyto(new_val, val)
-        new_pos = ws.take("gp_new_pos", (nl, soa.d))
-        np.copyto(new_pos, posm)
+        def survives(mask: np.ndarray) -> np.ndarray:
+            if loss_rate <= 0:
+                return mask
+            return mask & (rng.random(m) >= loss_rate)
 
-        # Hostile seam: with no adversary the outgoing offers alias the
-        # honest snapshots (no copies, no new operations — the static
-        # path stays bit-identical).  With one, Byzantine rows are
-        # transformed and ``offer_ok`` masks who offers at all.
-        adv = self._adversary
-        if adv is None:
-            send_val, send_pos = val, posm
-            offer_ok = has
-            sendable = None
-        else:
-            send_val, send_pos, sendable = adv.tamper(
-                live_ids, val, posm, self.function.lower, self.function.upper
-            )
-            offer_ok = np.isfinite(send_val) & sendable
+        send_val, send_pos, sendable = val, pos, True
+        if adv is not None and (mode != "pull" or adv.spec.behavior == "drop"):
+            # A pull request carries no offer: only "drop" silences it.
+            send_val, send_pos, sendable = adv.tamper(ids, val, pos, lower, upper)
+        attempted = known & sendable
+        if mode != "pull":
+            attempted &= np.isfinite(send_val)  # nothing to offer yet
+        self.messages_sent += int(attempted.sum())
+        carried = survives(attempted)
+        answers, r_val, r_pos = self._receive(
+            self._slot_of_id[peers_safe], np.nonzero(carried & held)[0],
+            None if mode == "pull" else send_val, send_pos,
+        )
+        if mode != "push":
+            rows = np.nonzero(survives(answers))[0]
+            if rows.size:
+                r_val, r_pos = r_val[rows], r_pos[rows]
+                if adv is not None:
+                    r_val, r_pos, sent = adv.tamper(
+                        peers[rows], r_val, r_pos, lower, upper
+                    )
+                    rows, r_val, r_pos = rows[sent], r_val[sent], r_pos[sent]
+                self._fold_replies(slots[rows], r_val, r_pos)
+        return carried & ~held, send_val, send_pos
 
-        if mode in ("push", "push-pull"):
-            attempted = offer_ok & known
-            self.messages_sent += int(attempted.sum())
-            lost = attempted & ~peer_alive
-            self.transport_to_dead += int(lost.sum())
-            senders = np.nonzero(attempted & peer_alive)[0]
-            fold_val = send_val
-            if adv is not None and adv.spec.defense and senders.size:
-                # Plausibility filter: receivers fold on re-evaluated
-                # values, so fabricated claims die on arrival.
-                fold_val = send_val.copy()
-                verified = self._verify_values(send_pos[senders])
-                adv.screen_batch(send_val[senders], verified)
-                fold_val[senders] = verified
-            self.adoptions += self.backend.scatter_min_fold(
-                senders, peer_pos, fold_val, send_pos, val, new_val, new_pos
-            )
-            if mode == "push-pull":
-                # Receiver at least as good -> it replies; initiator
-                # adopts iff the reply strictly improves on it.
-                delivered = attempted & peer_alive
-                if adv is None:
-                    replied = (
-                        delivered & has[peer_pos] & (val >= val[peer_pos])
-                    )
-                    self.messages_sent += int(replied.sum())
-                    back = replied & (val[peer_pos] < new_val)
-                    if np.any(back):
-                        new_val[back] = val[peer_pos[back]]
-                        new_pos[back] = posm[peer_pos[back]]
-                        self.adoptions += int(back.sum())
-                else:
-                    replied = (
-                        delivered
-                        & offer_ok[peer_pos]
-                        & (fold_val >= val[peer_pos])
-                    )
-                    self.messages_sent += int(replied.sum())
-                    self._fold_replies(
-                        adv, replied, peer_pos, send_val, send_pos,
-                        new_val, new_pos,
-                    )
-        else:  # pull: blind requests, reply iff the peer knows anything
-            if adv is None:
-                self.messages_sent += int(known.sum())
-                lost = known & ~peer_alive
-                self.transport_to_dead += int(lost.sum())
-                replied = peer_alive & has[peer_pos]
-                self.messages_sent += int(replied.sum())
-                back = replied & (val[peer_pos] < new_val)
-                if np.any(back):
-                    new_val[back] = val[peer_pos[back]]
-                    new_pos[back] = posm[peer_pos[back]]
-                    self.adoptions += int(back.sum())
-            else:
-                requests = known & sendable  # "drop" nodes ask nothing
-                self.messages_sent += int(requests.sum())
-                lost = requests & ~peer_alive
-                self.transport_to_dead += int(lost.sum())
-                replied = requests & peer_alive & offer_ok[peer_pos]
-                self.messages_sent += int(replied.sum())
-                self._fold_replies(
-                    adv, replied, peer_pos, send_val, send_pos,
-                    new_val, new_pos,
+    def _receive(
+        self,
+        slots: np.ndarray,
+        senders: np.ndarray,
+        off_val: np.ndarray | None,
+        off_pos: np.ndarray | None,
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """Receive leg: message rows ``senders`` arrive at SoA rows ``slots``.
+
+        ``off_val`` / ``off_pos`` are the offers per message row
+        (``None``: pull requests carry none).  Returns ``(answers,
+        val, pos)``: the mask of rows that are answered — each answer
+        is counted as sent — and every row's receiver as the message
+        found it, which is what an answer carries (push: nobody
+        answers, nothing is snapshotted).
+        """
+        soa, ws = self.soa, self.workspace
+        mode = self.config.coordination.mode
+        m = slots.shape[0]
+        answers = np.zeros(m, dtype=bool)
+        val = pos = None
+        if mode != "push":
+            val = ws.take("gp_pval", (m,))
+            np.take(soa.best_values, slots, out=val, mode="clip")
+            pos = ws.take("gp_ppos", (m, soa.d))
+            np.take(soa.best_positions, slots, axis=0, out=pos, mode="clip")
+            answers[senders] = True
+            answers &= np.isfinite(val)
+        if off_val is not None:
+            if self._defense and senders.size:
+                # Plausibility filter: fabricated claims die on arrival.
+                off_val = off_val.copy()
+                off_val[senders] = self._screened(
+                    off_val[senders], off_pos[senders]
                 )
-
-        soa.best_values[live] = new_val
-        soa.best_positions[live] = new_pos
+            self.adoptions += self.backend.scatter_min_fold(
+                senders, slots, off_val, off_pos,
+                soa.best_values, soa.best_values, soa.best_positions,
+            )
+            if mode == "push-pull":  # only a receiver at least as good answers
+                answers &= off_val >= val
+        self.messages_sent += int(answers.sum())
+        return answers, val, pos
 
     def _fold_replies(
-        self, adv, replied, peer_pos, send_val, send_pos, new_val, new_pos
+        self, slots: np.ndarray, r_val: np.ndarray, r_pos: np.ndarray
     ) -> None:
-        """Adversary-aware reply fold (push-pull / pull back legs).
-
-        Replying peers send their (possibly tampered) offer; with the
-        defense on, initiators fold on re-evaluated values instead of
-        the claims.
-        """
-        rows = np.nonzero(replied)[0]
-        if rows.size == 0:
-            return
-        r_val = send_val[peer_pos[rows]].copy()
-        r_pos = send_pos[peer_pos[rows]]
-        if adv.spec.defense:
-            verified = self._verify_values(r_pos)
-            adv.screen_batch(r_val, verified)
-            r_val = verified
-        better = r_val < new_val[rows]
+        """Reply leg: SoA rows ``slots`` (distinct) adopt their answer iff strictly better."""
+        soa = self.soa
+        if self._defense and r_val.size:
+            r_val = self._screened(r_val, r_pos)
+        better = r_val < soa.best_values[slots]
         if np.any(better):
-            win = rows[better]
-            new_val[win] = r_val[better]
-            new_pos[win] = r_pos[better]
+            win = slots[better]
+            soa.best_values[win] = r_val[better]
+            soa.best_positions[win] = r_pos[better]
             self.adoptions += int(better.sum())
+
+    def _screened(self, claimed: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """Plausibility filter: the re-evaluated values receivers fold on."""
+        verified = self._verify_values(positions)
+        self._adversary.screen_batch(claimed, verified)
+        return verified
 
     # -- driving -----------------------------------------------------------------
 
@@ -1067,8 +1087,8 @@ class FastEngine:
                 # Topology service first, like the reference stack.
                 self.provider.begin_cycle(live_ids, self._alive, float(self.now))
             self._pso_phase(live)
-            if self.gossip:
-                self._gossip_phase(live_ids, live)
+            if self.gossip and live_ids.size > 1:
+                self._gossip_phase(live_ids, self._gossip_rng)
         if self._stopped:
             return False
         self.cycle += 1
@@ -1167,16 +1187,7 @@ def run_single_fast(
     if quality_obs.threshold_cycle is not None:
         threshold_local = quality_obs.threshold_cycle * config.gossip_cycle
 
-    dynamics_dict = None
-    if dyn_tracker is not None:
-        dynamics_dict = dyn_tracker.metrics(
-            final_error=engine.current_true_error()
-        )
-        dynamics_dict["reevaluations"] = int(engine.reevaluations)
-    adversary_dict = None
-    if engine._adversary is not None:
-        adversary_dict = engine._adversary.tally_dict()
-        adversary_dict["final_true_error"] = engine.current_true_error()
+    dynamics_dict, adversary_dict = engine.problem_layer_metrics(dyn_tracker)
 
     return RunResult(
         best_value=best,

@@ -4,18 +4,13 @@ A :class:`ShardEngine` owns one id block of the overlay.  Optimization
 runs on a churn-free :class:`~repro.core.fastpath.FastEngine` over the
 block (the ``node_ids`` seam keys every per-node stream by *global*
 id, so a shard's particles consume exactly the draws the whole-network
-engine would give them).  The anti-entropy gossip phase splits by
-where each node's drawn partner lives:
-
-* **local partner** — resolved immediately against cycle-start
-  snapshots with the same :func:`scatter_min_fold` semantics as
-  :meth:`FastEngine._gossip_phase`;
-* **remote partner** — the offer (push modes) or blind request (pull)
-  is buffered into the window's outgoing payload; the owning shard
-  folds offers / answers requests at the next barrier leg, and replies
-  land one leg later still.  Remote gossip thus settles with
-  one-window latency — values are monotone (adopt iff strictly
-  better), so the delay costs freshness, never correctness.
+engine would give them).  Gossip is that engine's one anti-entropy
+exchange (:mod:`repro.core.fastpath`, step 4) run on the block: a
+partner *not held here* lives on another shard, so its offer (push
+modes) or blind request (pull) is routed there, received at the next
+barrier leg and answered one leg later still.  Remote gossip thus
+settles with one-window latency — values are monotone (adopt iff
+strictly better), so the delay costs freshness, never correctness.
 
 Every cycle is one *window* of three message legs:
 
@@ -109,8 +104,6 @@ class ShardEngine:
         self.history: list[QualitySample] = []
         self.threshold_cycle: int | None = None
         self.threshold_evaluations: int | None = None
-        self.messages_sent = 0
-        self.adoptions = 0
         self._stopped = False
         self._stop_reason: str | None = None
         self._t0 = time.perf_counter()
@@ -137,67 +130,18 @@ class ShardEngine:
         return out
 
     def _gossip_local(self) -> dict[int, dict[str, np.ndarray]]:
-        """The gossip phase's local half; buffers the remote half."""
+        """Exchange with local partners; route what leaves the shard."""
         if self.plan.nodes < 2 or self.m == 0:
             return {}
-        soa = self.fast.soa
         peers = self.views.gossip_targets(self.gossip_rng)
-        known = peers >= 0
-        if not np.any(known):
+        away, val, pos = self.fast._exchange(self.gids, peers)
+        if not np.any(away):
             return {}
-        local = known & (peers >= self.lo) & (peers < self.hi)
-        remote = known & ~local
-        peer_row = np.where(local, peers - self.lo, 0)
-
-        val = soa.best_values.copy()
-        posm = soa.best_positions.copy()
-        has = np.isfinite(val)
-        new_val = val.copy()
-        new_pos = posm.copy()
-
-        out: dict[int, dict[str, np.ndarray]] = {}
-        if self.mode in ("push", "push-pull"):
-            attempted = has & known
-            self.messages_sent += int(attempted.sum())
-            senders = np.nonzero(attempted & local)[0]
-            self.adoptions += self.fast.backend.scatter_min_fold(
-                senders, peer_row, val, posm, val, new_val, new_pos
-            )
-            if self.mode == "push-pull":
-                delivered = attempted & local
-                replied = delivered & has[peer_row] & (val >= val[peer_row])
-                self.messages_sent += int(replied.sum())
-                back = replied & (val[peer_row] < new_val)
-                if np.any(back):
-                    new_val[back] = val[peer_row[back]]
-                    new_pos[back] = posm[peer_row[back]]
-                    self.adoptions += int(back.sum())
-            rsel = attempted & remote
-            if np.any(rsel):
-                out = self._route(peers[rsel], {
-                    "go_init": self.gids[rsel],
-                    "go_tgt": peers[rsel],
-                    "go_val": val[rsel],
-                    "go_pos": posm[rsel],
-                })
-        else:  # pull
-            self.messages_sent += int(known.sum())
-            replied = local & has[peer_row]
-            self.messages_sent += int(replied.sum())
-            back = replied & (val[peer_row] < new_val)
-            if np.any(back):
-                new_val[back] = val[peer_row[back]]
-                new_pos[back] = posm[peer_row[back]]
-                self.adoptions += int(back.sum())
-            if np.any(remote):
-                out = self._route(peers[remote], {
-                    "pq_init": self.gids[remote],
-                    "pq_tgt": peers[remote],
-                })
-
-        soa.best_values[:] = new_val
-        soa.best_positions[:] = new_pos
-        return out
+        kind = "pq" if self.mode == "pull" else "go"
+        payload = {f"{kind}_init": self.gids[away], f"{kind}_tgt": peers[away]}
+        if kind == "go":
+            payload.update(go_val=val[away], go_pos=pos[away])
+        return self._route(peers[away], payload)
 
     def _route(self, targets: np.ndarray,
                payload: dict[str, np.ndarray]) -> dict[int, dict]:
@@ -223,60 +167,31 @@ class ShardEngine:
     def _gossip_remote(
         self, incoming: dict[int, dict[str, np.ndarray]]
     ) -> dict[int, dict[str, np.ndarray]]:
-        soa = self.fast.soa
+        """Receive peers' offers / requests; answers go back by source."""
+        kind = "pq" if self.mode == "pull" else "go"
+        parts = _parts(incoming, f"{kind}_tgt")
+        srcs = sorted(parts)
+        if not srcs:
+            return {}
+
+        def cat(key: str) -> np.ndarray:
+            return np.concatenate([parts[s][key] for s in srcs])
+
+        init, tgt = cat(f"{kind}_init"), cat(f"{kind}_tgt")
+        src_of = np.repeat(srcs, [parts[s][f"{kind}_tgt"].shape[0] for s in srcs])
+        offers = (None, None) if kind == "pq" else (cat("go_val"), cat("go_pos"))
+        answers, val, pos = self.fast._receive(
+            tgt - self.lo, np.arange(tgt.shape[0]), *offers
+        )
         out: dict[int, dict[str, np.ndarray]] = {}
-        if self.mode in ("push", "push-pull"):
-            offers = _parts(incoming, "go_tgt")
-            srcs = sorted(offers)
-            if not srcs:
-                return {}
-            init = np.concatenate([offers[s]["go_init"] for s in srcs])
-            tgt = np.concatenate([offers[s]["go_tgt"] for s in srcs])
-            oval = np.concatenate([offers[s]["go_val"] for s in srcs])
-            opos = np.concatenate([offers[s]["go_pos"] for s in srcs])
-            src_of = np.concatenate([
-                np.full(offers[s]["go_tgt"].shape[0], s, dtype=np.int64)
-                for s in srcs
-            ])
-            rows = tgt - self.lo
-            # Snapshot before folding: replies describe the receiver as
-            # the offer found it, exactly like the local push-pull leg.
-            val2 = soa.best_values.copy()
-            posm2 = soa.best_positions.copy()
-            has2 = np.isfinite(val2)
-            if self.mode == "push-pull":
-                replied = has2[rows] & (oval >= val2[rows])
-                self.messages_sent += int(replied.sum())
-                for s in srcs:
-                    sel = (src_of == s) & replied
-                    if np.any(sel):
-                        out[int(s)] = {
-                            "gr_init": init[sel],
-                            "gr_val": val2[rows[sel]],
-                            "gr_pos": posm2[rows[sel]],
-                        }
-            self.adoptions += self.fast.backend.scatter_min_fold(
-                np.arange(oval.shape[0], dtype=np.int64), rows, oval, opos,
-                val2, soa.best_values, soa.best_positions,
-            )
-        else:  # pull
-            reqs = _parts(incoming, "pq_tgt")
-            srcs = sorted(reqs)
-            if not srcs:
-                return {}
-            val2 = soa.best_values
-            posm2 = soa.best_positions
-            has2 = np.isfinite(val2)
-            for s in srcs:
-                rows = reqs[s]["pq_tgt"] - self.lo
-                replied = has2[rows]
-                self.messages_sent += int(replied.sum())
-                if np.any(replied):
-                    out[int(s)] = {
-                        "gr_init": reqs[s]["pq_init"][replied],
-                        "gr_val": val2[rows[replied]].copy(),
-                        "gr_pos": posm2[rows[replied]].copy(),
-                    }
+        for s in srcs:
+            sel = answers & (src_of == s)
+            if np.any(sel):
+                out[s] = {
+                    "gr_init": init[sel],
+                    "gr_val": val[sel],
+                    "gr_pos": pos[sel],
+                }
         return out
 
     # -- leg 3 -----------------------------------------------------------------
@@ -290,17 +205,12 @@ class ShardEngine:
         srcs = sorted(replies)
         if srcs:
             # At most one remote exchange per initiator per cycle, so
-            # reply rows are distinct — a plain masked write suffices.
-            init = np.concatenate([replies[s]["gr_init"] for s in srcs])
-            gval = np.concatenate([replies[s]["gr_val"] for s in srcs])
-            gpos = np.concatenate([replies[s]["gr_pos"] for s in srcs])
-            soa = self.fast.soa
-            rows = init - self.lo
-            back = gval < soa.best_values[rows]
-            if np.any(back):
-                soa.best_values[rows[back]] = gval[back]
-                soa.best_positions[rows[back]] = gpos[back]
-                self.adoptions += int(back.sum())
+            # reply rows are distinct, as the reply leg requires.
+            init, gval, gpos = (
+                np.concatenate([replies[s][key] for s in srcs])
+                for key in ("gr_init", "gr_val", "gr_pos")
+            )
+            self.fast._fold_replies(init - self.lo, gval, gpos)
         self.cycle += 1
         self.fast.cycle = self.cycle
         self.fast.now = float(self.cycle)
@@ -356,8 +266,8 @@ class ShardEngine:
             "threshold_evaluations": self.threshold_evaluations,
             "spread_lo": float(finite.min()) if finite.size else None,
             "spread_hi": float(finite.max()) if finite.size else None,
-            "messages_sent": int(self.messages_sent),
-            "adoptions": int(self.adoptions),
+            "messages_sent": int(self.fast.messages_sent),
+            "adoptions": int(self.fast.adoptions),
             "exchanges": int(self.views.exchanges),
             "history": [
                 [s.cycle, s.evaluations, s.best_value] for s in self.history

@@ -5,10 +5,11 @@ the entries are **global** node ids — the overlay is one network, only
 its storage is partitioned.  A cycle's view exchanges split by where
 the drawn partner lives:
 
-* **local** (partner on this shard) — resolved immediately, in the
-  same vertex-disjoint first-come rounds as
-  :class:`~repro.topology.array_views.NewscastArrayViews`, preserving
-  the in-cycle information cascade within the shard;
+* **local** (partner on this shard) — resolved immediately, by the
+  draw, matching and exchange functions of
+  :mod:`repro.topology.array_views` that
+  :class:`~repro.topology.array_views.NewscastArrayViews` runs,
+  preserving the in-cycle information cascade within the shard;
 * **remote** — buffered as a *boundary-view request* carrying the
   initiator's current view and fresh self-descriptor.  At the window
   barrier the owning shard merges the request into the target's row
@@ -28,8 +29,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.kernels import Workspace, get_backend
 from repro.sharding.plan import ShardPlan
-from repro.topology.array_views import TS_SCALE, merge_candidates
+from repro.topology.array_views import (
+    TS_SCALE,
+    draw_view_entries,
+    exchange_views,
+    match_round,
+    merge_candidates,
+)
 from repro.utils.exceptions import ConfigurationError
 
 __all__ = ["ShardNewscastViews", "ShardOracleViews", "make_shard_views"]
@@ -99,6 +107,8 @@ class ShardNewscastViews:
         self._self_ts = np.zeros(self.m, dtype=np.int64)
         self.exchanges = 0
         self.failed_exchanges = 0
+        self._backend = get_backend("numpy")
+        self._workspace = Workspace()
         self._bootstrap()
 
     # -- setup -----------------------------------------------------------------
@@ -131,21 +141,9 @@ class ShardNewscastViews:
 
     # -- sampling --------------------------------------------------------------
 
-    def _draw_from_views(self, rows: np.ndarray,
-                         rng: np.random.Generator) -> np.ndarray:
-        """One uniform view entry per local row (``-1`` = empty view)."""
-        own = self._ids[rows]
-        counts = (own >= 0).sum(axis=1)
-        pick = np.minimum(
-            (rng.random(rows.shape[0]) * counts).astype(np.int64),
-            np.maximum(counts - 1, 0),
-        )
-        peers = own[np.arange(rows.shape[0]), pick]
-        return np.where(counts > 0, peers, _EMPTY)
-
     def gossip_targets(self, rng: np.random.Generator) -> np.ndarray:
         """Per local node, one uniform partner (global id) for gossip."""
-        return self._draw_from_views(np.arange(self.m), rng)
+        return draw_view_entries(self._ids, rng)
 
     def neighbor_matrix(self) -> np.ndarray:
         """The shard's ``(m, c)`` global-id view matrix (copy)."""
@@ -173,7 +171,7 @@ class ShardNewscastViews:
 
         pending = self.gids[rng.permutation(self.m)]
         while pending.size:
-            targets = self._draw_from_views(pending - self.lo, rng)
+            targets = draw_view_entries(self._ids[pending - self.lo], rng)
             known = targets >= 0
             remote = known & ((targets < self.lo) | (targets >= self.hi))
             if np.any(remote):
@@ -184,8 +182,14 @@ class ShardNewscastViews:
             e_tgt = targets[local]
             if e_init.size == 0:
                 break
-            accept = self._match_round(e_init, e_tgt)
-            self._merge_pairs(e_init[accept], e_tgt[accept])
+            accept = match_round(e_init, e_tgt, self.hi)
+            pairs = np.stack([e_init[accept], e_tgt[accept]], axis=1)
+            self.exchanges += pairs.shape[0]
+            rows = pairs - self.lo
+            exchange_views(
+                self._ids, self._ts, rows, pairs, self._self_ts[rows],
+                self._backend, self._workspace,
+            )
             pending = e_init[~accept]
 
         if not out_init:
@@ -205,41 +209,6 @@ class ShardNewscastViews:
                 "vq_self": self._self_ts[rows[sel]].copy(),
             }
         return requests
-
-    def _match_round(self, e_init: np.ndarray,
-                     e_tgt: np.ndarray) -> np.ndarray:
-        """First-come vertex-disjoint matching over local pairs."""
-        e = e_init.shape[0]
-        ks = np.arange(e, dtype=np.int64)
-        key = np.sort(
-            (np.concatenate([e_init, e_tgt]) << 32)
-            | np.concatenate([ks, ks])
-        )
-        first = np.empty(key.shape, dtype=bool)
-        first[0] = True
-        first[1:] = (key[1:] >> 32) != (key[:-1] >> 32)
-        first_k = np.full(self.hi, -1, dtype=np.int64)
-        first_k[key[first] >> 32] = key[first] & 0xFFFFFFFF
-        return (first_k[e_init] == ks) & (first_k[e_tgt] == ks)
-
-    def _merge_pairs(self, a: np.ndarray, b: np.ndarray) -> None:
-        """Symmetric local exchange: both ends merge view + descriptor."""
-        if a.size == 0:
-            return
-        self.exchanges += int(a.size)
-        rows = np.concatenate([a, b])
-        srcs = np.concatenate([b, a])
-        rl = rows - self.lo
-        sl = srcs - self.lo
-        cand_ids = np.concatenate(
-            [self._ids[rl], self._ids[sl], srcs[:, None]], axis=1
-        )
-        cand_ts = np.concatenate(
-            [self._ts[rl], self._ts[sl], self._self_ts[sl][:, None]], axis=1
-        )
-        ids, ts = merge_candidates(cand_ids, cand_ts, rows, self.capacity)
-        self._ids[rl] = ids
-        self._ts[rl] = ts
 
     # -- barrier legs ----------------------------------------------------------
 

@@ -56,7 +56,7 @@ In an exchange between ``a`` and ``b`` both ends merge the *same*
 multiset — ``view(a) ∪ view(b) ∪ {fresh a, fresh b}`` — and differ
 only in which own id is dropped.  Dedup is per id, so dropping ``a``
 before the merge (a row per end with ``self_ids = a``) equals deleting
-``a``'s one surviving entry after it.  :meth:`NewscastArrayViews._exchange`
+``a``'s one surviving entry after it.  :func:`exchange_views`
 therefore merges one ``2c + 2`` wide row *per pair* with no self id and
 capacity ``c + 1``, and each end keeps the first ``c`` entries left
 after deleting its own id: a shift-left from that id's column, or the
@@ -80,6 +80,9 @@ __all__ = [
     "TS_SCALE",
     "merge_candidates",
     "merge_views",
+    "draw_view_entries",
+    "match_round",
+    "exchange_views",
     "NewscastArrayViews",
     "CyclonArrayViews",
     "StaticArrayViews",
@@ -170,6 +173,84 @@ def merge_views(
     )
 
 
+def draw_view_entries(own: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One uniform entry per row of the gathered views ``own`` (``-1`` = empty).
+
+    Views keep their entries left-compacted (a kernel invariant), so a
+    uniform draw over the first ``count`` columns is a uniform draw
+    over the view.
+    """
+    counts = (own >= 0).sum(axis=1)
+    pick = np.minimum(
+        (rng.random(own.shape[0]) * counts).astype(np.int64),
+        np.maximum(counts - 1, 0),
+    )
+    peers = own[np.arange(own.shape[0]), pick]
+    return np.where(counts > 0, peers, _EMPTY_ID)
+
+
+def match_round(e_init: np.ndarray, e_tgt: np.ndarray, n_ids: int) -> np.ndarray:
+    """First-come vertex-disjoint matching over ``(initiator, target)`` id pairs.
+
+    Pair ``k`` is accepted iff it is the first (lowest ``k``) pair to
+    touch both of its ends; ids are below ``n_ids``.  Accepted pairs
+    share no node, so one symmetric batch executes them all.
+    """
+    ks = np.arange(e_init.shape[0], dtype=np.int64)
+    key = np.sort(
+        (np.concatenate([e_init, e_tgt]) << 32) | np.concatenate([ks, ks])
+    )
+    first = np.empty(key.shape, dtype=bool)
+    first[0] = True
+    first[1:] = (key[1:] >> 32) != (key[:-1] >> 32)
+    first_k = np.full(n_ids, -1, dtype=np.int64)
+    first_k[key[first] >> 32] = key[first] & 0xFFFFFFFF
+    return (first_k[e_init] == ks) & (first_k[e_tgt] == ks)
+
+
+def exchange_views(
+    ids: np.ndarray,
+    ts: np.ndarray,
+    rows: np.ndarray,
+    pairs: np.ndarray,
+    fresh_ts: np.ndarray,
+    backend,
+    ws: Workspace,
+) -> None:
+    """Symmetric view exchange of vertex-disjoint pairs, in place.
+
+    ``pairs`` holds the ``(p, 2)`` node ids of the two ends, ``rows``
+    their rows in the view matrices ``ids`` / ``ts`` (the same thing
+    for a whole-overlay matrix, ``id - lo`` for a shard's block) and
+    ``fresh_ts`` their fresh self-descriptor stamps.  One merge per
+    pair, then each end drops its own id (see "One merge per NEWSCAST
+    exchange" in the module docstring).
+    """
+    p, c = pairs.shape[0], ids.shape[1]
+    cand_ids = ws.take("nc_cand_ids", (p, 2 * c + 2), np.int64)
+    cand_ts = ws.take("nc_cand_ts", (p, 2 * c + 2), np.int64)
+    # np.take needs a contiguous out=: gather both views of every
+    # pair in one call, then copy the block into place.
+    gather = ws.take("nc_gather", (p, 2, c), np.int64)
+    for cand, views, fresh in ((cand_ids, ids, pairs), (cand_ts, ts, fresh_ts)):
+        np.take(views, rows, axis=0, out=gather, mode="clip")
+        np.copyto(cand[:, : 2 * c], gather.reshape(p, 2 * c))
+        cand[:, 2 * c :] = fresh
+    merged_ids, merged_ts = backend.merge_candidates(
+        cand_ids, cand_ts, np.full(p, _EMPTY_ID), c + 1, ws=ws
+    )
+    # Delete each end's own id by a shift-left from its column
+    # (padding stays at the tail); axis 1 is the end (a, b).
+    shifted = ws.take("nc_shifted", (p, 2, c), bool)
+    np.equal(merged_ids[:, None, :c], pairs[:, :, None], out=shifted)
+    np.logical_or.accumulate(shifted, axis=2, out=shifted)
+    kept = ws.take("nc_kept", (p, 2, c), np.int64)
+    for merged, views in ((merged_ids, ids), (merged_ts, ts)):
+        np.copyto(kept, merged[:, None, :c])
+        np.copyto(kept, merged[:, None, 1:], where=shifted)
+        views[rows.ravel()] = kept.reshape(2 * p, c)
+
+
 class _ArrayViewBase(ViewProvider):
     """Shared id/timestamp matrix storage and bookkeeping."""
 
@@ -223,23 +304,12 @@ class _ArrayViewBase(ViewProvider):
     def gossip_targets(
         self, live_ids: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """One uniform view entry per live node (``-1`` = empty view).
-
-        Views keep their entries left-compacted (a kernel invariant),
-        so a uniform draw over the first ``count`` columns is a
-        uniform draw over the view.
-        """
+        """One uniform view entry per live node (``-1`` = empty view)."""
         own = self._workspace.take(
             "gt_own", (live_ids.shape[0], self._ids.shape[1]), np.int64
         )
         np.take(self._ids, live_ids, axis=0, out=own, mode="clip")
-        counts = (own >= 0).sum(axis=1)
-        pick = np.minimum(
-            (rng.random(live_ids.shape[0]) * counts).astype(np.int64),
-            np.maximum(counts - 1, 0),
-        )
-        peers = own[np.arange(live_ids.shape[0]), pick]
-        return np.where(counts > 0, peers, _EMPTY_ID)
+        return draw_view_entries(own, rng)
 
     def on_crash(self, node_id: int) -> None:
         """Default: no failure detector; stale entries age out."""
@@ -390,18 +460,7 @@ class NewscastArrayViews(_ArrayViewBase):
             e_tgt = targets[ok]
             if e_init.size == 0:
                 break
-            e = e_init.shape[0]
-            ks = np.arange(e, dtype=np.int64)
-            key = np.sort(
-                (np.concatenate([e_init, e_tgt]) << 32)
-                | np.concatenate([ks, ks])
-            )
-            first = np.empty(key.shape, dtype=bool)
-            first[0] = True
-            first[1:] = (key[1:] >> 32) != (key[:-1] >> 32)
-            first_k = np.full(n_rows, -1, dtype=np.int64)
-            first_k[key[first] >> 32] = key[first] & 0xFFFFFFFF
-            accept = (first_k[e_init] == ks) & (first_k[e_tgt] == ks)
+            accept = match_round(e_init, e_tgt, n_rows)
             self.exchanges += int(accept.sum())
             self._exchange(
                 np.stack([e_init[accept], e_tgt[accept]], axis=1), self_ts
@@ -409,38 +468,11 @@ class NewscastArrayViews(_ArrayViewBase):
             pending = e_init[~accept]
 
     def _exchange(self, pairs: np.ndarray, self_ts: np.ndarray) -> None:
-        """Symmetric view exchange of vertex-disjoint ``(p, 2)`` id pairs.
-
-        One merge per pair, then each end drops its own id (see "One
-        merge per NEWSCAST exchange" in the module docstring);
-        ``self_ts`` holds the fresh self-descriptor stamps by node id.
-        """
-        p, c = pairs.shape[0], self.capacity
-        ws = self._workspace
-        cand_ids = ws.take("nc_cand_ids", (p, 2 * c + 2), np.int64)
-        cand_ts = ws.take("nc_cand_ts", (p, 2 * c + 2), np.int64)
-        # np.take needs a contiguous out=: gather both views of every
-        # pair in one call, then copy the block into place.
-        gather = ws.take("nc_gather", (p, 2, c), np.int64)
-        for cand, views, fresh in (
-            (cand_ids, self._ids, pairs), (cand_ts, self._ts, self_ts[pairs])
-        ):
-            np.take(views, pairs, axis=0, out=gather, mode="clip")
-            np.copyto(cand[:, : 2 * c], gather.reshape(p, 2 * c))
-            cand[:, 2 * c :] = fresh
-        ids, ts = self._backend.merge_candidates(
-            cand_ids, cand_ts, np.full(p, _EMPTY_ID), c + 1, ws=ws
+        """:func:`exchange_views` of ``(p, 2)`` id pairs; ``self_ts`` is by node id."""
+        exchange_views(
+            self._ids, self._ts, pairs, pairs, self_ts[pairs],
+            self._backend, self._workspace,
         )
-        # Delete each end's own id by a shift-left from its column
-        # (padding stays at the tail); axis 1 is the end (a, b).
-        shifted = ws.take("nc_shifted", (p, 2, c), bool)
-        np.equal(ids[:, None, :c], pairs[:, :, None], out=shifted)
-        np.logical_or.accumulate(shifted, axis=2, out=shifted)
-        kept = ws.take("nc_kept", (p, 2, c), np.int64)
-        for merged, views in ((ids, self._ids), (ts, self._ts)):
-            np.copyto(kept, merged[:, None, :c])
-            np.copyto(kept, merged[:, None, 1:], where=shifted)
-            views[pairs.ravel()] = kept.reshape(2 * p, c)
 
 
 class CyclonArrayViews(_ArrayViewBase):

@@ -405,6 +405,50 @@ class TestBatchedRng:
             engine._chunk_draws(live, live, 8, 0), in_place
         )
 
+    def test_cohort_draws_are_keyed_by_node_id(self):
+        """The cohort event engine shares ``_chunk_draws``: a cohort
+        that is the whole population takes the in-place fill, a strict
+        subset — also once churn has recycled slots, so slot != id —
+        the id-indexed rows.  Either way row j is its node id's row of
+        that id's block."""
+        from repro.core.eventpath import CohortEventEngine
+        from repro.deployment.runtime import DeploymentConfig
+
+        engine = CohortEventEngine(
+            DeploymentConfig(function="sphere", nodes=300), rng_mode="batched"
+        )
+
+        def rows_of(ids):
+            out = np.empty((len(ids), 2, 8, engine.soa.d))
+            for j, nid in enumerate(ids.tolist()):
+                rng = np.random.Generator(np.random.SFC64(
+                    engine._tree.seed_sequence(
+                        "fastpath", "draws", engine.cycle, 0, nid >> 8
+                    )
+                ))
+                out[j] = rng.random((256, 2, 8, engine.soa.d))[nid & 255]
+            return out
+
+        everyone = engine.live_slots()
+        whole = engine._chunk_draws(everyone, everyone, 8, 0).copy()
+        probe = np.array([0, 1, 255, 256, 299])
+        np.testing.assert_array_equal(whole[probe], rows_of(probe))
+        cohort = everyone[::3]
+        np.testing.assert_array_equal(
+            engine._chunk_draws(cohort, cohort, 8, 0), whole[::3]
+        )
+
+        for nid in (5, 17, 290):
+            engine.crash_node(nid)
+        joined = [engine._join() for _ in range(2)]
+        ids = engine.live_ids()[::7]
+        ids = np.concatenate([ids[~np.isin(ids, joined)], joined])
+        slots = engine._slot_of_id[ids]
+        assert (slots != ids).any()
+        np.testing.assert_array_equal(
+            engine._chunk_draws(slots, slots, 8, 0), rows_of(ids)
+        )
+
     def test_invalid_mode_rejected(self):
         with pytest.raises(Exception, match="rng_mode"):
             FastEngine(small_config(), rng_mode="philox")

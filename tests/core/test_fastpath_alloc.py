@@ -210,7 +210,7 @@ class TestSteadyStateAllocations:
         # Sweep double-buffers, gossip snapshots, and the NEWSCAST
         # candidate/merge matrices all live in the arena.
         for expected in ("sweep_pos", "sweep_vel", "sweep_pb", "sweep_pbv",
-                         "sweep_val", "gp_val", "gp_posm", "gp_new_val",
-                         "gp_new_pos", "nc_cand_ids", "nc_cand_ts",
+                         "sweep_val", "gp_val", "gp_posm", "gp_pval",
+                         "gp_ppos", "nc_cand_ids", "nc_cand_ts",
                          "mc_key", "mc_out_ids", "mc_out_ts"):
             assert expected in names, f"{expected} missing from {names}"

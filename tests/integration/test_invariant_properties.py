@@ -7,7 +7,8 @@ the invariants everything else rests on:
   evaluated by some swarm or injected by the test;
 * every node's known best is monotonically non-increasing;
 * the global budget is consumed exactly, for any (n, k, e, r);
-* determinism: a (config, seed) pair fully determines the outcome.
+* determinism: a (config, seed) pair fully determines the outcome;
+* the plausibility filter never catches more lies than were sent.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.optimum import Optimum
 from repro.core.runner import run_single
-from repro.utils.config import ExperimentConfig
+from repro.scenario import Scenario, Session
+from repro.simulator.adversary import AdversarySpec
+from repro.utils.config import CoordinationConfig, ExperimentConfig
 
 
 @settings(max_examples=12, deadline=None)
@@ -130,3 +133,36 @@ def test_property_minimum_always_survives(values, seed):
     target = min(min(s.current_best().value for s in services), floor)
     engine.run(6)
     assert min(s.current_best().value for s in services) <= target + 1e-15
+
+
+_ENGINES = {
+    "reference": dict(engine="reference"),
+    "fast": dict(engine="fast"),
+    "event-reference": dict(engine="event", horizon=60.0),
+    "event-fast": dict(engine="event", event_backend="fast", horizon=60.0),
+}
+
+
+@pytest.mark.parametrize("behavior", ["false-best", "corrupt"])
+@pytest.mark.parametrize("mode", ["push", "push-pull", "pull"])
+@pytest.mark.parametrize("engine", list(_ENGINES))
+def test_filter_catches_no_more_than_was_forged(engine, mode, behavior):
+    """On a static landscape only a tampered message can fail the
+    plausibility filter, so ``filtered`` is bounded by the lying
+    messages sent — on every engine, because each lie is tallied when
+    its message is sent.  A pull-mode lie travels only as an answer, and
+    every delivered answer is verified: forged == filtered exactly
+    (the per-node event runtime may end with answers still in flight).
+    """
+    scenario = Scenario(
+        function="sphere", nodes=48, particles_per_node=4,
+        total_evaluations=48 * 160, gossip_cycle=4, repetitions=1, seed=77,
+        coordination=CoordinationConfig(mode=mode),
+        adversary=AdversarySpec(0.25, behavior, defense=True),
+        **_ENGINES[engine],
+    )
+    tally = Session(scenario).run_one(0).adversary
+    forged = tally["false_offers"] + tally["corrupted"]
+    assert 0 < tally["filtered"] <= forged
+    if (behavior, mode) == ("false-best", "pull") and engine != "event-reference":
+        assert tally["filtered"] == forged
