@@ -18,15 +18,12 @@ import numpy as np
 
 from benchmarks.conftest import save_report
 from repro.analysis.tables import format_paper_table, format_value
-from repro.baselines.centralized import run_centralized
-from repro.baselines.independent import run_independent
-from repro.core.runner import run_experiment
-from repro.utils.config import ExperimentConfig
+from repro.scenario import Scenario, Session
 from repro.utils.numerics import safe_log10
 
 
-def make_config(function: str) -> ExperimentConfig:
-    return ExperimentConfig(
+def make_config(function: str) -> Scenario:
+    return Scenario(
         function=function,
         nodes=16,
         particles_per_node=4,
@@ -42,9 +39,9 @@ def run_ablation():
     for function in ("sphere", "griewank"):
         cfg = make_config(function)
         out[function] = {
-            "framework": run_experiment(cfg).qualities(),
-            "independent": run_independent(cfg).qualities,
-            "centralized": run_centralized(cfg).qualities,
+            "framework": Session(cfg).run().qualities(),
+            "independent": Session(cfg.with_(baseline="independent")).run().qualities(),
+            "centralized": Session(cfg.with_(baseline="centralized")).run().qualities(),
         }
     return out
 

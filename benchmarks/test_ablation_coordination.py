@@ -13,8 +13,8 @@ import numpy as np
 
 from benchmarks.conftest import save_report
 from repro.analysis.tables import format_paper_table, format_value
-from repro.core.runner import run_experiment
-from repro.utils.config import CoordinationConfig, ExperimentConfig
+from repro.scenario import Scenario, Session
+from repro.utils.config import CoordinationConfig
 from repro.utils.numerics import safe_log10
 
 MODES = ("push", "pull", "push-pull")
@@ -23,7 +23,7 @@ MODES = ("push", "pull", "push-pull")
 def run_ablation():
     results = {}
     for mode in MODES:
-        cfg = ExperimentConfig(
+        cfg = Scenario(
             function="sphere",
             nodes=32,
             particles_per_node=8,
@@ -33,7 +33,7 @@ def run_ablation():
             seed=101,
             coordination=CoordinationConfig(mode=mode),
         )
-        results[mode] = run_experiment(cfg)
+        results[mode] = Session(cfg).run()
     return results
 
 
@@ -42,8 +42,8 @@ def test_ablation_coordination_mode(benchmark, report_dir):
 
     rows = []
     for mode, res in results.items():
-        spread = float(np.mean([r.node_best_spread for r in res.runs]))
-        msgs = float(np.mean([r.messages.coordination_messages for r in res.runs]))
+        spread = float(np.mean([r.node_best_spread for r in res.records]))
+        msgs = float(np.mean([r.messages.coordination_messages for r in res.records]))
         rows.append(
             {
                 "function": mode,
@@ -63,7 +63,7 @@ def test_ablation_coordination_mode(benchmark, report_dir):
 
     # Push-pull must diffuse at least as tightly as push-only.
     spread = {
-        mode: float(np.mean([r.node_best_spread for r in res.runs]))
+        mode: float(np.mean([r.node_best_spread for r in res.records]))
         for mode, res in results.items()
     }
     assert spread["push-pull"] <= spread["push"] + 1e-12

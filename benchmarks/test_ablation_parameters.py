@@ -23,15 +23,14 @@ from benchmarks.conftest import save_report
 from repro.analysis.tables import format_paper_table, format_value
 from repro.core.metrics import global_best, total_evaluations
 from repro.core.node import OptimizationNodeSpec, build_optimization_node
-from repro.core.runner import run_experiment
 from repro.core.solvers import perturbed_pso_factory
 from repro.functions.base import get_function
+from repro.scenario import Scenario, Session
 from repro.simulator.engine import CycleDrivenEngine
 from repro.simulator.network import Network
 from repro.topology.newscast import bootstrap_views
 from repro.utils.config import (
     CoordinationConfig,
-    ExperimentConfig,
     NewscastConfig,
     PSOConfig,
 )
@@ -42,12 +41,12 @@ N, K, BUDGET = 16, 8, 1500
 
 
 def run_fixed(pso: PSOConfig) -> list[float]:
-    cfg = ExperimentConfig(
+    cfg = Scenario(
         function="sphere", nodes=N, particles_per_node=K,
         total_evaluations=N * BUDGET, gossip_cycle=K,
         repetitions=3, seed=701, pso=pso,
     )
-    return run_experiment(cfg).qualities()
+    return Session(cfg).run().qualities()
 
 
 def run_perturbed() -> list[float]:

@@ -13,8 +13,8 @@ import numpy as np
 
 from benchmarks.conftest import save_report
 from repro.analysis.tables import format_paper_table, format_value
-from repro.core.runner import run_experiment
-from repro.utils.config import ExperimentConfig, NewscastConfig
+from repro.scenario import Scenario, Session
+from repro.utils.config import NewscastConfig
 from repro.utils.numerics import safe_log10
 
 VIEW_SIZES = (2, 5, 20, 40)
@@ -23,7 +23,7 @@ VIEW_SIZES = (2, 5, 20, 40)
 def run_ablation():
     results = {}
     for c in VIEW_SIZES:
-        cfg = ExperimentConfig(
+        cfg = Scenario(
             function="sphere",
             nodes=64,
             particles_per_node=8,
@@ -33,7 +33,7 @@ def run_ablation():
             seed=404,
             newscast=NewscastConfig(view_size=c),
         )
-        results[c] = run_experiment(cfg)
+        results[c] = Session(cfg).run()
     return results
 
 
@@ -42,7 +42,7 @@ def test_ablation_view_size(benchmark, report_dir):
 
     rows = []
     for c, res in results.items():
-        spread = float(np.mean([r.node_best_spread for r in res.runs]))
+        spread = float(np.mean([r.node_best_spread for r in res.records]))
         rows.append(
             {
                 "function": f"c={c}",

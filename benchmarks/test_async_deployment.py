@@ -14,9 +14,8 @@ import numpy as np
 from benchmarks.conftest import save_report
 from repro.analysis.compare import compare_systems
 from repro.analysis.tables import format_paper_table, format_value
-from repro.core.runner import run_single
-from repro.deployment import AsyncDeployment, DeploymentConfig
-from repro.utils.config import ExperimentConfig
+from repro.deployment import AsyncRuntime, DeploymentConfig
+from repro.scenario import Scenario, Session
 
 N, K, BUDGET = 16, 8, 1500
 
@@ -24,12 +23,12 @@ N, K, BUDGET = 16, 8, 1500
 def run_comparison():
     cycle_q = []
     for rep in range(3):
-        cfg = ExperimentConfig(
+        cfg = Scenario(
             function="sphere", nodes=N, particles_per_node=K,
             total_evaluations=N * BUDGET, gossip_cycle=8,
             repetitions=1, seed=801,
         )
-        cycle_q.append(run_single(cfg, repetition=rep).quality)
+        cycle_q.append(Session(cfg).run_one(rep).quality)
 
     async_q = []
     lossy_q = []
@@ -42,7 +41,7 @@ def run_comparison():
             loss_rate=0.25 if sink is lossy_q else 0.0,
             seed=seed,
         )
-        sink.append(AsyncDeployment(cfg).run(until=100_000.0).quality)
+        sink.append(AsyncRuntime(cfg).run(until=100_000.0).quality)
     return {"cycle": cycle_q, "async": async_q, "async+25%loss": lossy_q}
 
 

@@ -11,11 +11,21 @@ Extras:
 * ``repro[dev]`` — the test/lint toolchain CI runs.
 """
 
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+# One source for the version: read it out of the package, without
+# importing it (numpy may not be installed yet at build time).
+_INIT = Path(__file__).parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"$', _INIT.read_text(encoding="utf-8"), re.M
+).group(1)
 
 setup(
     name="repro",
-    version="0.8.0",
+    version=VERSION,
     description=(
         "Gossip-based distributed particle swarm optimization "
         "(reproduction of Biazzini, Brunato & Montresor, IPDPS 2008)"

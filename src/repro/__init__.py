@@ -50,20 +50,15 @@ Package map
 ``repro.pso``            particle swarm solvers (gbest, lbest, FIPS)
 ``repro.functions``      benchmark objective suite
 ``repro.aggregation``    gossip averaging substrate
-``repro.baselines``      centralized / independent / master-slave baselines
+``repro.baselines``      centralized / independent baselines (master-slave is
+                         ``Scenario(topology="star")``)
 ``repro.deployment``     asynchronous event-driven runtime
 ``repro.analysis``       run statistics, paper-style tables, ASCII plots
 ``repro.experiments``    one module per paper table/figure
 =======================  ====================================================
 """
 
-from repro.core import (
-    ExperimentResult,
-    Optimum,
-    RunResult,
-    run_experiment,
-    run_single,
-)
+from repro.core import Optimum, RunResult
 from repro.functions import available_functions, get_function
 from repro.scenario import (
     ExecutionPolicy,
@@ -80,10 +75,9 @@ from repro.utils.config import (
     ExperimentConfig,
     NewscastConfig,
     PSOConfig,
-    sweep,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "__version__",
@@ -95,18 +89,13 @@ __all__ = [
     "RunRecord",
     "TransportSpec",
     "ScenarioValidationError",
-    # Configuration bundles shared by scenarios and legacy configs.
+    # Configuration bundles shared by scenarios and engine configs.
     "ExperimentConfig",
     "NewscastConfig",
     "PSOConfig",
     "CoordinationConfig",
     "ChurnConfig",
-    "sweep",
-    # Legacy entry points (deprecation shims over the facade).
-    "run_experiment",
-    "run_single",
     "RunResult",
-    "ExperimentResult",
     "Optimum",
     "get_function",
     "available_functions",

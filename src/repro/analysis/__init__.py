@@ -1,6 +1,6 @@
 """Result analysis and reporting.
 
-Turns :class:`~repro.core.runner.ExperimentResult` collections into:
+Turns :class:`~repro.scenario.Result` collections into:
 
 * paper-style tables (:mod:`~repro.analysis.tables`) with the
   avg/min/max/Var columns of Tables 1, 3, 4;

@@ -13,7 +13,7 @@ import io
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from repro.core.runner import ExperimentResult
+from repro.scenario.result import Result
 
 __all__ = ["results_to_csv", "rows_to_csv"]
 
@@ -35,7 +35,7 @@ _FIELDS = (
 
 
 def results_to_csv(
-    results: Iterable[ExperimentResult],
+    results: Iterable[Result],
     path: str | Path | None = None,
 ) -> str:
     """Serialize experiment results to CSV text (optionally to a file).
@@ -47,15 +47,15 @@ def results_to_csv(
     writer = csv.DictWriter(buf, fieldnames=_FIELDS, lineterminator="\n")
     writer.writeheader()
     for result in results:
-        cfg = result.config
-        for rep, run in enumerate(result.runs):
+        scenario = result.scenario
+        for rep, run in enumerate(result.records):
             writer.writerow(
                 {
-                    "function": cfg.function,
-                    "nodes": cfg.nodes,
-                    "particles_per_node": cfg.particles_per_node,
-                    "total_evaluations": cfg.total_evaluations,
-                    "gossip_cycle": cfg.gossip_cycle,
+                    "function": scenario.primary_function(),
+                    "nodes": scenario.nodes,
+                    "particles_per_node": scenario.particles_per_node,
+                    "total_evaluations": scenario.total_evaluations,
+                    "gossip_cycle": scenario.gossip_cycle,
                     "repetition": rep,
                     "quality": run.quality,
                     "best_value": run.best_value,

@@ -14,7 +14,7 @@ tests assert on plotted extents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 __all__ = ["Series", "ascii_plot"]

@@ -11,9 +11,9 @@ formatting and its "–" convention for never-converged rows
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from repro.core.runner import ExperimentResult
+from repro.scenario.result import Result
 from repro.utils.numerics import RunningStats
 
 __all__ = [
@@ -50,14 +50,14 @@ def _stats_row(stats: RunningStats | None) -> dict[str, str]:
 
 
 def quality_table_rows(
-    results: Mapping[str, ExperimentResult]
+    results: Mapping[str, Result]
 ) -> list[dict[str, str]]:
     """Rows of a quality table: one per function, paper column set.
 
     Parameters
     ----------
     results:
-        Mapping ``function name -> best ExperimentResult`` (the
+        Mapping ``function name -> best Result`` (the
         caller selects the best configuration per function, as the
         paper's "best results" tables do).
     """
@@ -70,7 +70,7 @@ def quality_table_rows(
 
 
 def time_table_rows(
-    results: Mapping[str, ExperimentResult],
+    results: Mapping[str, Result],
     use_total_evaluations: bool = True,
 ) -> list[dict[str, str]]:
     """Rows of a time-to-threshold table (Table 4 layout).
@@ -81,7 +81,7 @@ def time_table_rows(
     Parameters
     ----------
     results:
-        Mapping ``function name -> ExperimentResult`` run with a
+        Mapping ``function name -> Result`` run with a
         quality threshold.
     use_total_evaluations:
         Report global evaluations-to-threshold (Table 4's magnitude)

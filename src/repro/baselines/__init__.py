@@ -10,22 +10,11 @@ optimization design, plus the centralized reference:
 * **Without coordination** (:mod:`~repro.baselines.independent`) —
   parallel independent runs with different seeds; the final answer is
   the best over runs.  The "exploiting stochasticity" extreme.
-* **Master–slave** (:mod:`~repro.baselines.masterslave`) — the
-  coordinated-but-centralized architecture (star topology) the paper
-  argues is fragile; here it is simply the framework running over a
-  static star overlay, demonstrating service substitutability.
 
-All baselines consume the same :class:`~repro.utils.config.ExperimentConfig`
-and report the same quality metric, so comparisons are one-liners.
+Both are declared as ``Scenario(baseline=...)`` and executed by
+:class:`repro.scenario.Session` through each module's ``run_record``
+hook, so they report the same :class:`~repro.scenario.RunRecord` as
+the distributed system.  The third design the paper discusses,
+master–slave, is not a baseline module at all: it is the unchanged
+framework over a static star overlay, ``Scenario(topology="star")``.
 """
-
-from repro.baselines.centralized import run_centralized
-from repro.baselines.independent import run_independent
-from repro.baselines.masterslave import run_master_slave, star_topology_factory
-
-__all__ = [
-    "run_centralized",
-    "run_independent",
-    "run_master_slave",
-    "star_topology_factory",
-]

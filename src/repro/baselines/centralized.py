@@ -8,41 +8,24 @@ machine" — which we model as a single synchronous gbest swarm of
 budget ``e``.
 
 Declared as ``Scenario(baseline="centralized", ...)`` and executed by
-the session facade; :func:`run_centralized` remains as the legacy
-entry point and now routes through that facade.
+the session facade, which calls :func:`run_record` per repetition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.metrics import MessageTally
 from repro.functions.base import get_function
 from repro.pso.swarm import Swarm
-from repro.utils.config import ChurnConfig, ExperimentConfig, PSOConfig
-from repro.utils.numerics import RunningStats
+from repro.utils.config import PSOConfig
 from repro.utils.rng import SeedSequenceTree
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scenario.result import RunRecord
     from repro.scenario.spec import Scenario
 
-__all__ = ["CentralizedResult", "run_centralized"]
-
-
-@dataclass
-class CentralizedResult:
-    """Qualities of the centralized runs plus aggregate stats."""
-
-    qualities: list[float]
-
-    @property
-    def stats(self) -> RunningStats:
-        """avg/min/max/Var over repetitions."""
-        s = RunningStats()
-        s.extend(self.qualities)
-        return s
+__all__ = ["run_record"]
 
 
 def run_record(scenario: "Scenario", repetition: int) -> "RunRecord":
@@ -81,38 +64,3 @@ def run_record(scenario: "Scenario", repetition: int) -> "RunRecord":
         messages=MessageTally(),
         node_best_spread=0.0,
     )
-
-
-def run_centralized(
-    config: ExperimentConfig,
-    swarm_size: int | None = None,
-    synchronous: bool = True,
-) -> CentralizedResult:
-    """Run the single-swarm baseline matching ``config``'s budget.
-
-    Parameters
-    ----------
-    config:
-        Supplies the function, the total budget ``e``, repetitions and
-        seed.  ``nodes`` and ``gossip_cycle`` are ignored — there is
-        one machine and no gossip.
-    swarm_size:
-        Particles in the single swarm; defaults to the distributed
-        system's total ``n·k`` ("equally powerful single machine").
-    synchronous:
-        Classical synchronous iteration (default) or per-particle
-        asynchronous stepping.
-    """
-    from repro.scenario import Scenario, Session
-
-    # The legacy entry point always ignored quality thresholds (and
-    # churn); strip them so any ExperimentConfig keeps working.
-    scenario = Scenario.from_experiment_config(
-        config,
-        baseline="centralized",
-        swarm_size=swarm_size,
-        synchronous=synchronous,
-        quality_threshold=None,
-        churn=ChurnConfig(),
-    )
-    return CentralizedResult(qualities=Session(scenario).run().qualities())

@@ -10,42 +10,23 @@ node's swarm runs its local budget in isolation.
 Comparing this against the full framework isolates the value of the
 epidemic coordination (ablation A3).  Declared as
 ``Scenario(baseline="independent", ...)`` and executed by the session
-facade; :func:`run_independent` remains as the legacy entry point and
-now routes through that facade.
+facade, which calls :func:`run_record` per repetition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.metrics import MessageTally
 from repro.functions.base import get_function
 from repro.pso.swarm import Swarm
-from repro.utils.config import ChurnConfig, ExperimentConfig
-from repro.utils.numerics import RunningStats
 from repro.utils.rng import SeedSequenceTree
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scenario.result import RunRecord
     from repro.scenario.spec import Scenario
 
-__all__ = ["IndependentResult", "run_independent"]
-
-
-@dataclass
-class IndependentResult:
-    """Per-repetition best-of-``n`` qualities plus aggregates."""
-
-    qualities: list[float]
-    per_node_qualities: list[list[float]]
-
-    @property
-    def stats(self) -> RunningStats:
-        """avg/min/max/Var of the best-of-n quality over repetitions."""
-        s = RunningStats()
-        s.extend(self.qualities)
-        return s
+__all__ = ["run_record"]
 
 
 def run_record(scenario: "Scenario", repetition: int) -> "RunRecord":
@@ -60,8 +41,6 @@ def run_record(scenario: "Scenario", repetition: int) -> "RunRecord":
 
     function = get_function(scenario.primary_function())
     budget = scenario.evaluations_per_node
-    if budget < 1:
-        raise ValueError("per-node budget must be >= 1 (e >= n)")
     tree = SeedSequenceTree(scenario.seed)
     node_bests: list[float] = []
     node_qualities: list[float] = []
@@ -88,27 +67,4 @@ def run_record(scenario: "Scenario", repetition: int) -> "RunRecord":
         messages=MessageTally(),
         node_best_spread=max(node_bests) - best_value,
         node_qualities=node_qualities,
-    )
-
-
-def run_independent(config: ExperimentConfig) -> IndependentResult:
-    """Run ``n`` isolated swarms per repetition; report best-of-``n``.
-
-    Each node gets the same per-node budget ``e/n`` as in the
-    distributed system, so the comparison holds total work fixed.
-    """
-    from repro.scenario import Scenario, Session
-
-    # The legacy entry point always ignored quality thresholds (and
-    # churn); strip them so any ExperimentConfig keeps working.
-    scenario = Scenario.from_experiment_config(
-        config,
-        baseline="independent",
-        quality_threshold=None,
-        churn=ChurnConfig(),
-    )
-    result = Session(scenario).run()
-    return IndependentResult(
-        qualities=result.qualities(),
-        per_node_qualities=[list(r.node_qualities or []) for r in result.records],
     )

@@ -14,10 +14,10 @@ cooperating services —
   anti-entropy epidemic on the current global optimum).
 
 :func:`~repro.core.node.build_optimization_node` assembles the stack
-on one simulator node; :func:`~repro.core.runner.run_experiment`
-executes the paper's full simulation scenario (``n`` nodes × ``k``
-particles, global budget ``e``, gossip every ``r`` local evaluations)
-and returns per-repetition and aggregate results.
+on one simulator node; :class:`repro.scenario.Session` executes the
+paper's full simulation scenario (``n`` nodes × ``k`` particles, global
+budget ``e``, gossip every ``r`` local evaluations) over it and returns
+per-repetition records and their aggregate.
 """
 
 from repro.core.optimum import Optimum
@@ -32,12 +32,7 @@ from repro.core.partitioning import ZonePSOService, partitioned_pso_factory
 from repro.core.coordination import CoordinationProtocol
 from repro.core.node import build_optimization_node, OptimizationNodeSpec
 from repro.core.metrics import GlobalQualityObserver, global_best, MessageTally
-from repro.core.runner import (
-    ExperimentResult,
-    RunResult,
-    run_experiment,
-    run_single,
-)
+from repro.core.runner import RunResult
 
 __all__ = [
     "Optimum",
@@ -56,8 +51,5 @@ __all__ = [
     "GlobalQualityObserver",
     "MessageTally",
     "global_best",
-    "run_experiment",
-    "run_single",
     "RunResult",
-    "ExperimentResult",
 ]

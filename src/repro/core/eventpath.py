@@ -63,7 +63,7 @@ from repro.deployment.runtime import DeploymentConfig, DeploymentResult
 from repro.utils.config import ExperimentConfig
 from repro.utils.exceptions import ConfigurationError
 
-__all__ = ["CohortEventEngine", "run_single_event_fast", "default_window"]
+__all__ = ["CohortEventEngine", "default_window"]
 
 
 def default_window(config: DeploymentConfig) -> float:
@@ -356,24 +356,3 @@ class CohortEventEngine(FastEngine):
             dynamics=dynamics_dict,
             adversary=adversary_dict,
         )
-
-
-def run_single_event_fast(
-    config: DeploymentConfig,
-    until: float,
-    repetition: int = 0,
-    window: float | None = None,
-    rng_mode: str = "strict",
-    dynamics=None,
-    adversary=None,
-) -> DeploymentResult:
-    """One cohort-batched asynchronous run (functional convenience).
-
-    The event-engine counterpart of
-    :func:`~repro.core.fastpath.run_single_fast`; normal use reaches it
-    through ``Scenario(engine="event", event_backend="fast")``.
-    """
-    return CohortEventEngine(
-        config, repetition=repetition, window=window, rng_mode=rng_mode,
-        dynamics=dynamics, adversary=adversary,
-    ).run(until=until)

@@ -173,7 +173,7 @@ class FastEngine:
         The experiment point (same object the reference runner takes).
     repetition:
         Seed-tree branch ``("rep", repetition)``, as in
-        :func:`~repro.core.runner.run_single`.
+        :meth:`Session.run_one <repro.scenario.session.Session.run_one>`.
     gossip:
         Run the topology and anti-entropy coordination phases.
         ``False`` isolates the nodes — the configuration under which

@@ -22,7 +22,7 @@ protocols themselves never see.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.dpso import PSOStepProtocol

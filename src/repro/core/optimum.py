@@ -9,7 +9,7 @@ point's value never changes — and totally ordered by value so
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -21,7 +21,6 @@ experiment is one master seed; results are bit-reproducible.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -41,10 +40,9 @@ from repro.simulator.observers import StopCondition
 from repro.topology.newscast import bootstrap_views
 from repro.utils.config import ExperimentConfig
 from repro.utils.exceptions import ConfigurationError
-from repro.utils.numerics import RunningStats
 from repro.utils.rng import SeedSequenceTree
 
-__all__ = ["RunResult", "ExperimentResult", "run_single", "run_experiment"]
+__all__ = ["RunResult", "default_max_cycles"]
 
 
 @dataclass
@@ -105,58 +103,6 @@ class RunResult:
     def reached_threshold(self) -> bool:
         """Whether the quality threshold was met within budget."""
         return self.threshold_local_time is not None
-
-
-@dataclass
-class ExperimentResult:
-    """Aggregate over the repetitions of one configuration."""
-
-    config: ExperimentConfig
-    runs: list[RunResult]
-
-    @property
-    def quality_stats(self) -> RunningStats:
-        """avg/min/max/Var of final solution quality (table columns)."""
-        stats = RunningStats()
-        stats.extend(run.quality for run in self.runs)
-        return stats
-
-    @property
-    def time_stats(self) -> RunningStats | None:
-        """Stats of local time-to-threshold over *successful* runs.
-
-        None if no run reached the threshold — rendered as the paper's
-        "–" row (Griewank in Table 4).
-        """
-        succeeded = [r.threshold_local_time for r in self.runs if r.reached_threshold]
-        if not succeeded:
-            return None
-        stats = RunningStats()
-        stats.extend(float(t) for t in succeeded)
-        return stats
-
-    @property
-    def total_eval_stats(self) -> RunningStats | None:
-        """Stats of global evaluations-to-threshold (Table 4's scale)."""
-        succeeded = [
-            r.threshold_total_evaluations for r in self.runs if r.reached_threshold
-        ]
-        if not succeeded:
-            return None
-        stats = RunningStats()
-        stats.extend(float(t) for t in succeeded)
-        return stats
-
-    @property
-    def success_rate(self) -> float:
-        """Fraction of runs that met the threshold (1.0 if no threshold)."""
-        if self.config.quality_threshold is None:
-            return 1.0
-        return sum(r.reached_threshold for r in self.runs) / len(self.runs)
-
-    def qualities(self) -> list[float]:
-        """Per-run final qualities, in repetition order (figure dots)."""
-        return [r.quality for r in self.runs]
 
 
 def _build_network(
@@ -241,9 +187,8 @@ def _run_single_reference(
 ) -> RunResult:
     """Reference-engine implementation of one repetition.
 
-    This is the engine room behind :class:`repro.scenario.Session`;
-    the deprecated :func:`run_single` shim reaches it through the
-    facade.  ``optimizer_builder`` maps ``(function, seed_tree)`` to a
+    This is the engine room behind :class:`repro.scenario.Session`.
+    ``optimizer_builder`` maps ``(function, seed_tree)`` to a
     per-node ``node_id -> OptimizationService`` factory — how the
     scenario layer routes heterogeneous objective maps, mixed solvers
     and partitioned search through the unchanged node assembly.
@@ -372,81 +317,3 @@ def _run_single_reference(
         dynamics=dynamics_dict,
         adversary=adversary_dict,
     )
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; build the run through {new} "
-        "(see repro.scenario)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _legacy_scenario(config, engine, topology_factory, record_history):
-    """Lift legacy runner arguments into a Scenario, preserving the
-    pre-facade error contract for invalid engine/topology combos."""
-    from repro.scenario import Scenario
-
-    if engine not in ("reference", "fast"):
-        raise ValueError(f"unknown engine {engine!r}; use 'reference' or 'fast'")
-    if engine == "fast" and topology_factory is not None:
-        raise ValueError(
-            "engine='fast' does not support custom topology factories; "
-            "use the reference engine to study topology effects"
-        )
-    return Scenario.from_experiment_config(
-        config,
-        engine=engine,
-        topology=topology_factory if topology_factory is not None else "newscast",
-        record_history=record_history,
-    )
-
-
-def run_single(
-    config: ExperimentConfig,
-    repetition: int = 0,
-    record_history: bool = False,
-    topology_factory=None,
-    engine: str = "reference",
-) -> RunResult:
-    """Execute one repetition of ``config``; returns its :class:`RunResult`.
-
-    .. deprecated::
-        Thin shim over the scenario facade — prefer
-        ``Session(Scenario(...)).run_one(repetition)``, which accepts
-        the same knobs declaratively (``engine=...``, ``topology=...``)
-        and returns the unified record type.  Results are identical.
-    """
-    _deprecated("run_single", "Session(Scenario(...)).run_one(...)")
-    from repro.scenario import Session
-
-    scenario = _legacy_scenario(config, engine, topology_factory, record_history)
-    return Session(scenario).run_one(repetition)
-
-
-def run_experiment(
-    config: ExperimentConfig,
-    record_history: bool = False,
-    progress=None,
-    topology_factory=None,
-    workers: int = 1,
-    engine: str = "reference",
-) -> ExperimentResult:
-    """Run all repetitions of ``config`` and aggregate.
-
-    .. deprecated::
-        Thin shim over the scenario facade — prefer
-        ``Session(Scenario(...)).run(policy=ExecutionPolicy(...))``.
-        The facade's :class:`~repro.scenario.result.Result` exposes
-        the same statistics surface; this shim repackages its records
-        into the legacy :class:`ExperimentResult` unchanged.
-    """
-    _deprecated("run_experiment", "Session(Scenario(...)).run(...)")
-    from repro.scenario import ExecutionPolicy, Session
-
-    scenario = _legacy_scenario(config, engine, topology_factory, record_history)
-    result = Session(scenario).run(
-        progress=progress, policy=ExecutionPolicy(workers=workers)
-    )
-    return ExperimentResult(config=config, runs=list(result.records))

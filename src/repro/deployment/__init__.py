@@ -22,7 +22,6 @@ configuration — message timing changes *when* knowledge moves, not
 
 from repro.deployment.newscast_ed import EventNewscastProtocol
 from repro.deployment.runtime import (
-    AsyncDeployment,
     AsyncRuntime,
     DeploymentConfig,
     DeploymentResult,
@@ -31,7 +30,6 @@ from repro.deployment.runtime import (
 __all__ = [
     "EventNewscastProtocol",
     "AsyncRuntime",
-    "AsyncDeployment",
     "DeploymentConfig",
     "DeploymentResult",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.deployment.runtime import AsyncDeployment, DeploymentConfig
+from repro.deployment.runtime import AsyncRuntime, DeploymentConfig
 
 __all__ = ["main"]
 
@@ -61,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
         quality_threshold=args.threshold,
         seed=args.seed,
     )
-    result = AsyncDeployment(config).run(until=args.horizon)
+    result = AsyncRuntime(config).run(until=args.horizon)
 
     print(f"function            : {args.function}")
     print(f"stop reason         : {result.stop_reason}")

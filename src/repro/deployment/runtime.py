@@ -22,7 +22,6 @@ trajectory and enforces threshold/budget stopping.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +43,6 @@ __all__ = [
     "DeploymentConfig",
     "DeploymentResult",
     "AsyncRuntime",
-    "AsyncDeployment",
 ]
 
 
@@ -486,27 +484,3 @@ class AsyncRuntime:
             dynamics=dynamics_dict,
             adversary=adversary_dict,
         )
-
-
-class AsyncDeployment(AsyncRuntime):
-    """Deprecated direct entry point to the asynchronous runtime.
-
-    .. deprecated::
-        Thin shim over the scenario facade — prefer
-        ``Session(Scenario(engine="event", horizon=..., ...)).run()``,
-        which builds the identical :class:`AsyncRuntime` and returns
-        the unified record type.  Direct construction produces results
-        identical to the facade path.  (Note: the seed stream moved to
-        the per-repetition branch ``("rep", i)`` in the scenario-API
-        release, so same-seed runs differ numerically from pre-2.0
-        versions; statistical behavior is unchanged — see CHANGES.md.)
-    """
-
-    def __init__(self, config: DeploymentConfig, repetition: int = 0):
-        warnings.warn(
-            "AsyncDeployment is deprecated; build the run through "
-            "Session(Scenario(engine='event', ...)) (see repro.scenario)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(config, repetition=repetition)

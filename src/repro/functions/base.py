@@ -18,7 +18,7 @@ to factories so experiment configs can be plain strings.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 

@@ -24,11 +24,10 @@ Quick start::
     result = Session(scenario).run()
     print(result.quality_stats.mean)
 
-Everything legacy routes through this layer: ``run_single`` /
-``run_experiment`` / ``AsyncDeployment`` are deprecation shims that
-warn when called directly, while the baseline runners
-(``run_centralized``, ``run_independent``, ``run_master_slave``) keep
-their signatures and quietly build their runs through the facade.
+This is the only way in: there is no per-regime entry point beside
+it.  Master–slave is ``topology="star"``, the baselines are
+``baseline="centralized"`` / ``"independent"``, the asynchronous
+deployment is ``engine="event"``.
 """
 
 from repro.scenario.policy import (

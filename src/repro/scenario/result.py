@@ -4,8 +4,8 @@ Before the scenario layer, each frontend returned its own shape:
 ``RunResult`` from the cycle engines, ``DeploymentResult`` from the
 asynchronous runtime, and ad-hoc quality lists from the baselines.
 :class:`RunRecord` unifies them — it *is* a
-:class:`~repro.core.runner.RunResult` (so every legacy consumer keeps
-working) extended with the fields the other regimes need — and
+:class:`~repro.core.runner.RunResult` extended with the fields the
+other regimes need — and
 :class:`Result` aggregates the repetitions of one scenario with the
 same statistics surface the paper tables are built from.
 """
@@ -23,7 +23,6 @@ from repro.utils.numerics import RunningStats
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.deployment.runtime import DeploymentResult
     from repro.scenario.spec import Scenario
-    from repro.utils.config import ExperimentConfig
 
 __all__ = ["RunRecord", "Result"]
 
@@ -249,28 +248,15 @@ class RunRecord(RunResult):
 class Result:
     """Aggregate over the repetitions of one scenario.
 
-    Offers the exact statistics surface of the legacy
-    :class:`~repro.core.runner.ExperimentResult` (``quality_stats``,
-    ``time_stats``, ``total_eval_stats``, ``success_rate``,
-    ``qualities()``) plus ``runs``/``config`` aliases, so the table,
-    figure and CSV layers consume either shape unchanged.
+    The statistics surface the paper tables are built from
+    (``quality_stats``, ``time_stats``, ``total_eval_stats``,
+    ``success_rate``, ``qualities()``) over ``records``; ``scenario``
+    is the spec that produced them.
     """
 
     scenario: "Scenario"
     records: list[RunRecord]
     elapsed_seconds: float = 0.0
-
-    # -- legacy-compatible aliases ---------------------------------------------
-
-    @property
-    def runs(self) -> list[RunRecord]:
-        """Alias matching ``ExperimentResult.runs``."""
-        return self.records
-
-    @property
-    def config(self) -> "ExperimentConfig":
-        """Legacy config view (see ``Scenario.to_experiment_config``)."""
-        return self.scenario.to_experiment_config()
 
     # -- statistics -------------------------------------------------------------
 

@@ -10,9 +10,8 @@ the baseline comparisons, always returning the unified
 The facade owns everything that used to be scattered across
 hand-rolled entry points: repetition loops, process-parallel
 execution, per-engine argument adaptation, topology/solver factory
-construction, and sweep iteration.  The legacy entry points
-(``run_experiment``, ``AsyncDeployment``, ``run_centralized``, ...)
-are thin deprecation shims over this class.
+construction, and sweep iteration.  It is the only way to run a
+scenario; the engines below it take what the session hands them.
 """
 
 from __future__ import annotations
@@ -273,11 +272,6 @@ class Session:
         from repro.deployment.runtime import DeploymentConfig
 
         scenario = self.scenario
-        if scenario.evaluations_per_node < 1:
-            raise ConfigurationError(
-                f"budget e={scenario.total_evaluations} gives node budget "
-                f"{scenario.evaluations_per_node} < 1 for n={scenario.nodes}"
-            )
         transport = scenario.transport
         return DeploymentConfig(
             function=scenario.primary_function(),
@@ -430,8 +424,7 @@ class Session:
         """Cartesian-product scenario iterator over field axes.
 
         Axes iterate in the order given, rightmost fastest (nested
-        loops), so sweep output order is deterministic — the same
-        contract as :func:`repro.utils.config.sweep`.
+        loops), so sweep output order is deterministic.
         """
         from dataclasses import fields
 

@@ -286,6 +286,13 @@ class Scenario:
         self._validate_topology()
         self._validate_solver()
         self._validate_baseline()
+        if self.baseline != "centralized":
+            # Every regime but the single big swarm splits the budget
+            # evenly over the nodes (there, nodes only sizes the swarm).
+            _require("total_evaluations",
+                     self.evaluations_per_node >= 1,
+                     f"e={self.total_evaluations} gives node budget "
+                     f"{self.evaluations_per_node} < 1 for n={self.nodes}")
         self._validate_problem_layer()
         if self.quality_threshold is not None:
             _require("quality_threshold", self.quality_threshold > 0,
@@ -502,15 +509,15 @@ class Scenario:
         return list(groups.items())
 
     def primary_function(self) -> str:
-        """Node 0's objective — the label used in legacy result shapes."""
+        """Node 0's objective — the label tables and CSV rows carry."""
         return self.function_for(0)
 
     def to_experiment_config(self) -> ExperimentConfig:
-        """The legacy :class:`ExperimentConfig` view of this scenario.
+        """The :class:`ExperimentConfig` view of this scenario.
 
         Lossy by design (engine, topology, objective map, transport and
-        baseline knobs have no legacy slot); used by the deprecation
-        shims and the CSV/table layers that still speak the old shape.
+        baseline knobs have no slot there); it is the argument the
+        cycle engines (reference, fast, sharded) take.
         """
         return ExperimentConfig(
             function=self.primary_function(),
@@ -536,10 +543,11 @@ class Scenario:
         record_history: bool = False,
         **overrides: Any,
     ) -> "Scenario":
-        """Lift a legacy :class:`ExperimentConfig` into a scenario.
+        """Lift an :class:`ExperimentConfig` sweep point into a scenario.
 
-        ``overrides`` win over the config's fields — how the baseline
-        wrappers drop knobs the legacy entry points ignored.
+        ``overrides`` name any further :class:`Scenario` field
+        (``baseline=...``, ``swarm_size=...``) and win over the
+        config's fields.
         """
         kwargs: dict[str, Any] = dict(
             function=config.function,

@@ -102,11 +102,6 @@ def validate_sharded(scenario: Scenario, shards: int) -> None:
             f"topology must be one of {SHARDABLE_TOPOLOGIES}, "
             f"got {scenario.topology!r}"
         )
-    if scenario.evaluations_per_node < 1:
-        raise bad(
-            f"budget e={scenario.total_evaluations} gives node budget "
-            f"{scenario.evaluations_per_node} < 1 for n={scenario.nodes}"
-        )
 
 
 def _build_engine(scenario: Scenario, repetition: int, plan: ShardPlan,

@@ -29,11 +29,11 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.simulator.network import Network, Node
+from repro.simulator.network import Network
 from repro.simulator.protocol import CycleProtocol
 from repro.simulator.transport import ReliableTransport, Transport
 from repro.utils.exceptions import SimulationError

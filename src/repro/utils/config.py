@@ -21,7 +21,6 @@ instances via :func:`dataclasses.replace`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
 
 from repro.utils.exceptions import ConfigurationError
 
@@ -31,7 +30,6 @@ __all__ = [
     "CoordinationConfig",
     "ChurnConfig",
     "ExperimentConfig",
-    "sweep",
 ]
 
 
@@ -260,34 +258,3 @@ class ExperimentConfig:
             f"e={self.total_evaluations} r={self.gossip_cycle} "
             f"reps={self.repetitions} seed={self.seed}"
         )
-
-
-def sweep(
-    base: ExperimentConfig,
-    **axes: Sequence,
-) -> Iterator[ExperimentConfig]:
-    """Cartesian-product sweep over configuration axes.
-
-    >>> base = ExperimentConfig("sphere", nodes=1, particles_per_node=1,
-    ...                         total_evaluations=100, gossip_cycle=1)
-    >>> confs = list(sweep(base, nodes=[1, 10], particles_per_node=[4, 8]))
-    >>> [(c.nodes, c.particles_per_node) for c in confs]
-    [(1, 4), (1, 8), (10, 4), (10, 8)]
-
-    Axes iterate in the order given, rightmost fastest (like nested
-    loops), so sweep output order is deterministic.
-    """
-    names = list(axes)
-    for name in names:
-        if not hasattr(base, name):
-            raise ConfigurationError(f"unknown sweep axis {name!r}")
-
-    def rec(i: int, current: ExperimentConfig) -> Iterator[ExperimentConfig]:
-        if i == len(names):
-            yield current
-            return
-        name = names[i]
-        for value in axes[name]:
-            yield from rec(i + 1, current.with_(**{name: value}))
-
-    yield from rec(0, base)

@@ -35,7 +35,6 @@ BLAKE2b which is deterministic across platforms and Python versions
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
 
 import numpy as np
 

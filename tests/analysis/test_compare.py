@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.compare import (
-    Comparison,
     bootstrap_log_ci,
     compare_systems,
     rank_sum_test,

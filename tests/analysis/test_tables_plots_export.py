@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 
 import pytest
 
@@ -16,27 +15,26 @@ from repro.analysis.tables import (
     quality_table_rows,
     time_table_rows,
 )
-from repro.core.runner import run_experiment
-from repro.utils.config import ExperimentConfig
+from repro.scenario import Scenario, Session
 
 
 @pytest.fixture(scope="module")
 def small_result():
-    cfg = ExperimentConfig(
+    cfg = Scenario(
         function="sphere", nodes=4, particles_per_node=4,
         total_evaluations=800, gossip_cycle=4, repetitions=2, seed=3,
     )
-    return run_experiment(cfg)
+    return Session(cfg).run()
 
 
 @pytest.fixture(scope="module")
 def threshold_result():
-    cfg = ExperimentConfig(
+    cfg = Scenario(
         function="sphere", nodes=4, particles_per_node=16,
         total_evaluations=2**15, gossip_cycle=16, repetitions=2, seed=3,
         quality_threshold=1e-6,
     )
-    return run_experiment(cfg)
+    return Session(cfg).run()
 
 
 class TestFormatValue:

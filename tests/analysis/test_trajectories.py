@@ -12,8 +12,7 @@ from repro.analysis.trajectories import (
     quality_curve,
 )
 from repro.core.metrics import QualitySample
-from repro.core.runner import run_single
-from repro.utils.config import ExperimentConfig
+from repro.scenario import Scenario, Session
 
 
 def synthetic_history(values, evals_per_cycle=10):
@@ -35,11 +34,11 @@ class TestQualityCurve:
         assert evals.size == 0
 
     def test_real_run_curve_monotone(self):
-        cfg = ExperimentConfig(
+        cfg = Scenario(
             function="sphere", nodes=4, particles_per_node=4,
             total_evaluations=2000, gossip_cycle=4, seed=3,
         )
-        result = run_single(cfg, record_history=True)
+        result = Session(cfg.with_(record_history=True)).run_one(0)
         evals, best = quality_curve(result.history)
         assert np.all(np.diff(evals) > 0)
         assert np.all(np.diff(best) <= 1e-15)
@@ -112,11 +111,11 @@ class TestCrossover:
         def curves(k, reps=3):
             out = []
             for rep in range(reps):
-                cfg = ExperimentConfig(
+                cfg = Scenario(
                     function="sphere", nodes=4, particles_per_node=k,
                     total_evaluations=4 * 1500, gossip_cycle=k, seed=17,
                 )
-                res = run_single(cfg, repetition=rep, record_history=True)
+                res = Session(cfg.with_(record_history=True)).run_one(rep)
                 out.append(quality_curve(res.history))
             return out
 

@@ -5,18 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.centralized import run_centralized
-from repro.baselines.independent import run_independent
-from repro.baselines.masterslave import (
-    MASTER_NODE_ID,
-    run_master_slave,
-    star_topology_factory,
-)
-from repro.core.runner import run_experiment, run_single
-from repro.utils.config import ExperimentConfig
+from repro.scenario import Scenario, Session
+
+#: The star overlay's center (``topology.static.star_graph`` default).
+MASTER_NODE_ID = 0
 
 
-def make_config(**overrides) -> ExperimentConfig:
+def make_config(**overrides) -> Scenario:
     base = dict(
         function="sphere",
         nodes=8,
@@ -27,50 +22,52 @@ def make_config(**overrides) -> ExperimentConfig:
         seed=21,
     )
     base.update(overrides)
-    return ExperimentConfig(**base)
+    return Scenario(**base)
 
 
 class TestCentralized:
     def test_converges(self):
-        result = run_centralized(make_config())
-        assert all(q < 1e-3 for q in result.qualities)
-        assert result.stats.count == 2
+        result = Session(make_config(baseline="centralized")).run()
+        assert all(q < 1e-3 for q in result.qualities())
+        assert result.quality_stats.count == 2
 
     def test_defaults_to_total_particles(self):
         # n*k = 64 particles; explicit same size must match exactly.
-        a = run_centralized(make_config())
-        b = run_centralized(make_config(), swarm_size=64)
-        assert a.qualities == b.qualities
+        a = Session(make_config(baseline="centralized")).run()
+        b = Session(make_config(baseline="centralized", swarm_size=64)).run()
+        assert a.qualities() == b.qualities()
 
     def test_custom_swarm_size(self):
-        result = run_centralized(make_config(), swarm_size=16)
-        assert all(np.isfinite(q) for q in result.qualities)
+        result = Session(make_config(baseline="centralized", swarm_size=16)).run()
+        assert all(np.isfinite(q) for q in result.qualities())
 
     def test_invalid_swarm_size(self):
         with pytest.raises(ValueError):
-            run_centralized(make_config(), swarm_size=0)
+            Session(make_config(baseline="centralized", swarm_size=0)).run()
 
     def test_deterministic(self):
-        a = run_centralized(make_config())
-        b = run_centralized(make_config())
-        assert a.qualities == b.qualities
+        a = Session(make_config(baseline="centralized")).run()
+        b = Session(make_config(baseline="centralized")).run()
+        assert a.qualities() == b.qualities()
 
 
 class TestIndependent:
     def test_best_of_n_at_most_each_node(self):
-        result = run_independent(make_config())
-        for rep, best in enumerate(result.qualities):
-            assert best == min(result.per_node_qualities[rep])
+        result = Session(make_config(baseline="independent")).run()
+        for rep, best in enumerate(result.qualities()):
+            assert best == min(result.records[rep].node_qualities)
 
     def test_shapes(self):
-        cfg = make_config(nodes=5, repetitions=3)
-        result = run_independent(cfg)
-        assert len(result.qualities) == 3
-        assert all(len(pq) == 5 for pq in result.per_node_qualities)
+        cfg = make_config(nodes=5, repetitions=3, baseline="independent")
+        result = Session(cfg).run()
+        assert len(result.qualities()) == 3
+        assert all(len(r.node_qualities) == 5 for r in result.records)
 
     def test_infeasible_budget_raises(self):
         with pytest.raises(ValueError):
-            run_independent(make_config(nodes=8, total_evaluations=4))
+            Session(
+                make_config(nodes=8, total_evaluations=4, baseline="independent")
+            ).run()
 
     def test_coordination_beats_independence(self):
         """Ablation A3's headline: the coordinated framework matches or
@@ -80,25 +77,22 @@ class TestIndependent:
             nodes=8, particles_per_node=8, total_evaluations=32_000,
             gossip_cycle=8, repetitions=3,
         )
-        coordinated = run_experiment(cfg)
-        independent = run_independent(cfg)
+        coordinated = Session(cfg).run()
+        independent = Session(cfg.with_(baseline="independent")).run()
         # Compare medians of log-quality to be robust to outliers.
         coord_q = np.log10(np.maximum(coordinated.qualities(), 1e-300))
-        indep_q = np.log10(np.maximum(independent.qualities, 1e-300))
+        indep_q = np.log10(np.maximum(independent.qualities(), 1e-300))
         assert np.median(coord_q) <= np.median(indep_q) + 0.5
 
 
 class TestMasterSlave:
     def test_star_factory_shapes(self):
-        factory = star_topology_factory(5)
-        name, proto = factory(0)
-        assert name == "topology"
-        assert sorted(proto.neighbors) == [1, 2, 3, 4]
-        _, slave = factory(3)
-        assert slave.neighbors == [MASTER_NODE_ID]
+        net, _, _ = Session(make_config(nodes=5, topology="star")).build_network()
+        assert sorted(net.node(0).protocol("topology").neighbors) == [1, 2, 3, 4]
+        assert net.node(3).protocol("topology").neighbors == [MASTER_NODE_ID]
 
     def test_runs_and_converges(self):
-        result = run_master_slave(make_config())
+        result = Session(make_config(topology="star")).run()
         assert result.quality_stats.mean < 10.0
 
     def test_comparable_to_newscast_on_static_network(self):
@@ -106,8 +100,8 @@ class TestMasterSlave:
         a couple of orders of the decentralized run (claim: topology
         choice is about robustness, not raw quality)."""
         cfg = make_config(repetitions=3)
-        star = run_master_slave(cfg)
-        newscast = run_experiment(cfg)
+        star = Session(cfg.with_(topology="star")).run()
+        newscast = Session(cfg).run()
         star_q = np.median(np.log10(np.maximum(star.qualities(), 1e-300)))
         nc_q = np.median(np.log10(np.maximum(newscast.qualities(), 1e-300)))
         assert abs(star_q - nc_q) < 6.0
@@ -117,27 +111,12 @@ class TestMasterSlave:
         and slaves stop hearing about remote optima entirely (their
         only contact is gone), while a NEWSCAST network keeps
         diffusing after losing any one node."""
-        from repro.core.dpso import PSOStepProtocol
         from repro.simulator.engine import CycleDrivenEngine
-        from repro.simulator.network import Network
-        from repro.core.node import OptimizationNodeSpec, build_optimization_node
-        from repro.functions.base import get_function
-        from repro.utils.rng import SeedSequenceTree
 
-        cfg = make_config(nodes=6, total_evaluations=60_000)
-        tree = SeedSequenceTree(5)
-        spec = OptimizationNodeSpec(
-            function=get_function(cfg.function),
-            pso=cfg.pso,
-            newscast=cfg.newscast,
-            coordination=cfg.coordination,
-            rng_tree=tree,
-            evals_per_cycle=cfg.gossip_cycle,
-            budget_per_node=cfg.evaluations_per_node,
-            topology_factory=star_topology_factory(cfg.nodes),
+        cfg = make_config(
+            nodes=6, total_evaluations=60_000, topology="star", seed=5
         )
-        net = Network(rng=tree.rng("network"))
-        net.populate(cfg.nodes, factory=lambda n: build_optimization_node(n, spec))
+        net, _, tree = Session(cfg).build_network()
         engine = CycleDrivenEngine(net, rng=tree.rng("engine"))
         engine.run(5)
         net.crash(MASTER_NODE_ID)

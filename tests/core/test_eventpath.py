@@ -13,11 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.eventpath import (
-    CohortEventEngine,
-    default_window,
-    run_single_event_fast,
-)
+from repro.core.eventpath import CohortEventEngine, default_window
 from repro.deployment.runtime import AsyncRuntime, DeploymentConfig
 from repro.simulator.adversary import AdversarySpec
 from repro.utils.config import CoordinationConfig
@@ -117,8 +113,10 @@ class TestBasicExecution:
         assert a.total_evaluations == 12 * 800
         assert a.best_value == b.best_value
 
-    def test_functional_helper_matches_engine(self):
-        a = run_single_event_fast(make_config(), until=500.0)
+    def test_defaults_are_repetition_zero_strict_rng(self):
+        a = CohortEventEngine(
+            make_config(), repetition=0, window=None, rng_mode="strict"
+        ).run(until=500.0)
         b = CohortEventEngine(make_config()).run(until=500.0)
         assert a.best_value == b.best_value
         assert a.total_evaluations == b.total_evaluations

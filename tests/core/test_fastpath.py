@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 
 from repro.core.fastpath import FastEngine, run_single_fast
-from repro.core.runner import run_experiment, run_single
 from repro.pso.swarm import Swarm
+from repro.scenario import ExecutionPolicy, Scenario, Session
 from repro.topology.sampler import PeerSampler
 from repro.topology.static import StaticTopologyProtocol, ring_lattice
 from repro.utils.config import (
@@ -41,6 +41,9 @@ class IsolatedSampler(PeerSampler):
 
     def known_peers(self, node):
         return []
+
+
+lift = Scenario.from_experiment_config
 
 
 def isolated_topology(nid):
@@ -70,8 +73,8 @@ class TestTrajectoryIdentity:
     def test_single_node_identical_through_public_api(self):
         cfg = small_config(nodes=1, total_evaluations=16 * 25,
                            particles_per_node=16, gossip_cycle=16)
-        ref = run_single(cfg, record_history=True)
-        fast = run_single(cfg, record_history=True, engine="fast")
+        ref = Session(lift(cfg, record_history=True)).run_one(0)
+        fast = Session(lift(cfg, engine="fast", record_history=True)).run_one(0)
         assert ref.best_value == fast.best_value
         assert ref.cycles == fast.cycles
         assert ref.stop_reason == fast.stop_reason
@@ -80,8 +83,9 @@ class TestTrajectoryIdentity:
 
     def test_multinode_gossip_off_identical(self):
         cfg = small_config(function="rosenbrock", nodes=10)
-        ref = run_single(cfg, record_history=True,
-                         topology_factory=isolated_topology)
+        ref = Session(
+            lift(cfg, topology=isolated_topology, record_history=True)
+        ).run_one(0)
         fast = run_single_fast(cfg, record_history=True, gossip=False)
         assert ref.best_value == fast.best_value
         assert history_tuples(ref) == history_tuples(fast)
@@ -154,12 +158,12 @@ class TestTrajectoryIdentity:
     def test_repetitions_are_independent_streams(self):
         cfg = small_config(nodes=1, particles_per_node=8, gossip_cycle=8,
                            total_evaluations=8 * 10)
-        a = run_single(cfg, repetition=0, engine="fast")
-        b = run_single(cfg, repetition=1, engine="fast")
+        a = Session(lift(cfg, engine="fast")).run_one(0)
+        b = Session(lift(cfg, engine="fast")).run_one(1)
         assert a.best_value != b.best_value
         # And each repetition matches its reference twin.
-        assert a.best_value == run_single(cfg, repetition=0).best_value
-        assert b.best_value == run_single(cfg, repetition=1).best_value
+        assert a.best_value == Session(lift(cfg)).run_one(0).best_value
+        assert b.best_value == Session(lift(cfg)).run_one(1).best_value
 
 
 class TestStatisticalEquivalence:
@@ -172,7 +176,7 @@ class TestStatisticalEquivalence:
         out = []
         for rep in range(self.REPS):
             out.append(
-                run_single(cfg, repetition=rep, engine=engine, **kwargs).quality
+                Session(lift(cfg, engine=engine, **kwargs)).run_one(rep).quality
             )
         return np.asarray(out)
 
@@ -229,7 +233,7 @@ class TestStatisticalEquivalence:
             StaticTopologyProtocol.PROTOCOL_NAME,
             StaticTopologyProtocol(adjacency.get(nid, [])),
         )
-        ref = self._qualities(cfg, "reference", topology_factory=ring)
+        ref = self._qualities(cfg, "reference", topology=ring)
         fast = self._qualities(cfg, "fast")
         self._assert_overlap(ref, fast)
 
@@ -240,7 +244,7 @@ class TestRunSemantics:
     def test_budget_spent_exactly_with_partial_final_cycle(self):
         # budget 30 per node, r = 8: cycles spend 8+8+8+6.
         cfg = small_config(nodes=5, total_evaluations=5 * 30)
-        result = run_single(cfg, engine="fast")
+        result = Session(lift(cfg, engine="fast")).run_one(0)
         assert result.stop_reason == "budget"
         assert result.total_evaluations == 5 * 30
         assert result.cycles == 4
@@ -252,7 +256,7 @@ class TestRunSemantics:
             quality_threshold=1e4,  # sphere starts ~1e4-1e5: trips early
             seed=43,
         )
-        result = run_single(cfg, engine="fast")
+        result = Session(lift(cfg, engine="fast")).run_one(0)
         assert result.stop_reason == "threshold"
         assert result.reached_threshold
         assert result.threshold_local_time == result.cycles * cfg.gossip_cycle
@@ -260,7 +264,7 @@ class TestRunSemantics:
 
     def test_history_monotone_and_messages_tallied(self):
         cfg = small_config(nodes=16, total_evaluations=16 * 8 * 10)
-        result = run_single(cfg, engine="fast", record_history=True)
+        result = Session(lift(cfg, engine="fast", record_history=True)).run_one(0)
         bests = [h.best_value for h in result.history]
         assert all(b2 <= b1 for b1, b2 in zip(bests, bests[1:]))
         tally = result.messages
@@ -315,23 +319,27 @@ class TestRunSemantics:
 
 class TestEngineSelectionAPI:
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            run_single(small_config(), engine="warp")
+        with pytest.raises(ValueError, match="Scenario.engine"):
+            Session(lift(small_config(), engine="warp")).run_one(0)
 
     def test_fast_rejects_topology_factory(self):
         with pytest.raises(ValueError, match="topology factories"):
-            run_single(
-                small_config(), engine="fast", topology_factory=isolated_topology
-            )
+            Session(
+                lift(small_config(), engine="fast", topology=isolated_topology)
+            ).run_one(0)
 
     def test_run_experiment_fast_parallel_matches_sequential(self):
         cfg = small_config(nodes=8, repetitions=3,
                            total_evaluations=8 * 8 * 8, seed=61)
-        seq = run_experiment(cfg, engine="fast")
-        par = run_experiment(cfg, engine="fast", workers=2)
-        assert [r.best_value for r in seq.runs] == [r.best_value for r in par.runs]
-        assert [r.total_evaluations for r in seq.runs] == [
-            r.total_evaluations for r in par.runs
+        seq = Session(lift(cfg, engine="fast")).run()
+        par = Session(lift(cfg, engine="fast")).run(
+            policy=ExecutionPolicy(workers=2)
+        )
+        assert [r.best_value for r in seq.records] == [
+            r.best_value for r in par.records
+        ]
+        assert [r.total_evaluations for r in seq.records] == [
+            r.total_evaluations for r in par.records
         ]
 
 
@@ -503,9 +511,7 @@ class TestChurnSlotReuse:
             churn=ChurnConfig(crash_rate=0.10, join_rate=0.10, min_population=5),
             seed=89,
         )
-        ref = [
-            run_single(cfg, repetition=r).quality for r in range(4)
-        ]
+        ref = [Session(lift(cfg)).run_one(r).quality for r in range(4)]
         fast = [
             run_single_fast(cfg, repetition=r).quality for r in range(4)
         ]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.coordination import CoordinationProtocol
-from repro.core.dpso import PSOStepProtocol
 from repro.core.metrics import (
     GlobalQualityObserver,
     MessageTally,
@@ -18,7 +17,7 @@ from repro.core.node import OptimizationNodeSpec, build_optimization_node
 from repro.functions.suite import Sphere
 from repro.simulator.engine import CycleDrivenEngine
 from repro.simulator.network import Network
-from repro.topology.newscast import NewscastProtocol, bootstrap_views
+from repro.topology.newscast import bootstrap_views
 from repro.topology.static import StaticTopologyProtocol
 from repro.utils.config import CoordinationConfig, NewscastConfig, PSOConfig
 from repro.utils.rng import SeedSequenceTree

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
-from repro.core.runner import run_experiment
-from repro.utils.config import ExperimentConfig
+from repro.scenario import ExecutionPolicy, Scenario, Session
 
 
-def make_config(**overrides) -> ExperimentConfig:
+def make_config(**overrides) -> Scenario:
     base = dict(
         function="sphere",
         nodes=4,
@@ -19,39 +20,42 @@ def make_config(**overrides) -> ExperimentConfig:
         seed=50,
     )
     base.update(overrides)
-    return ExperimentConfig(**base)
+    return Scenario(**base)
 
 
 class TestParallelRuns:
     def test_parallel_equals_sequential(self):
-        seq = run_experiment(make_config(), workers=1)
-        par = run_experiment(make_config(), workers=2)
-        assert [r.best_value for r in par.runs] == [r.best_value for r in seq.runs]
-        assert [r.total_evaluations for r in par.runs] == [
-            r.total_evaluations for r in seq.runs
+        seq = Session(make_config()).run(policy=ExecutionPolicy(workers=1))
+        par = Session(make_config()).run(policy=ExecutionPolicy(workers=2))
+        assert [r.best_value for r in par.records] == [
+            r.best_value for r in seq.records
+        ]
+        assert [r.total_evaluations for r in par.records] == [
+            r.total_evaluations for r in seq.records
         ]
 
     def test_progress_called_in_order(self):
         seen = []
-        run_experiment(
-            make_config(repetitions=3),
-            workers=2,
+        Session(make_config(repetitions=3)).run(
             progress=lambda i, r: seen.append(i),
+            policy=ExecutionPolicy(workers=2),
         )
         assert seen == [0, 1, 2]
 
     def test_single_repetition_stays_inline(self):
-        result = run_experiment(make_config(repetitions=1), workers=4)
-        assert len(result.runs) == 1
+        result = Session(make_config(repetitions=1)).run(
+            policy=ExecutionPolicy(workers=4)
+        )
+        assert len(result.records) == 1
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
-            run_experiment(make_config(), workers=0)
+            Session(make_config()).run(policy=ExecutionPolicy(workers=0))
 
     def test_topology_factory_rejected_in_parallel(self):
         with pytest.raises(ValueError):
-            run_experiment(
-                make_config(), workers=2, topology_factory=lambda nid: None
+            Session(make_config(topology=lambda nid: None)).run(
+                policy=ExecutionPolicy(workers=2)
             )
 
 
@@ -77,3 +81,12 @@ class TestDeploymentCli:
         )
         assert code == 0
         assert "threshold reached" in capsys.readouterr().out
+
+    def test_cli_emits_no_warning(self, capsys):
+        from repro.deployment.__main__ import main
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--nodes", "4", "--budget", "40", "--horizon", "50"])
+        assert code == 0
+        assert "solution quality" in capsys.readouterr().out

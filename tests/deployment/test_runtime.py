@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.runner import run_single
-from repro.deployment import AsyncDeployment, DeploymentConfig
-from repro.utils.config import ExperimentConfig
+from repro.deployment import AsyncRuntime, DeploymentConfig
+from repro.scenario import Scenario, Session
 from repro.utils.exceptions import ConfigurationError
 
 
@@ -26,21 +25,21 @@ def make_config(**overrides) -> DeploymentConfig:
 
 class TestBasicExecution:
     def test_budget_exactly_consumed(self):
-        result = AsyncDeployment(make_config()).run(until=5000.0)
+        result = AsyncRuntime(make_config()).run(until=5000.0)
         assert result.total_evaluations == 12 * 800
         assert result.stop_reason == "budget"
 
     def test_quality_sane(self):
-        result = AsyncDeployment(make_config()).run(until=5000.0)
+        result = AsyncRuntime(make_config()).run(until=5000.0)
         assert 0.0 <= result.quality < 1e4
 
     def test_horizon_stop(self):
-        result = AsyncDeployment(make_config(budget_per_node=10**6)).run(until=20.0)
+        result = AsyncRuntime(make_config(budget_per_node=10**6)).run(until=20.0)
         assert result.stop_reason == "horizon"
         assert result.sim_time == pytest.approx(20.0)
 
     def test_threshold_stop(self):
-        result = AsyncDeployment(
+        result = AsyncRuntime(
             make_config(budget_per_node=50_000, quality_threshold=1e-3)
         ).run(until=50_000.0)
         assert result.stop_reason == "threshold"
@@ -48,13 +47,13 @@ class TestBasicExecution:
         assert result.quality <= 1e-3
 
     def test_history_monotone(self):
-        result = AsyncDeployment(make_config()).run(until=5000.0)
+        result = AsyncRuntime(make_config()).run(until=5000.0)
         bests = [b for _, _, b in result.history]
         finite = [b for b in bests if np.isfinite(b)]
         assert all(b2 <= b1 + 1e-15 for b1, b2 in zip(finite, finite[1:]))
 
     def test_messages_flow(self):
-        result = AsyncDeployment(make_config()).run(until=5000.0)
+        result = AsyncRuntime(make_config()).run(until=5000.0)
         assert result.messages.coordination_messages > 0
         assert result.messages.newscast_exchanges > 0
 
@@ -68,7 +67,7 @@ class TestBasicExecution:
         with pytest.raises(ConfigurationError):
             make_config(compute_period=0.0)
         with pytest.raises(ValueError):
-            AsyncDeployment(make_config()).run(until=0.0)
+            AsyncRuntime(make_config()).run(until=0.0)
 
     @pytest.mark.parametrize("field,value", [
         ("compute_period", 0.0),
@@ -114,29 +113,29 @@ class TestBasicExecution:
 
 class TestDeterminism:
     def test_same_seed_identical(self):
-        a = AsyncDeployment(make_config()).run(until=3000.0)
-        b = AsyncDeployment(make_config()).run(until=3000.0)
+        a = AsyncRuntime(make_config()).run(until=3000.0)
+        b = AsyncRuntime(make_config()).run(until=3000.0)
         assert a.best_value == b.best_value
         assert a.total_evaluations == b.total_evaluations
         assert a.messages.transport_sent == b.messages.transport_sent
 
     def test_different_seed_differs(self):
-        a = AsyncDeployment(make_config(seed=1)).run(until=3000.0)
-        b = AsyncDeployment(make_config(seed=2)).run(until=3000.0)
+        a = AsyncRuntime(make_config(seed=1)).run(until=3000.0)
+        b = AsyncRuntime(make_config(seed=2)).run(until=3000.0)
         assert a.best_value != b.best_value
 
 
 class TestDegradedNetworks:
     def test_runs_under_message_loss(self):
-        lossless = AsyncDeployment(make_config()).run(until=5000.0)
-        lossy = AsyncDeployment(make_config(loss_rate=0.3)).run(until=5000.0)
+        lossless = AsyncRuntime(make_config()).run(until=5000.0)
+        lossy = AsyncRuntime(make_config(loss_rate=0.3)).run(until=5000.0)
         assert lossy.total_evaluations == lossless.total_evaluations
         # Loss slows diffusion, not computation: quality stays in a
         # sane band (paper Sec. 3.3.4).
         assert np.isfinite(lossy.quality)
 
     def test_high_latency_tolerated(self):
-        result = AsyncDeployment(
+        result = AsyncRuntime(
             make_config(latency_min=2.0, latency_max=8.0)
         ).run(until=5000.0)
         assert result.stop_reason == "budget"
@@ -145,7 +144,7 @@ class TestDegradedNetworks:
 
 class TestChurnEvents:
     def test_poisson_churn_runs(self):
-        result = AsyncDeployment(
+        result = AsyncRuntime(
             make_config(
                 nodes=24, crash_rate=0.05, join_rate=0.05, min_population=6,
                 budget_per_node=2000,
@@ -156,7 +155,7 @@ class TestChurnEvents:
         assert np.isfinite(result.quality)
 
     def test_population_floor_respected(self):
-        deployment = AsyncDeployment(
+        deployment = AsyncRuntime(
             make_config(nodes=8, crash_rate=1.0, min_population=3,
                         budget_per_node=10**6)
         )
@@ -171,20 +170,20 @@ class TestCycleEquivalence:
 
     def test_async_matches_cycle_driven_regime(self):
         n, k, budget = 16, 8, 2000
-        cycle_cfg = ExperimentConfig(
+        cycle = Session(Scenario(
             function="sphere", nodes=n, particles_per_node=k,
             total_evaluations=n * budget, gossip_cycle=8,
             repetitions=3, seed=77,
-        )
+        ))
         cycle_logq = np.median(
-            [np.log10(max(run_single(cycle_cfg, rep).quality, 1e-300))
+            [np.log10(max(cycle.run_one(rep).quality, 1e-300))
              for rep in range(3)]
         )
         async_logq = np.median(
             [
                 np.log10(
                     max(
-                        AsyncDeployment(
+                        AsyncRuntime(
                             DeploymentConfig(
                                 function="sphere", nodes=n,
                                 particles_per_node=k, budget_per_node=budget,

@@ -299,15 +299,16 @@ class TestFailureClassification:
         """A deterministic failure (scenario validation) must not be
         re-run max_retries times — it dead-letters on first sight."""
         queue = JobQueue(tmp_path, max_retries=5)
-        # Valid spec, infeasible at run time: budget < 1 eval per node.
+        # A payload the worker's Scenario.from_dict rejects: budget < 1
+        # eval per node.
         job = jobs_for_sweep(
-            [make(nodes=4, total_evaluations=2, repetitions=1)]
+            [{**make(repetitions=1).to_dict(), "total_evaluations": 2}]
         )[0]
         queue.submit(job)
         assert run_worker(queue, policy=ExecutionPolicy(heartbeat_interval=0.05)) == 0
         assert queue.failed_ids() == [job.job_id]
         failed = queue.load_failed(job.job_id)
-        assert "ConfigurationError" in failed["error"]
+        assert "ScenarioValidationError" in failed["error"]
         assert failed["attempts"] == 1  # exactly one execution
 
 

@@ -139,7 +139,8 @@ class TestSpoolService:
             collect_from_spool(queue, points)
 
     def test_collect_from_spool_dead_letter_raises(self, tmp_path):
-        points = [make(nodes=4, total_evaluations=2, repetitions=1)]
+        # A payload the worker's Scenario.from_dict rejects (e < n).
+        points = [{**make(repetitions=1).to_dict(), "total_evaluations": 2}]
         queue = JobQueue(tmp_path, max_retries=0)
         for job in jobs_for_sweep(points):
             queue.submit(job)

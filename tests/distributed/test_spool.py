@@ -249,14 +249,15 @@ class TestWorkerLoop:
 
     def test_failing_job_is_retried_then_dead_lettered(self, tmp_path):
         queue = JobQueue(tmp_path, max_retries=1)
-        # Valid spec, infeasible at run time: budget < 1 eval per node.
+        # A payload the worker's Scenario.from_dict rejects: budget < 1
+        # eval per node.
         job = jobs_for_sweep(
-            [make(nodes=4, total_evaluations=2, repetitions=1)]
+            [{**make(repetitions=1).to_dict(), "total_evaluations": 2}]
         )[0]
         queue.submit(job)
         assert run_worker(queue) == 0
         assert queue.failed_ids() == [job.job_id]
-        assert "ConfigurationError" in queue.load_failed(job.job_id)["error"]
+        assert "ScenarioValidationError" in queue.load_failed(job.job_id)["error"]
 
 
 class TestCrashWindowEdges:

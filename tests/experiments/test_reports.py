@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.runner import run_experiment
 from repro.experiments import (
     exp1_swarm_size,
     exp2_network_size,
@@ -17,13 +16,15 @@ from repro.experiments import (
     exp4_time_to_quality,
 )
 from repro.experiments.common import SweepData
+from repro.scenario import Scenario, Session
 from repro.utils.config import ExperimentConfig
 
 
 def tiny_sweep(name, configs) -> SweepData:
     data = SweepData(name=name, scale="tiny")
     for cfg in configs:
-        data.entries.append((cfg, run_experiment(cfg)))
+        result = Session(Scenario.from_experiment_config(cfg)).run()
+        data.entries.append((cfg, result))
     data.elapsed_seconds = 0.1
     return data
 

@@ -9,20 +9,17 @@ computation will end successfully, slowing down proportionally."
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.core.dpso import PSOStepProtocol
 from repro.core.metrics import GlobalQualityObserver, global_best
 from repro.core.node import OptimizationNodeSpec, build_optimization_node
-from repro.core.runner import run_single
 from repro.functions.base import get_function
+from repro.scenario import Scenario, Session
 from repro.simulator.engine import CycleDrivenEngine
 from repro.simulator.network import Network
 from repro.topology.newscast import bootstrap_views
 from repro.utils.config import (
     ChurnConfig,
     CoordinationConfig,
-    ExperimentConfig,
     NewscastConfig,
     PSOConfig,
 )
@@ -127,13 +124,13 @@ class TestJoinersAdopt:
 
 class TestContinuousChurn:
     def test_continuous_churn_still_optimizes(self):
-        cfg = ExperimentConfig(
+        cfg = Scenario(
             function="sphere", nodes=32, particles_per_node=8,
             total_evaluations=32 * 2000, gossip_cycle=8,
             repetitions=1, seed=45,
             churn=ChurnConfig(crash_rate=0.01, join_rate=0.01, min_population=8),
         )
-        result = run_single(cfg)
+        result = Session(cfg).run_one(0)
         assert result.quality < 1.0  # meaningful progress despite churn
 
     def test_heavier_churn_degrades_gracefully(self):
@@ -142,15 +139,13 @@ class TestContinuousChurn:
         of the calm network's quality."""
         qualities = {}
         for rate in (0.0, 0.05):
-            cfg = ExperimentConfig(
+            cfg = Scenario(
                 function="sphere", nodes=32, particles_per_node=8,
                 total_evaluations=32 * 1000, gossip_cycle=8,
                 repetitions=2, seed=46,
                 churn=ChurnConfig(crash_rate=rate, min_population=4),
             )
-            from repro.core.runner import run_experiment
-
-            result = run_experiment(cfg)
+            result = Session(cfg).run()
             qualities[rate] = np.median(
                 np.log10(np.maximum(result.qualities(), 1e-300))
             )

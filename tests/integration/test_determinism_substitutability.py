@@ -5,17 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.runner import run_experiment, run_single
+from repro.scenario import Scenario, Session
 from repro.topology.static import (
     StaticTopologyProtocol,
     complete_graph,
     grid_2d,
     ring_lattice,
 )
-from repro.utils.config import ExperimentConfig
 
 
-def make_config(**overrides) -> ExperimentConfig:
+def make_config(**overrides) -> Scenario:
     base = dict(
         function="rosenbrock",
         nodes=9,
@@ -26,31 +25,31 @@ def make_config(**overrides) -> ExperimentConfig:
         seed=77,
     )
     base.update(overrides)
-    return ExperimentConfig(**base)
+    return Scenario(**base)
 
 
 class TestBitReproducibility:
     def test_full_experiment_bit_identical(self):
-        a = run_experiment(make_config())
-        b = run_experiment(make_config())
-        assert [r.best_value for r in a.runs] == [r.best_value for r in b.runs]
-        assert [r.cycles for r in a.runs] == [r.cycles for r in b.runs]
-        assert [r.messages.coordination_messages for r in a.runs] == [
-            r.messages.coordination_messages for r in b.runs
+        a = Session(make_config()).run()
+        b = Session(make_config()).run()
+        assert [r.best_value for r in a.records] == [r.best_value for r in b.records]
+        assert [r.cycles for r in a.records] == [r.cycles for r in b.records]
+        assert [r.messages.coordination_messages for r in a.records] == [
+            r.messages.coordination_messages for r in b.records
         ]
 
     def test_churned_run_bit_identical(self):
         from repro.utils.config import ChurnConfig
 
         cfg = make_config(churn=ChurnConfig(crash_rate=0.02, join_rate=0.02))
-        a = run_single(cfg)
-        b = run_single(cfg)
+        a = Session(cfg).run_one(0)
+        b = Session(cfg).run_one(0)
         assert a.best_value == b.best_value
         assert a.total_evaluations == b.total_evaluations
 
     def test_history_trajectories_identical(self):
-        a = run_single(make_config(), record_history=True)
-        b = run_single(make_config(), record_history=True)
+        a = Session(make_config(record_history=True)).run_one(0)
+        b = Session(make_config(record_history=True)).run_one(0)
         assert [h.best_value for h in a.history] == [h.best_value for h in b.history]
 
 
@@ -77,9 +76,7 @@ class TestTopologySubstitutability:
     def test_static_topologies_run_and_converge(self, builder):
         cfg = make_config(function="sphere")
         adjacency = builder(cfg.nodes)
-        result = run_experiment(
-            cfg, topology_factory=adjacency_factory(adjacency)
-        )
+        result = Session(cfg.with_(topology=adjacency_factory(adjacency))).run()
         assert all(np.isfinite(q) for q in result.qualities())
         assert result.quality_stats.mean < 1e4  # better than random
 
@@ -87,12 +84,12 @@ class TestTopologySubstitutability:
         """Complete graph diffuses at least as well as a sparse ring:
         final per-node spread should not be larger."""
         cfg = make_config(function="sphere", repetitions=1)
-        ring = run_single(
-            cfg, topology_factory=adjacency_factory(ring_lattice(cfg.nodes))
-        )
-        full = run_single(
-            cfg, topology_factory=adjacency_factory(complete_graph(cfg.nodes))
-        )
+        ring = Session(
+            cfg.with_(topology=adjacency_factory(ring_lattice(cfg.nodes)))
+        ).run_one(0)
+        full = Session(
+            cfg.with_(topology=adjacency_factory(complete_graph(cfg.nodes)))
+        ).run_one(0)
         assert full.node_best_spread <= ring.node_best_spread + 1e-12
 
 
@@ -102,7 +99,7 @@ class TestCoordinationModes:
         from repro.utils.config import CoordinationConfig
 
         cfg = make_config(coordination=CoordinationConfig(mode=mode))
-        result = run_single(cfg)
+        result = Session(cfg).run_one(0)
         assert result.stop_reason == "budget"
         assert result.total_evaluations == cfg.evaluations_per_node * cfg.nodes
 
@@ -116,7 +113,7 @@ class TestCoordinationModes:
                 repetitions=1,
                 coordination=CoordinationConfig(mode=mode),
             )
-            spreads[mode] = run_single(cfg).node_best_spread
+            spreads[mode] = Session(cfg).run_one(0).node_best_spread
         assert spreads["push-pull"] <= spreads["push"] + 1e-12
 
 
@@ -127,7 +124,7 @@ class TestMultiFunctionEndToEnd:
     )
     def test_every_paper_function_runs(self, function):
         cfg = make_config(function=function, repetitions=1)
-        result = run_single(cfg)
+        result = Session(cfg).run_one(0)
         assert np.isfinite(result.quality)
         assert result.quality >= 0.0
         assert result.total_evaluations == cfg.evaluations_per_node * cfg.nodes

@@ -18,10 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.optimum import Optimum
-from repro.core.runner import run_single
 from repro.scenario import Scenario, Session
 from repro.simulator.adversary import AdversarySpec
-from repro.utils.config import CoordinationConfig, ExperimentConfig
+from repro.utils.config import CoordinationConfig
 
 
 @settings(max_examples=12, deadline=None)
@@ -36,7 +35,7 @@ def test_property_budget_exact_for_any_shape(
     nodes, particles, evals_per_node, gossip, seed
 ):
     """Exactly e evaluations happen, whatever the configuration."""
-    cfg = ExperimentConfig(
+    cfg = Scenario(
         function="sphere",
         nodes=nodes,
         particles_per_node=particles,
@@ -44,7 +43,7 @@ def test_property_budget_exact_for_any_shape(
         gossip_cycle=gossip,
         seed=seed,
     )
-    result = run_single(cfg)
+    result = Session(cfg).run_one(0)
     assert result.total_evaluations == evals_per_node * nodes
     assert result.stop_reason == "budget"
 
@@ -56,7 +55,7 @@ def test_property_budget_exact_for_any_shape(
 )
 def test_property_history_monotone(nodes, seed):
     """The observed global best never regresses, for any seed."""
-    cfg = ExperimentConfig(
+    cfg = Scenario(
         function="rosenbrock",
         nodes=nodes,
         particles_per_node=4,
@@ -64,7 +63,7 @@ def test_property_history_monotone(nodes, seed):
         gossip_cycle=4,
         seed=seed,
     )
-    result = run_single(cfg, record_history=True)
+    result = Session(cfg.with_(record_history=True)).run_one(0)
     bests = [h.best_value for h in result.history]
     assert all(b <= a + 1e-15 for a, b in zip(bests, bests[1:]))
 
@@ -73,7 +72,7 @@ def test_property_history_monotone(nodes, seed):
 @given(seed=st.integers(0, 10_000))
 def test_property_deterministic(seed):
     """(config, seed) fully determines the run."""
-    cfg = ExperimentConfig(
+    cfg = Scenario(
         function="griewank",
         nodes=5,
         particles_per_node=4,
@@ -81,8 +80,8 @@ def test_property_deterministic(seed):
         gossip_cycle=4,
         seed=seed,
     )
-    a = run_single(cfg)
-    b = run_single(cfg)
+    a = Session(cfg).run_one(0)
+    b = Session(cfg).run_one(0)
     assert a.best_value == b.best_value
     assert a.messages.coordination_messages == b.messages.coordination_messages
 

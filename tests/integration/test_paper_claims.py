@@ -10,8 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.runner import run_experiment
-from repro.utils.config import ExperimentConfig
+from repro.scenario import Scenario, Session
 
 
 def log_mean_quality(result) -> float:
@@ -26,12 +25,12 @@ class TestClaimQualityImprovesWithNodes:
     def test_sphere_monotone_in_n(self):
         results = {}
         for n in (1, 8, 64):
-            cfg = ExperimentConfig(
+            cfg = Scenario(
                 function="sphere", nodes=n, particles_per_node=16,
                 total_evaluations=2000 * n, gossip_cycle=16,
                 repetitions=3, seed=31,
             )
-            results[n] = log_mean_quality(run_experiment(cfg))
+            results[n] = log_mean_quality(Session(cfg).run())
         assert results[8] < results[1]
         assert results[64] < results[1]
 
@@ -47,23 +46,23 @@ class TestClaimSwarmSizeSweetSpot:
     def test_oversized_swarms_underconverge_on_sphere(self):
         results = {}
         for k in (8, 32):
-            cfg = ExperimentConfig(
+            cfg = Scenario(
                 function="sphere", nodes=8, particles_per_node=k,
                 total_evaluations=8 * 1000, gossip_cycle=k,
                 repetitions=3, seed=32,
             )
-            results[k] = log_mean_quality(run_experiment(cfg))
+            results[k] = log_mean_quality(Session(cfg).run())
         assert results[8] < results[32]
 
     def test_interior_sweet_spot_on_schaffer(self):
         results = {}
         for k in (1, 8, 32):
-            cfg = ExperimentConfig(
+            cfg = Scenario(
                 function="schaffer", nodes=8, particles_per_node=k,
                 total_evaluations=8 * 1000, gossip_cycle=k,
                 repetitions=4, seed=32,
             )
-            results[k] = log_mean_quality(run_experiment(cfg))
+            results[k] = log_mean_quality(Session(cfg).run())
         assert results[8] < results[1]
         assert results[8] < results[32]
 
@@ -76,12 +75,12 @@ class TestClaimPartitionInvariance:
     def test_total_particles_governs_quality(self):
         log_q = {}
         for n, k in ((2, 32), (8, 8), (32, 2)):
-            cfg = ExperimentConfig(
+            cfg = Scenario(
                 function="sphere", nodes=n, particles_per_node=k,
                 total_evaluations=2**15, gossip_cycle=k,
                 repetitions=4, seed=33,
             )
-            log_q[(n, k)] = log_mean_quality(run_experiment(cfg))
+            log_q[(n, k)] = log_mean_quality(Session(cfg).run())
         values = list(log_q.values())
         spread = max(values) - min(values)
         # All three partitions of 64 particles within a few orders of
@@ -98,12 +97,12 @@ class TestClaimGossipRateHelps:
     def test_sphere_r2_beats_r64(self):
         log_q = {}
         for r in (2, 64):
-            cfg = ExperimentConfig(
+            cfg = Scenario(
                 function="sphere", nodes=16, particles_per_node=16,
                 total_evaluations=16 * 1000, gossip_cycle=r,
                 repetitions=4, seed=34,
             )
-            log_q[r] = log_mean_quality(run_experiment(cfg))
+            log_q[r] = log_mean_quality(Session(cfg).run())
         assert log_q[2] <= log_q[64] + 1.0
 
     def test_griewank_insensitive_to_r(self):
@@ -111,12 +110,12 @@ class TestClaimGossipRateHelps:
         'no remarkably better value becomes available'."""
         log_q = {}
         for r in (2, 64):
-            cfg = ExperimentConfig(
+            cfg = Scenario(
                 function="griewank", nodes=16, particles_per_node=16,
                 total_evaluations=16 * 1000, gossip_cycle=r,
                 repetitions=4, seed=35,
             )
-            log_q[r] = log_mean_quality(run_experiment(cfg))
+            log_q[r] = log_mean_quality(Session(cfg).run())
         assert abs(log_q[2] - log_q[64]) < 1.5
 
 
@@ -127,12 +126,12 @@ class TestClaimTimeScaling:
 
     @staticmethod
     def mean_time(n: int, k: int, function="sphere", threshold=1e-8) -> float | None:
-        cfg = ExperimentConfig(
+        cfg = Scenario(
             function=function, nodes=n, particles_per_node=k,
             total_evaluations=2**17, gossip_cycle=k,
             repetitions=3, seed=36, quality_threshold=threshold,
         )
-        stats = run_experiment(cfg).time_stats
+        stats = Session(cfg).run().time_stats
         return None if stats is None else stats.mean
 
     def test_time_decreases_with_n(self):
@@ -157,15 +156,14 @@ class TestClaimDistributionCausesNoDetriment:
     results comparable to one n·k-particle machine at equal budget."""
 
     def test_distributed_matches_centralized_order(self):
-        from repro.baselines.centralized import run_centralized
-
-        cfg = ExperimentConfig(
+        cfg = Scenario(
             function="sphere", nodes=16, particles_per_node=4,
             total_evaluations=2**15, gossip_cycle=4,
             repetitions=4, seed=37,
         )
-        distributed = run_experiment(cfg)
-        centralized = run_centralized(cfg)  # one 64-particle swarm
+        distributed = Session(cfg).run()
+        # One 64-particle swarm.
+        centralized = Session(cfg.with_(baseline="centralized")).run()
         d = np.median(np.log10(np.maximum(distributed.qualities(), 1e-300)))
-        c = np.median(np.log10(np.maximum(centralized.qualities, 1e-300)))
+        c = np.median(np.log10(np.maximum(centralized.qualities(), 1e-300)))
         assert abs(d - c) < 8.0  # same ballpark on a 40-order scale

@@ -10,7 +10,6 @@ textbook parameters do not converge).
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.functions import get_function
 from repro.pso.swarm import Swarm

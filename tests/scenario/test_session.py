@@ -219,13 +219,15 @@ class TestEngines:
 
 class TestWorkloads:
     def test_topology_star_matches_masterslave_baseline(self):
-        from repro.baselines.masterslave import run_master_slave
-
         scenario = make(topology="star")
         facade = Session(scenario).run()
-        legacy = run_master_slave(scenario.to_experiment_config())
+        lifted = Session(
+            Scenario.from_experiment_config(
+                scenario.to_experiment_config(), topology="star"
+            )
+        ).run()
         assert [r.best_value for r in facade.records] == [
-            r.best_value for r in legacy.runs
+            r.best_value for r in lifted.records
         ]
 
     def test_topology_ring_runs(self):
@@ -258,12 +260,19 @@ class TestWorkloads:
 
 
 class TestSweepAndTrajectory:
-    def test_scenarios_cartesian_order(self):
-        session = Session(make())
-        specs = list(session.scenarios(nodes=[2, 4], gossip_cycle=[1, 2]))
-        assert [(s.nodes, s.gossip_cycle) for s in specs] == [
-            (2, 1), (2, 2), (4, 1), (4, 2),
-        ]
+    @pytest.mark.parametrize(
+        "axes, expected",
+        [
+            (dict(nodes=[2, 4], gossip_cycle=[1, 2]),
+             [(2, 1), (2, 2), (4, 1), (4, 2)]),
+            (dict(gossip_cycle=[2, 4, 6]), [(6, 2), (6, 4), (6, 6)]),
+            (dict(nodes=[]), []),
+        ],
+        ids=["two-axes", "single-axis", "empty-axis"],
+    )
+    def test_scenarios_cartesian_order(self, axes, expected):
+        specs = list(Session(make()).scenarios(**axes))
+        assert [(s.nodes, s.gossip_cycle) for s in specs] == expected
 
     def test_scenarios_unknown_axis(self):
         with pytest.raises(ConfigurationError):
@@ -314,10 +323,8 @@ class TestEscapeHatch:
 
 
 class TestResultShape:
-    def test_result_legacy_aliases(self):
+    def test_result_qualities_and_best_record(self):
         result = Session(make()).run()
-        assert result.runs is result.records
-        assert result.config.function == "sphere"
         assert result.qualities() == [r.quality for r in result.records]
         assert result.best_record.quality == min(result.qualities())
 

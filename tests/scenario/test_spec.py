@@ -39,6 +39,15 @@ class TestValidation:
             ("nodes", {"nodes": 0}),
             ("particles_per_node", {"particles_per_node": 0}),
             ("total_evaluations", {"total_evaluations": 0}),
+            # e < n: no node could spend one evaluation, on any engine.
+            ("total_evaluations", {"total_evaluations": 4}),
+            ("total_evaluations", {"total_evaluations": 4, "engine": "fast"}),
+            ("total_evaluations", {"total_evaluations": 4, "engine": "event",
+                                   "horizon": 10.0}),
+            ("total_evaluations", {"total_evaluations": 4, "engine": "event",
+                                   "event_backend": "fast", "horizon": 10.0}),
+            ("total_evaluations", {"total_evaluations": 4,
+                                   "baseline": "independent"}),
             ("gossip_cycle", {"gossip_cycle": 0}),
             ("repetitions", {"repetitions": 0}),
             ("seed", {"seed": -1}),
@@ -96,6 +105,10 @@ class TestValidation:
             make(**overrides)
         assert err.value.field.startswith(field)
         assert str(err.value).startswith(f"Scenario.{field}")
+
+    def test_centralized_budget_is_not_split_over_nodes(self):
+        s = make(baseline="centralized", total_evaluations=4)
+        assert s.evaluations_per_node == 0  # nodes only sizes the swarm
 
     def test_validation_error_is_configuration_and_value_error(self):
         with pytest.raises(ConfigurationError):

@@ -1,8 +1,7 @@
 """Run the library's docstring examples as tests.
 
 Every ``>>>`` example in the public API must actually work — stale
-examples are worse than none.  Modules with expensive examples list
-explicit skips.
+examples are worse than none.
 """
 
 from __future__ import annotations
@@ -16,11 +15,6 @@ import pytest
 import repro
 from repro.core.kernels import BackendUnavailable
 
-#: Modules whose doctests are too expensive or environment-dependent.
-_SKIP = {
-    "repro",  # package quickstart runs a real experiment — tested below
-}
-
 
 def _all_modules():
     out = []
@@ -31,8 +25,6 @@ def _all_modules():
 
 @pytest.mark.parametrize("module_name", _all_modules())
 def test_module_doctests(module_name):
-    if module_name in _SKIP:
-        pytest.skip("expensive example, covered separately")
     try:
         module = importlib.import_module(module_name)
     except BackendUnavailable as exc:
@@ -48,13 +40,7 @@ def test_module_doctests(module_name):
 
 
 def test_package_quickstart_example():
-    """The README/package-docstring quickstart, executed for real."""
-    from repro import ExperimentConfig, run_experiment
-
-    config = ExperimentConfig(
-        function="sphere", nodes=16, particles_per_node=8,
-        total_evaluations=16_000, gossip_cycle=8,
-        repetitions=3, seed=42,
-    )
-    result = run_experiment(config)
-    assert result.quality_stats.mean < 1.0
+    """The package-docstring quickstart itself, executed for real."""
+    results = doctest.testmod(repro, optionflags=doctest.NORMALIZE_WHITESPACE)
+    assert results.attempted >= 4  # import, scenario, run, assertion
+    assert results.failed == 0

@@ -1,4 +1,4 @@
-"""Tests for configuration validation and sweeping."""
+"""Tests for configuration validation."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.utils.config import (
     ExperimentConfig,
     NewscastConfig,
     PSOConfig,
-    sweep,
 )
 from repro.utils.exceptions import ConfigurationError
 
@@ -153,24 +152,3 @@ class TestExperimentConfig:
     def test_evaluations_per_node_floor_division(self):
         cfg = make_config(nodes=3, total_evaluations=1000)
         assert cfg.evaluations_per_node == 333
-
-
-class TestSweep:
-    def test_cartesian_order(self):
-        base = make_config()
-        got = [
-            (c.nodes, c.particles_per_node)
-            for c in sweep(base, nodes=[1, 2], particles_per_node=[4, 8])
-        ]
-        assert got == [(1, 4), (1, 8), (2, 4), (2, 8)]
-
-    def test_unknown_axis_raises(self):
-        with pytest.raises(ConfigurationError):
-            list(sweep(make_config(), bogus=[1]))
-
-    def test_empty_axis_yields_nothing(self):
-        assert list(sweep(make_config(), nodes=[])) == []
-
-    def test_single_axis(self):
-        confs = list(sweep(make_config(), gossip_cycle=[2, 4, 6]))
-        assert [c.gossip_cycle for c in confs] == [2, 4, 6]
