@@ -10,15 +10,17 @@ import numpy as np
 
 from benchmarks.conftest import save_report
 from repro.experiments import exp1_swarm_size
+from repro.experiments.common import run
 from repro.utils.numerics import safe_log10
 
 
 def _mean_logq(data, function, nodes, particles):
-    for cfg, res in data.entries:
+    for res in data.entries:
+        point = res.scenario
         if (
-            cfg.function == function
-            and cfg.nodes == nodes
-            and cfg.particles_per_node == particles
+            point.function == function
+            and point.nodes == nodes
+            and point.particles_per_node == particles
         ):
             return float(np.mean(safe_log10(np.maximum(res.qualities(), 0.0))))
     raise AssertionError(f"missing point {function} n={nodes} k={particles}")
@@ -26,7 +28,7 @@ def _mean_logq(data, function, nodes, particles):
 
 def test_exp1_swarm_size(benchmark, report_dir):
     data = benchmark.pedantic(
-        lambda: exp1_swarm_size.run(scale="smoke", seed=42),
+        lambda: run(exp1_swarm_size, scale="smoke", seed=42),
         rounds=1,
         iterations=1,
     )
@@ -47,12 +49,12 @@ def test_exp1_swarm_size(benchmark, report_dir):
     # Griewank below 1e-4 at this budget) — difficulty ordering holds.
     griewank_best = min(
         res.quality_stats.minimum
-        for cfg, res in data.entries
-        if cfg.function == "griewank"
+        for res in data.entries
+        if res.scenario.function == "griewank"
     )
     sphere_best = min(
         res.quality_stats.minimum
-        for cfg, res in data.entries
-        if cfg.function == "sphere"
+        for res in data.entries
+        if res.scenario.function == "sphere"
     )
     assert sphere_best < griewank_best

@@ -7,15 +7,17 @@ import numpy as np
 
 from benchmarks.conftest import save_report
 from repro.experiments import exp2_network_size
+from repro.experiments.common import run
 from repro.utils.numerics import safe_log10
 
 
 def _mean_logq(data, function, nodes, particles):
-    for cfg, res in data.entries:
+    for res in data.entries:
+        point = res.scenario
         if (
-            cfg.function == function
-            and cfg.nodes == nodes
-            and cfg.particles_per_node == particles
+            point.function == function
+            and point.nodes == nodes
+            and point.particles_per_node == particles
         ):
             return float(np.mean(safe_log10(np.maximum(res.qualities(), 0.0))))
     return None
@@ -23,7 +25,7 @@ def _mean_logq(data, function, nodes, particles):
 
 def test_exp2_network_size(benchmark, report_dir):
     data = benchmark.pedantic(
-        lambda: exp2_network_size.run(scale="smoke", seed=42),
+        lambda: run(exp2_network_size, scale="smoke", seed=42),
         rounds=1,
         iterations=1,
     )
@@ -47,11 +49,11 @@ def test_exp2_network_size(benchmark, report_dir):
     # than the sweet spot hurts (too few updates each): the largest
     # n·k point is worse than the best mid-range point.
     sphere_points = {
-        (cfg.nodes, cfg.particles_per_node): float(
+        (res.scenario.nodes, res.scenario.particles_per_node): float(
             np.mean(safe_log10(np.maximum(res.qualities(), 0.0)))
         )
-        for cfg, res in data.entries
-        if cfg.function == "sphere"
+        for res in data.entries
+        if res.scenario.function == "sphere"
     }
     max_total = max(n * k for n, k in sphere_points)
     worst_big = sphere_points[

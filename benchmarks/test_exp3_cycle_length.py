@@ -7,19 +7,21 @@ import numpy as np
 
 from benchmarks.conftest import save_report
 from repro.experiments import exp3_cycle_length
+from repro.experiments.common import run
 from repro.utils.numerics import safe_log10
 
 
 def _mean_logq(data, function, cycle):
-    for cfg, res in data.entries:
-        if cfg.function == function and cfg.gossip_cycle == cycle:
+    for res in data.entries:
+        point = res.scenario
+        if point.function == function and point.gossip_cycle == cycle:
             return float(np.mean(safe_log10(np.maximum(res.qualities(), 0.0))))
     raise AssertionError(f"missing point {function} r={cycle}")
 
 
 def test_exp3_cycle_length(benchmark, report_dir):
     data = benchmark.pedantic(
-        lambda: exp3_cycle_length.run(scale="smoke", seed=42),
+        lambda: run(exp3_cycle_length, scale="smoke", seed=42),
         rounds=1,
         iterations=1,
     )

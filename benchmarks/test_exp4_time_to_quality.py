@@ -4,14 +4,16 @@ from __future__ import annotations
 
 from benchmarks.conftest import save_report
 from repro.experiments import exp4_time_to_quality
+from repro.experiments.common import run
 
 
 def _mean_time(data, function, nodes, particles):
-    for cfg, res in data.entries:
+    for res in data.entries:
+        point = res.scenario
         if (
-            cfg.function == function
-            and cfg.nodes == nodes
-            and cfg.particles_per_node == particles
+            point.function == function
+            and point.nodes == nodes
+            and point.particles_per_node == particles
         ):
             stats = res.time_stats
             return None if stats is None else stats.mean
@@ -20,7 +22,7 @@ def _mean_time(data, function, nodes, particles):
 
 def test_exp4_time_to_quality(benchmark, report_dir):
     data = benchmark.pedantic(
-        lambda: exp4_time_to_quality.run(scale="smoke", seed=42),
+        lambda: run(exp4_time_to_quality, scale="smoke", seed=42),
         rounds=1,
         iterations=1,
     )

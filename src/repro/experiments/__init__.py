@@ -9,23 +9,29 @@ Module    Paper artefact        Question
                                 *total* budget
 ``exp3``  Table 3 / Figure 3    quality vs gossip cycle length ``r``
 ``exp4``  Table 4 / Figure 4    time to reach quality 1e-10 vs ``n``
+``exp5``  Sec. 4 estimate       per-node bandwidth from measured
+                                NEWSCAST / coordination message counts
 ``exp6``  (beyond the paper)    dynamic x hostile factorial on sphere
 ========  ====================  =======================================
 
-Every module exposes the same interface:
+Every module exposes the same four-name interface:
 
-* ``configs(scale, seed)`` — the sweep as ExperimentConfig list;
-* ``scenarios(scale, seed, engine)`` — the same sweep lifted into
-  declarative :class:`~repro.scenario.Scenario` specs (what the CLI's
+* ``NAME`` / ``TITLE`` — the CLI key and the report heading;
+* ``SCALES`` — the table of sweep extents, one parameter row per scale;
+* ``points(scale, seed, engine)`` — the sweep as a list of declarative
+  :class:`~repro.scenario.Scenario` specs (what the CLI's
   ``--dump-scenarios`` prints as JSON);
-* ``run(scale, seed, progress, engine)`` — execute every point through
-  the session facade, returning
-  :class:`~repro.experiments.common.SweepData`;
 * ``report(data)`` — paper-style tables + ASCII figures as a string.
+
+:func:`repro.experiments.common.run` ``(module, scale, seed, progress,
+engine, policy)`` executes a module's points through the session
+facade and returns the :class:`~repro.experiments.common.SweepData`
+that ``report`` takes.
 
 Scales: ``"smoke"`` (seconds; the benchmark harness), ``"reduced"``
 (minutes; default for manual runs), ``"full"`` (hours; the paper's
-exact extents — 50 repetitions, n up to 2^16).
+exact extents — 50 repetitions, n up to 2^16); exp6 adds ``"tiny"``
+(the CI smoke grid).
 
 Command line::
 

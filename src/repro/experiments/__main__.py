@@ -5,6 +5,7 @@ Usage::
     python -m repro.experiments exp1 [--scale smoke|reduced|full]
                                      [--seed N] [--csv PATH] [--quiet]
                                      [--workers N] [--spool DIR]
+    python -m repro.experiments exp6 --scale tiny --engine fast
     python -m repro.experiments all --scale smoke
 
 Prints the paper-style report (tables + ASCII figures) to stdout;
@@ -18,7 +19,7 @@ import sys
 
 from repro.analysis.export import results_to_csv
 from repro.experiments import EXPERIMENTS
-from repro.experiments.common import stderr_progress
+from repro.experiments.common import run, stderr_progress
 from repro.scenario.policy import ExecutionPolicy
 
 __all__ = ["main"]
@@ -37,8 +38,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--scale",
         default="reduced",
-        choices=("smoke", "reduced", "full"),
-        help="sweep extent: smoke=seconds, reduced=minutes, full=paper scale",
+        help="sweep extent, a key of the experiment's SCALES: smoke=seconds, "
+        "reduced=minutes, full=paper scale (exp6 also defines tiny)",
     )
     parser.add_argument("--seed", type=int, default=42, help="master seed")
     parser.add_argument(
@@ -70,9 +71,10 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=None,
         help="spool mode: also reclaim this sweep's claims older than this "
-        "many seconds (recovery from vanished remote hosts; must exceed "
-        "the longest single job). Default: recover only provably dead "
-        "local workers",
+        "many seconds (recovery from vanished remote hosts; a few heartbeat "
+        "intervals is enough whatever the job length, since workers stamp "
+        "their claims while executing). Default: recover only provably "
+        "dead local workers",
     )
     parser.add_argument("--csv", default=None, help="also dump raw runs to CSV")
     parser.add_argument(
@@ -89,6 +91,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--workers must be >= 1")
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    lacking = [n for n in names if args.scale not in EXPERIMENTS[n].SCALES]
+    if lacking:
+        shared = set.intersection(*(set(EXPERIMENTS[n].SCALES) for n in names))
+        parser.error(
+            f"--scale {args.scale!r} is not defined by {', '.join(lacking)}; "
+            f"available for this selection: {', '.join(sorted(shared))}"
+        )
     progress = None if args.quiet else stderr_progress
 
     if args.dump_scenarios:
@@ -98,15 +107,15 @@ def main(argv: list[str] | None = None) -> int:
         for name in names:
             specs.extend(
                 s.to_dict()
-                for s in EXPERIMENTS[name].scenarios(
+                for s in EXPERIMENTS[name].points(
                     scale=args.scale, seed=args.seed, engine=args.engine
                 )
             )
         print(json.dumps(specs, indent=2))
         return 0
 
-    # One value describes how every experiment executes; the modules
-    # hand it through run_sweep to the distributed service unchanged.
+    # One value describes how every experiment executes; run_sweep
+    # hands it to run_points, which picks sequential or job service.
     policy = ExecutionPolicy(
         workers=args.workers, spool=args.spool, stale_after=args.stale_after
     )
@@ -114,12 +123,12 @@ def main(argv: list[str] | None = None) -> int:
     all_results = []
     for name in names:
         module = EXPERIMENTS[name]
-        data = module.run(
-            scale=args.scale, seed=args.seed, progress=progress,
+        data = run(
+            module, scale=args.scale, seed=args.seed, progress=progress,
             engine=args.engine, policy=policy,
         )
         print(module.report(data))
-        all_results.extend(res for _, res in data.entries)
+        all_results.extend(data.entries)
 
     if args.csv:
         results_to_csv(all_results, path=args.csv)

@@ -1,16 +1,17 @@
 """Shared sweep machinery for the experiment modules.
 
-A *sweep* is an ordered list of :class:`ExperimentConfig` points; its
-result, :class:`SweepData`, keeps (config, result) pairs and offers
-the groupings the reports need (per function, per series parameter).
+A *sweep* is an ordered list of
+:class:`~repro.scenario.spec.Scenario` points — what each experiment
+module's ``points(scale, seed, engine)`` returns and what
+``python -m repro.experiments expN --dump-scenarios`` prints as JSON.
+Its result, :class:`SweepData`, keeps one
+:class:`~repro.scenario.result.Result` per point (``result.scenario``
+is the point) and offers the groupings the reports need (per function,
+per series parameter).
 
-Execution goes through the unified scenario layer: every point is
-lifted into a :class:`~repro.scenario.spec.Scenario` and run by a
-:class:`~repro.scenario.session.Session`, so the experiment modules
-share one code path with the examples, baselines and the deployment
-runtime.  :func:`scenario_points` exposes the lifted specs directly —
-``python -m repro.experiments expN --dump-scenarios`` prints them as
-JSON.
+Execution is :func:`repro.scenario.session.run_points`, the same call
+``Session.sweep`` makes, so the experiment modules share one code path
+with the examples, baselines and the deployment runtime.
 """
 
 from __future__ import annotations
@@ -19,23 +20,33 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from types import ModuleType
 from typing import Callable, Sequence
 
-from repro.scenario import ExecutionPolicy, Result, Scenario, Session
-from repro.utils.config import ExperimentConfig
+from repro.analysis.plots import Series, ascii_plot
+from repro.scenario import ExecutionPolicy, Result, Scenario
+from repro.scenario.session import run_points
 from repro.utils.exceptions import ConfigurationError
 from repro.utils.numerics import safe_log10
 
-__all__ = ["SweepData", "run_sweep", "scenario_points", "stderr_progress"]
+__all__ = [
+    "SweepData",
+    "figure_panels",
+    "run",
+    "run_sweep",
+    "scale_params",
+    "stderr_progress",
+]
 
 
-def scenario_points(
-    configs: Sequence[ExperimentConfig], engine: str = "reference"
-) -> list[Scenario]:
-    """Lift legacy sweep points into declarative scenario specs."""
-    return [
-        Scenario.from_experiment_config(cfg, engine=engine) for cfg in configs
-    ]
+def scale_params(scales: dict[str, dict], scale: str) -> dict:
+    """The parameter row of ``scale`` in an experiment's ``SCALES`` table."""
+    try:
+        return scales[scale]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown scale {scale!r}; available: {sorted(scales)}"
+        ) from None
 
 
 @dataclass
@@ -44,21 +55,19 @@ class SweepData:
 
     name: str
     scale: str
-    entries: list[tuple[ExperimentConfig, Result]] = field(
-        default_factory=list
-    )
+    entries: list[Result] = field(default_factory=list)
     elapsed_seconds: float = 0.0
 
     def functions(self) -> list[str]:
         """Function names present, in first-seen order."""
         seen: dict[str, None] = {}
-        for cfg, _ in self.entries:
-            seen.setdefault(cfg.function, None)
+        for res in self.entries:
+            seen.setdefault(res.scenario.function, None)
         return list(seen)
 
-    def for_function(self, function: str) -> list[tuple[ExperimentConfig, Result]]:
+    def for_function(self, function: str) -> list[Result]:
         """Entries restricted to one function, sweep order preserved."""
-        return [(c, r) for c, r in self.entries if c.function == function]
+        return [r for r in self.entries if r.scenario.function == function]
 
     def best_per_function(self) -> dict[str, Result]:
         """For each function, the entry with the lowest mean quality.
@@ -73,23 +82,24 @@ class SweepData:
         reports the true best row.
         """
         best: dict[str, Result] = {}
-        for cfg, res in self.entries:
+        for res in self.entries:
+            function = res.scenario.function
             mean = res.quality_stats.mean
-            cur = best.get(cfg.function)
+            cur = best.get(function)
             if cur is None:
-                best[cfg.function] = res
+                best[function] = res
                 continue
             if math.isnan(mean):
                 continue
             if math.isnan(cur.quality_stats.mean) or mean < cur.quality_stats.mean:
-                best[cfg.function] = res
+                best[function] = res
         return best
 
     def series(
         self,
         function: str,
-        x_of: Callable[[ExperimentConfig], float],
-        group_of: Callable[[ExperimentConfig], object],
+        x_of: Callable[[Scenario], float],
+        group_of: Callable[[Scenario], object],
         y_of: Callable[[Result], float] | None = None,
     ) -> dict[object, tuple[list[float], list[float]]]:
         """Build figure series: group → (xs, ys).
@@ -99,80 +109,111 @@ class SweepData:
         if y_of is None:
             y_of = lambda res: float(safe_log10(max(res.quality_stats.mean, 0.0)))
         out: dict[object, tuple[list[float], list[float]]] = {}
-        for cfg, res in self.for_function(function):
-            key = group_of(cfg)
+        for res in self.for_function(function):
+            key = group_of(res.scenario)
             xs, ys = out.setdefault(key, ([], []))
-            xs.append(float(x_of(cfg)))
+            xs.append(float(x_of(res.scenario)))
             ys.append(float(y_of(res)))
         return out
+
+
+def figure_panels(
+    data: SweepData,
+    figure: int,
+    caption: str,
+    x_of: Callable[[Scenario], float],
+    group_of: Callable[[Scenario], object],
+    group_label: str,
+    xlabel: str,
+    ylabel: str = "logq",
+    logx: bool = False,
+    y_of: Callable[[Result], float] | None = None,
+) -> list[str]:
+    """One ASCII panel per function: ``y`` vs ``x``, one curve per group.
+
+    Returns report sections (each panel followed by a blank line);
+    panels are titled ``Figure <figure> (<function>): <caption>`` and
+    curves ``<group_label>=<group>``.
+    """
+    sections = []
+    for function in data.functions():
+        series_map = data.series(function, x_of=x_of, group_of=group_of, y_of=y_of)
+        series = [
+            Series(label=f"{group_label}={group}", xs=xs, ys=ys)
+            for group, (xs, ys) in sorted(series_map.items())
+        ]
+        sections.append(
+            ascii_plot(
+                series,
+                title=f"Figure {figure} ({function}): {caption}",
+                xlabel=xlabel,
+                ylabel=ylabel,
+                logx=logx,
+            )
+        )
+        sections.append("")
+    return sections
 
 
 def run_sweep(
     name: str,
     scale: str,
-    configs: Sequence[ExperimentConfig],
+    points: Sequence[Scenario],
     progress: Callable[[str], None] | None = None,
-    engine: str = "reference",
     policy: ExecutionPolicy | None = None,
 ) -> SweepData:
-    """Execute every config in order; returns the collected data.
+    """Execute every point; returns the collected data in sweep order.
 
-    Every point runs as ``Session(Scenario(...)).run()``; ``engine``
-    selects the scenario engine — ``"fast"`` runs the vectorized SoA
-    path, which makes the large-``n`` corners of the paper sweeps
-    (exp2's ``n = 2^16``) tractable.
-
-    How the sweep executes is one :class:`ExecutionPolicy` value:
-    ``policy.workers > 1`` (or a ``policy.spool`` directory) routes it
-    through the distributed job service — every (point, repetition)
-    pair is an independently scheduled job, executed by local worker
-    processes plus any ``python -m repro.distributed worker``
-    processes sharing the spool, and reassembled in deterministic
-    sweep order, with per-point results identical to the sequential
-    run.
+    :func:`~repro.scenario.session.run_points` plus the progress-line
+    formatting and the :class:`SweepData` — see there for what
+    ``policy`` selects (sequential, worker pool, spool); per-point
+    results are identical on every path.  ``progress`` receives one
+    line per completed point.
     """
-    if policy is None:
-        policy = ExecutionPolicy()
-    if policy.shards > 1:
-        raise ConfigurationError(
-            "run_sweep: sweeps schedule (point, repetition) jobs; overlay "
-            "sharding applies to a single scenario — use "
-            "Session(scenario).run(policy=ExecutionPolicy(shards=...))"
+    points = list(points)
+    done = 0
+
+    def point_progress(index: int, scenario: Scenario, res: Result) -> None:
+        nonlocal done
+        done += 1
+        progress(
+            f"[{name}:{scale}] {done}/{len(points)} {scenario.describe()} "
+            f"-> mean quality {res.quality_stats.mean:.3e}"
         )
-    data = SweepData(name=name, scale=scale)
+
     t0 = time.perf_counter()
-    if policy.workers > 1 or policy.spool is not None:
-        from repro.distributed.service import run_sweep_jobs
+    entries = run_points(
+        points, point_progress if progress is not None else None, policy
+    )
+    return SweepData(
+        name=name,
+        scale=scale,
+        entries=entries,
+        elapsed_seconds=time.perf_counter() - t0,
+    )
 
-        configs = list(configs)
-        points = scenario_points(configs, engine=engine)
-        completed = [0]
 
-        def point_progress(index: int, scenario: Scenario, res: Result) -> None:
-            completed[0] += 1
-            if progress is not None:
-                progress(
-                    f"[{name}:{scale}] {completed[0]}/{len(configs)} "
-                    f"{configs[index].describe()} "
-                    f"-> mean quality {res.quality_stats.mean:.3e}"
-                )
+def run(
+    module: ModuleType,
+    scale: str = "reduced",
+    seed: int = 42,
+    progress: Callable[[str], None] | None = None,
+    engine: str | None = None,
+    policy: ExecutionPolicy | None = None,
+) -> SweepData:
+    """Execute one experiment module's sweep at ``scale``.
 
-        results = run_sweep_jobs(
-            points, progress=point_progress, policy=policy,
-        )
-        data.entries = list(zip(configs, results))
-        data.elapsed_seconds = time.perf_counter() - t0
-        return data
-    for i, cfg in enumerate(configs):
-        res = Session(Scenario.from_experiment_config(cfg, engine=engine)).run()
-        data.entries.append((cfg, res))
-        if progress is not None:
-            progress(
-                f"[{name}:{scale}] {i + 1}/{len(configs)} {cfg.describe()} "
-                f"-> mean quality {res.quality_stats.mean:.3e}"
-            )
-    data.elapsed_seconds = time.perf_counter() - t0
-    return data
+    ``engine`` selects the scenario engine of every point —
+    ``"fast"`` runs the vectorized SoA path, which makes the
+    large-``n`` corners of the paper sweeps (exp2's ``n = 2^16``)
+    tractable; ``None`` keeps the module's own default (``reference``
+    for the paper sweeps, ``fast`` for exp6).
+    """
+    if engine is None:
+        points = module.points(scale, seed)
+    else:
+        points = module.points(scale, seed, engine)
+    return run_sweep(module.NAME, scale, points, progress, policy)
 
 
 def stderr_progress(message: str) -> None:

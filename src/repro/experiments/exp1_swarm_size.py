@@ -20,16 +20,12 @@ Paper findings our reproduction must show (shapes, not absolutes):
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.analysis.plots import Series, ascii_plot
 from repro.analysis.tables import format_paper_table, quality_table_rows
-from repro.experiments.common import SweepData, run_sweep
+from repro.experiments.common import SweepData, figure_panels, scale_params
 from repro.functions.suite import PAPER_FUNCTIONS
-from repro.utils.config import ExperimentConfig
-from repro.utils.exceptions import ConfigurationError
+from repro.scenario import Scenario
 
-__all__ = ["SCALES", "configs", "scenarios", "run", "report"]
+__all__ = ["SCALES", "points", "report"]
 
 NAME = "exp1"
 TITLE = "Experiment 1: solution quality vs swarm size (Table 1 / Figure 1)"
@@ -62,53 +58,26 @@ SCALES: dict[str, dict] = {
 }
 
 
-def configs(scale: str = "reduced", seed: int = 42) -> list[ExperimentConfig]:
+def points(
+    scale: str = "reduced", seed: int = 42, engine: str = "reference"
+) -> list[Scenario]:
     """The sweep at ``scale``: every (function, n, k) point, r = k."""
-    try:
-        p = SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scale {scale!r}; available: {sorted(SCALES)}"
-        ) from None
-    out = []
-    for function in p["functions"]:
-        for n in p["nodes"]:
-            for k in p["particles"]:
-                out.append(
-                    ExperimentConfig(
-                        function=function,
-                        nodes=n,
-                        particles_per_node=k,
-                        total_evaluations=p["evals_per_node"] * n,
-                        gossip_cycle=k,
-                        repetitions=p["repetitions"],
-                        seed=seed,
-                    )
-                )
-    return out
-
-
-def scenarios(scale: str = "reduced", seed: int = 42, engine: str = "reference"):
-    """The sweep as declarative :class:`repro.scenario.Scenario` specs.
-
-    JSON-able via ``Scenario.to_dict`` — what the CLI's
-    ``--dump-scenarios`` prints.
-    """
-    from repro.experiments.common import scenario_points
-
-    return scenario_points(configs(scale, seed), engine=engine)
-
-
-def run(
-    scale: str = "reduced",
-    seed: int = 42,
-    progress: Callable[[str], None] | None = None,
-    engine: str = "reference",
-    policy=None,
-) -> SweepData:
-    """Execute the sweep; see module docstring for the setup."""
-    return run_sweep(NAME, scale, configs(scale, seed), progress,
-                     engine=engine, policy=policy)
+    p = scale_params(SCALES, scale)
+    return [
+        Scenario(
+            function=function,
+            nodes=n,
+            particles_per_node=k,
+            total_evaluations=p["evals_per_node"] * n,
+            gossip_cycle=k,
+            repetitions=p["repetitions"],
+            seed=seed,
+            engine=engine,
+        )
+        for function in p["functions"]
+        for n in p["nodes"]
+        for k in p["particles"]
+    ]
 
 
 def report(data: SweepData) -> str:
@@ -121,23 +90,15 @@ def report(data: SweepData) -> str:
     )
     sections.append("")
 
-    for function in data.functions():
-        series_map = data.series(
-            function,
+    sections.extend(
+        figure_panels(
+            data,
+            figure=1,
+            caption="log10 quality vs particles per node",
             x_of=lambda c: c.particles_per_node,
             group_of=lambda c: c.nodes,
+            group_label="size",
+            xlabel="particles per node (k)",
         )
-        series = [
-            Series(label=f"size={n}", xs=xs, ys=ys)
-            for n, (xs, ys) in sorted(series_map.items())
-        ]
-        sections.append(
-            ascii_plot(
-                series,
-                title=f"Figure 1 ({function}): log10 quality vs particles per node",
-                xlabel="particles per node (k)",
-                ylabel="logq",
-            )
-        )
-        sections.append("")
+    )
     return "\n".join(sections)

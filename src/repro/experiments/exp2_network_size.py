@@ -24,16 +24,12 @@ machines for free.
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.analysis.plots import Series, ascii_plot
 from repro.analysis.tables import format_paper_table, format_value
-from repro.experiments.common import SweepData, run_sweep
+from repro.experiments.common import SweepData, figure_panels, scale_params
 from repro.functions.suite import PAPER_FUNCTIONS
-from repro.utils.config import ExperimentConfig
-from repro.utils.exceptions import ConfigurationError
+from repro.scenario import Scenario
 
-__all__ = ["SCALES", "configs", "scenarios", "run", "report"]
+__all__ = ["SCALES", "points", "report"]
 
 NAME = "exp2"
 TITLE = "Experiment 2: quality vs network size, fixed total budget (Table 2 / Figure 2)"
@@ -63,7 +59,9 @@ SCALES: dict[str, dict] = {
 }
 
 
-def configs(scale: str = "reduced", seed: int = 42) -> list[ExperimentConfig]:
+def points(
+    scale: str = "reduced", seed: int = 42, engine: str = "reference"
+) -> list[Scenario]:
     """The sweep at ``scale``.
 
     Points where the budget would leave a node fewer evaluations than
@@ -71,54 +69,23 @@ def configs(scale: str = "reduced", seed: int = 42) -> list[ExperimentConfig]:
     there too (a swarm that cannot evaluate each particle once is not
     meaningful).
     """
-    try:
-        p = SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scale {scale!r}; available: {sorted(SCALES)}"
-        ) from None
-    out = []
-    for function in p["functions"]:
-        for i in p["node_exponents"]:
-            n = 2**i
-            for k in p["particles"]:
-                if p["total_evaluations"] // n < k:
-                    continue
-                out.append(
-                    ExperimentConfig(
-                        function=function,
-                        nodes=n,
-                        particles_per_node=k,
-                        total_evaluations=p["total_evaluations"],
-                        gossip_cycle=k,
-                        repetitions=p["repetitions"],
-                        seed=seed,
-                    )
-                )
-    return out
-
-
-def scenarios(scale: str = "reduced", seed: int = 42, engine: str = "reference"):
-    """The sweep as declarative :class:`repro.scenario.Scenario` specs.
-
-    JSON-able via ``Scenario.to_dict`` — what the CLI's
-    ``--dump-scenarios`` prints.
-    """
-    from repro.experiments.common import scenario_points
-
-    return scenario_points(configs(scale, seed), engine=engine)
-
-
-def run(
-    scale: str = "reduced",
-    seed: int = 42,
-    progress: Callable[[str], None] | None = None,
-    engine: str = "reference",
-    policy=None,
-) -> SweepData:
-    """Execute the sweep; see module docstring for the setup."""
-    return run_sweep(NAME, scale, configs(scale, seed), progress,
-                     engine=engine, policy=policy)
+    p = scale_params(SCALES, scale)
+    return [
+        Scenario(
+            function=function,
+            nodes=2**i,
+            particles_per_node=k,
+            total_evaluations=p["total_evaluations"],
+            gossip_cycle=k,
+            repetitions=p["repetitions"],
+            seed=seed,
+            engine=engine,
+        )
+        for function in p["functions"]
+        for i in p["node_exponents"]
+        for k in p["particles"]
+        if p["total_evaluations"] // 2**i >= k
+    ]
 
 
 def report(data: SweepData) -> str:
@@ -129,7 +96,7 @@ def report(data: SweepData) -> str:
     rows = []
     for function in data.functions():
         best_min = min(
-            res.quality_stats.minimum for _, res in data.for_function(function)
+            res.quality_stats.minimum for res in data.for_function(function)
         )
         rows.append({"function": function, "min": format_value(best_min)})
     sections.append(
@@ -139,24 +106,16 @@ def report(data: SweepData) -> str:
     )
     sections.append("")
 
-    for function in data.functions():
-        series_map = data.series(
-            function,
+    sections.extend(
+        figure_panels(
+            data,
+            figure=2,
+            caption="log10 quality vs network size",
             x_of=lambda c: c.nodes,
             group_of=lambda c: c.particles_per_node,
+            group_label="particles",
+            xlabel="network size (n, log2 axis)",
+            logx=True,
         )
-        series = [
-            Series(label=f"particles={k}", xs=xs, ys=ys)
-            for k, (xs, ys) in sorted(series_map.items())
-        ]
-        sections.append(
-            ascii_plot(
-                series,
-                title=f"Figure 2 ({function}): log10 quality vs network size",
-                xlabel="network size (n, log2 axis)",
-                ylabel="logq",
-                logx=True,
-            )
-        )
-        sections.append("")
+    )
     return "\n".join(sections)

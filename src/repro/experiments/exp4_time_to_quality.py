@@ -19,16 +19,13 @@ Paper findings our reproduction must show:
 from __future__ import annotations
 
 import math
-from typing import Callable
 
-from repro.analysis.plots import Series, ascii_plot
 from repro.analysis.tables import format_paper_table, time_table_rows
-from repro.experiments.common import SweepData, run_sweep
+from repro.experiments.common import SweepData, figure_panels, scale_params
 from repro.functions.suite import PAPER_FUNCTIONS
-from repro.utils.config import ExperimentConfig
-from repro.utils.exceptions import ConfigurationError
+from repro.scenario import Scenario
 
-__all__ = ["SCALES", "configs", "scenarios", "run", "report"]
+__all__ = ["SCALES", "points", "report"]
 
 NAME = "exp4"
 TITLE = "Experiment 4: time to quality 1e-10 vs network size (Table 4 / Figure 4)"
@@ -61,57 +58,28 @@ SCALES: dict[str, dict] = {
 }
 
 
-def configs(scale: str = "reduced", seed: int = 42) -> list[ExperimentConfig]:
+def points(
+    scale: str = "reduced", seed: int = 42, engine: str = "reference"
+) -> list[Scenario]:
     """The sweep at ``scale``; budget-infeasible points are skipped."""
-    try:
-        p = SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scale {scale!r}; available: {sorted(SCALES)}"
-        ) from None
-    out = []
-    for function in p["functions"]:
-        for i in p["node_exponents"]:
-            n = 2**i
-            for k in p["particles"]:
-                if p["budget"] // n < k:
-                    continue
-                out.append(
-                    ExperimentConfig(
-                        function=function,
-                        nodes=n,
-                        particles_per_node=k,
-                        total_evaluations=p["budget"],
-                        gossip_cycle=k,
-                        repetitions=p["repetitions"],
-                        seed=seed,
-                        quality_threshold=THRESHOLD,
-                    )
-                )
-    return out
-
-
-def scenarios(scale: str = "reduced", seed: int = 42, engine: str = "reference"):
-    """The sweep as declarative :class:`repro.scenario.Scenario` specs.
-
-    JSON-able via ``Scenario.to_dict`` — what the CLI's
-    ``--dump-scenarios`` prints.
-    """
-    from repro.experiments.common import scenario_points
-
-    return scenario_points(configs(scale, seed), engine=engine)
-
-
-def run(
-    scale: str = "reduced",
-    seed: int = 42,
-    progress: Callable[[str], None] | None = None,
-    engine: str = "reference",
-    policy=None,
-) -> SweepData:
-    """Execute the sweep; see module docstring for the setup."""
-    return run_sweep(NAME, scale, configs(scale, seed), progress,
-                     engine=engine, policy=policy)
+    p = scale_params(SCALES, scale)
+    return [
+        Scenario(
+            function=function,
+            nodes=2**i,
+            particles_per_node=k,
+            total_evaluations=p["budget"],
+            gossip_cycle=k,
+            repetitions=p["repetitions"],
+            seed=seed,
+            quality_threshold=THRESHOLD,
+            engine=engine,
+        )
+        for function in p["functions"]
+        for i in p["node_exponents"]
+        for k in p["particles"]
+        if p["budget"] // 2**i >= k
+    ]
 
 
 def report(data: SweepData) -> str:
@@ -126,15 +94,16 @@ def report(data: SweepData) -> str:
 
     # Table 4: global evaluations-to-threshold of the best config.
     best: dict[str, object] = {}
-    for cfg, res in data.entries:
+    for res in data.entries:
+        function = res.scenario.function
         stats = res.total_eval_stats
-        cur = best.get(cfg.function)
+        cur = best.get(function)
         if stats is None:
-            best.setdefault(cfg.function, res)
+            best.setdefault(function, res)
             continue
         cur_stats = cur.total_eval_stats if cur is not None else None  # type: ignore[union-attr]
         if cur_stats is None or stats.mean < cur_stats.mean:
-            best[cfg.function] = res
+            best[function] = res
     sections.append(
         format_paper_table(
             time_table_rows(best),  # type: ignore[arg-type]
@@ -149,25 +118,18 @@ def report(data: SweepData) -> str:
             return float("nan")
         return math.log10(max(stats.mean, 1.0))
 
-    for function in data.functions():
-        series_map = data.series(
-            function,
+    sections.extend(
+        figure_panels(
+            data,
+            figure=4,
+            caption="log10 local time to 1e-10 vs network size",
             x_of=lambda c: c.nodes,
             group_of=lambda c: c.particles_per_node,
+            group_label="particles",
+            xlabel="network size (n, log2 axis)",
+            ylabel="logT",
+            logx=True,
             y_of=mean_local_time,
         )
-        series = [
-            Series(label=f"particles={k}", xs=xs, ys=ys)
-            for k, (xs, ys) in sorted(series_map.items())
-        ]
-        sections.append(
-            ascii_plot(
-                series,
-                title=f"Figure 4 ({function}): log10 local time to 1e-10 vs network size",
-                xlabel="network size (n, log2 axis)",
-                ylabel="logT",
-                logx=True,
-            )
-        )
-        sections.append("")
+    )
     return "\n".join(sections)

@@ -14,16 +14,12 @@ and scales by the paper's real-time cycle lengths (10–60 s).
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.analysis.tables import format_paper_table, format_value
 from repro.core.metrics import estimate_overhead_bytes
-from repro.experiments.common import SweepData, run_sweep
-from repro.scenario import Scenario, Session
-from repro.utils.config import ExperimentConfig
-from repro.utils.exceptions import ConfigurationError
+from repro.experiments.common import SweepData, scale_params
+from repro.scenario import RunRecord, Scenario
 
-__all__ = ["SCALES", "configs", "scenarios", "run", "report", "measured_overhead"]
+__all__ = ["SCALES", "points", "report", "measured_overhead"]
 
 NAME = "exp5"
 TITLE = "Experiment 5: communication overhead per node (paper Sec. 4 estimate)"
@@ -38,16 +34,13 @@ SCALES: dict[str, dict] = {
 CYCLE_SECONDS = (10.0, 60.0)
 
 
-def configs(scale: str = "reduced", seed: int = 42) -> list[ExperimentConfig]:
-    """One configuration per scale (overhead is insensitive to f)."""
-    try:
-        p = SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scale {scale!r}; available: {sorted(SCALES)}"
-        ) from None
+def points(
+    scale: str = "reduced", seed: int = 42, engine: str = "reference"
+) -> list[Scenario]:
+    """One point per scale (overhead is insensitive to f)."""
+    p = scale_params(SCALES, scale)
     return [
-        ExperimentConfig(
+        Scenario(
             function="sphere",
             nodes=p["nodes"],
             particles_per_node=16,
@@ -55,59 +48,31 @@ def configs(scale: str = "reduced", seed: int = 42) -> list[ExperimentConfig]:
             gossip_cycle=16,
             repetitions=p["repetitions"],
             seed=seed,
+            engine=engine,
         )
     ]
 
 
-def scenarios(scale: str = "reduced", seed: int = 42, engine: str = "reference"):
-    """The sweep as declarative :class:`repro.scenario.Scenario` specs."""
-    from repro.experiments.common import scenario_points
-
-    return scenario_points(configs(scale, seed), engine=engine)
-
-
-def measured_overhead(config: ExperimentConfig) -> dict[str, float]:
-    """Run one repetition and derive per-node per-cycle message counts."""
-    result = Session(Scenario.from_experiment_config(config)).run_one(0)
-    cycles = max(result.cycles, 1)
-    nodes = config.nodes
-    per_node_cycle = {
-        "newscast_msgs": 2.0 * result.messages.newscast_exchanges / (cycles * nodes),
-        "coordination_msgs": result.messages.coordination_messages / (cycles * nodes),
+def measured_overhead(record: RunRecord, nodes: int) -> dict[str, float]:
+    """Per-node per-cycle message counts of one finished repetition."""
+    cycles = max(record.cycles, 1)
+    return {
+        "newscast_msgs": 2.0 * record.messages.newscast_exchanges / (cycles * nodes),
+        "coordination_msgs": record.messages.coordination_messages / (cycles * nodes),
     }
-    return per_node_cycle
-
-
-def run(
-    scale: str = "reduced",
-    seed: int = 42,
-    progress: Callable[[str], None] | None = None,
-    engine: str = "reference",
-    policy=None,
-) -> SweepData:
-    """Execute the (single-point) sweep; measured counts go in meta.
-
-    Note: the overhead *measurement* in :func:`measured_overhead`
-    always uses the reference engine — the fast path models peer
-    sampling as an oracle and therefore carries no NEWSCAST traffic
-    to count.
-    """
-    return run_sweep(
-        NAME, scale, configs(scale, seed), progress,
-        engine=engine, policy=policy,
-    )
 
 
 def report(data: SweepData) -> str:
     """Bandwidth table across the paper's cycle-length range."""
     sections = [TITLE, f"(scale={data.scale}, {data.elapsed_seconds:.1f}s)", ""]
-    cfg, res = data.entries[0]
-    counts = measured_overhead(cfg)
+    res = data.entries[0]
+    scenario = res.scenario
+    counts = measured_overhead(res.records[0], scenario.nodes)
 
     rows = []
     for cycle_s in CYCLE_SECONDS:
         est = estimate_overhead_bytes(
-            view_size=cfg.newscast.view_size,
+            view_size=scenario.newscast.view_size,
             dimension=10,
             newscast_cycle_seconds=cycle_s,
             gossip_cycle_seconds=cycle_s,
@@ -138,7 +103,7 @@ def report(data: SweepData) -> str:
         f"measured per node per cycle: "
         f"{counts['newscast_msgs']:.2f} NEWSCAST msgs, "
         f"{counts['coordination_msgs']:.2f} coordination msgs "
-        f"(n={cfg.nodes})"
+        f"(n={scenario.nodes})"
     )
     sections.append(
         'paper: "an overhead of few bytes per second" — confirmed above.'

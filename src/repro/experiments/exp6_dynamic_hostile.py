@@ -16,29 +16,23 @@ repetitions per cell at full scale.  Reported per cell: mean final
 quality, offline error / recovery (dynamic cells) and filter tallies
 (hostile cells).
 
-Standalone CLI (also the CI ``scenario-matrix`` smoke)::
+The CI ``scenario-matrix`` smoke runs the ``tiny`` grid with every
+cell routed through the spool-backed distributed service (submit ->
+worker -> collect), proving the dynamics/adversary scenario fields and
+their per-run metrics survive the job queue's JSON round-trip::
 
-    python -m repro.experiments.exp6_dynamic_hostile --tiny
-    python -m repro.experiments.exp6_dynamic_hostile --tiny --spool DIR
-
-``--spool`` additionally re-runs one cell through the spool-backed
-distributed service (submit -> worker -> collect), proving the new
-scenario fields survive the job queue's JSON round-trip.
+    python -m repro.experiments exp6 --scale tiny --engine fast --spool DIR
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.analysis.tables import format_paper_table, format_value
-from repro.experiments.common import SweepData, stderr_progress
+from repro.experiments.common import SweepData, scale_params
 from repro.functions.problem import DynamicsSpec
-from repro.scenario import ExecutionPolicy, Scenario, Session
+from repro.scenario import Scenario
 from repro.simulator.adversary import AdversarySpec
-from repro.utils.config import ExperimentConfig
-from repro.utils.exceptions import ConfigurationError
 
-__all__ = ["SCALES", "CELLS", "configs", "scenarios", "run", "report", "main"]
+__all__ = ["SCALES", "CELLS", "points", "report"]
 
 NAME = "exp6"
 TITLE = (
@@ -80,20 +74,13 @@ CELLS: tuple[tuple[str, dict, dict], ...] = (
 )
 
 
-def _params(scale: str) -> dict:
-    try:
-        return SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scale {scale!r}; available: {sorted(SCALES)}"
-        ) from None
-
-
-def configs(scale: str = "reduced", seed: int = 42) -> list[ExperimentConfig]:
-    """The grid's shared base point, one copy per cell (legacy view)."""
-    p = _params(scale)
+def points(
+    scale: str = "reduced", seed: int = 42, engine: str = "fast"
+) -> list[Scenario]:
+    """One Scenario per factorial cell, in ``CELLS`` order."""
+    p = scale_params(SCALES, scale)
     return [
-        ExperimentConfig(
+        Scenario(
             function="sphere",
             nodes=p["nodes"],
             particles_per_node=p["particles"],
@@ -101,83 +88,12 @@ def configs(scale: str = "reduced", seed: int = 42) -> list[ExperimentConfig]:
             gossip_cycle=16,
             repetitions=p["repetitions"],
             seed=seed,
-        )
-        for _ in CELLS
-    ]
-
-
-def scenarios(
-    scale: str = "reduced", seed: int = 42, engine: str = "fast"
-) -> list[Scenario]:
-    """One Scenario per factorial cell, dynamics/adversary attached."""
-    return [
-        Scenario.from_experiment_config(
-            cfg,
             engine=engine,
             dynamics=DynamicsSpec(**dyn),
             adversary=AdversarySpec(**adv),
         )
-        for cfg, (_, dyn, adv) in zip(configs(scale, seed), CELLS)
+        for _, dyn, adv in CELLS
     ]
-
-
-def run(
-    scale: str = "reduced",
-    seed: int = 42,
-    progress: Callable[[str], None] | None = None,
-    engine: str = "fast",
-    policy: ExecutionPolicy | None = None,
-) -> SweepData:
-    """Execute the factorial; entries follow ``CELLS`` order.
-
-    Unlike exp1-5 this sweep varies :class:`Scenario` fields that have
-    no :class:`ExperimentConfig` equivalent, so it schedules the
-    scenarios directly instead of going through ``run_sweep``'s
-    config-lifting path.  ``policy.workers > 1`` or ``policy.spool``
-    still routes every (cell, repetition) pair through the distributed
-    job service.
-    """
-    import time
-
-    if policy is None:
-        policy = ExecutionPolicy()
-    if policy.shards > 1:
-        raise ConfigurationError(
-            "exp6: dynamic/hostile scenarios cannot run sharded — "
-            "see validate_sharded"
-        )
-    points = scenarios(scale, seed, engine=engine)
-    cfgs = configs(scale, seed)
-    data = SweepData(name=NAME, scale=scale)
-    t0 = time.perf_counter()
-    if policy.workers > 1 or policy.spool is not None:
-        from repro.distributed.service import run_sweep_jobs
-
-        done = [0]
-
-        def point_progress(index: int, scenario: Scenario, res) -> None:
-            done[0] += 1
-            if progress is not None:
-                progress(
-                    f"[{NAME}:{scale}] {done[0]}/{len(points)} "
-                    f"{CELLS[index][0]} -> mean quality "
-                    f"{res.quality_stats.mean:.3e}"
-                )
-
-        results = run_sweep_jobs(points, progress=point_progress, policy=policy)
-        data.entries = list(zip(cfgs, results))
-    else:
-        for i, scenario in enumerate(points):
-            res = Session(scenario).run()
-            data.entries.append((cfgs[i], res))
-            if progress is not None:
-                progress(
-                    f"[{NAME}:{scale}] {i + 1}/{len(points)} "
-                    f"{CELLS[i][0]} -> mean quality "
-                    f"{res.quality_stats.mean:.3e}"
-                )
-    data.elapsed_seconds = time.perf_counter() - t0
-    return data
 
 
 def _cell_metric(res, group: str, key: str) -> float | None:
@@ -199,7 +115,7 @@ def report(data: SweepData) -> str:
     """Per-cell table: quality, dynamic recovery, adversary tallies."""
     sections = [TITLE, f"(scale={data.scale}, {data.elapsed_seconds:.1f}s)", ""]
     rows = []
-    for (label, _, _), (_, res) in zip(CELLS, data.entries):
+    for (label, _, _), res in zip(CELLS, data.entries):
         offline = _cell_metric(res, "dynamics", "offline_error")
         filtered = _cell_metric(res, "adversary", "filtered")
         true_err = _cell_metric(res, "adversary", "final_true_error")
@@ -230,78 +146,3 @@ def report(data: SweepData) -> str:
         "defended cells should show filtered > 0 and a finite true error."
     )
     return "\n".join(sections)
-
-
-def _spool_leg(spool: str, scale: str, seed: int, log) -> None:
-    """One cell through submit -> worker -> collect on a real spool."""
-    from repro.distributed.jobs import jobs_for_sweep
-    from repro.distributed.service import collect_from_spool
-    from repro.distributed.spool import JobQueue
-    from repro.distributed.worker import run_worker
-
-    # The defended dynamic cell exercises every new field at once.
-    cell = scenarios(scale, seed)[CELLS.index(
-        ("drift/defended", {"kind": "drift"},
-         {"fraction": 0.25, "defense": True}),
-    )]
-    queue = JobQueue(spool)
-    submitted = sum(queue.submit(job) for job in jobs_for_sweep([cell]))
-    log(f"[exp6 spool leg] submitted {submitted} job(s) to {spool}")
-    executed = run_worker(spool, policy=ExecutionPolicy())
-    log(f"[exp6 spool leg] worker executed {executed} job(s)")
-    (result,) = collect_from_spool(spool, [cell])
-    tallies = result.records[0].adversary or {}
-    log(
-        f"[exp6 spool leg] collected mean quality "
-        f"{result.quality_stats.mean:.3e}, "
-        f"filtered={tallies.get('filtered', 0)}"
-    )
-    if not result.records[0].dynamics:
-        raise RuntimeError("spool leg lost the dynamics metrics in transit")
-    if not tallies:
-        raise RuntimeError("spool leg lost the adversary tallies in transit")
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.exp6_dynamic_hostile",
-        description="Dynamic x hostile factorial (paper extension).",
-    )
-    parser.add_argument(
-        "--scale", default="reduced", choices=sorted(SCALES),
-        help="sweep extent (full = 30 repetitions per cell)",
-    )
-    parser.add_argument(
-        "--tiny", action="store_true",
-        help="shorthand for --scale tiny (the CI smoke grid)",
-    )
-    parser.add_argument("--seed", type=int, default=42, help="master seed")
-    parser.add_argument(
-        "--engine", default="fast", choices=("reference", "fast"),
-        help="simulation engine (default fast)",
-    )
-    parser.add_argument(
-        "--spool", default=None,
-        help="also run one cell through the spool-backed distributed "
-        "service in this directory (submit -> worker -> collect)",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress progress on stderr"
-    )
-    args = parser.parse_args(argv)
-    scale = "tiny" if args.tiny else args.scale
-    progress = None if args.quiet else stderr_progress
-
-    data = run(scale=scale, seed=args.seed, progress=progress,
-               engine=args.engine)
-    print(report(data))
-    if args.spool is not None:
-        _spool_leg(args.spool, scale, args.seed,
-                   progress or (lambda _msg: None))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -17,7 +17,7 @@ scenario; the engines below it take what the session hands them.
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.runner import _run_single_reference
 from repro.scenario.policy import ExecutionPolicy
@@ -25,7 +25,7 @@ from repro.scenario.result import Result, RunRecord
 from repro.scenario.spec import Scenario
 from repro.utils.exceptions import ConfigurationError
 
-__all__ = ["Session"]
+__all__ = ["Session", "run_points"]
 
 
 def _star_args(args: tuple) -> RunRecord:
@@ -458,64 +458,18 @@ class Session:
     ) -> list[Result]:
         """Run the cartesian sweep over ``axes``; one Result per point.
 
-        Parameters
-        ----------
-        policy:
-            How the sweep executes, as one
-            :class:`~repro.scenario.policy.ExecutionPolicy` value:
-            ``workers > 1`` makes the whole sweep one work pool (every
-            (point, repetition) pair an independent job, so
-            repetitions of different points fill the pool); ``spool``
-            routes jobs through the file-backed
-            :class:`~repro.distributed.spool.JobQueue` (workers on
-            other hosts join via ``python -m repro.distributed worker
-            --spool DIR``; interrupted sweeps resume); ``stale_after``
-            / ``heartbeat_interval`` / ``job_timeout`` are the spool
-            liveness knobs (see
-            :func:`~repro.distributed.service.run_sweep_jobs`).
-            Results are pinned identical to the sequential sweep on
-            every path — same records, same deterministic point order.
-            ``shards`` is a :meth:`run`-only knob and rejected here.
-            ``None`` means the sequential default.
-        progress:
-            ``(scenario, result) -> None``, fired once per point.
-            Sequential sweeps fire in sweep order; parallel sweeps
-            fire as points complete (possibly out of order) — the
-            returned list is ordered either way.
+        :func:`run_points` over :meth:`scenarios` — see there for what
+        ``policy`` selects.  ``progress`` is ``(scenario, result) ->
+        None``, fired once per point: in sweep order when sequential,
+        as points complete (possibly out of order) under a parallel
+        policy — the returned list is ordered either way.
         """
-        if policy is None:
-            policy = ExecutionPolicy()
-        if not isinstance(policy, ExecutionPolicy):
-            raise TypeError(
-                "Session.sweep takes policy=ExecutionPolicy(...); the loose "
-                "execution kwargs (workers=..., spool=..., ...) were removed"
+        point_progress = None
+        if progress is not None:
+            point_progress = lambda i, scenario, result: progress(  # noqa: E731
+                scenario, result
             )
-        if policy.shards > 1:
-            raise ConfigurationError(
-                "sweeps schedule (point, repetition) jobs; overlay "
-                "sharding applies to a single scenario — use "
-                "Session(scenario).run(policy=ExecutionPolicy(shards=...))"
-            )
-        if policy.workers > 1 or policy.spool is not None:
-            from repro.distributed.service import run_sweep_jobs
-
-            point_progress = None
-            if progress is not None:
-                point_progress = lambda i, scenario, result: progress(  # noqa: E731
-                    scenario, result
-                )
-            return run_sweep_jobs(
-                list(self.scenarios(**axes)),
-                progress=point_progress,
-                policy=policy,
-            )
-        results = []
-        for scenario in self.scenarios(**axes):
-            result = Session(scenario).run()
-            results.append(result)
-            if progress is not None:
-                progress(scenario, result)
-        return results
+        return run_points(self.scenarios(**axes), point_progress, policy)
 
     def trajectory(self, repetition: int = 0) -> list:
         """Quality-over-time samples of one repetition.
@@ -570,3 +524,63 @@ class Session:
         if self.scenario.max_cycles is not None:
             return self.scenario.max_cycles
         return default_max_cycles(self.scenario.to_experiment_config())
+
+
+def run_points(
+    points: Iterable[Scenario],
+    progress: Callable[[int, Scenario, Result], None] | None = None,
+    policy: ExecutionPolicy | None = None,
+) -> list[Result]:
+    """Run an explicit list of sweep points; one Result per point, in order.
+
+    The one place a sweep chooses between the sequential loop and the
+    distributed job service (:meth:`Session.sweep` and the experiment
+    CLI both end here).
+
+    Parameters
+    ----------
+    policy:
+        How the sweep executes, as one
+        :class:`~repro.scenario.policy.ExecutionPolicy` value:
+        ``workers > 1`` makes the whole sweep one work pool (every
+        (point, repetition) pair an independent job, so repetitions of
+        different points fill the pool); ``spool`` routes jobs through
+        the file-backed :class:`~repro.distributed.spool.JobQueue`
+        (workers on other hosts join via ``python -m repro.distributed
+        worker --spool DIR``; interrupted sweeps resume);
+        ``stale_after`` / ``heartbeat_interval`` / ``job_timeout`` are
+        the spool liveness knobs (see
+        :func:`~repro.distributed.service.run_sweep_jobs`).  Results
+        are pinned identical to the sequential sweep on every path —
+        same records, same deterministic point order.  ``shards`` is a
+        :meth:`Session.run`-only knob and rejected here.  ``None``
+        means the sequential default, the only path that runs live
+        observers and topology callables.
+    progress:
+        ``(index, scenario, result) -> None``, fired once per point as
+        it completes; ``index`` is the point's position in ``points``.
+    """
+    if policy is None:
+        policy = ExecutionPolicy()
+    if not isinstance(policy, ExecutionPolicy):
+        raise TypeError(
+            "sweeps take policy=ExecutionPolicy(...); the loose "
+            "execution kwargs (workers=..., spool=..., ...) were removed"
+        )
+    if policy.shards > 1:
+        raise ConfigurationError(
+            "sweeps schedule (point, repetition) jobs; overlay "
+            "sharding applies to a single scenario — use "
+            "Session(scenario).run(policy=ExecutionPolicy(shards=...))"
+        )
+    if policy.workers > 1 or policy.spool is not None:
+        from repro.distributed.service import run_sweep_jobs
+
+        return run_sweep_jobs(points, progress=progress, policy=policy)
+    results = []
+    for index, scenario in enumerate(points):
+        result = Session(scenario).run()
+        results.append(result)
+        if progress is not None:
+            progress(index, scenario, result)
+    return results

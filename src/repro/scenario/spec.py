@@ -534,41 +534,6 @@ class Scenario:
             churn=self.churn,
         )
 
-    @classmethod
-    def from_experiment_config(
-        cls,
-        config: ExperimentConfig,
-        engine: str = "reference",
-        topology: str | Callable = "newscast",
-        record_history: bool = False,
-        **overrides: Any,
-    ) -> "Scenario":
-        """Lift an :class:`ExperimentConfig` sweep point into a scenario.
-
-        ``overrides`` name any further :class:`Scenario` field
-        (``baseline=...``, ``swarm_size=...``) and win over the
-        config's fields.
-        """
-        kwargs: dict[str, Any] = dict(
-            function=config.function,
-            nodes=config.nodes,
-            particles_per_node=config.particles_per_node,
-            total_evaluations=config.total_evaluations,
-            gossip_cycle=config.gossip_cycle,
-            repetitions=config.repetitions,
-            seed=config.seed,
-            quality_threshold=config.quality_threshold,
-            newscast=config.newscast,
-            pso=config.pso,
-            coordination=config.coordination,
-            churn=config.churn,
-            engine=engine,
-            topology=topology,
-            record_history=record_history,
-        )
-        kwargs.update(overrides)
-        return cls(**kwargs)
-
     def with_(self, **changes: Any) -> "Scenario":
         """Return a modified copy (sweep helper)."""
         return replace(self, **changes)
@@ -585,6 +550,14 @@ class Scenario:
             extras = f" baseline={self.baseline}"
         elif self.topology != "newscast":
             extras = f" topology={self.topology}"
+        if self.dynamics.enabled:
+            extras += f" dynamics={self.dynamics.kind}"
+        if self.adversary.enabled:
+            extras += (
+                f" adversary={self.adversary.behavior}"
+                f"@{self.adversary.fraction:g}"
+                f"{'+defense' if self.adversary.defense else ''}"
+            )
         return (
             f"{objective}: n={self.nodes} k={self.particles_per_node} "
             f"e={self.total_evaluations} r={self.gossip_cycle} "

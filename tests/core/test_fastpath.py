@@ -43,7 +43,9 @@ class IsolatedSampler(PeerSampler):
         return []
 
 
-lift = Scenario.from_experiment_config
+def lift(cfg: ExperimentConfig, **fields) -> Scenario:
+    """The scenario with ``cfg``'s knobs (same field names) plus ``fields``."""
+    return Scenario(**vars(cfg), **fields)
 
 
 def isolated_topology(nid):

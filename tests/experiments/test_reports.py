@@ -17,22 +17,20 @@ from repro.experiments import (
 )
 from repro.experiments.common import SweepData
 from repro.scenario import Scenario, Session
-from repro.utils.config import ExperimentConfig
 
 
-def tiny_sweep(name, configs) -> SweepData:
+def tiny_sweep(name, points) -> SweepData:
     data = SweepData(name=name, scale="tiny")
-    for cfg in configs:
-        result = Session(Scenario.from_experiment_config(cfg)).run()
-        data.entries.append((cfg, result))
+    for point in points:
+        data.entries.append(Session(point).run())
     data.elapsed_seconds = 0.1
     return data
 
 
 @pytest.fixture(scope="module")
 def quality_sweep() -> SweepData:
-    configs = [
-        ExperimentConfig(
+    points = [
+        Scenario(
             function=f, nodes=n, particles_per_node=k,
             total_evaluations=200 * n, gossip_cycle=k,
             repetitions=2, seed=5,
@@ -41,13 +39,13 @@ def quality_sweep() -> SweepData:
         for n in (1, 4)
         for k in (4, 8)
     ]
-    return tiny_sweep("exp1", configs)
+    return tiny_sweep("exp1", points)
 
 
 @pytest.fixture(scope="module")
 def threshold_sweep() -> SweepData:
-    configs = [
-        ExperimentConfig(
+    points = [
+        Scenario(
             function=f, nodes=n, particles_per_node=4,
             total_evaluations=2**13, gossip_cycle=4,
             repetitions=2, seed=5, quality_threshold=1e-6,
@@ -55,7 +53,7 @@ def threshold_sweep() -> SweepData:
         for f in ("sphere", "griewank")
         for n in (1, 4)
     ]
-    return tiny_sweep("exp4", configs)
+    return tiny_sweep("exp4", points)
 
 
 class TestQualityReports:

@@ -8,13 +8,12 @@ import pytest
 
 from repro.core.metrics import MessageTally
 from repro.experiments import exp3_cycle_length
-from repro.experiments.common import SweepData, run_sweep
+from repro.experiments.common import SweepData, run, run_sweep
 from repro.scenario import ExecutionPolicy, Result, RunRecord, Scenario
-from repro.utils.config import ExperimentConfig
 
 
-def tiny_configs():
-    base = ExperimentConfig(
+def tiny_points():
+    base = Scenario(
         function="sphere", nodes=4, particles_per_node=4,
         total_evaluations=400, gossip_cycle=4, repetitions=2, seed=11,
     )
@@ -25,11 +24,11 @@ def tiny_configs():
     ]
 
 
-def _fake_result(qualities: list[float]) -> Result:
+def _fake_result(qualities: list[float], gossip_cycle: int = 4) -> Result:
     """A Result with hand-set per-repetition qualities."""
     scenario = Scenario(
         function="sphere", nodes=4, particles_per_node=4,
-        total_evaluations=400, gossip_cycle=4,
+        total_evaluations=400, gossip_cycle=gossip_cycle,
         repetitions=len(qualities), seed=0,
     )
     records = [
@@ -46,14 +45,14 @@ def _fake_result(qualities: list[float]) -> Result:
 
 @pytest.fixture(scope="module")
 def sweep_data() -> SweepData:
-    return run_sweep("tiny", "test", tiny_configs())
+    return run_sweep("tiny", "test", tiny_points())
 
 
 class TestSweepData:
     def test_entries_in_order(self, sweep_data):
         assert len(sweep_data.entries) == 3
-        assert sweep_data.entries[0][0].gossip_cycle == 4
-        assert sweep_data.entries[1][0].gossip_cycle == 2
+        assert sweep_data.entries[0].scenario.gossip_cycle == 4
+        assert sweep_data.entries[1].scenario.gossip_cycle == 2
 
     def test_functions_first_seen_order(self, sweep_data):
         assert sweep_data.functions() == ["sphere", "f2"]
@@ -65,7 +64,7 @@ class TestSweepData:
     def test_best_per_function_picks_lowest_mean(self, sweep_data):
         best = sweep_data.best_per_function()
         sphere_means = [
-            res.quality_stats.mean for _, res in sweep_data.for_function("sphere")
+            res.quality_stats.mean for res in sweep_data.for_function("sphere")
         ]
         assert best["sphere"].quality_stats.mean == min(sphere_means)
 
@@ -77,24 +76,22 @@ class TestSweepData:
         the ``mean < cur.mean`` comparison and the paper-style "best
         results" table printed the NaN row instead of the true best.
         """
-        cfg = tiny_configs()[0]
         inf = float("inf")
         entries = [
-            (cfg, _fake_result([inf, inf])),        # NaN mean, seen first
-            (cfg.with_(gossip_cycle=2), _fake_result([1.0, 3.0])),
-            (cfg.with_(gossip_cycle=1), _fake_result([4.0, 6.0])),
+            _fake_result([inf, inf]),        # NaN mean, seen first
+            _fake_result([1.0, 3.0], gossip_cycle=2),
+            _fake_result([4.0, 6.0], gossip_cycle=1),
         ]
-        assert math.isnan(entries[0][1].quality_stats.mean)  # the trap
+        assert math.isnan(entries[0].quality_stats.mean)  # the trap
         data = SweepData(name="t", scale="s", entries=entries)
         best = data.best_per_function()
         assert best["sphere"].quality_stats.mean == 2.0
 
     def test_best_per_function_nan_only_entries_still_report(self):
         """With nothing finite to prefer, the row still appears."""
-        cfg = tiny_configs()[0]
         inf = float("inf")
         data = SweepData(
-            name="t", scale="s", entries=[(cfg, _fake_result([inf, inf]))]
+            name="t", scale="s", entries=[_fake_result([inf, inf])]
         )
         assert math.isnan(data.best_per_function()["sphere"].quality_stats.mean)
 
@@ -114,7 +111,7 @@ class TestSweepData:
 
     def test_progress_callback(self):
         messages = []
-        run_sweep("t", "s", tiny_configs()[:1], progress=messages.append)
+        run_sweep("t", "s", tiny_points()[:1], progress=messages.append)
         assert len(messages) == 1
         assert "t:s" in messages[0]
 
@@ -123,29 +120,29 @@ class TestDistributedSweep:
     def test_workers_match_sequential_entries(self, sweep_data):
         """Cross-point scheduling returns the sequential sweep verbatim."""
         parallel = run_sweep(
-            "tiny", "test", tiny_configs(),
+            "tiny", "test", tiny_points(),
             policy=ExecutionPolicy(workers=2),
         )
-        assert [cfg for cfg, _ in parallel.entries] == [
-            cfg for cfg, _ in sweep_data.entries
+        assert [res.scenario for res in parallel.entries] == [
+            res.scenario for res in sweep_data.entries
         ]
-        assert [res.records for _, res in parallel.entries] == [
-            res.records for _, res in sweep_data.entries
+        assert [res.records for res in parallel.entries] == [
+            res.records for res in sweep_data.entries
         ]
 
     def test_spool_matches_sequential_entries(self, sweep_data, tmp_path):
         spooled = run_sweep(
-            "tiny", "test", tiny_configs(),
+            "tiny", "test", tiny_points(),
             policy=ExecutionPolicy(workers=2, spool=str(tmp_path)),
         )
-        assert [res.records for _, res in spooled.entries] == [
-            res.records for _, res in sweep_data.entries
+        assert [res.records for res in spooled.entries] == [
+            res.records for res in sweep_data.entries
         ]
 
     def test_workers_progress_counts_completions(self):
         messages = []
         run_sweep(
-            "t", "s", tiny_configs(), progress=messages.append,
+            "t", "s", tiny_points(), progress=messages.append,
             policy=ExecutionPolicy(workers=2),
         )
         assert len(messages) == 3
@@ -156,7 +153,7 @@ class TestEndToEndSmoke:
     def test_exp3_smoke_runs_and_reports(self):
         """One full experiment module at its smallest extent: run it
         and render the report — validates the whole chain."""
-        data = exp3_cycle_length.run(scale="smoke", seed=5)
+        data = run(exp3_cycle_length, scale="smoke", seed=5)
         report = exp3_cycle_length.report(data)
         assert "Table 3" in report
         assert "Figure 3" in report

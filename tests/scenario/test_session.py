@@ -222,9 +222,7 @@ class TestWorkloads:
         scenario = make(topology="star")
         facade = Session(scenario).run()
         lifted = Session(
-            Scenario.from_experiment_config(
-                scenario.to_experiment_config(), topology="star"
-            )
+            Scenario(**vars(scenario.to_experiment_config()), topology="star")
         ).run()
         assert [r.best_value for r in facade.records] == [
             r.best_value for r in lifted.records

@@ -183,7 +183,9 @@ class TestDerivedViews:
         assert cfg.function == "sphere"
         assert cfg.nodes == 8
         assert cfg.quality_threshold == 1e-6
-        assert Scenario.from_experiment_config(cfg) == s
+        # Every shared knob survives: same field names, so the config's
+        # fields rebuild the scenario.
+        assert Scenario(**vars(cfg)) == s
 
     def test_with_returns_new_validated_value(self):
         s = make()
@@ -195,6 +197,20 @@ class TestDerivedViews:
 
     def test_describe_mentions_engine(self):
         assert "engine=fast" in make(engine="fast").describe()
+
+    def test_describe_names_the_problem_layer(self):
+        """Sweep progress lines are ``describe()``: cells that differ only
+        in dynamics / adversary (exp6) must not read identically."""
+        from repro.scenario import AdversarySpec, DynamicsSpec
+
+        plain = make().describe()
+        assert "dynamics" not in plain and "adversary" not in plain
+        hostile = make(
+            dynamics=DynamicsSpec(kind="drift"),
+            adversary=AdversarySpec(fraction=0.25, defense=True),
+        ).describe()
+        assert hostile.startswith(plain)
+        assert hostile.endswith("dynamics=drift adversary=false-best@0.25+defense")
 
 
 class TestRoundTrip:
