@@ -4,10 +4,11 @@
 A single simulated NEWSCAST+PSO network is *partitioned by node id*
 over shard workers.  Each shard runs the vectorized SoA engine on its
 block of nodes; boundary gossip and cross-shard NEWSCAST exchanges
-travel through a windowed, barriered message fabric — in-process
-threads by default, or one OS process per shard over a spool directory
-(the mode this demo uses), where a killed worker is respawned and
-deterministically replays the message log.
+travel through a windowed, barriered message fabric between one worker
+process per shard — pipes by default, or with ``--spool`` a spool
+directory, where a killed worker is respawned and deterministically
+replays the message log (over pipes a killed worker fails the run at
+once, under its own name).
 
 The execution surface is one value: ``ExecutionPolicy(shards=...)``
 handed to ``Session.run`` — the scenario itself stays a pure
@@ -26,7 +27,6 @@ import argparse
 import json
 import platform
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--spool", default=None,
-        help="run the shard fabric over this directory instead of a "
-        "temp dir and keep it afterwards (inspection / CI artifacts)",
+        help="run the shard fabric over this spool directory instead "
+        "of pipes and keep it afterwards (crash replay / CI artifacts)",
     )
     parser.add_argument(
         "--report", default=None,
@@ -84,15 +84,9 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"simulating one {nodes}-node overlay over {shards} shard "
           f"process(es)...")
-    if args.spool:
-        record, fragments = run_sharded_detailed(
-            scenario, repetition=0, shards=shards, spool=args.spool
-        )
-    else:
-        with tempfile.TemporaryDirectory(prefix="shard-spool-") as spool:
-            record, fragments = run_sharded_detailed(
-                scenario, repetition=0, shards=shards, spool=spool
-            )
+    record, fragments = run_sharded_detailed(
+        scenario, repetition=0, shards=shards, spool=args.spool
+    )
 
     print(f"configuration : {scenario.describe()}")
     print(f"stop          : {record.stop_reason} after {record.cycles} "

@@ -71,9 +71,9 @@ class ExecutionPolicy:
         Spool directory.  For sweeps this routes jobs through the
         file-backed :class:`~repro.distributed.spool.JobQueue` (remote
         workers can join; interrupted sweeps resume).  For sharded
-        runs (``shards > 1``) it holds the cross-shard exchange:
-        shards become separate OS processes whose windowed messages
-        persist as files, which is what makes a killed shard worker
+        runs (``shards > 1``) it holds the cross-shard exchange: the
+        shard processes' windowed messages persist as files instead of
+        crossing pipes, which is what makes a killed shard worker
         recoverable by deterministic replay.
     shards:
         Partition one overlay's node ids over this many shard

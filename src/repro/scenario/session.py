@@ -319,8 +319,9 @@ class Session:
             scenarios holding live callables are not picklable and
             need ``workers=1``), and — ``run`` only — ``shards > 1``
             partitions each repetition's overlay over shard engines
-            (threads, or OS processes when the policy also names a
-            ``spool``); see :mod:`repro.sharding`.  ``None`` means the
+            (one worker process each, exchanging over pipes, or over a
+            replayable ``spool`` when the policy names one); see
+            :mod:`repro.sharding`.  ``None`` means the
             sequential default ``ExecutionPolicy()``.
         """
         scenario = self.scenario

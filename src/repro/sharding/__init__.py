@@ -14,8 +14,9 @@ Layout:
   (:class:`ShardPlan`: contiguous balanced blocks, vectorized owner
   lookup);
 * :mod:`repro.sharding.exchange` — the per-window message fabric:
-  an in-process (threaded) exchange and a file-spool exchange whose
-  posted windows persist, enabling killed-worker replay recovery;
+  pipes between the worker processes (drained into the in-memory
+  mailbox that is the contract's reference) and a file-spool exchange
+  whose posted windows persist, enabling killed-worker replay recovery;
 * :mod:`repro.sharding.views` — NEWSCAST view matrices whose entries
   are *global* ids, with local exchanges resolved in vertex-disjoint
   rounds and remote exchanges buffered as boundary-view messages;
@@ -23,9 +24,9 @@ Layout:
   SoA fast engine (PR 8 kernels) plus the split local/remote gossip
   phase;
 * :mod:`repro.sharding.coordinator` — :func:`run_sharded`, which runs
-  the shards (threads in-process, OS processes over a spool),
-  supervises crashed shard workers, and reassembles one
-  :class:`~repro.scenario.result.RunRecord`.
+  the shards (one worker process each, over pipes or over a spool),
+  fails fast on or respawns a crashed shard worker, and reassembles
+  one :class:`~repro.scenario.result.RunRecord`.
 
 Selected through the execution surface:
 ``Session(scenario).run(policy=ExecutionPolicy(shards=4))``.

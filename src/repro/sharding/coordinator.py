@@ -1,32 +1,51 @@
 """Coordinator: run the shards, survive crashes, assemble one result.
 
-Two fabrics, one shard driver (:func:`repro.sharding.engine.run_shard`):
+One worker process per shard, each building its own
+:class:`~repro.sharding.engine.ShardEngine` and running the one shard
+driver (:func:`repro.sharding.engine.run_shard`); the fragments come
+back over result pipes.  The shards of one run meet only at the window
+barrier, and a window is tens of thousands of sub-millisecond
+Python-level calls — threads would serialize on the interpreter lock,
+so the workers are processes.  Two fabrics carry the barrier:
 
-* **in-process** — one thread per shard over an
-  :class:`~repro.sharding.exchange.InProcessExchange`.  The threads
-  barrier each other through the exchange, so results are
-  deterministic regardless of scheduling.
-* **spool** — one OS process per shard over a
-  :class:`~repro.sharding.exchange.SpoolExchange` rooted in a shared
-  directory.  The spool's posted windows persist and posts are
-  idempotent, so crash recovery is *replay*: the coordinator respawns
-  a dead shard worker, which re-executes deterministically from window
-  0 — reading history at disk speed, re-posting no-ops — until it
-  rejoins the live barrier.  Peers never notice beyond the stall.
+* **pipes** (the default) — a full mesh of duplex pipes between the
+  workers (:class:`~repro.sharding.exchange.PipeExchange`).  Nothing
+  is logged, so a worker that raises or dies fails the run at once,
+  under its own name (its exception text, or its exit code), and its
+  peers are terminated.
+* **spool** — a :class:`~repro.sharding.exchange.SpoolExchange` rooted
+  in a shared directory.  The spool's posted windows persist and posts
+  are idempotent, so crash recovery is *replay*: the coordinator
+  respawns a dead shard worker, which re-executes deterministically
+  from window 0 — reading history at disk speed, re-posting no-ops —
+  until it rejoins the live barrier.  Peers never notice beyond the
+  stall.
 
-Both fabrics produce bit-identical overlays and trajectories (the
-spool-recovery test pins this).  ``REPRO_SHARD_FAULT="<shard>:<cycle>"``
-arms a one-shot SIGKILL in the matching spool worker — the chaos seam
-the CI shard-smoke job exercises.
+Both fabrics produce bit-identical overlays and trajectories (pinned by
+``tests/sharding/test_fabrics.py``).  ``REPRO_SHARD_FAULT=
+"<shard>:<cycle>"`` arms a one-shot SIGKILL in the matching worker —
+the chaos seam the CI shard-smoke job exercises on both fabrics.
+
+The start method follows the platform, not the caller: ``fork`` on
+Linux (milliseconds; ``spawn`` or ``forkserver`` would put half a
+second of ``import repro`` into every run), the platform default
+elsewhere — the worker function and its arguments pickle, so both
+work.  NumPy's BLAS keeps an idle helper thread, so Python >= 3.12
+prints its "multi-threaded, use of fork() may lead to deadlocks" notice
+at each start; it is left visible, not filtered.  OpenBLAS registers
+``atfork`` handlers, no kernel backend here runs a parallel region, and
+the coordinator starts no thread of its own before forking.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import multiprocessing
 import os
 import signal
-import tempfile
-import time
+import sys
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 
 from repro.core.kernels import resolve_backend_name
@@ -36,7 +55,11 @@ from repro.functions.base import get_function
 from repro.scenario.result import RunRecord
 from repro.scenario.spec import Scenario
 from repro.sharding.engine import ShardEngine, run_shard
-from repro.sharding.exchange import InProcessExchange, SpoolExchange
+from repro.sharding.exchange import (
+    PipeExchange,
+    ShardExchangeAborted,
+    SpoolExchange,
+)
 from repro.sharding.plan import ShardPlan
 from repro.utils.exceptions import ConfigurationError
 
@@ -167,60 +190,15 @@ def _assemble(scenario: Scenario, fragments: list[dict]) -> RunRecord:
     )
 
 
-# -- in-process fabric -------------------------------------------------------------
+# -- the worker processes ----------------------------------------------------------
 
 
-def _run_threads(scenario: Scenario, repetition: int,
-                 plan: ShardPlan) -> list[dict]:
-    import threading
-
-    exchange = InProcessExchange(plan.shards)
-    engines = [
-        _build_engine(scenario, repetition, plan, s)
-        for s in range(plan.shards)
-    ]
-    cap = _max_cycles(scenario)
-    fragments: list[dict | None] = [None] * plan.shards
-    errors: list[BaseException] = []
-
-    def work(s: int) -> None:
-        try:
-            fragments[s] = run_shard(engines[s], exchange, cap)
-        except BaseException as exc:  # noqa: BLE001 - reported below
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=work, args=(s,), name=f"shard-{s}")
-        for s in range(plan.shards)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return fragments  # type: ignore[return-value]
-
-
-# -- spool fabric ------------------------------------------------------------------
-
-
-def _result_path(root: Path, shard: int) -> Path:
-    return root / f"shard{shard:03d}.result.json"
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp, path)
-
-
-def _fault_hook(root: Path, shard: int):
+def _fault_hook(shard: int, marker: Path | None):
     """One-shot SIGKILL at ``REPRO_SHARD_FAULT="<shard>:<cycle>"``.
 
-    The marker file lives in the shared spool root, so the respawned
-    worker sees the fault already fired and runs to completion.
+    Over a spool the ``marker`` file in the shared root latches the
+    fault, so the respawned worker sees it already fired and runs to
+    completion; over pipes nothing respawns and nothing is latched.
     """
     spec = os.environ.get(FAULT_ENV)
     if not spec:
@@ -229,88 +207,144 @@ def _fault_hook(root: Path, shard: int):
     if int(fault_shard) != shard:
         return None
     at = int(fault_cycle)
-    marker = root / f"fault-{shard}.fired"
 
     def hook(cycle: int) -> None:
-        if cycle == at and not marker.exists():
-            marker.touch()
+        if cycle == at and not (marker and marker.exists()):
+            if marker:
+                marker.touch()
             os.kill(os.getpid(), signal.SIGKILL)
 
     return hook
 
 
-def _shard_worker(root_str: str, shard: int) -> None:
-    """Spool worker entry point (top-level: spawn pickles it by name)."""
-    root = Path(root_str)
-    with open(root / "run.json") as fh:
-        run_spec = json.load(fh)
-    scenario = Scenario.from_dict(run_spec["scenario"])
-    plan = ShardPlan(scenario.nodes, run_spec["shards"])
-    engine = _build_engine(scenario, run_spec["repetition"], plan, shard)
-    exchange = SpoolExchange(root / "msgs", plan.shards)
-    fragment = run_shard(
-        engine, exchange, _max_cycles(scenario),
-        fault_hook=_fault_hook(root, shard),
-    )
-    _write_json(_result_path(root, shard), fragment)
+def _close_mesh(mesh: dict, keep: int | None = None) -> None:
+    """Close every pipe end of the mesh but shard ``keep``'s own row.
+
+    A dead worker reads as EOF only once nobody else holds a copy of
+    its ends — not the coordinator, not a forked sibling.
+    """
+    for owner, conns in mesh.items():
+        if owner != keep:
+            for conn in conns.values():
+                conn.close()
 
 
-def _run_spool(scenario: Scenario, repetition: int, plan: ShardPlan,
-               spool: str | Path) -> list[dict]:
-    import multiprocessing
+def _shard_worker(spec: dict, repetition: int, shards: int, shard: int,
+                  fabric, result) -> None:
+    """Worker entry point (top-level: ``spawn`` pickles it by name).
 
-    root = Path(spool)
-    root.mkdir(parents=True, exist_ok=True)
-    spec = scenario.to_dict()
-    # Workers resolve the backend *before* spawning: a per-process
-    # fallback would re-warn in every worker and could diverge.
-    spec["kernel_backend"] = resolve_backend_name(scenario.kernel_backend)
-    _write_json(root / "run.json", {
-        "scenario": spec,
-        "repetition": repetition,
-        "shards": plan.shards,
-    })
-
-    ctx = multiprocessing.get_context("spawn")
-
-    def spawn(s: int):
-        proc = ctx.Process(
-            target=_shard_worker, args=(str(root), s), name=f"shard-{s}"
-        )
-        proc.start()
-        return proc
-
-    procs = {s: spawn(s) for s in range(plan.shards)}
-    attempts = {s: 1 for s in range(plan.shards)}
+    ``fabric`` is the spool root (``str``) or the whole pipe mesh
+    ``{shard: {peer: connection}}``, of which the worker keeps its row.
+    ``result`` carries back the fragment, the text of the worker's own
+    exception, or ``None`` when a failed *peer* aborted the barrier.
+    """
     try:
-        while procs:
-            time.sleep(0.05)
-            for s, proc in list(procs.items()):
-                if proc.exitcode is None:
-                    continue
-                proc.join()
-                if proc.exitcode == 0 and _result_path(root, s).exists():
-                    del procs[s]
-                    continue
-                if attempts[s] > MAX_RESPAWNS:
-                    raise RuntimeError(
-                        f"shard worker {s} failed {attempts[s]} times "
-                        f"(last exit code {proc.exitcode}); spool kept "
-                        f"at {root} for inspection"
-                    )
-                attempts[s] += 1
-                procs[s] = spawn(s)
-    finally:
-        for proc in procs.values():
-            if proc.exitcode is None:
-                proc.terminate()
-                proc.join()
+        scenario = Scenario.from_dict(spec)
+        plan = ShardPlan(scenario.nodes, shards)
+        if isinstance(fabric, str):
+            exchange = SpoolExchange(Path(fabric) / "msgs", shards)
+            marker = Path(fabric) / f"fault-{shard}.fired"
+        else:
+            _close_mesh(fabric, keep=shard)
+            exchange = PipeExchange(shards, shard, fabric[shard])
+            marker = None
+        outcome = run_shard(
+            _build_engine(scenario, repetition, plan, shard), exchange,
+            _max_cycles(scenario), fault_hook=_fault_hook(shard, marker),
+        )
+    except ShardExchangeAborted:
+        outcome = None
+    except Exception as exc:  # noqa: BLE001 - reported under the shard's name
+        outcome = f"{type(exc).__name__}: {exc}"
+    result.send(outcome)
 
-    fragments = []
-    for s in range(plan.shards):
-        with open(_result_path(root, s)) as fh:
-            fragments.append(json.load(fh))
-    return fragments
+
+def _run_workers(scenario: Scenario, repetition: int, plan: ShardPlan,
+                 spool: str | Path | None) -> list[dict]:
+    """Start one worker per shard and wait for every fragment.
+
+    A worker that raised or died fails the run under its own name over
+    pipes and is respawned (:data:`MAX_RESPAWNS` times) over a spool.
+    """
+    ctx = multiprocessing.get_context(
+        "fork" if sys.platform == "linux" else None
+    )
+    shards = plan.shards
+    spec = scenario.to_dict()
+    # Resolved *before* the workers start: a per-process fallback
+    # would re-warn in every worker and could diverge.
+    spec["kernel_backend"] = resolve_backend_name(scenario.kernel_backend)
+    if spool is None:
+        fabric = {s: {} for s in range(shards)}
+        for a, b in itertools.combinations(range(shards), 2):
+            fabric[a][b], fabric[b][a] = ctx.Pipe()
+        respawns = 0
+    else:
+        root = Path(spool)
+        root.mkdir(parents=True, exist_ok=True)
+        (root / "run.json").write_text(json.dumps({
+            "scenario": spec, "repetition": repetition, "shards": shards,
+        }))
+        fabric = str(root)
+        respawns = MAX_RESPAWNS
+
+    procs: dict[int, multiprocessing.Process] = {}
+    pending: dict[Connection, int] = {}
+
+    def start(s: int) -> None:
+        receiver, sender = ctx.Pipe(duplex=False)
+        procs[s] = ctx.Process(
+            target=_shard_worker, name=f"shard-{s}", daemon=True,
+            args=(spec, repetition, shards, s, fabric, sender),
+        )
+        procs[s].start()
+        sender.close()
+        pending[receiver] = s
+
+    fragments: dict[int, dict] = {}
+    aborted: list[int] = []
+    attempts = dict.fromkeys(range(shards), 1)
+    try:
+        for s in range(shards):
+            start(s)
+        if spool is None:
+            _close_mesh(fabric)
+        while pending:
+            for receiver in wait(list(pending)):
+                s = pending.pop(receiver)
+                try:
+                    outcome = receiver.recv()
+                except EOFError:
+                    procs[s].join()
+                    outcome = f"exit code {procs[s].exitcode}"
+                receiver.close()
+                if isinstance(outcome, dict):
+                    fragments[s] = outcome
+                elif outcome is None:
+                    aborted.append(s)
+                elif attempts[s] > respawns:
+                    raise RuntimeError(
+                        f"shard worker {s} failed ({outcome})" + (
+                            f" {attempts[s]} times; spool kept at {spool} "
+                            f"for inspection" if spool is not None else ""
+                        )
+                    )
+                else:
+                    procs[s].join()
+                    attempts[s] += 1
+                    start(s)
+        if aborted:
+            raise RuntimeError(
+                f"shard workers {aborted} lost a peer that reported no failure"
+            )
+    finally:
+        for receiver in pending:
+            receiver.close()
+        for proc in procs.values():
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+    return [fragments[s] for s in range(shards)]
 
 
 # -- entry points ------------------------------------------------------------------
@@ -327,10 +361,7 @@ def run_sharded_detailed(
     harness reads these)."""
     validate_sharded(scenario, shards)
     plan = ShardPlan(scenario.nodes, shards)
-    if spool is None:
-        fragments = _run_threads(scenario, repetition, plan)
-    else:
-        fragments = _run_spool(scenario, repetition, plan, spool)
+    fragments = _run_workers(scenario, repetition, plan, spool)
     return _assemble(scenario, fragments), fragments
 
 
@@ -342,11 +373,11 @@ def run_sharded(
 ) -> RunRecord:
     """Run one repetition of ``scenario`` partitioned over ``shards``.
 
-    In-process (``spool=None``) runs shard threads; with a spool
-    directory each shard is an OS process and the run survives worker
-    crashes by deterministic replay.  Reached through the execution
-    surface as ``Session(scenario).run(policy=ExecutionPolicy(
-    shards=...))``.
+    Each shard is a worker process; they exchange over pipes
+    (``spool=None``) or through a spool directory, where the run also
+    survives worker crashes by deterministic replay.  Reached through
+    the execution surface as ``Session(scenario).run(policy=
+    ExecutionPolicy(shards=...))``.
     """
     record, _ = run_sharded_detailed(scenario, repetition, shards, spool)
     return record

@@ -24,9 +24,9 @@ Every cycle is one *window* of three message legs:
 After leg 3 every shard holds every peer's status and derives the
 *same* stop decision (threshold, budget, cycle cap) from the same
 numbers — no coordinator vote, no extra round trip.
-:func:`run_shard` is the loop around these legs; both the in-process
-threads and the spool worker processes execute it, so the two fabrics
-run identical code and produce bit-identical overlays.
+:func:`run_shard` is the loop around these legs; every worker process
+executes it, over pipes or over a spool, so the two fabrics run
+identical code and produce bit-identical overlays.
 """
 
 from __future__ import annotations
@@ -284,9 +284,10 @@ def run_shard(engine: ShardEngine, exchange, max_cycles: int,
     """Drive one shard to completion over an exchange; return its fragment.
 
     The single loop body both fabrics execute.  ``fault_hook(cycle)``
-    is the chaos-injection seam (the spool worker arms it from the
-    environment); it runs before the window's first post, so a killed
-    worker leaves the window incomplete and the respawn replays it.
+    is the chaos-injection seam (the worker entry point arms it from
+    the environment); it runs before the window's first post, so a
+    killed worker leaves the window incomplete and, over a spool, the
+    respawn replays it.
     """
     me = engine.shard
     peers = engine.peers

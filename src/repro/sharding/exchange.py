@@ -6,10 +6,13 @@ flat dict of numpy arrays (scalars ride as 0-d arrays).  Collecting a
 leg blocks until every peer's payload for that window has arrived:
 that blocking collect *is* the shard barrier.
 
-Two implementations share the contract:
+Three implementations share the contract:
 
-* :class:`InProcessExchange` — a condition-variable mailbox for the
-  threaded in-process mode (collect pops, memory stays bounded).
+* :class:`InProcessExchange` — a condition-variable mailbox inside one
+  process (collect pops, memory stays bounded): the contract's
+  reference, and the receiving half of the next.
+* :class:`PipeExchange` — one shard process's end of a full mesh of
+  pipes; reader threads drain each peer's posts into a mailbox.
 * :class:`SpoolExchange` — one file per edge under a spool directory,
   written atomically (tmp + rename) and **idempotently**: a payload
   that already exists is never rewritten.  Files persist for the whole
@@ -26,6 +29,7 @@ import os
 import tempfile
 import threading
 import time
+from multiprocessing.connection import Connection
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -36,6 +40,7 @@ __all__ = [
     "ShardExchangeAborted",
     "ShardExchangeTimeout",
     "InProcessExchange",
+    "PipeExchange",
     "SpoolExchange",
 ]
 
@@ -82,14 +87,16 @@ class InProcessExchange:
         deadline = time.monotonic() + self.timeout
         with self._cond:
             while True:
-                if self._abort_reason is not None:
-                    raise ShardExchangeAborted(self._abort_reason)
                 keys = [(window, leg, src, dst) for src in wanted]
                 if all(key in self._box for key in keys):
                     return {
                         src: self._box.pop(key)
                         for src, key in zip(wanted, keys)
                     }
+                # Only a leg that can no longer complete is aborted: a
+                # peer that posted its last payload and hung up is done.
+                if self._abort_reason is not None:
+                    raise ShardExchangeAborted(self._abort_reason)
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise ShardExchangeTimeout(
@@ -99,10 +106,66 @@ class InProcessExchange:
                 self._cond.wait(timeout=remaining)
 
     def abort(self, reason: str) -> None:
-        """Fail every pending and future collect (peer died)."""
+        """Fail every collect, pending or future, of an incomplete leg."""
         with self._cond:
             self._abort_reason = reason
             self._cond.notify_all()
+
+
+class PipeExchange:
+    """One worker's end of a full mesh of pipes between shard processes.
+
+    ``conns[peer]`` is shard ``me``'s end of the duplex
+    :func:`multiprocessing.Pipe` it shares with ``peer``.  ``post``
+    sends on it; one daemon reader thread per peer drains the
+    connection into that peer's :class:`InProcessExchange` mailbox,
+    and ``collect`` asks each wanted peer's mailbox in turn.  Without
+    the readers two shards that post at each other in the same leg
+    would both block on a full pipe buffer (64 kB; one boundary payload
+    is several times that).  A connection that ends aborts its own
+    mailbox only — a peer that finished early owes nothing more, one
+    that failed or was killed does — and ``abort`` closes this worker's
+    ends, which is how its peers see that.
+    """
+
+    def __init__(self, shards: int, me: int, conns: Mapping[int, Connection]):
+        self.shards = shards
+        self.me = me
+        self._conns = conns
+        self._inbox = {peer: InProcessExchange(shards) for peer in conns}
+        for peer in conns:
+            threading.Thread(
+                target=self._drain, args=(peer,), daemon=True,
+                name=f"shard-{me}-from-{peer}",
+            ).start()
+
+    def _drain(self, peer: int) -> None:
+        try:
+            while True:
+                window, leg, payload = self._conns[peer].recv()
+                self._inbox[peer].post(window, leg, peer, self.me, payload)
+        except (EOFError, OSError):
+            self._inbox[peer].abort(f"shard {peer} hung up")
+
+    def post(self, window: int, leg: int, src: int, dst: int,
+             payload: Payload) -> None:
+        try:
+            self._conns[dst].send((window, leg, payload))
+        except OSError as exc:
+            raise ShardExchangeAborted(f"shard {dst} hung up") from exc
+
+    def collect(self, window: int, leg: int, dst: int,
+                srcs: Iterable[int]) -> dict[int, dict[str, np.ndarray]]:
+        return {
+            src: self._inbox[src].collect(window, leg, dst, [src])[src]
+            for src in srcs
+        }
+
+    def abort(self, reason: str) -> None:
+        """Fail local collects and hang up on every peer."""
+        for peer, conn in self._conns.items():
+            self._inbox[peer].abort(reason)
+            conn.close()
 
 
 class SpoolExchange:

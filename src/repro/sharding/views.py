@@ -201,12 +201,13 @@ class ShardNewscastViews:
         rows = init - self.lo
         for dst in np.unique(owners):
             sel = owners == dst
+            # Fancy indexing copies: a payload never aliases live rows.
             requests[int(dst)] = {
                 "vq_init": init[sel],
                 "vq_tgt": tgt[sel],
-                "vq_ids": self._ids[rows[sel]].copy(),
-                "vq_ts": self._ts[rows[sel]].copy(),
-                "vq_self": self._self_ts[rows[sel]].copy(),
+                "vq_ids": self._ids[rows[sel]],
+                "vq_ts": self._ts[rows[sel]],
+                "vq_self": self._self_ts[rows[sel]],
             }
         return requests
 
@@ -245,10 +246,10 @@ class ShardNewscastViews:
             sel = src_of == s
             replies[int(s)] = {
                 "vr_init": init[sel],
-                "vr_ids": self._ids[rl[sel]].copy(),
-                "vr_ts": self._ts[rl[sel]].copy(),
+                "vr_ids": self._ids[rl[sel]],
+                "vr_ts": self._ts[rl[sel]],
                 "vr_peer": tgt[sel],
-                "vr_peer_ts": self._self_ts[rl[sel]].copy(),
+                "vr_peer_ts": self._self_ts[rl[sel]],
             }
 
         # Then merge, one sub-round per same-row occurrence rank.

@@ -93,9 +93,11 @@ def test_session_policy_entry_point_matches_run_sharded():
     ("push-pull", "0x1.ddc8d40b6d990p+7", (1280, 2240, 639, 2240, 0)),
     ("pull", "0x1.0703d7a873506p+9", (1280, 2560, 539, 2560, 0)),
 ])
-def test_two_shard_thread_fabric_is_pinned(mode, want_hex, tally):
+def test_two_shard_in_memory_fabric_is_pinned(mode, want_hex, tally):
     """Captured on the commit before the shard legs called the fast
-    engine's exchange: boundary routing keeps the bit stream."""
+    engine's exchange, on the thread fabric the pipes replaced:
+    boundary routing and the move to worker processes keep the bit
+    stream."""
     scenario = _scenario(
         nodes=64, total_evaluations=64 * 8 * 20,
         coordination=CoordinationConfig(mode=mode),

@@ -1,7 +1,8 @@
-"""Exchange fabrics: both implementations honor one barrier contract."""
+"""Exchange fabrics: every implementation honors one barrier contract."""
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from repro.sharding.exchange import (
     InProcessExchange,
+    PipeExchange,
     ShardExchangeAborted,
     ShardExchangeTimeout,
     SpoolExchange,
@@ -80,6 +82,80 @@ def test_abort_fails_pending_collect():
     fabric.abort("peer shard 1 died")
     thread.join(timeout=5.0)
     assert errors and "peer shard 1 died" in str(errors[0])
+
+
+def test_abort_spares_a_leg_that_is_already_complete():
+    """A peer that posted its last payload and hung up is done, not dead."""
+    fabric = InProcessExchange(shards=2, timeout=5.0)
+    fabric.post(0, 3, src=1, dst=0, payload=_payload(4))
+    fabric.abort("shard 1 hung up")
+    got = fabric.collect(0, 3, dst=0, srcs=[1])
+    np.testing.assert_array_equal(got[1]["data"], [4, 5])
+    with pytest.raises(ShardExchangeAborted, match="shard 1 hung up"):
+        fabric.collect(1, 1, dst=0, srcs=[1])
+
+
+def _pipe_end(me, conn, done):
+    """Post 2 MB at the peer, then collect the peer's 2 MB, same leg."""
+    peer = 1 - me
+    fabric = PipeExchange(2, me, {peer: conn})
+    fabric.post(0, 1, me, peer, {"data": np.full(250_000, me, dtype=np.int64)})
+    got = fabric.collect(0, 1, me, [peer])
+    done.send(int(got[peer]["data"].sum()))
+
+
+def test_pipe_ends_posting_at_each_other_do_not_deadlock():
+    """Both posts exceed the 64 kB pipe buffer: without the reader
+    threads each ``send`` waits for a ``recv`` that never comes."""
+    ctx = multiprocessing.get_context()
+    ends = ctx.Pipe()
+    reports = [ctx.Pipe(duplex=False) for _ in range(2)]
+    procs = [
+        ctx.Process(target=_pipe_end, args=(me, ends[me], reports[me][1]),
+                    daemon=True)
+        for me in range(2)
+    ]
+    try:
+        for proc in procs:
+            proc.start()
+        for me, (receiver, _) in enumerate(reports):
+            assert receiver.poll(5.0), f"shard {me} is stuck"
+            assert receiver.recv() == 250_000 * (1 - me)
+    finally:
+        for proc in procs:
+            proc.terminate()
+            proc.join(5.0)
+    assert not any(proc.is_alive() for proc in procs)
+
+
+def test_pipe_peer_hanging_up_aborts_post_and_collect():
+    mine, theirs = multiprocessing.Pipe()
+    fabric = PipeExchange(2, 0, {1: mine})
+    theirs.send((0, 1, _payload(3)))
+    theirs.close()
+    got = fabric.collect(0, 1, 0, [1])  # what arrived before EOF counts
+    assert int(got[1]["scalar"]) == 3
+    with pytest.raises(ShardExchangeAborted, match="shard 1 hung up"):
+        fabric.collect(0, 2, 0, [1])
+    with pytest.raises(ShardExchangeAborted, match="shard 1 hung up"):
+        fabric.post(0, 2, 0, 1, {"data": np.zeros(1_000_000)})
+
+
+def test_pipe_peer_that_finished_early_does_not_abort_the_others():
+    """Three shards: shard 1 posts its last status and exits while
+    shard 2 is still on its way; the leg must wait for shard 2."""
+    early_mine, early = multiprocessing.Pipe()
+    late_mine, late = multiprocessing.Pipe()
+    fabric = PipeExchange(3, 0, {1: early_mine, 2: late_mine})
+    early.send((0, 3, _payload(1)))
+    early.close()
+    with pytest.raises(ShardExchangeAborted):  # shard 1's EOF has landed
+        fabric.collect(1, 1, 0, [1])
+    timer = threading.Timer(0.05, late.send, [(0, 3, _payload(2))])
+    timer.start()
+    got = fabric.collect(0, 3, 0, [1, 2])
+    timer.join()
+    assert [int(got[src]["scalar"]) for src in (1, 2)] == [1, 2]
 
 
 def test_spool_posts_are_idempotent(tmp_path):
