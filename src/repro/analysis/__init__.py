@@ -17,12 +17,6 @@ from repro.analysis.tables import (
 )
 from repro.analysis.plots import ascii_plot, Series
 from repro.analysis.export import results_to_csv, rows_to_csv
-from repro.analysis.trajectories import (
-    align_curves,
-    crossover_budget,
-    log_slope,
-    quality_curve,
-)
 from repro.analysis.compare import (
     Comparison,
     bootstrap_log_ci,
@@ -39,10 +33,6 @@ __all__ = [
     "Series",
     "results_to_csv",
     "rows_to_csv",
-    "quality_curve",
-    "align_curves",
-    "log_slope",
-    "crossover_budget",
     "Comparison",
     "bootstrap_log_ci",
     "rank_sum_test",

@@ -118,15 +118,6 @@ class CohortEventEngine(FastEngine):
             raise ConfigurationError(
                 f"event window must be positive and finite (got {window!r})"
             )
-        fastest = min(config.compute_period, config.newscast_period,
-                      config.gossip_period)
-        if config.latency_max > fastest:
-            raise ConfigurationError(
-                f"latency_max {config.latency_max!r} exceeds the fastest "
-                f"timer period ({fastest!r}): the cohort-batched engine "
-                "treats delivery as instantaneous — use AsyncRuntime to "
-                "study latency"
-            )
         self.window = float(window)
         super().__init__(
             ExperimentConfig(

@@ -248,10 +248,6 @@ class FastEngine:
         # static scenarios the wrapper is inert and the evaluation hot
         # path passes ctx=None through the kernels — same operations,
         # same bit stream as before the Problem layer existed.
-        if dynamics is not None and dynamics.enabled and objective_map is not None:
-            raise ConfigurationError(
-                "dynamics requires a homogeneous network (no objective_map)"
-            )
         self._problem = build_problem(self.function, dynamics, tree)
         self._dynamic = self._problem.is_dynamic
         self._problems = [self._problem]
@@ -259,10 +255,6 @@ class FastEngine:
         self.reevaluations = 0
 
         if adversary is not None and adversary.enabled:
-            if objective_map is not None:
-                raise ConfigurationError(
-                    "adversary requires a homogeneous network (no objective_map)"
-                )
             self._adversary: Adversary | None = Adversary(
                 adversary, config.nodes, tree.rng("adversary")
             )
@@ -282,21 +274,6 @@ class FastEngine:
         else:
             node_ids = np.asarray(node_ids, dtype=np.int64)
             self._default_ids = False
-            if config.churn.enabled:
-                raise ConfigurationError(
-                    "churn needs the full id space (joins allocate new "
-                    "ids); engines over an id subset must run churn-free"
-                )
-            if objective_map is not None:
-                raise ConfigurationError(
-                    "objective_map covers ids 0..n-1 and cannot drive an "
-                    "engine over an id subset"
-                )
-            if self._dynamic or self._adversary is not None:
-                raise ConfigurationError(
-                    "dynamics/adversary scenarios are not shardable: epoch "
-                    "refresh and Byzantine membership span the whole overlay"
-                )
         n = node_ids.shape[0]
         id_span = config.nodes
         self._gens: list[np.random.Generator] = [
@@ -334,11 +311,6 @@ class FastEngine:
         self._churn_rng = tree.rng("churn") if config.churn.enabled else None
         self._gossip_rng = tree.rng("fastpath", "gossip")
 
-        if callable(topology) and not isinstance(topology, ViewProvider):
-            raise ConfigurationError(
-                "the fast engine takes a named topology or ViewProvider, "
-                "not a factory callable (use the reference engine)"
-            )
         if isinstance(topology, ViewProvider):
             self.provider: ViewProvider = topology
             self.provider.ensure_capacity(self._next_id)

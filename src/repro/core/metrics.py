@@ -40,6 +40,7 @@ __all__ = [
     "DynamicsTracker",
     "DynamicsObserver",
     "network_true_error",
+    "problem_layer_metrics",
     "estimate_overhead_bytes",
 ]
 
@@ -68,6 +69,29 @@ def network_true_error(
         true_val = problem.call_at(opt.position, ctx)
         error = min(error, max(0.0, true_val - problem.optimum_value))
     return error
+
+
+def problem_layer_metrics(
+    network: "Network", problem, t: float, tracker: "DynamicsTracker | None",
+    reevaluations: int, actor,
+) -> tuple[dict | None, dict | None]:
+    """A node-graph run's ``(dynamics, adversary)`` record dicts.
+
+    ``None`` each for a static landscape (no ``tracker``) / an honest
+    network (no ``actor``); both close on the same oracle
+    :func:`network_true_error` at the final time ``t``.  The SoA
+    engines' counterpart is ``FastEngine.problem_layer_metrics``.
+    """
+    dynamics = adversary = None
+    if tracker is not None or actor is not None:
+        final_true = network_true_error(network, problem, t)
+        if tracker is not None:
+            dynamics = tracker.metrics(final_error=final_true)
+            dynamics["reevaluations"] = int(reevaluations)
+        if actor is not None:
+            adversary = actor.tally_dict()
+            adversary["final_true_error"] = final_true
+    return dynamics, adversary
 
 
 def global_best(network: "Network", protocol: str = PSOStepProtocol.PROTOCOL_NAME) -> float:

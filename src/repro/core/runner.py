@@ -26,15 +26,25 @@ from typing import Callable
 
 from repro.core.dpso import PSOStepProtocol
 from repro.core.metrics import (
+    DynamicsObserver,
+    DynamicsTracker,
     GlobalQualityObserver,
     MessageTally,
     QualitySample,
+    problem_layer_metrics,
     total_evaluations,
 )
 from repro.core.node import OptimizationNodeSpec, build_optimization_node
 from repro.functions.base import Function, get_function
+from repro.functions.problem import (
+    Problem,
+    ProblemBoundFunction,
+    ProblemClock,
+    build_problem,
+)
+from repro.simulator.adversary import Adversary
 from repro.simulator.churn import ChurnProcess
-from repro.simulator.engine import CycleDrivenEngine
+from repro.simulator.engine import CycleDrivenEngine, EngineBase
 from repro.simulator.network import Network
 from repro.simulator.observers import StopCondition
 from repro.topology.newscast import bootstrap_views
@@ -154,6 +164,30 @@ def _build_network(
     return network, spec
 
 
+def bind_problem_layer(
+    function: Function, dynamics, adversary, nodes: int, tree: SeedSequenceTree
+) -> tuple[Function, Problem, ProblemClock | None, Adversary | None]:
+    """The run-wide problem-layer objects of a node-graph engine.
+
+    Returns ``(function, problem, clock, actor)``.  Under a time-varying
+    landscape every node evaluates through one shared problem-bound
+    ``function`` reading the run's virtual ``clock`` (the engine
+    advances it and triggers the per-node stale-best refresh on epoch
+    transitions); a static run keeps the plain function and gets no
+    clock.  ``problem`` is the oracle's view either way, ``actor`` the
+    run's :class:`~repro.simulator.adversary.Adversary` or ``None``.
+    """
+    problem = build_problem(function, dynamics, tree)
+    clock = None
+    if problem.is_dynamic:
+        clock = ProblemClock()
+        function = ProblemBoundFunction(problem, clock)
+    actor = None
+    if adversary is not None and adversary.enabled:
+        actor = Adversary(adversary, nodes, tree.rng("adversary"))
+    return function, problem, clock, actor
+
+
 def default_max_cycles(config: ExperimentConfig) -> int:
     """The cycle-driven safety cap for ``config``.
 
@@ -166,7 +200,8 @@ def default_max_cycles(config: ExperimentConfig) -> int:
     return 2 * base_cycles + 4 if config.churn.enabled else base_cycles + 1
 
 
-def _all_budgets_exhausted(engine: CycleDrivenEngine) -> bool:
+def all_budgets_exhausted(engine: EngineBase) -> bool:
+    """Whether every live node has spent its local evaluation budget."""
     for node in engine.network.live_nodes():
         proto: PSOStepProtocol = node.protocol(PSOStepProtocol.PROTOCOL_NAME)  # type: ignore[assignment]
         if not proto.exhausted:
@@ -201,38 +236,9 @@ def _run_single_reference(
     tree = SeedSequenceTree(config.seed).subtree("rep", repetition)
     function = get_function(config.function)
 
-    # Time-aware landscape: every node evaluates through one shared
-    # problem-bound function reading a run-wide virtual clock; the
-    # dynamics observer advances the clock and triggers the per-node
-    # stale-best refresh on epoch transitions.
-    from repro.functions.problem import (
-        ProblemBoundFunction,
-        ProblemClock,
-        as_problem,
-        build_problem,
+    function, problem, clock, actor = bind_problem_layer(
+        function, dynamics, adversary, config.nodes, tree
     )
-
-    problem = None
-    clock = None
-    if dynamics is not None and dynamics.enabled:
-        if optimizer_builder is not None:
-            raise ConfigurationError(
-                "dynamics require the standard PSO solver stack"
-            )
-        problem = build_problem(function, dynamics, tree)
-        clock = ProblemClock()
-        function = ProblemBoundFunction(problem, clock)
-
-    actor = None
-    if adversary is not None and adversary.enabled:
-        from repro.simulator.adversary import Adversary
-
-        if optimizer_builder is not None:
-            raise ConfigurationError(
-                "adversary scenarios require the standard PSO solver stack"
-            )
-        actor = Adversary(adversary, config.nodes, tree.rng("adversary"))
-
     optimizer_factory = (
         optimizer_builder(function, tree) if optimizer_builder is not None else None
     )
@@ -248,16 +254,14 @@ def _run_single_reference(
     quality_obs = GlobalQualityObserver(
         threshold=config.quality_threshold, record_history=record_history
     )
-    budget_stop = StopCondition(_all_budgets_exhausted, reason="budget")
-    dyn_tracker = None
+    budget_stop = StopCondition(all_budgets_exhausted, reason="budget")
+    tracker = dyn_obs = None
     observers = []
-    if problem is not None and problem.is_dynamic:
+    if clock is not None:
         # Ordered first: the observer loop breaks on stop, and the last
         # cycle's sample must land even when the budget trips.
-        from repro.core.metrics import DynamicsObserver, DynamicsTracker
-
-        dyn_tracker = DynamicsTracker()
-        dyn_obs = DynamicsObserver(problem, dyn_tracker, clock=clock)
+        tracker = DynamicsTracker()
+        dyn_obs = DynamicsObserver(problem, tracker, clock=clock)
         observers.append(dyn_obs)
     observers += [quality_obs, budget_stop, *extra_observers]
     engine = CycleDrivenEngine(
@@ -287,19 +291,10 @@ def _run_single_reference(
     if quality_obs.threshold_cycle is not None:
         threshold_local = quality_obs.threshold_cycle * config.gossip_cycle
 
-    dynamics_dict = None
-    adversary_dict = None
-    if dyn_tracker is not None or actor is not None:
-        from repro.core.metrics import network_true_error
-
-        oracle = problem if problem is not None else as_problem(function)
-        final_true = network_true_error(network, oracle, engine.now)
-        if dyn_tracker is not None:
-            dynamics_dict = dyn_tracker.metrics(final_error=final_true)
-            dynamics_dict["reevaluations"] = int(dyn_obs.reevaluations)
-        if actor is not None:
-            adversary_dict = actor.tally_dict()
-            adversary_dict["final_true_error"] = final_true
+    dynamics_dict, adversary_dict = problem_layer_metrics(
+        network, problem, engine.now, tracker,
+        dyn_obs.reevaluations if dyn_obs is not None else 0, actor,
+    )
 
     return RunResult(
         best_value=best,

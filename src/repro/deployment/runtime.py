@@ -22,15 +22,23 @@ trajectory and enforces threshold/budget stopping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.coordination import CoordinationProtocol
-from repro.core.dpso import DistributedPSOService, PSOStepProtocol
-from repro.core.metrics import MessageTally, global_best, total_evaluations
+from repro.core.dpso import PSOStepProtocol
+from repro.core.metrics import (
+    DynamicsTracker,
+    MessageTally,
+    global_best,
+    network_true_error,
+    problem_layer_metrics,
+    total_evaluations,
+)
+from repro.core.node import OptimizationNodeSpec, build_optimization_node
+from repro.core.runner import all_budgets_exhausted, bind_problem_layer
 from repro.deployment.newscast_ed import EventNewscastProtocol
-from repro.functions.base import Function, get_function
+from repro.functions.base import get_function
 from repro.simulator.engine import EventDrivenEngine
 from repro.simulator.network import Network, Node
 from repro.simulator.transport import LossyTransport, UniformLatencyTransport
@@ -133,14 +141,7 @@ class DeploymentConfig:
         if self.seed < 0:
             raise bad("seed", "must be >= 0")
         object.__setattr__(
-            self, "pso",
-            PSOConfig(
-                particles=self.particles_per_node,
-                c1=self.pso.c1, c2=self.pso.c2,
-                vmax_fraction=self.pso.vmax_fraction,
-                inertia=self.pso.inertia,
-                clamp_positions=self.pso.clamp_positions,
-            ),
+            self, "pso", replace(self.pso, particles=self.particles_per_node)
         )
 
 
@@ -188,40 +189,37 @@ class AsyncRuntime:
     ):
         self.config = config
         self.tree = SeedSequenceTree(config.seed).subtree("rep", repetition)
-        self.function: Function = get_function(config.function)
         self.network = Network(rng=self.tree.rng("network"))
 
-        # Time-aware landscape: all nodes evaluate through one shared
-        # problem-bound function reading the runtime's virtual clock;
-        # compute/gossip timer actions refresh the clock, and a
-        # dedicated periodic event fires the epoch shift + per-node
-        # stale-best refresh on the *exact* boundary.
-        from repro.functions.problem import (
-            ProblemBoundFunction,
-            ProblemClock,
-            build_problem,
-        )
-
-        self.problem = None
-        self.clock = None
-        self._dyn_tracker = None
-        self._dyn_reevals = 0
-        self._dynamics_spec = dynamics
-        if dynamics is not None and dynamics.enabled:
-            from repro.core.metrics import DynamicsTracker
-
-            self.problem = build_problem(self.function, dynamics, self.tree)
-            self.clock = ProblemClock()
-            self.function = ProblemBoundFunction(self.problem, self.clock)
-            self._dyn_tracker = DynamicsTracker()
-
-        self.adversary_actor = None
-        if adversary is not None and adversary.enabled:
-            from repro.simulator.adversary import Adversary
-
-            self.adversary_actor = Adversary(
-                adversary, config.nodes, self.tree.rng("adversary")
+        # Time-aware landscape: compute/gossip timer actions refresh the
+        # shared clock, and a dedicated periodic event fires the epoch
+        # shift + per-node stale-best refresh on the *exact* boundary.
+        self.function, self.problem, self.clock, self.adversary_actor = (
+            bind_problem_layer(
+                get_function(config.function), dynamics, adversary,
+                config.nodes, self.tree,
             )
+        )
+        self._dyn_tracker = DynamicsTracker() if self.clock is not None else None
+        self._dyn_reevals = 0
+        #: The reference node stack (:func:`build_optimization_node`)
+        #: with the message-passing NEWSCAST as its topology service.
+        self.spec = OptimizationNodeSpec(
+            function=self.function,
+            pso=config.pso,
+            newscast=config.newscast,
+            coordination=config.coordination,
+            rng_tree=self.tree,
+            evals_per_cycle=config.evals_per_tick,
+            budget_per_node=config.budget_per_node,
+            topology_factory=lambda nid: (
+                EventNewscastProtocol.PROTOCOL_NAME,
+                EventNewscastProtocol(
+                    config.newscast, self.tree.rng("node", nid, "newscast")
+                ),
+            ),
+            adversary=self.adversary_actor,
+        )
 
         transport = UniformLatencyTransport(
             self.tree.rng("latency"),
@@ -249,7 +247,7 @@ class AsyncRuntime:
             protocol_name=EventNewscastProtocol.PROTOCOL_NAME,
         )
         self._schedule_monitor()
-        if self.problem is not None and self.problem.is_dynamic:
+        if self.clock is not None:
             self._schedule_shifts()
         if config.crash_rate > 0:
             self._schedule_crash()
@@ -262,31 +260,11 @@ class AsyncRuntime:
         cfg = self.config
         node = self.network.create_node(birth_cycle=int(self.engine.now))
         nid = node.node_id
-
-        newscast = EventNewscastProtocol(
-            cfg.newscast, self.tree.rng("node", nid, "newscast")
-        )
-        node.attach(EventNewscastProtocol.PROTOCOL_NAME, newscast)
-
-        service = DistributedPSOService(
-            self.function, cfg.pso, self.tree.rng("node", nid, "pso")
-        )
-        stepper = PSOStepProtocol(
-            service, evals_per_cycle=cfg.evals_per_tick, budget=cfg.budget_per_node
-        )
-        node.attach(PSOStepProtocol.PROTOCOL_NAME, stepper)
-
-        coordination = CoordinationProtocol(
-            cfg.coordination,
-            service,
-            topology_protocol=EventNewscastProtocol.PROTOCOL_NAME,
-            rng=self.tree.rng("node", nid, "coordination"),
-            adversary=self.adversary_actor,
-        )
-        node.attach(CoordinationProtocol.PROTOCOL_NAME, coordination)
-
+        build_optimization_node(node, self.spec)
         if bootstrap:
-            newscast.on_join(node, self.engine)
+            node.protocol(EventNewscastProtocol.PROTOCOL_NAME).on_join(
+                node, self.engine
+            )
 
         def compute(n, e):
             if self.clock is not None:
@@ -378,7 +356,7 @@ class AsyncRuntime:
         :meth:`~repro.pso.swarm.Swarm.refresh_stale_bests`); the
         re-evaluations are tallied, never budget-charged.
         """
-        period = float(self._dynamics_spec.period)
+        period = self.problem.period
 
         def fire(engine) -> None:
             if engine.stopped:
@@ -409,8 +387,6 @@ class AsyncRuntime:
             evals = total_evaluations(self.network)
             self.history.append((engine.now, evals, best))
             if self._dyn_tracker is not None:
-                from repro.core.metrics import network_true_error
-
                 self.clock.time = engine.now
                 self._dyn_tracker.sample(
                     engine.now,
@@ -426,19 +402,13 @@ class AsyncRuntime:
                 self._stop_reason = "threshold"
                 engine.stop("threshold")
                 return
-            if self._all_exhausted():
+            if all_budgets_exhausted(engine):
                 self._stop_reason = "budget"
                 engine.stop("budget")
                 return
             engine.schedule(engine.now + cfg.monitor_period, fire)
 
         self.engine.schedule(cfg.monitor_period, fire)
-
-    def _all_exhausted(self) -> bool:
-        for node in self.network.live_nodes():
-            if not node.protocol(PSOStepProtocol.PROTOCOL_NAME).exhausted:  # type: ignore[attr-defined]
-                return False
-        return True
 
     # -- execution -----------------------------------------------------------------
 
@@ -448,28 +418,10 @@ class AsyncRuntime:
             raise ValueError("until must be positive")
         self.engine.run(until=until)
         best = global_best(self.network)
-        dynamics_dict = None
-        adversary_dict = None
-        if self._dyn_tracker is not None or self.adversary_actor is not None:
-            from repro.core.metrics import network_true_error
-            from repro.functions.problem import as_problem
-
-            oracle = (
-                self.problem
-                if self.problem is not None
-                else as_problem(self.function)
-            )
-            final_true = network_true_error(
-                self.network, oracle, self.engine.now
-            )
-            if self._dyn_tracker is not None:
-                dynamics_dict = self._dyn_tracker.metrics(
-                    final_error=final_true
-                )
-                dynamics_dict["reevaluations"] = int(self._dyn_reevals)
-            if self.adversary_actor is not None:
-                adversary_dict = self.adversary_actor.tally_dict()
-                adversary_dict["final_true_error"] = final_true
+        dynamics_dict, adversary_dict = problem_layer_metrics(
+            self.network, self.problem, self.engine.now, self._dyn_tracker,
+            self._dyn_reevals, self.adversary_actor,
+        )
         return DeploymentResult(
             best_value=best,
             quality=self.function.quality(best),

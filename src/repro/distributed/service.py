@@ -382,17 +382,6 @@ def run_sweep_jobs(
     heartbeat_interval = policy.heartbeat_interval
     job_timeout = policy.job_timeout
     scenarios = list(scenarios)
-    for index, scenario in enumerate(scenarios):
-        if callable(scenario.topology):
-            raise ValueError(
-                f"sweep point {index}: distributed execution does not "
-                "support custom topology factories"
-            )
-        if scenario.observers:
-            raise ValueError(
-                f"sweep point {index}: distributed execution does not "
-                "support live observer objects"
-            )
     if not scenarios:
         return []
     jobs = jobs_for_sweep(scenarios, reps_per_job=reps_per_job)

@@ -12,24 +12,15 @@ modes are exposed:
 * :meth:`~repro.pso.swarm.Swarm.step_cycle` — classical synchronous
   iteration (evaluate all, update bests, move all), used by the
   centralized baseline.
-
-:mod:`~repro.pso.variants` adds the incomplete-topology swarm variants
-the paper cites as background (ring/von Neumann *lbest*, fully
-informed FIPS) — they serve as single-machine reference points for the
-"PSO on incomplete topologies" discussion in Sec. 2.
 """
 
 from repro.pso.state import SwarmState
 from repro.pso.swarm import Swarm
-from repro.pso.variants import FullyInformedSwarm, LbestSwarm, NEIGHBORHOODS
 from repro.pso.velocity import VelocityClamp, no_clamp, domain_fraction_clamp
 
 __all__ = [
     "Swarm",
     "SwarmState",
-    "LbestSwarm",
-    "FullyInformedSwarm",
-    "NEIGHBORHOODS",
     "VelocityClamp",
     "no_clamp",
     "domain_fraction_clamp",

@@ -20,7 +20,7 @@ Two stepping granularities:
 * **Per-cycle** (:meth:`Swarm.step_cycle`): the classical synchronous
   sweep of the paper's pseudo-code — evaluate all particles, update
   all bests, then move everyone using the common ``g``.  Used by the
-  centralized baseline and the lbest variants.
+  centralized baseline.
 
 For a swarm embedded in the distributed framework, the swarm optimum
 ``g`` is the *node's* swarm optimum ``g_p`` and may be improved from

@@ -102,6 +102,10 @@ class ExecutionPolicy:
         _require("shards", int(self.shards) >= 1, "must be >= 1")
         object.__setattr__(self, "workers", int(self.workers))
         object.__setattr__(self, "shards", int(self.shards))
+        _require("workers", self.workers == 1 or self.shards == 1,
+                 "shards > 1 already runs one process per shard — pick "
+                 "repetition parallelism (workers) or overlay sharding "
+                 "(shards)")
         if self.spool is not None:
             _require("spool", isinstance(self.spool, str) and bool(self.spool),
                      "must be a non-empty directory path or None")

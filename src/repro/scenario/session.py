@@ -20,6 +20,7 @@ import time
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.runner import _run_single_reference
+from repro.scenario import support
 from repro.scenario.policy import ExecutionPolicy
 from repro.scenario.result import Result, RunRecord
 from repro.scenario.spec import Scenario
@@ -191,20 +192,15 @@ class Session:
 
     def run_one(self, repetition: int = 0) -> RunRecord:
         """Execute one repetition; returns its :class:`RunRecord`."""
-        scenario = self.scenario
-        if scenario.baseline == "centralized":
-            from repro.baselines import centralized
+        return self._RUNNERS[self.scenario.regime](self, repetition)
 
-            return centralized.run_record(scenario, repetition)
-        if scenario.baseline == "independent":
-            from repro.baselines import independent
+    def _run_baseline(self, repetition: int) -> RunRecord:
+        from repro.baselines import centralized, independent
 
-            return independent.run_record(scenario, repetition)
-        if scenario.engine == "fast":
-            return self._run_fast(repetition)
-        if scenario.engine == "event":
-            return self._run_event(repetition)
-        return self._run_reference(repetition)
+        module = {"centralized": centralized, "independent": independent}
+        return module[self.scenario.baseline].run_record(
+            self.scenario, repetition
+        )
 
     def _run_reference(self, repetition: int) -> RunRecord:
         scenario = self.scenario
@@ -241,23 +237,9 @@ class Session:
         return RunRecord.from_run_result(run)
 
     def _run_event(self, repetition: int) -> RunRecord:
-        scenario = self.scenario
-        if scenario.event_backend == "fast":
-            from repro.core.eventpath import CohortEventEngine
-
-            engine = CohortEventEngine(
-                self.deployment_config(),
-                repetition=repetition,
-                window=scenario.event_window,
-                rng_mode=scenario.rng_mode,
-                dynamics=scenario.dynamics,
-                adversary=scenario.adversary,
-            )
-            return RunRecord.from_deployment_result(
-                engine.run(until=scenario.horizon)
-            )
         from repro.deployment.runtime import AsyncRuntime
 
+        scenario = self.scenario
         runtime = AsyncRuntime(
             self.deployment_config(),
             repetition=repetition,
@@ -265,6 +247,32 @@ class Session:
             adversary=scenario.adversary,
         )
         return RunRecord.from_deployment_result(runtime.run(until=scenario.horizon))
+
+    def _run_event_fast(self, repetition: int) -> RunRecord:
+        from repro.core.eventpath import CohortEventEngine
+
+        scenario = self.scenario
+        engine = CohortEventEngine(
+            self.deployment_config(),
+            repetition=repetition,
+            window=scenario.event_window,
+            rng_mode=scenario.rng_mode,
+            dynamics=scenario.dynamics,
+            adversary=scenario.adversary,
+        )
+        return RunRecord.from_deployment_result(
+            engine.run(until=scenario.horizon)
+        )
+
+    #: ``Scenario.regime`` -> the method that runs one repetition of it.
+    _RUNNERS = {
+        "reference": _run_reference,
+        "fast": _run_fast,
+        "event": _run_event,
+        "event-fast": _run_event_fast,
+        "centralized": _run_baseline,
+        "independent": _run_baseline,
+    }
 
     def deployment_config(self):
         """The :class:`~repro.deployment.runtime.DeploymentConfig` view
@@ -315,10 +323,9 @@ class Session:
             (:class:`~repro.scenario.policy.ExecutionPolicy`):
             ``workers`` runs repetitions process-parallel (results are
             identical to the sequential run — each repetition's
-            randomness derives from its own seed-tree branch;
-            scenarios holding live callables are not picklable and
-            need ``workers=1``), and — ``run`` only — ``shards > 1``
-            partitions each repetition's overlay over shard engines
+            randomness derives from its own seed-tree branch), and —
+            ``run`` only — ``shards > 1`` partitions each
+            repetition's overlay over shard engines
             (one worker process each, exchanging over pipes, or over a
             replayable ``spool`` when the policy names one); see
             :mod:`repro.sharding`.  ``None`` means the
@@ -335,14 +342,8 @@ class Session:
         workers = policy.workers
         if policy.shards > 1:
             return self._run_sharded(policy, progress)
-        if workers > 1 and callable(scenario.topology):
-            raise ValueError(
-                "parallel execution does not support custom topology factories"
-            )
-        if workers > 1 and scenario.observers:
-            raise ValueError(
-                "parallel execution does not support live observer objects"
-            )
+        if workers > 1:
+            support.check(scenario, "jobs")
         t0 = time.perf_counter()
         records: list[RunRecord] = []
         if workers == 1 or scenario.repetitions == 1:
@@ -389,16 +390,9 @@ class Session:
         """Repetition loop of the sharded runtime (``policy.shards > 1``)."""
         from pathlib import Path
 
-        from repro.sharding import run_sharded, validate_sharded
+        from repro.sharding import run_sharded
 
         scenario = self.scenario
-        if policy.workers > 1:
-            raise ConfigurationError(
-                "shards > 1 already runs one engine per shard; combine "
-                "with workers > 1 is not supported — pick repetition "
-                "parallelism (workers) or overlay sharding (shards)"
-            )
-        validate_sharded(scenario, policy.shards)
         t0 = time.perf_counter()
         records: list[RunRecord] = []
         for rep in range(scenario.repetitions):
@@ -502,7 +496,7 @@ class Session:
         from repro.utils.rng import SeedSequenceTree
 
         scenario = self.scenario
-        if scenario.engine != "reference" or scenario.baseline is not None:
+        if scenario.regime != "reference":
             raise ConfigurationError(
                 "build_network is a reference-engine escape hatch"
             )
@@ -555,8 +549,7 @@ def run_points(
         are pinned identical to the sequential sweep on every path —
         same records, same deterministic point order.  ``shards`` is a
         :meth:`Session.run`-only knob and rejected here.  ``None``
-        means the sequential default, the only path that runs live
-        observers and topology callables.
+        means the sequential default.
     progress:
         ``(index, scenario, result) -> None``, fired once per point as
         it completes; ``index`` is the point's position in ``points``.

@@ -64,9 +64,7 @@ ENGINES = ("reference", "fast", "event")
 #: discrete-event runtime (the correctness oracle) or the
 #: cohort-batched SoA kernel (see repro.core.eventpath).
 EVENT_BACKENDS = ("reference", "fast")
-#: Built-in topology models (a callable factory is also accepted).
-#: Every named model runs on both the reference engine (per-node
-#: protocol objects) and the fast engine (array-backed view matrices);
+#: Built-in topology models (a callable factory is also accepted);
 #: "oracle" is the fast path's idealized uniform sampler kept for
 #: kernel-vs-overlay ablations.
 TOPOLOGIES = ("newscast", "cyclon", "ring", "kregular", "star", "oracle")
@@ -118,11 +116,14 @@ class TransportSpec:
     def __post_init__(self) -> None:
         for name in ("compute_period", "newscast_period", "gossip_period",
                      "monitor_period"):
-            _require(f"transport.{name}", getattr(self, name) > 0,
-                     "must be positive")
+            value = getattr(self, name)
+            _require(f"transport.{name}", math.isfinite(value) and value > 0,
+                     "must be positive and finite")
         _require("transport.latency_min",
                  0 <= self.latency_min <= self.latency_max,
                  "require 0 <= latency_min <= latency_max")
+        _require("transport.latency_max", math.isfinite(self.latency_max),
+                 "must be finite")
         _require("transport.loss_rate", 0.0 <= self.loss_rate < 1.0,
                  "must be in [0, 1)")
         _require("transport.clock_jitter", 0.0 <= self.clock_jitter <= 1.0,
@@ -132,6 +133,10 @@ class TransportSpec:
 @dataclass(frozen=True)
 class Scenario:
     """One declarative run specification shared by every frontend.
+
+    Which feature runs under which regime — and with which other
+    feature — is one table, :mod:`repro.scenario.support` (README,
+    "What runs where"); the attribute notes below do not restate it.
 
     Attributes
     ----------
@@ -163,17 +168,14 @@ class Scenario:
         event order and does not model message latency).
     event_window:
         Cohort window of the fast event backend, in simulated seconds
-        (``None`` = half the fastest timer period).  Fast event
-        backend only.
+        (``None`` = half the fastest timer period).
     topology:
         ``"newscast"`` (default), ``"cyclon"`` (shuffle-based peer
         sampling), ``"ring"`` (radius-2 lattice), ``"kregular"``
         (frozen random overlay), ``"star"`` (master–slave), or
-        ``"oracle"`` (the fast path's idealized uniform sampler —
-        fast engine only).  Every named model runs on both the
-        reference and the fast engine; a callable
-        ``node_id -> (protocol_name, PeerSampler)`` builds custom
-        overlays (reference engine only).
+        ``"oracle"`` (the fast path's idealized uniform sampler); a
+        callable ``node_id -> (protocol_name, PeerSampler)`` builds
+        custom overlays.
     rng_mode:
         Per-particle draw regime of the SoA kernels — the fast engine
         and the fast event backend: ``"strict"`` (default;
@@ -186,15 +188,14 @@ class Scenario:
         fast engine's hot kernels: ``"numpy"`` (default — the pinned
         oracle) or ``"numba"`` (compiled loops; falls back to NumPy
         with a one-time warning when numba is not installed).
-        Backends other than ``"numpy"`` require ``engine="fast"``.
     solver:
         ``"pso"`` (the paper), ``"de"``, ``"random"``, or a tuple of
         those cycled over node ids — the heterogeneous-solver
-        extension (reference engine only).
+        extension.
     partitioned:
         Give every node responsibility for one non-overlapping zone
         of the search space (paper Sec. 3.2's second coordination
-        strategy; reference engine only).
+        strategy).
     baseline:
         ``"centralized"`` (one big swarm, same total budget) or
         ``"independent"`` (isolated multi-start, best-of-n); ``None``
@@ -229,11 +230,9 @@ class Scenario:
         Byzantine fraction of nodes injecting false bests, corrupting
         positions or dropping gossip, plus the plausibility-filter
         defense toggle.  Default (``fraction=0``) is the honest
-        network.  Dynamics and adversary both require the standard
-        PSO solver stack (no objective maps, baselines, partitioning
-        or mixed solvers) and are not shardable.
+        network.
     observers:
-        Extra engine observers (cycle engines only).  Not
+        Extra engine observers, called once per cycle.  Not
         serializable — :meth:`to_dict` requires this empty.
     """
 
@@ -272,6 +271,11 @@ class Scenario:
     # -- validation -----------------------------------------------------------
 
     def __post_init__(self) -> None:
+        # Per-field ranges and the selector consistency that derives
+        # ``regime``; which feature runs under which regime is one
+        # table, repro.scenario.support.
+        from repro.scenario.support import check
+
         _require("nodes", self.nodes >= 1, "must be >= 1")
         _require("particles_per_node", self.particles_per_node >= 1,
                  "must be >= 1")
@@ -283,9 +287,29 @@ class Scenario:
         _require("engine", self.engine in ENGINES,
                  f"must be one of {ENGINES}, got {self.engine!r}")
         self._validate_objective()
-        self._validate_topology()
-        self._validate_solver()
-        self._validate_baseline()
+        _require("rng_mode", self.rng_mode in RNG_MODES,
+                 f"must be one of {RNG_MODES}, got {self.rng_mode!r}")
+        _require("kernel_backend", self.kernel_backend in KERNEL_BACKENDS,
+                 f"must be one of {KERNEL_BACKENDS}, "
+                 f"got {self.kernel_backend!r}")
+        _require("topology",
+                 callable(self.topology) or self.topology in TOPOLOGIES,
+                 f"must be one of {TOPOLOGIES} or a factory callable, "
+                 f"got {self.topology!r}")
+        if isinstance(self.solver, list):
+            object.__setattr__(self, "solver", tuple(self.solver))
+        names = self.solver if isinstance(self.solver, tuple) else (self.solver,)
+        _require("solver", len(names) >= 1, "must name at least one solver")
+        for name in names:
+            _require("solver", name in SOLVERS,
+                     f"must be drawn from {SOLVERS}, got {name!r}")
+        if self.baseline is not None:
+            _require("baseline", self.baseline in BASELINES,
+                     f"must be one of {BASELINES} or None, got {self.baseline!r}")
+            _require("baseline", self.engine == "reference",
+                     "baselines run on the reference engine")
+        if self.swarm_size is not None:
+            _require("swarm_size", self.swarm_size >= 1, "must be >= 1")
         if self.baseline != "centralized":
             # Every regime but the single big swarm splits the budget
             # evenly over the nodes (there, nodes only sizes the swarm).
@@ -293,7 +317,9 @@ class Scenario:
                      self.evaluations_per_node >= 1,
                      f"e={self.total_evaluations} gives node budget "
                      f"{self.evaluations_per_node} < 1 for n={self.nodes}")
-        self._validate_problem_layer()
+        if self.adversary.enabled:
+            _require("adversary", self.nodes >= 2,
+                     "a hostile overlay needs at least one honest node")
         if self.quality_threshold is not None:
             _require("quality_threshold", self.quality_threshold > 0,
                      "must be > 0 or None")
@@ -308,32 +334,13 @@ class Scenario:
         if self.event_backend != "reference":
             _require("event_backend", self.engine == "event",
                      "an event backend needs engine='event'")
-        if self.engine == "event" and self.event_backend == "fast":
-            # The cohort backend treats delivery as instantaneous; a
-            # latency band comparable to the timer periods is exactly
-            # the mechanism it cannot model.
-            fastest = min(self.transport.compute_period,
-                          self.transport.newscast_period,
-                          self.transport.gossip_period)
-            _require("transport.latency_max",
-                     self.transport.latency_max <= fastest,
-                     "exceeds the fastest timer period: the cohort-"
-                     "batched backend treats delivery as instantaneous "
-                     "— study latency on event_backend='reference'")
         if self.event_window is not None:
-            _require("event_window",
-                     self.engine == "event" and self.event_backend == "fast",
-                     "cohort windows are a fast-event-backend knob")
             _require("event_window",
                      math.isfinite(self.event_window) and self.event_window > 0,
                      "must be positive finite simulated seconds, or None")
         if self.max_cycles is not None:
             _require("max_cycles", self.max_cycles >= 1, "must be >= 1 or None")
-            _require("max_cycles", self.engine != "event",
-                     "the event engine is bounded by horizon, not cycles")
-        if self.observers:
-            _require("observers", self.engine != "event",
-                     "extra observers are cycle-engine only")
+        check(self)
         # Keep the nested bundles consistent with the scalar knobs,
         # exactly like ExperimentConfig does.
         object.__setattr__(
@@ -348,8 +355,6 @@ class Scenario:
                 self, "objective_map",
                 {int(k): str(v) for k, v in self.objective_map.items()},
             )
-        if isinstance(self.solver, list):
-            object.__setattr__(self, "solver", tuple(self.solver))
 
     def _validate_objective(self) -> None:
         if self.objective_map is None:
@@ -359,12 +364,6 @@ class Scenario:
             return
         _require("function", self.function is None,
                  "give either function or objective_map, not both")
-        _require("objective_map", self.engine in ("reference", "fast"),
-                 "per-node objectives run on the reference or fast engine")
-        _require("objective_map", self.baseline is None,
-                 "baselines take a single shared function")
-        _require("objective_map", not self.partitioned,
-                 "cannot combine with partitioned search")
         ids = sorted(int(k) for k in self.objective_map)
         _require("objective_map", ids == list(range(self.nodes)),
                  f"must map every node id 0..{self.nodes - 1} exactly once")
@@ -382,105 +381,18 @@ class Scenario:
         _require("objective_map", len(dims) == 1,
                  f"all objectives must share one dimension, got {sorted(dims)}")
 
-    def _validate_topology(self) -> None:
-        _require("rng_mode", self.rng_mode in RNG_MODES,
-                 f"must be one of {RNG_MODES}, got {self.rng_mode!r}")
-        if self.rng_mode != "strict":
-            _require("rng_mode",
-                     self.engine == "fast"
-                     or (self.engine == "event"
-                         and self.event_backend == "fast"),
-                     "batched draws are a SoA-kernel regime (the fast "
-                     "engine or the fast event backend)")
-        _require("kernel_backend", self.kernel_backend in KERNEL_BACKENDS,
-                 f"must be one of {KERNEL_BACKENDS}, "
-                 f"got {self.kernel_backend!r}")
-        if self.kernel_backend != "numpy":
-            _require("kernel_backend", self.engine == "fast",
-                     "alternative kernel backends run on the fast engine")
-        if callable(self.topology):
-            _require("topology", self.engine == "reference",
-                     "custom topology factories need the reference engine")
-            return
-        _require("topology", self.topology in TOPOLOGIES,
-                 f"must be one of {TOPOLOGIES} or a factory callable, "
-                 f"got {self.topology!r}")
-        if self.topology == "oracle":
-            _require("topology", self.engine == "fast",
-                     "the oracle sampler is the fast engine's idealized "
-                     "overlay; other engines model real topologies")
-        elif self.topology != "newscast":
-            _require("topology", self.engine in ("reference", "fast"),
-                     f"topology {self.topology!r} runs on the reference or "
-                     "fast engine (the event runtime models NEWSCAST)")
-
-    def _validate_solver(self) -> None:
-        names = self.solver if isinstance(self.solver, (tuple, list)) else (self.solver,)
-        _require("solver", len(names) >= 1, "must name at least one solver")
-        for name in names:
-            _require("solver", name in SOLVERS,
-                     f"must be drawn from {SOLVERS}, got {name!r}")
-        heterogeneous = tuple(names) != ("pso",)
-        if heterogeneous:
-            _require("solver", self.engine == "reference",
-                     "non-PSO / mixed solvers need the reference engine")
-            _require("solver", not self.partitioned,
-                     "partitioned search uses zone-confined PSO")
-            _require("solver", self.baseline is None,
-                     "baselines use the plain PSO solver")
-        if self.partitioned:
-            _require("partitioned", self.engine == "reference",
-                     "partitioned search needs the reference engine")
-            _require("partitioned", self.baseline is None,
-                     "baselines do not partition the domain")
-
-    def _validate_problem_layer(self) -> None:
-        for name, spec in (("dynamics", self.dynamics),
-                           ("adversary", self.adversary)):
-            if not spec.enabled:
-                continue
-            _require(name, self.baseline is None,
-                     "baselines model the static honest setting")
-            _require(name, self.objective_map is None,
-                     "requires one shared objective, not an objective_map")
-            _require(name, not self.partitioned,
-                     "cannot combine with partitioned search")
-            solvers = (self.solver if isinstance(self.solver, tuple)
-                       else (self.solver,))
-            _require(name, tuple(solvers) == ("pso",),
-                     "requires the standard PSO solver stack")
-        if self.adversary.enabled:
-            _require("adversary", self.nodes >= 2,
-                     "a hostile overlay needs at least one honest node")
-
-    def _validate_baseline(self) -> None:
-        if self.baseline is None:
-            _require("swarm_size", self.swarm_size is None,
-                     "only the centralized baseline takes a swarm_size")
-            return
-        _require("baseline", self.baseline in BASELINES,
-                 f"must be one of {BASELINES} or None, got {self.baseline!r}")
-        _require("baseline", self.engine == "reference",
-                 "baselines run on the reference engine")
-        _require("baseline", not self.churn.enabled,
-                 "baselines model static populations")
-        _require("baseline", not callable(self.topology)
-                 and self.topology == "newscast",
-                 "baselines ignore the topology model")
-        _require("quality_threshold", self.quality_threshold is None,
-                 "baselines run to budget; thresholds are not supported")
-        _require("observers", not self.observers,
-                 "baselines drive no engine for observers to watch")
-        _require("max_cycles", self.max_cycles is None,
-                 "baselines are bounded by budget, not cycles")
-        _require("record_history", not self.record_history,
-                 "baselines keep no quality trajectory")
-        if self.swarm_size is not None:
-            _require("swarm_size", self.baseline == "centralized",
-                     "only the centralized baseline takes a swarm_size")
-            _require("swarm_size", self.swarm_size >= 1, "must be >= 1")
-
     # -- derived views ---------------------------------------------------------
+
+    @property
+    def regime(self) -> str:
+        """The execution path the selectors pick — a column of
+        :mod:`repro.scenario.support`: ``reference`` | ``fast`` |
+        ``event`` | ``event-fast`` | ``centralized`` | ``independent``."""
+        if self.baseline is not None:
+            return self.baseline
+        if self.engine == "event" and self.event_backend == "fast":
+            return "event-fast"
+        return self.engine
 
     @property
     def evaluations_per_node(self) -> int:
@@ -571,16 +483,13 @@ class Scenario:
         """JSON-safe dict representation (see :meth:`from_dict`).
 
         Raises :class:`ScenarioValidationError` naming the field when
-        the scenario holds non-serializable parts (a topology
-        callable, live observer objects).
+        the scenario holds live objects (a topology callable,
+        observers) — the ``jobs`` column of
+        :mod:`repro.scenario.support`.
         """
-        if callable(self.topology):
-            raise ScenarioValidationError(
-                "topology", "factory callables are not JSON-serializable; "
-                "use a named topology model")
-        if self.observers:
-            raise ScenarioValidationError(
-                "observers", "live observer objects are not JSON-serializable")
+        from repro.scenario.support import check
+
+        check(self, "jobs")
         out: dict[str, Any] = {}
         for f in fields(self):
             value = getattr(self, f.name)

@@ -32,16 +32,11 @@ Selected through the execution surface:
 ``Session(scenario).run(policy=ExecutionPolicy(shards=4))``.
 """
 
-from repro.sharding.coordinator import (
-    run_sharded,
-    run_sharded_detailed,
-    validate_sharded,
-)
+from repro.sharding.coordinator import run_sharded, run_sharded_detailed
 from repro.sharding.plan import ShardPlan
 
 __all__ = [
     "ShardPlan",
     "run_sharded",
     "run_sharded_detailed",
-    "validate_sharded",
 ]

@@ -50,9 +50,10 @@ from pathlib import Path
 
 from repro.core.kernels import resolve_backend_name
 from repro.core.metrics import MessageTally, QualitySample
-from repro.core.runner import default_max_cycles
 from repro.functions.base import get_function
+from repro.scenario import support
 from repro.scenario.result import RunRecord
+from repro.scenario.session import Session
 from repro.scenario.spec import Scenario
 from repro.sharding.engine import ShardEngine, run_shard
 from repro.sharding.exchange import (
@@ -61,70 +62,13 @@ from repro.sharding.exchange import (
     SpoolExchange,
 )
 from repro.sharding.plan import ShardPlan
-from repro.utils.exceptions import ConfigurationError
 
-__all__ = ["validate_sharded", "run_sharded", "run_sharded_detailed"]
-
-#: Topologies the sharded views layer implements.
-SHARDABLE_TOPOLOGIES = ("newscast", "oracle")
+__all__ = ["run_sharded", "run_sharded_detailed"]
 
 #: Respawn budget per shard worker before the run is declared failed.
 MAX_RESPAWNS = 3
 
 FAULT_ENV = "REPRO_SHARD_FAULT"
-
-
-def validate_sharded(scenario: Scenario, shards: int) -> None:
-    """Reject scenario features the sharded runtime does not cover.
-
-    Sharding composes the SoA fast engine with the array NEWSCAST
-    kernels; everything the composition cannot express fails loudly
-    here rather than silently running a different experiment.
-    """
-    def bad(msg: str) -> ConfigurationError:
-        return ConfigurationError(f"sharded execution: {msg}")
-
-    if shards < 1:
-        raise bad(f"shards must be >= 1, got {shards}")
-    if shards > scenario.nodes:
-        raise bad(
-            f"{shards} shards need at least {shards} nodes, "
-            f"got {scenario.nodes}"
-        )
-    if scenario.engine != "fast":
-        raise bad(
-            f"requires engine='fast' (the per-shard substrate), "
-            f"got engine={scenario.engine!r}"
-        )
-    if scenario.churn.enabled:
-        raise bad(
-            "churn is not supported (joins allocate ids across "
-            "shard boundaries)"
-        )
-    if scenario.objective_map is not None:
-        raise bad("objective_map is not supported")
-    if scenario.partitioned or scenario.solver not in ("pso", ("pso",)):
-        raise bad("only the homogeneous PSO solver is supported")
-    if scenario.baseline is not None:
-        raise bad("baselines are single-process by definition")
-    if scenario.observers:
-        raise bad("live observer objects cannot cross shard boundaries")
-    if scenario.dynamics.enabled:
-        raise bad(
-            "dynamic landscapes are not supported (epoch transitions "
-            "must refresh every node's stale bests atomically, which "
-            "shard windows cannot order)"
-        )
-    if scenario.adversary.enabled:
-        raise bad(
-            "hostile overlays are not supported (the Byzantine subset "
-            "and its tallies are engine-global state)"
-        )
-    if scenario.topology not in SHARDABLE_TOPOLOGIES:
-        raise bad(
-            f"topology must be one of {SHARDABLE_TOPOLOGIES}, "
-            f"got {scenario.topology!r}"
-        )
 
 
 def _build_engine(scenario: Scenario, repetition: int, plan: ShardPlan,
@@ -139,12 +83,6 @@ def _build_engine(scenario: Scenario, repetition: int, plan: ShardPlan,
         kernel_backend=scenario.kernel_backend,
         record_history=scenario.record_history,
     )
-
-
-def _max_cycles(scenario: Scenario) -> int:
-    if scenario.max_cycles is not None:
-        return scenario.max_cycles
-    return default_max_cycles(scenario.to_experiment_config())
 
 
 def _assemble(scenario: Scenario, fragments: list[dict]) -> RunRecord:
@@ -250,7 +188,7 @@ def _shard_worker(spec: dict, repetition: int, shards: int, shard: int,
             marker = None
         outcome = run_shard(
             _build_engine(scenario, repetition, plan, shard), exchange,
-            _max_cycles(scenario), fault_hook=_fault_hook(shard, marker),
+            Session(scenario).max_cycles(), fault_hook=_fault_hook(shard, marker),
         )
     except ShardExchangeAborted:
         outcome = None
@@ -359,7 +297,7 @@ def run_sharded_detailed(
     """Like :func:`run_sharded`, also returning the per-shard fragments
     (cycle counts, local tallies, wall-clock throughput — the bench
     harness reads these)."""
-    validate_sharded(scenario, shards)
+    support.check(scenario, "shards")
     plan = ShardPlan(scenario.nodes, shards)
     fragments = _run_workers(scenario, repetition, plan, spool)
     return _assemble(scenario, fragments), fragments

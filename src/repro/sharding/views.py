@@ -308,7 +308,4 @@ def make_shard_views(topology: str, plan: ShardPlan, shard: int,
         return ShardNewscastViews(plan, shard, capacity, rng)
     if topology == "oracle":
         return ShardOracleViews(plan, shard, rng)
-    raise ConfigurationError(
-        f"sharded execution supports topologies ('newscast', 'oracle'); "
-        f"got {topology!r}"
-    )
+    raise ConfigurationError(f"no sharded views for topology {topology!r}")

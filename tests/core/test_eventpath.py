@@ -84,9 +84,6 @@ class TestBasicExecution:
             CohortEventEngine(make_config(), window=float("nan"))
         with pytest.raises(ValueError):
             CohortEventEngine(make_config()).run(until=0.0)
-        # Latency comparable to the timer periods needs AsyncRuntime.
-        with pytest.raises(ConfigurationError):
-            CohortEventEngine(make_config(latency_min=2.0, latency_max=8.0))
 
     def test_default_window_is_half_fastest_period(self):
         cfg = make_config(compute_period=2.0, newscast_period=6.0,

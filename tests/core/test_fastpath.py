@@ -368,10 +368,6 @@ class TestTopologyProviders:
         ]
         assert len(set(results)) == 1
 
-    def test_rejects_factory_callables(self):
-        with pytest.raises(Exception, match="factory"):
-            FastEngine(small_config(), topology=isolated_topology)
-
 
 class TestBatchedRng:
     """The batched draw regime: reproducible, per-node stable."""

@@ -54,10 +54,6 @@ class TestInlineService:
     def test_empty_sweep(self):
         assert run_sweep_jobs([]) == []
 
-    def test_rejects_unserializable_scenarios(self):
-        with pytest.raises(ValueError):
-            run_sweep_jobs([make(topology=lambda nid: None)])
-
     def test_rejects_invalid_workers(self):
         with pytest.raises(ValueError):
             run_sweep_jobs(sweep_points(), policy=ExecutionPolicy(workers=0))

@@ -43,6 +43,8 @@ class TestValidation:
             ({"stale_after": -1.0}, "stale_after"),
             ({"heartbeat_interval": 0.0}, "heartbeat_interval"),
             ({"job_timeout": -5.0}, "job_timeout"),
+            # two fields of one value: repetition pool or shard processes
+            ({"workers": 2, "shards": 2}, "workers"),
         ],
     )
     def test_bad_values_name_the_field(self, kwargs, field):
@@ -54,14 +56,15 @@ class TestValidation:
             ExecutionPolicy().workers = 2
 
     def test_round_trip(self):
-        policy = ExecutionPolicy(
-            workers=3, spool="/tmp/x", shards=2, stale_after=60.0
-        )
-        assert ExecutionPolicy.from_dict(policy.to_dict()) == policy
+        for policy in (
+            ExecutionPolicy(workers=3, spool="/tmp/x", stale_after=60.0),
+            ExecutionPolicy(spool="/tmp/x", shards=2),
+        ):
+            assert ExecutionPolicy.from_dict(policy.to_dict()) == policy
 
     def test_with_returns_modified_copy(self):
-        policy = ExecutionPolicy(workers=2)
-        assert policy.with_(shards=4) == ExecutionPolicy(workers=2, shards=4)
+        policy = ExecutionPolicy(spool="/tmp/x")
+        assert policy.with_(shards=4) == ExecutionPolicy(spool="/tmp/x", shards=4)
         assert policy.shards == 1
 
 

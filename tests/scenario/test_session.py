@@ -125,11 +125,6 @@ class TestRunReference:
             "compute:2", "progress:2",
         ]
 
-    def test_workers_reject_callable_topology(self):
-        scenario = make(topology=lambda nid: None)
-        with pytest.raises(ValueError):
-            Session(scenario).run(policy=ExecutionPolicy(workers=2))
-
     def test_session_requires_scenario(self):
         with pytest.raises(TypeError):
             Session({"function": "sphere"})

@@ -11,7 +11,7 @@ from repro.scenario import (
     ScenarioValidationError,
     TransportSpec,
 )
-from repro.utils.config import ChurnConfig, PSOConfig
+from repro.utils.config import ChurnConfig, NewscastConfig, PSOConfig
 from repro.utils.exceptions import ConfigurationError
 
 
@@ -64,8 +64,10 @@ class TestValidation:
             ("partitioned", {"partitioned": True, "engine": "fast"}),
             ("baseline", {"baseline": "quantum"}),
             ("baseline", {"baseline": "centralized", "engine": "fast"}),
-            ("baseline", {"baseline": "independent",
-                          "churn": ChurnConfig(crash_rate=0.1)}),
+            # A support-table cell blames the feature's own field.
+            ("churn", {"baseline": "independent",
+                       "churn": ChurnConfig(crash_rate=0.1)}),
+            ("topology", {"baseline": "centralized", "topology": "ring"}),
             ("swarm_size", {"swarm_size": 9}),
             ("swarm_size", {"baseline": "centralized", "swarm_size": 0}),
             ("quality_threshold", {"quality_threshold": 0.0}),
@@ -98,13 +100,50 @@ class TestValidation:
             ("max_cycles", {"max_cycles": 0}),
             ("max_cycles", {"max_cycles": 5, "engine": "event",
                             "horizon": 10.0}),
+            # Non-finite clocks used to pass here and fail at run time
+            # as DeploymentConfig.<field>.
+            ("transport.compute_period",
+             {"transport": {"compute_period": float("inf")}}),
+            ("transport.monitor_period",
+             {"transport": {"monitor_period": float("inf")}}),
+            ("transport.latency_max",
+             {"transport": {"latency_max": float("inf")}}),
+            # Two knobs every path but the cycle-driven reference stack
+            # (exchange_per_cycle) / the event engines (transport) used
+            # to ignore silently.  The transport row is read first.
+            ("transport", {"engine": "fast",
+                           "transport": {"loss_rate": 0.9},
+                           "newscast": NewscastConfig(exchange_per_cycle=5)}),
+            ("newscast.exchange_per_cycle",
+             {"engine": "fast",
+              "newscast": NewscastConfig(exchange_per_cycle=5)}),
+            ("newscast.exchange_per_cycle",
+             {"engine": "event", "horizon": 10.0,
+              "newscast": NewscastConfig(exchange_per_cycle=5)}),
+            ("transport", {"transport": {"loss_rate": 0.9}}),
         ],
     )
     def test_errors_name_offending_field(self, field, overrides):
         with pytest.raises(ScenarioValidationError) as err:
+            if isinstance(overrides.get("transport"), dict):
+                overrides = {**overrides,
+                             "transport": TransportSpec(**overrides["transport"])}
             make(**overrides)
         assert err.value.field.startswith(field)
         assert str(err.value).startswith(f"Scenario.{field}")
+
+    def test_reference_engine_still_honours_exchange_per_cycle(self):
+        from repro.scenario import Session
+
+        exchanges = [
+            Session(make(
+                nodes=16, particles_per_node=8, gossip_cycle=8,
+                total_evaluations=16 * 8 * 13, repetitions=1, seed=0,
+                newscast=NewscastConfig(exchange_per_cycle=per_cycle),
+            )).run_one(0).messages.newscast_exchanges
+            for per_cycle in (1, 5)
+        ]
+        assert exchanges == [208, 1040]
 
     def test_centralized_budget_is_not_split_over_nodes(self):
         s = make(baseline="centralized", total_evaluations=4)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.scenario import ExecutionPolicy, Scenario, Session
-from repro.sharding import ShardPlan, run_sharded, validate_sharded
+from repro.sharding import ShardPlan, run_sharded
 from repro.sharding.views import make_shard_views
 from repro.utils.config import CoordinationConfig
 from repro.utils.exceptions import ConfigurationError
@@ -151,15 +151,11 @@ def test_sharded_newscast_overlay_mixes_across_shards():
         assert v.exchanges > 0
 
 
-def test_validate_sharded_rejections():
+def test_run_sharded_rejects_impossible_shard_counts():
+    """Which *scenarios* shard is the ``shards`` column of
+    ``repro.scenario.support`` (tests/scenario/test_support.py); the
+    count itself is the plan's range check."""
     ok = _scenario()
-    validate_sharded(ok, 2)  # baseline: accepted
-    cases = [
-        (_scenario(engine="reference"), 2),
-        (_scenario(topology="ring"), 2),
-        (ok, 0),
-        (ok, 33),
-    ]
-    for scenario, shards in cases:
-        with pytest.raises(ConfigurationError, match="sharded execution"):
-            validate_sharded(scenario, shards)
+    for shards in (0, 33):
+        with pytest.raises(ConfigurationError, match="ShardPlan.shards"):
+            run_sharded(ok, shards=shards)
