@@ -17,6 +17,7 @@ from repro.functions.base import get_function
 from repro.pso.swarm import Swarm
 from repro.simulator.engine import CycleDrivenEngine
 from repro.simulator.network import Network
+from repro.topology.array_views import pack_views
 from repro.topology.newscast import NewscastProtocol, bootstrap_views
 from repro.utils.config import NewscastConfig, PSOConfig
 from repro.utils.rng import SeedSequenceTree
@@ -143,14 +144,12 @@ class TestKernelBackendMicro:
         cand_ids = rng.integers(0, 4 * m, (m, width)).astype(np.int64)
         cand_ts = rng.integers(0, 1 << 20, (m, width)).astype(np.int64)
         # Sprinkle empty slots the way a warming overlay produces them.
-        empty = rng.random((m, width)) < 0.25
-        cand_ids[empty] = -1
-        cand_ts[empty] = -1
-        self_ids = np.arange(m, dtype=np.int64)
+        cand_ids[rng.random((m, width)) < 0.25] = -1
+        keys = pack_views(cand_ids, cand_ts)
         ws = Workspace()
 
         def run():
-            return backend.merge_candidates(cand_ids, cand_ts, self_ids, c, ws=ws)
+            return backend.merge_candidates(keys, c, ws=ws)
 
         run()  # warm as above
         benchmark(run)

@@ -144,18 +144,18 @@ class KernelBackend(abc.ABC):
 
     @abc.abstractmethod
     def merge_candidates(
-        self,
-        cand_ids: np.ndarray,
-        cand_ts: np.ndarray,
-        self_ids: np.ndarray,
-        capacity: int,
-        ws: Workspace | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """NEWSCAST packed-int64 merge of every candidate row at once.
+        self, keys: np.ndarray, capacity: int, ws: Workspace | None = None
+    ) -> np.ndarray:
+        """NEWSCAST merge of every row of an ``(m, w)`` packed-key matrix.
 
-        Must match :func:`repro.topology.array_views.merge_candidates`
-        exactly (it is integer arithmetic — bit-identity is free).
-        With ``ws``, the returned arrays are workspace views valid
-        until the next same-named ``take``; callers copy or scatter
-        them out before the next merge.
+        Keys are the ``int64`` descriptors of
+        :mod:`repro.topology.array_views` (any order, empty slots
+        anywhere).  Returns ``(m, min(capacity, w))`` keys: per row the
+        freshest copy of each id, ascending — freshest first, equal
+        stamps by descending id, empty slots last.  Must match
+        :func:`repro.core.kernels.numpy_backend.merge_candidates`
+        exactly (integer arithmetic — bit-identity is free) and must
+        not write ``keys``.  The result is a view of a workspace
+        buffer, valid until the next merge on the same ``ws``
+        (``None``: a private one); callers copy or scatter it out.
         """

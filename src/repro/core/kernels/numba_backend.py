@@ -9,8 +9,8 @@ dependency is missing, so scenarios declaring
 The two kernels worth compiling are the ones NumPy executes as chains
 of whole-array passes — the fused PSO update (ten ufunc sweeps over
 ``(n, k, d)`` become one cache-friendly loop) and the NEWSCAST
-packed-key merge (two full-matrix sorts plus a dozen mask passes
-become one pass of short row sorts).  Both preserve the oracle's
+packed-key merge (two full-matrix sorts plus eleven whole-matrix
+passes become one pass of short row sorts).  Both preserve the oracle's
 results exactly:
 
 * the fused update evaluates the same IEEE-754 double operations in
@@ -32,14 +32,13 @@ import numpy as np
 
 from repro.core.kernels.interface import BackendUnavailable
 from repro.core.kernels.numpy_backend import (
-    DEAD_KEY,
-    EMPTY_ID,
-    EMPTY_TS,
+    EMPTY_KEY,
     ID_BITS,
     ID_MASK,
     TS_MASK,
     NumpyKernelBackend,
 )
+from repro.core.kernels.workspace import Workspace
 
 __all__ = ["NumbaKernelBackend"]
 
@@ -86,43 +85,27 @@ def _fused_update(
 
 
 @njit(cache=True, fastmath=False)
-def _merge_rows(
-    cand_ids, cand_ts, self_ids, capacity, out_ids, out_ts, key
-):  # pragma: no cover - measured in CI's kernel-backends job
-    m, w = cand_ids.shape
+def _merge_rows(keys, key):  # pragma: no cover - measured in CI's kernel-backends job
+    m, w = keys.shape
     for i in range(m):
         row = key[i]
-        me = self_ids[i]
-        # Key 1: (id asc, ts desc); padding and self -> dead.
+        # (id field, stamp field): duplicates adjacent, freshest first.
         for j in range(w):
-            cid = cand_ids[i, j]
-            if cid < 0 or cid == me:
-                row[j] = DEAD_KEY
-            else:
-                row[j] = (cid << 32) | (TS_MASK - cand_ts[i, j])
+            kj = keys[i, j]
+            row[j] = ((kj & ID_MASK) << 32) | (kj >> ID_BITS)
         row.sort()
-        # Dedup adjacent ids (first = freshest) and re-key survivors
-        # by (ts desc, id desc).
-        prev_id = np.int64(-1)
+        # Blank repeated ids, swap survivors back to view order (the
+        # empty key maps to itself both ways).
+        prev = np.int64(-1)
         for j in range(w):
             kj = row[j]
-            if kj == DEAD_KEY:
-                continue
-            cid = kj >> 32
-            if cid == prev_id:
-                row[j] = DEAD_KEY
+            id_field = kj >> 32
+            if id_field == prev:
+                row[j] = EMPTY_KEY
             else:
-                prev_id = cid
-                row[j] = ((kj & TS_MASK) << ID_BITS) | (ID_MASK - cid)
+                prev = id_field
+                row[j] = ((kj & TS_MASK) << ID_BITS) | id_field
         row.sort()
-        for j in range(capacity):
-            kj = row[j]
-            if kj == DEAD_KEY:
-                out_ids[i, j] = EMPTY_ID
-                out_ts[i, j] = EMPTY_TS
-            else:
-                out_ids[i, j] = ID_MASK - (kj & ID_MASK)
-                out_ts[i, j] = TS_MASK - (kj >> ID_BITS)
 
 
 def _broadcast3(bound, shape):
@@ -183,24 +166,8 @@ class NumbaKernelBackend(NumpyKernelBackend):
         )
         return out_vel, out_pos
 
-    def merge_candidates(self, cand_ids, cand_ts, self_ids, capacity, ws=None):
-        m, w = cand_ids.shape
-        capacity = min(capacity, w)  # match the oracle's slice semantics
-        if ws is not None:
-            out_ids = ws.take("mc_out_ids", (m, capacity), np.int64)
-            out_ts = ws.take("mc_out_ts", (m, capacity), np.int64)
-            key = ws.take("mc_key", (m, w), np.int64)
-        else:
-            out_ids = np.empty((m, capacity), dtype=np.int64)
-            out_ts = np.empty((m, capacity), dtype=np.int64)
-            key = np.empty((m, w), dtype=np.int64)
-        _merge_rows(
-            np.ascontiguousarray(cand_ids),
-            np.ascontiguousarray(cand_ts),
-            np.ascontiguousarray(self_ids),
-            capacity,
-            out_ids,
-            out_ts,
-            key,
-        )
-        return out_ids, out_ts
+    def merge_candidates(self, keys, capacity, ws=None):
+        ws = Workspace() if ws is None else ws
+        key = ws.take("mc_key", keys.shape, np.int64)
+        _merge_rows(np.ascontiguousarray(keys), key)
+        return key[:, :capacity]

@@ -21,22 +21,24 @@ __all__ = [
     "NumpyKernelBackend",
     "scatter_min_fold",
     "merge_candidates",
-    "EMPTY_ID",
-    "EMPTY_TS",
+    "EMPTY_KEY",
     "ID_BITS",
     "ID_MASK",
+    "MAX_ID",
     "TS_MASK",
-    "DEAD_KEY",
 ]
 
-#: Packed-key layout shared with :mod:`repro.topology.array_views`:
-#: ids below 2**30, integer timestamps below 2**32.
-EMPTY_ID = -1
-EMPTY_TS = -1
-ID_BITS = 30
+#: Packed-descriptor layout (see :mod:`repro.topology.array_views`):
+#: ``(TS_MASK - ts) << ID_BITS | (MAX_ID - id)`` — a 32-bit stamp field
+#: over a 31-bit id field, both complemented so ascending keys read
+#: freshest first, equal stamps by descending id.  The empty slot is
+#: the largest int64: it sorts last and both field swaps of the merge
+#: kernel map it to itself.
+ID_BITS = 31
 ID_MASK = (1 << ID_BITS) - 1
+MAX_ID = ID_MASK - 1
 TS_MASK = (1 << 32) - 1
-DEAD_KEY = np.iinfo(np.int64).max
+EMPTY_KEY = np.iinfo(np.int64).max
 
 
 def scatter_min_fold(
@@ -77,88 +79,41 @@ def scatter_min_fold(
 
 
 def merge_candidates(
-    cand_ids: np.ndarray,
-    cand_ts: np.ndarray,
-    self_ids: np.ndarray,
-    capacity: int,
-    ws: Workspace | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """NEWSCAST-merge every row of a candidate matrix at once.
+    keys: np.ndarray, capacity: int, ws: Workspace | None = None
+) -> np.ndarray:
+    """NEWSCAST-merge every row of a packed candidate matrix at once.
 
-    The packed-int64 two-sort kernel (see
-    :mod:`repro.topology.array_views` for the full semantics): sort by
-    ``(id, ts desc)``, dedup adjacent ids keeping the freshest, re-key
-    by ``(ts desc, id desc)``, sort again, truncate to ``capacity``.
-    With ``ws`` the whole pipeline runs through workspace buffers and
-    in-place sorts — integer arithmetic either way, so both paths
-    return identical matrices.
+    Swap each key's two fields so the id field leads (ids group,
+    freshest copy first), row sort, blank every entry whose left
+    neighbour carries the same id, swap back, row sort: the first
+    ``capacity`` columns are the merged view.  Pure int64 passes over workspace buffers
+    (``ws=None`` takes a private one); ``keys`` is only read.
     """
-    m, w = cand_ids.shape
-    if ws is None:
-        invalid = (cand_ids < 0) | (cand_ids == self_ids[:, None])
-        # Key 1: (id asc, ts desc).  Equal keys are identical descriptors.
-        ts_comp = TS_MASK - cand_ts
-        key = np.where(invalid, DEAD_KEY, (cand_ids << 32) | ts_comp)
-        key = np.sort(key, axis=1)
-        # Dedup: first of each id group is its freshest copy.
-        ids_sorted = key >> 32
-        dup = np.empty(key.shape, dtype=bool)
-        dup[:, 0] = False
-        dup[:, 1:] = ids_sorted[:, 1:] == ids_sorted[:, :-1]
-        # Key 2: (ts desc, id desc) over survivors — truncation order.
-        key2 = ((key & TS_MASK) << ID_BITS) | (ID_MASK - (ids_sorted & ID_MASK))
-        key2[dup | (key == DEAD_KEY)] = DEAD_KEY
-        key2 = np.sort(key2, axis=1)[:, :capacity]
-        dead = key2 == DEAD_KEY
-        out_ids = np.where(dead, EMPTY_ID, ID_MASK - (key2 & ID_MASK))
-        out_ts = np.where(dead, EMPTY_TS, TS_MASK - (key2 >> ID_BITS))
-        return out_ids, out_ts
-
-    # Workspace path: the same integer pipeline through out= ufuncs and
-    # in-place row sorts — no new arrays in steady state.
+    ws = Workspace() if ws is None else ws
+    m, w = keys.shape
     key = ws.take("mc_key", (m, w), np.int64)
     tmp = ws.take("mc_tmp", (m, w), np.int64)
-    mask = ws.take("mc_mask", (m, w), bool)
-    dead = ws.take("mc_dead", (m, w), bool)
-    # invalid = (ids < 0) | (ids == self)
-    np.less(cand_ids, 0, out=mask)
-    np.equal(cand_ids, self_ids[:, None], out=dead)
-    np.logical_or(mask, dead, out=mask)
-    # key1 = (id << 32) | (TS_MASK - ts); invalid -> DEAD_KEY
-    np.subtract(TS_MASK, cand_ts, out=key)
-    np.left_shift(cand_ids, 32, out=tmp)
+    dup = ws.take("mc_dup", (m, w), bool)
+    # (id field, stamp field): duplicates adjacent, freshest first.
+    np.right_shift(keys, ID_BITS, out=tmp)
+    np.bitwise_and(keys, ID_MASK, out=key)
+    np.left_shift(key, 32, out=key)
     np.bitwise_or(key, tmp, out=key)
-    np.copyto(key, DEAD_KEY, where=mask)
     key.sort(axis=1)
-    # ids_sorted in tmp; dup mask; dead-key carryover
+    # Adjacent compare on the flat buffer (one contiguous pass); a
+    # row's first entry has no left neighbour in its own row.
     np.right_shift(key, 32, out=tmp)
-    mask[:, 0] = False
-    np.equal(tmp[:, 1:], tmp[:, :-1], out=mask[:, 1:])
-    np.equal(key, DEAD_KEY, out=dead)
-    np.logical_or(mask, dead, out=mask)
-    # key2 = ((key1 & TS_MASK) << ID_BITS) | (ID_MASK - (ids & ID_MASK))
+    flat_ids, flat_dup = tmp.reshape(-1), dup.reshape(-1)
+    np.equal(flat_ids[1:], flat_ids[:-1], out=flat_dup[1:])
+    dup[:, 0] = False
+    # Back to (stamp field, id field); duplicates ORed to the empty key.
     np.bitwise_and(key, TS_MASK, out=key)
     np.left_shift(key, ID_BITS, out=key)
-    np.bitwise_and(tmp, ID_MASK, out=tmp)
-    np.subtract(ID_MASK, tmp, out=tmp)
     np.bitwise_or(key, tmp, out=key)
-    np.copyto(key, DEAD_KEY, where=mask)
+    np.multiply(dup, EMPTY_KEY, out=tmp)
+    np.bitwise_or(key, tmp, out=key)
     key.sort(axis=1)
-    capacity = min(capacity, w)  # match the pure path's slice semantics
-    k2 = key[:, :capacity]
-    out_ids = ws.take("mc_out_ids", (m, capacity), np.int64)
-    out_ts = ws.take("mc_out_ts", (m, capacity), np.int64)
-    dead_c = dead[:, :capacity]
-    np.equal(k2, DEAD_KEY, out=dead_c)
-    # out_ids = ID_MASK - (k2 & ID_MASK); dead -> -1
-    np.bitwise_and(k2, ID_MASK, out=out_ids)
-    np.subtract(ID_MASK, out_ids, out=out_ids)
-    np.copyto(out_ids, EMPTY_ID, where=dead_c)
-    # out_ts = TS_MASK - (k2 >> ID_BITS); dead -> -1
-    np.right_shift(k2, ID_BITS, out=out_ts)
-    np.subtract(TS_MASK, out_ts, out=out_ts)
-    np.copyto(out_ts, EMPTY_TS, where=dead_c)
-    return out_ids, out_ts
+    return key[:, :capacity]
 
 
 #: The fused update runs its pass sequence over row blocks of about
@@ -298,5 +253,5 @@ class NumpyKernelBackend(KernelBackend):
             senders, targets, src_val, src_pos, cmp_val, out_val, out_pos
         )
 
-    def merge_candidates(self, cand_ids, cand_ts, self_ids, capacity, ws=None):
-        return merge_candidates(cand_ids, cand_ts, self_ids, capacity, ws=ws)
+    def merge_candidates(self, keys, capacity, ws=None):
+        return merge_candidates(keys, capacity, ws=ws)

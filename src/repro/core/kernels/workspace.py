@@ -2,8 +2,8 @@
 
 Every cycle of the fast engine used to allocate its large temporaries
 fresh — the fused update's ``(n, k, d)`` intermediates, the NEWSCAST
-merge's ``(m, 2c+1)`` candidate/key matrices, the gossip phase's
-snapshot vectors — roughly 1 ms/cycle of allocator traffic at
+exchange's ``(p, 2c+2)`` packed candidate and key matrices, the gossip
+phase's snapshot vectors — roughly 1 ms/cycle of allocator traffic at
 ``n = 1000`` (``BENCH_4.json``).  A :class:`Workspace` replaces that
 with named, capacity-sized buffers reused across cycles: ``take``
 returns a leading-axis view of a persistent buffer, growing it

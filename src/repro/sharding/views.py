@@ -1,9 +1,10 @@
 """Sharded NEWSCAST views: local rows, global entries, boundary messages.
 
-Each shard holds the ``(m, c)`` view matrices of *its own* nodes, but
-the entries are **global** node ids — the overlay is one network, only
-its storage is partitioned.  A cycle's view exchanges split by where
-the drawn partner lives:
+Each shard holds the ``(m, c)`` packed view matrix of *its own* nodes
+(the layout of :mod:`repro.topology.array_views`), but the entries are
+**global** node ids — the overlay is one network, only its storage is
+partitioned.  A cycle's view exchanges split by where the drawn partner
+lives:
 
 * **local** (partner on this shard) — resolved immediately, by the
   draw, matching and exchange functions of
@@ -11,16 +12,16 @@ the drawn partner lives:
   :class:`~repro.topology.array_views.NewscastArrayViews` runs,
   preserving the in-cycle information cascade within the shard;
 * **remote** — buffered as a *boundary-view request* carrying the
-  initiator's current view and fresh self-descriptor.  At the window
-  barrier the owning shard merges the request into the target's row
-  and answers with the target's pre-merge view (a boundary-view
-  reply), which the initiator merges one leg later.  A remote exchange
-  therefore lands with one window of extra latency — the price of
-  distribution, statistically invisible at NEWSCAST's mixing rates
-  (pinned by ``tests/sharding/test_equivalence.py``).
+  initiator's current view (one packed row) and fresh self-descriptor
+  stamp.  At the window barrier the owning shard merges the request
+  into the target's row and answers with the target's pre-merge view
+  (a boundary-view reply), which the initiator merges one leg later.
+  A remote exchange therefore lands with one window of extra latency
+  — the price of distribution, statistically invisible at NEWSCAST's
+  mixing rates (pinned by ``tests/sharding/test_equivalence.py``).
 
 Timestamps, merge semantics and tie-breaking are exactly the array
-backend's (:func:`~repro.topology.array_views.merge_candidates` on
+backend's (:func:`~repro.topology.array_views.merge_without_own` on
 ``cycle * TS_SCALE + frac`` integer stamps), so a 1-shard
 :class:`ShardNewscastViews` degenerates to pure local rounds.
 """
@@ -30,24 +31,24 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.kernels import Workspace, get_backend
+from repro.core.kernels.numpy_backend import EMPTY_KEY
 from repro.sharding.plan import ShardPlan
 from repro.topology.array_views import (
     TS_SCALE,
+    check_id_bound,
     draw_view_entries,
     exchange_views,
     match_round,
-    merge_candidates,
+    merge_views,
+    merge_without_own,
+    pack_views,
+    unpack_views,
 )
 from repro.utils.exceptions import ConfigurationError
 
 __all__ = ["ShardNewscastViews", "ShardOracleViews", "make_shard_views"]
 
 _EMPTY = np.int64(-1)
-
-#: Payload keys of a boundary-view request / reply (one flat namespace
-#: shared with the gossip keys in repro.sharding.engine).
-_REQ_KEYS = ("vq_init", "vq_tgt", "vq_ids", "vq_ts", "vq_self")
-_REP_KEYS = ("vr_init", "vr_ids", "vr_ts", "vr_peer", "vr_peer_ts")
 
 
 class ShardOracleViews:
@@ -95,6 +96,7 @@ class ShardNewscastViews:
                  rng: np.random.Generator):
         if capacity < 1:
             raise ConfigurationError("view capacity must be >= 1")
+        check_id_bound(plan.nodes)
         self.plan = plan
         self.shard = shard
         self.capacity = capacity
@@ -102,8 +104,9 @@ class ShardNewscastViews:
         self.lo, self.hi = plan.block(shard)
         self.m = self.hi - self.lo
         self.gids = np.arange(self.lo, self.hi, dtype=np.int64)
-        self._ids = np.full((self.m, capacity), _EMPTY, dtype=np.int64)
-        self._ts = np.full((self.m, capacity), _EMPTY, dtype=np.int64)
+        self._rows = np.arange(self.m, dtype=np.int64)
+        self._keys = np.full((self.m, capacity), EMPTY_KEY, dtype=np.int64)
+        self._counts = np.zeros(self.m, dtype=np.int64)
         self._self_ts = np.zeros(self.m, dtype=np.int64)
         self.exchanges = 0
         self.failed_exchanges = 0
@@ -131,23 +134,22 @@ class ShardNewscastViews:
         ).astype(np.int64)
         collide = draw == self.gids[:, None]
         draw[collide] = (np.nonzero(collide)[0] + self.lo + 1) % n
-        ids, ts = merge_candidates(
-            np.concatenate([self._ids, draw], axis=1),
-            np.concatenate([self._ts, np.zeros_like(draw)], axis=1),
-            self.gids,
-            self.capacity,
+        ids, ts = merge_views(
+            *unpack_views(self._keys), draw, np.zeros_like(draw),
+            self.gids, self.capacity,
         )
-        self._ids, self._ts = ids, ts
+        self._keys = pack_views(ids, ts)
+        self._counts = (ids >= 0).sum(axis=1)
 
     # -- sampling --------------------------------------------------------------
 
     def gossip_targets(self, rng: np.random.Generator) -> np.ndarray:
         """Per local node, one uniform partner (global id) for gossip."""
-        return draw_view_entries(self._ids, rng)
+        return draw_view_entries(self._keys, self._counts, self._rows, rng)
 
     def neighbor_matrix(self) -> np.ndarray:
-        """The shard's ``(m, c)`` global-id view matrix (copy)."""
-        return self._ids.copy()
+        """The shard's ``(m, c)`` global-id view matrix (decoded)."""
+        return unpack_views(self._keys)[0]
 
     # -- the cycle's exchanges -------------------------------------------------
 
@@ -169,9 +171,12 @@ class ShardNewscastViews:
         if self.m == 0:
             return {}
 
+        fresh = pack_views(self.gids, self._self_ts)
         pending = self.gids[rng.permutation(self.m)]
         while pending.size:
-            targets = draw_view_entries(self._ids[pending - self.lo], rng)
+            targets = draw_view_entries(
+                self._keys, self._counts, pending - self.lo, rng
+            )
             known = targets >= 0
             remote = known & ((targets < self.lo) | (targets >= self.hi))
             if np.any(remote):
@@ -182,15 +187,13 @@ class ShardNewscastViews:
             e_tgt = targets[local]
             if e_init.size == 0:
                 break
-            accept = match_round(e_init, e_tgt, self.hi)
-            pairs = np.stack([e_init[accept], e_tgt[accept]], axis=1)
-            self.exchanges += pairs.shape[0]
-            rows = pairs - self.lo
+            ends, pending = match_round(e_init, e_tgt, self.hi, self._workspace)
+            self.exchanges += ends.shape[1]
+            rows = ends - self.lo
             exchange_views(
-                self._ids, self._ts, rows, pairs, self._self_ts[rows],
+                self._keys, self._counts, rows, ends, fresh[rows],
                 self._backend, self._workspace,
             )
-            pending = e_init[~accept]
 
         if not out_init:
             return {}
@@ -205,13 +208,26 @@ class ShardNewscastViews:
             requests[int(dst)] = {
                 "vq_init": init[sel],
                 "vq_tgt": tgt[sel],
-                "vq_ids": self._ids[rows[sel]],
-                "vq_ts": self._ts[rows[sel]],
+                "vq_view": self._keys[rows[sel]],
                 "vq_self": self._self_ts[rows[sel]],
             }
         return requests
 
     # -- barrier legs ----------------------------------------------------------
+
+    def _absorb(self, owners: np.ndarray, views: np.ndarray,
+                peers: np.ndarray, peer_ts: np.ndarray) -> None:
+        """Each (distinct) owner merges a peer's view and fresh descriptor."""
+        rows = owners - self.lo
+        cand = np.concatenate(
+            [self._keys[rows], views, pack_views(peers, peer_ts)[:, None]],
+            axis=1,
+        )
+        kept, counts = merge_without_own(
+            cand, owners[None], self.capacity, self._backend, self._workspace
+        )
+        self._keys[rows] = kept[0]
+        self._counts[rows] = counts[0]
 
     def apply_requests(
         self, incoming: dict[int, dict[str, np.ndarray]]
@@ -228,15 +244,11 @@ class ShardNewscastViews:
         srcs = sorted(s for s in incoming if incoming[s]["vq_tgt"].size)
         if not srcs:
             return {}
-        init = np.concatenate([incoming[s]["vq_init"] for s in srcs])
-        tgt = np.concatenate([incoming[s]["vq_tgt"] for s in srcs])
-        vids = np.concatenate([incoming[s]["vq_ids"] for s in srcs])
-        vts = np.concatenate([incoming[s]["vq_ts"] for s in srcs])
-        sts = np.concatenate([incoming[s]["vq_self"] for s in srcs])
-        src_of = np.concatenate(
-            [np.full(incoming[s]["vq_tgt"].shape[0], s, dtype=np.int64)
-             for s in srcs]
+        init, tgt, views, sts = (
+            np.concatenate([incoming[s][key] for s in srcs])
+            for key in ("vq_init", "vq_tgt", "vq_view", "vq_self")
         )
+        src_of = np.repeat(srcs, [incoming[s]["vq_tgt"].shape[0] for s in srcs])
         rl = tgt - self.lo
 
         # Replies first: every initiator receives the target's view as
@@ -246,8 +258,7 @@ class ShardNewscastViews:
             sel = src_of == s
             replies[int(s)] = {
                 "vr_init": init[sel],
-                "vr_ids": self._ids[rl[sel]],
-                "vr_ts": self._ts[rl[sel]],
+                "vr_view": self._keys[rl[sel]],
                 "vr_peer": tgt[sel],
                 "vr_peer_ts": self._self_ts[rl[sel]],
             }
@@ -265,17 +276,7 @@ class ShardNewscastViews:
         rank = np.arange(rl_sorted.size) - starts
         for r in range(int(rank.max(initial=-1)) + 1):
             sel = order[rank == r]
-            rows = tgt[sel]
-            rlr = rl[sel]
-            cand_ids = np.concatenate(
-                [self._ids[rlr], vids[sel], init[sel][:, None]], axis=1
-            )
-            cand_ts = np.concatenate(
-                [self._ts[rlr], vts[sel], sts[sel][:, None]], axis=1
-            )
-            ids, ts = merge_candidates(cand_ids, cand_ts, rows, self.capacity)
-            self._ids[rlr] = ids
-            self._ts[rlr] = ts
+            self._absorb(tgt[sel], views[sel], init[sel], sts[sel])
         self.exchanges += int(tgt.size)
         return replies
 
@@ -284,21 +285,11 @@ class ShardNewscastViews:
     ) -> None:
         """Fold boundary replies into their initiators' rows."""
         srcs = sorted(s for s in incoming if incoming[s]["vr_init"].size)
-        if not srcs:
-            return
-        init = np.concatenate([incoming[s]["vr_init"] for s in srcs])
-        vids = np.concatenate([incoming[s]["vr_ids"] for s in srcs])
-        vts = np.concatenate([incoming[s]["vr_ts"] for s in srcs])
-        peer = np.concatenate([incoming[s]["vr_peer"] for s in srcs])
-        pts = np.concatenate([incoming[s]["vr_peer_ts"] for s in srcs])
-        rl = init - self.lo
-        cand_ids = np.concatenate(
-            [self._ids[rl], vids, peer[:, None]], axis=1
-        )
-        cand_ts = np.concatenate([self._ts[rl], vts, pts[:, None]], axis=1)
-        ids, ts = merge_candidates(cand_ids, cand_ts, init, self.capacity)
-        self._ids[rl] = ids
-        self._ts[rl] = ts
+        if srcs:
+            self._absorb(*(
+                np.concatenate([incoming[s][key] for s in srcs])
+                for key in ("vr_init", "vr_view", "vr_peer", "vr_peer_ts")
+            ))
 
 
 def make_shard_views(topology: str, plan: ShardPlan, shard: int,

@@ -13,7 +13,7 @@ with communication partners.  Implementations:
   small-world, 2-D grid), mentioned by the paper as alternative
   instantiations and used by our topology ablation.
 * :mod:`~repro.topology.array_views` — the same protocols as
-  whole-overlay array kernels (id/timestamp matrices, vectorized
+  whole-overlay array kernels (packed descriptor matrices, vectorized
   NEWSCAST merges and CYCLON shuffles) powering the fast engine.
 * :mod:`~repro.topology.analysis` — overlay extraction to networkx
   and graph metrics used to validate NEWSCAST's published properties

@@ -7,13 +7,8 @@ advances the overlay one exchange at a time — the right shape for the
 reference engine, and exactly the wrong shape for the vectorized fast
 path, where a single Python round-trip per node erases the batching
 win.  This module re-expresses every topology model the library knows
-as structure-of-arrays state:
-
-* an ``(n, c)`` int matrix of peer ids (``-1`` = empty slot), and
-* an ``(n, c)`` integer-timestamp matrix (``-1`` empty),
-
-with a handful of whole-network kernels per protocol cycle.  All
-classes here implement the
+as structure-of-arrays state with a handful of whole-network kernels
+per protocol cycle.  All classes here implement the
 :class:`~repro.topology.provider.ViewProvider` contract, making them
 drop-in peers of the object backend.
 
@@ -24,47 +19,64 @@ Object views stamp descriptors with ``cycle + uniform()`` — a float.
 Array views quantize the same quantity to ``cycle * 2**12 + frac``
 with ``frac`` a uniform 12-bit integer (:data:`TS_SCALE`): freshness
 comparisons stay exact integer comparisons, same-cycle stamps stay
-unbiased (the anti-hub measure the object protocol documents), and —
-decisively — a ``(node_id, timestamp)`` descriptor packs into one
-``int64`` sort key, which is what makes the merge kernel fast.
+unbiased (the anti-hub measure the object protocol documents), and a
+``(node_id, timestamp)`` descriptor fits one ``int64``.
 
-Merge-kernel semantics
-----------------------
+A NEWSCAST view is one packed row
+---------------------------------
 
-:func:`merge_candidates` applies the NEWSCAST merge rule of
-:meth:`~repro.topology.views.PartialView.merge` — union, dedup keeping
-the freshest entry per id, drop-self, truncate to the ``c`` freshest
-with equal-timestamp ties broken by descending id — to *every* row of
-a candidate matrix at once, as two row-wise ``np.sort`` passes over
-packed keys:
+:class:`NewscastArrayViews` (and the sharded
+:class:`~repro.sharding.views.ShardNewscastViews`) store the overlay
+as **one** ``(n, c)`` ``int64`` matrix of packed descriptors plus an
+``(n,)`` vector of entry counts; CYCLON, whose shuffle is positional,
+keeps an id and a timestamp matrix.  A descriptor packs as ::
 
-1. sort by ``(id, timestamp desc)`` — duplicates become adjacent with
-   the freshest first, so dedup is one shifted comparison;
-2. re-key survivors by ``(timestamp desc, id desc)`` and sort again —
-   the first ``c`` columns *are* the merged view, freshest-first.
+    (TS_MASK - ts) << ID_BITS  |  (MAX_ID - id)        # empty: int64 max
 
-Sorting packed ``int64`` values (not argsort: no indirection) costs
-~0.3 ms per thousand 83-wide rows, letting one call merge every
-exchange of a round.  The property tests in
-``tests/topology/test_array_views.py`` pin exact equality against
-``PartialView.merge`` on integer timestamps.
+— a 32-bit stamp field over a 31-bit id field, both complemented
+(:func:`pack_views` / :func:`unpack_views`).  Three properties carry
+everything below:
 
-One merge per NEWSCAST exchange
--------------------------------
+1. *Ascending integer order is view order* — freshest first, equal
+   stamps by descending id, the truncation order of
+   :meth:`~repro.topology.views.PartialView.merge`.  A row sort is a
+   view sort; no key is built on the way in, none decoded on the way
+   out.
+2. *The empty slot is the largest key* — padding sorts last, so rows
+   stay left-compacted with no mask, and its id field decodes to
+   ``-1`` (a draw from an empty view needs no special case).
+3. *Swapping the two fields is a few shifts, and maps the empty key to
+   itself* — with the id field leading, a row sort groups each id's
+   copies freshest first, which is all dedup needs.
+
+One gather, two sorts, one scatter
+----------------------------------
 
 In an exchange between ``a`` and ``b`` both ends merge the *same*
 multiset — ``view(a) ∪ view(b) ∪ {fresh a, fresh b}`` — and differ
-only in which own id is dropped.  Dedup is per id, so dropping ``a``
-before the merge (a row per end with ``self_ids = a``) equals deleting
-``a``'s one surviving entry after it.  :func:`exchange_views`
-therefore merges one ``2c + 2`` wide row *per pair* with no self id and
-capacity ``c + 1``, and each end keeps the first ``c`` entries left
-after deleting its own id: a shift-left from that id's column, or the
-plain prefix when the id is not among the ``c + 1`` freshest; padding
-stays at the tail.  Half the rows through the sorts and half the gather
-volume of a row per end, the same views bit for bit — stale descriptors
-of the partner, short views and equal-timestamp ties included (pinned
-against the row-per-end merge in ``tests/topology/test_array_views.py``).
+only in which own id is dropped.  :func:`exchange_views` therefore
+gathers both rows of every pair of a round into one ``2c + 2`` wide
+candidate row, and :func:`merge_without_own` runs the kernel
+(:meth:`~repro.core.kernels.KernelBackend.merge_candidates`: swap
+fields, row sort, blank each key whose left neighbour has the same id,
+swap back, row sort) for the ``c + 1`` freshest survivors, deletes each
+end's own id from them and counts what is left; one scatter writes both
+rows back.  The shard boundary legs feed the same helper a row per
+request.  Exactly the views a merge row per end gives (pinned in
+``tests/topology/test_array_views.py`` against that and against
+``PartialView.merge``), stale descriptors of the partner, short views
+and equal-stamp ties included.
+
+Own-id deletion compares *ids*, never the fresh key: under the cohort
+engine several calls share one integer ``now`` and every call redraws
+the self stamps, so the copy of ``a`` that survives dedup may be an
+older draw already in circulation — fresher than, and different from,
+the key ``a`` has just stamped.  When the own id is not among the
+``c + 1`` survivors the plain ``c``-prefix is the view.
+
+Rows are ascending from a node's first exchange on; ``bootstrap``'s
+exactly-distinct branch leaves them in draw order until then (all
+stamps are 0, and the uniform pick is the only reader of the order).
 """
 
 from __future__ import annotations
@@ -72,16 +84,25 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.kernels import Workspace, get_backend
-from repro.core.kernels import numpy_backend as _np_kernels
+from repro.core.kernels.numpy_backend import (
+    EMPTY_KEY,
+    ID_BITS,
+    ID_MASK,
+    MAX_ID,
+    TS_MASK,
+)
 from repro.topology.provider import ViewProvider
 from repro.utils.exceptions import ConfigurationError
 
 __all__ = [
     "TS_SCALE",
-    "merge_candidates",
+    "check_id_bound",
+    "pack_views",
+    "unpack_views",
     "merge_views",
     "draw_view_entries",
     "match_round",
+    "merge_without_own",
     "exchange_views",
     "NewscastArrayViews",
     "CyclonArrayViews",
@@ -89,22 +110,11 @@ __all__ = [
     "OracleViews",
 ]
 
-#: Packed-key layout — canonical definitions live with the kernel
-#: implementations in :mod:`repro.core.kernels.numpy_backend`; the
-#: aliases keep this module's historical namespace for tests and
-#: downstream imports.
-_EMPTY_ID = _np_kernels.EMPTY_ID
-_EMPTY_TS = _np_kernels.EMPTY_TS
+_EMPTY_ID = -1
+_EMPTY_TS = -1
 
 #: Sub-cycle timestamp resolution: logical time = cycle * TS_SCALE + frac.
 TS_SCALE = 1 << 12
-
-#: Bit layout of the packed sort keys: ids below 2**30, timestamps
-#: below 2**32 (~2**20 cycles at TS_SCALE sub-steps).
-_ID_BITS = _np_kernels.ID_BITS
-_ID_MASK = _np_kernels.ID_MASK
-_TS_MASK = _np_kernels.TS_MASK
-_DEAD_KEY = _np_kernels.DEAD_KEY
 
 
 def _grow(matrix: np.ndarray, rows: int, fill) -> np.ndarray:
@@ -117,36 +127,24 @@ def _grow(matrix: np.ndarray, rows: int, fill) -> np.ndarray:
     return grown
 
 
-def merge_candidates(
-    cand_ids: np.ndarray,
-    cand_ts: np.ndarray,
-    self_ids: np.ndarray,
-    capacity: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """NEWSCAST-merge every row of a candidate matrix at once.
+def check_id_bound(n_ids: int) -> None:
+    """Node ids ``0 .. n_ids - 1`` must fit the packed id field."""
+    if n_ids - 1 > MAX_ID:
+        raise ConfigurationError(
+            f"node id {n_ids - 1} exceeds the packed-view id bound ({MAX_ID})"
+        )
 
-    Parameters
-    ----------
-    cand_ids / cand_ts:
-        ``(m, w)`` candidate descriptors per receiving node — its own
-        view entries plus everything offered to it this cycle, in any
-        order.  ``-1`` ids are padding.  Timestamps are non-negative
-        integers below ``2**32`` (see :data:`TS_SCALE`); ids are below
-        ``2**30``.
-    self_ids:
-        ``(m,)`` receiving node of each row; its own id is dropped.
-    capacity:
-        ``c``: the output width / size bound.
 
-    Returns
-    -------
-    ``(m, capacity)`` id and timestamp matrices, freshest-first,
-    ``-1`` padded.
-    """
-    # The implementation moved to the kernel backend layer (PR 8) so
-    # alternative backends can supply compiled merges; this wrapper is
-    # the stable public entry point.
-    return _np_kernels.merge_candidates(cand_ids, cand_ts, self_ids, capacity)
+def pack_views(ids: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Packed descriptors of ``(ids, ts)``; negative ids are empty slots."""
+    keys = ((TS_MASK - ts) << ID_BITS) | (MAX_ID - ids)
+    return np.where(ids < 0, EMPTY_KEY, keys)
+
+
+def unpack_views(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(ids, ts)`` of packed descriptors, ``-1`` / ``-1`` in empty slots."""
+    ids = MAX_ID - (keys & ID_MASK)
+    return ids, np.where(ids < 0, _EMPTY_TS, TS_MASK - (keys >> ID_BITS))
 
 
 def merge_views(
@@ -157,110 +155,147 @@ def merge_views(
     self_ids: np.ndarray,
     capacity: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two-operand view of :func:`merge_candidates`.
+    """``own.merge(incoming, own_id)`` for ``m`` id / timestamp rows at once.
 
-    The direct analogue of ``own.merge(incoming, own_id)`` on
-    :class:`~repro.topology.views.PartialView`, for ``m`` rows at
-    once; equal-timestamp duplicates keep one copy (they are identical
-    descriptors), matching ``PartialView._absorb``'s keep-current rule
-    in effect.
+    The array analogue of
+    :meth:`~repro.topology.views.PartialView.merge` — union, dedup
+    keeping the freshest entry per id, drop-self, truncate to the ``c``
+    freshest with equal-timestamp ties broken by descending id — as
+    pack → merge kernel → unpack.  Timestamps are integers in
+    ``[0, 2**32)``, ids in ``[0, MAX_ID]``, ``-1`` ids padding.  Dedup
+    is per id, so dropping self before the merge equals deleting its
+    one survivor after it.
     """
-    return merge_candidates(
-        np.concatenate([own_ids, inc_ids], axis=1),
-        np.concatenate([own_ts, inc_ts], axis=1),
-        self_ids,
-        capacity,
-    )
+    ids = np.concatenate([own_ids, inc_ids], axis=1)
+    ids = np.where(ids == self_ids[:, None], _EMPTY_ID, ids)
+    keys = pack_views(ids, np.concatenate([own_ts, inc_ts], axis=1))
+    return unpack_views(get_backend("numpy").merge_candidates(keys, capacity))
 
 
-def draw_view_entries(own: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One uniform entry per row of the gathered views ``own`` (``-1`` = empty).
+def draw_view_entries(
+    keys: np.ndarray, counts: np.ndarray, rows: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """One uniform entry (a node id; ``-1`` = empty view) from each of ``rows``.
 
-    Views keep their entries left-compacted (a kernel invariant), so a
-    uniform draw over the first ``count`` columns is a uniform draw
-    over the view.
+    Rows are left-compacted, so a uniform draw over the first
+    ``count`` columns is a uniform draw over the view, and column 0 of
+    an empty row holds the empty key, whose id field decodes to ``-1``.
     """
-    counts = (own >= 0).sum(axis=1)
+    count = counts[rows]
     pick = np.minimum(
-        (rng.random(own.shape[0]) * counts).astype(np.int64),
-        np.maximum(counts - 1, 0),
+        (rng.random(rows.shape[0]) * count).astype(np.int64),
+        np.maximum(count - 1, 0),
     )
-    peers = own[np.arange(own.shape[0]), pick]
-    return np.where(counts > 0, peers, _EMPTY_ID)
+    return MAX_ID - (keys[rows, pick] & ID_MASK)
 
 
-def match_round(e_init: np.ndarray, e_tgt: np.ndarray, n_ids: int) -> np.ndarray:
+def match_round(
+    e_init: np.ndarray, e_tgt: np.ndarray, n_ids: int, ws: Workspace
+) -> tuple[np.ndarray, np.ndarray]:
     """First-come vertex-disjoint matching over ``(initiator, target)`` id pairs.
 
     Pair ``k`` is accepted iff it is the first (lowest ``k``) pair to
     touch both of its ends; ids are below ``n_ids``.  Accepted pairs
-    share no node, so one symmetric batch executes them all.
+    share no node, so one symmetric batch executes them all.  Returns
+    their ``(2, p)`` ends (a workspace buffer) and the initiators of
+    the rejected pairs.
     """
     ks = np.arange(e_init.shape[0], dtype=np.int64)
-    key = np.sort(
-        (np.concatenate([e_init, e_tgt]) << 32) | np.concatenate([ks, ks])
-    )
-    first = np.empty(key.shape, dtype=bool)
-    first[0] = True
-    first[1:] = (key[1:] >> 32) != (key[:-1] >> 32)
-    first_k = np.full(n_ids, -1, dtype=np.int64)
-    first_k[key[first] >> 32] = key[first] & 0xFFFFFFFF
-    return (first_k[e_init] == ks) & (first_k[e_tgt] == ks)
+    first_k = ws.take("mr_first", (n_ids,), np.int64)
+    # Only the entries this round touches are reset and read.
+    first_k[e_init] = first_k[e_tgt] = ks.shape[0]
+    np.minimum.at(first_k, e_init, ks)
+    np.minimum.at(first_k, e_tgt, ks)
+    accept = (first_k[e_init] == ks) & (first_k[e_tgt] == ks)
+    p = int(np.count_nonzero(accept))
+    ends = ws.take("mr_ends", (2 * p,), np.int64).reshape(2, p)
+    np.compress(accept, e_init, out=ends[0])
+    np.compress(accept, e_tgt, out=ends[1])
+    return ends, e_init[~accept]
+
+
+def merge_without_own(
+    cand: np.ndarray, own: np.ndarray, capacity: int, backend, ws: Workspace
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge each candidate row, then delete one own id per owner from it.
+
+    ``cand`` is ``(m, w > capacity)`` packed candidates, ``own`` the ``(e, m)``
+    node ids of the ``e`` owners sharing each row (both ends of a pair
+    exchange; the one receiver of a boundary request or reply).
+    Returns the ``(e, m, capacity)`` views and their ``(e, m)`` entry
+    counts: the ``capacity + 1`` freshest survivors of the row without
+    the owner's id — found by id, see the module docstring — or their
+    ``capacity``-prefix when the id is not among them.
+    """
+    (e, m), c = own.shape, capacity
+    merged = ws.take("mw_merged", (e * m, c + 1), np.int64).reshape(e, m, c + 1)
+    np.copyto(merged, backend.merge_candidates(cand, c + 1, ws=ws))  # one per owner
+    id_field = ws.take("mw_ids", (m, c + 1), np.int64)
+    np.bitwise_and(merged[0], ID_MASK, out=id_field)
+    mask = ws.take("mw_mask", (e * m * (c + 1),), bool)
+    np.equal(id_field, (MAX_ID - own)[:, :, None], out=mask.reshape(e, m, c + 1))
+    # Flat position of the entry each owner drops: its id's (a merged
+    # row holds an id once), else the last column.
+    found = np.flatnonzero(mask)
+    drop = np.arange(c, e * m * (c + 1), c + 1)
+    drop[found // (c + 1)] = found
+    mask[...] = True
+    mask[drop] = False
+    kept = ws.take("mw_kept", (e * m, c), np.int64)
+    np.compress(mask, merged.reshape(-1), out=kept.reshape(-1))
+    # Left-compacted rows: full unless the last column is empty.
+    counts = np.full(e * m, c, dtype=np.int64)
+    short = np.flatnonzero(kept[:, c - 1] == EMPTY_KEY)
+    if short.size:
+        counts[short] = np.count_nonzero(kept[short] != EMPTY_KEY, axis=1)
+    return kept.reshape(e, m, c), counts.reshape(e, m)
 
 
 def exchange_views(
-    ids: np.ndarray,
-    ts: np.ndarray,
+    keys: np.ndarray,
+    counts: np.ndarray,
     rows: np.ndarray,
-    pairs: np.ndarray,
-    fresh_ts: np.ndarray,
+    ends: np.ndarray,
+    fresh: np.ndarray,
     backend,
     ws: Workspace,
 ) -> None:
     """Symmetric view exchange of vertex-disjoint pairs, in place.
 
-    ``pairs`` holds the ``(p, 2)`` node ids of the two ends, ``rows``
-    their rows in the view matrices ``ids`` / ``ts`` (the same thing
-    for a whole-overlay matrix, ``id - lo`` for a shard's block) and
-    ``fresh_ts`` their fresh self-descriptor stamps.  One merge per
-    pair, then each end drops its own id (see "One merge per NEWSCAST
-    exchange" in the module docstring).
+    ``ends`` holds the ``(2, p)`` node ids of the pairs' two ends,
+    ``rows`` their rows in the view matrix ``keys`` and the count
+    vector ``counts`` (the same thing for a whole-overlay matrix,
+    ``id - lo`` for a shard's block) and ``fresh`` their ``(2, p)``
+    fresh self-descriptor keys.  See "One gather, two sorts, one
+    scatter" in the module docstring.
     """
-    p, c = pairs.shape[0], ids.shape[1]
-    cand_ids = ws.take("nc_cand_ids", (p, 2 * c + 2), np.int64)
-    cand_ts = ws.take("nc_cand_ts", (p, 2 * c + 2), np.int64)
+    p, c = ends.shape[1], keys.shape[1]
+    cand = ws.take("nc_cand", (p, 2 * c + 2), np.int64)
     # np.take needs a contiguous out=: gather both views of every
     # pair in one call, then copy the block into place.
     gather = ws.take("nc_gather", (p, 2, c), np.int64)
-    for cand, views, fresh in ((cand_ids, ids, pairs), (cand_ts, ts, fresh_ts)):
-        np.take(views, rows, axis=0, out=gather, mode="clip")
-        np.copyto(cand[:, : 2 * c], gather.reshape(p, 2 * c))
-        cand[:, 2 * c :] = fresh
-    merged_ids, merged_ts = backend.merge_candidates(
-        cand_ids, cand_ts, np.full(p, _EMPTY_ID), c + 1, ws=ws
-    )
-    # Delete each end's own id by a shift-left from its column
-    # (padding stays at the tail); axis 1 is the end (a, b).
-    shifted = ws.take("nc_shifted", (p, 2, c), bool)
-    np.equal(merged_ids[:, None, :c], pairs[:, :, None], out=shifted)
-    np.logical_or.accumulate(shifted, axis=2, out=shifted)
-    kept = ws.take("nc_kept", (p, 2, c), np.int64)
-    for merged, views in ((merged_ids, ids), (merged_ts, ts)):
-        np.copyto(kept, merged[:, None, :c])
-        np.copyto(kept, merged[:, None, 1:], where=shifted)
-        views[rows.ravel()] = kept.reshape(2 * p, c)
+    np.take(keys, rows.T, axis=0, out=gather, mode="clip")
+    np.copyto(cand[:, : 2 * c], gather.reshape(p, 2 * c))
+    cand[:, 2 * c :] = fresh.T
+    kept, kept_counts = merge_without_own(cand, ends, c, backend, ws)
+    keys[rows.reshape(-1)] = kept.reshape(2 * p, c)
+    counts[rows.reshape(-1)] = kept_counts.reshape(-1)
 
 
 class _ArrayViewBase(ViewProvider):
-    """Shared id/timestamp matrix storage and bookkeeping."""
+    """Bookkeeping shared by the matrix-backed providers.
 
-    def __init__(self, n: int, capacity: int, rng: np.random.Generator):
+    Subclasses own the storage and expose it through ``_views(rows)``
+    (the decoded ``(ids, ts)`` rows), ``_store(rows, ids, ts)``,
+    ``_seed_row(row, contact, stamp)`` (a one-entry view) and
+    ``ensure_capacity``.
+    """
+
+    def __init__(self, capacity: int, rng: np.random.Generator):
         if capacity < 1:
             raise ConfigurationError("view capacity must be >= 1")
         self.capacity = capacity
         self.rng = rng
-        self._ids = np.full((n, capacity), _EMPTY_ID, dtype=np.int64)
-        self._ts = np.full((n, capacity), _EMPTY_TS, dtype=np.int64)
         self.exchanges = 0
         self.failed_exchanges = 0
         #: Kernel seam: a stand-alone provider runs the NumPy oracle
@@ -275,41 +310,18 @@ class _ArrayViewBase(ViewProvider):
         self._backend = backend
         self._workspace = workspace
 
-    def ensure_capacity(self, n_ids: int) -> None:
-        self._ids = _grow(self._ids, n_ids, _EMPTY_ID)
-        self._ts = _grow(self._ts, n_ids, _EMPTY_TS)
-
     def known_peers(self, node_id: int) -> list[int]:
-        row = self._ids[node_id]
+        row = self._views(node_id)[0]
         return [int(p) for p in row[row >= 0]]
 
     def neighbor_matrix(self) -> np.ndarray:
-        return self._ids.copy()
+        return self._views(slice(None))[0].copy()
 
     def timestamp_of(self, node_id: int, peer_id: int) -> int | None:
         """Timestamp of ``peer_id`` in ``node_id``'s view, or None."""
-        row = self._ids[node_id]
-        hit = np.nonzero(row == peer_id)[0]
-        return int(self._ts[node_id, hit[0]]) if hit.size else None
-
-    def view_counts(self, node_ids: np.ndarray) -> np.ndarray:
-        """Number of view entries per node of ``node_ids``.
-
-        Used by the event engines to tell silent nodes (empty view →
-        no shuffle request) from active initiators without reading the
-        matrices directly.
-        """
-        return (self._ids[node_ids] >= 0).sum(axis=1)
-
-    def gossip_targets(
-        self, live_ids: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One uniform view entry per live node (``-1`` = empty view)."""
-        own = self._workspace.take(
-            "gt_own", (live_ids.shape[0], self._ids.shape[1]), np.int64
-        )
-        np.take(self._ids, live_ids, axis=0, out=own, mode="clip")
-        return draw_view_entries(own, rng)
+        ids, ts = self._views(node_id)
+        hit = np.nonzero(ids == peer_id)[0]
+        return int(ts[hit[0]]) if hit.size else None
 
     def on_crash(self, node_id: int) -> None:
         """Default: no failure detector; stale entries age out."""
@@ -318,9 +330,9 @@ class _ArrayViewBase(ViewProvider):
     def _clock(now: float) -> int:
         """Validate the packed-key clock bound (2**32 / TS_SCALE cycles).
 
-        Timestamps must stay below 2**32 for the merge kernel's int64
-        key packing; overflowing would silently corrupt merges, so
-        fail loudly instead (~10**6 cycles — far past any configured
+        Timestamps must stay below 2**32 for the 32-bit stamp field of
+        a packed descriptor; overflowing would silently corrupt merges,
+        so fail loudly instead (~10**6 cycles — far past any configured
         run; reachable only by hand-driven infinite loops).
         """
         cycle = int(now)
@@ -337,11 +349,8 @@ class _ArrayViewBase(ViewProvider):
         others = live_ids[live_ids != node_id]
         if others.size == 0:
             return
-        contact = others[int(self.rng.integers(others.size))]
-        self._ids[node_id, 0] = contact
-        self._ts[node_id, 0] = int(now) * TS_SCALE
-        self._ids[node_id, 1:] = _EMPTY_ID
-        self._ts[node_id, 1:] = _EMPTY_TS
+        contact = int(others[int(self.rng.integers(others.size))])
+        self._seed_row(node_id, contact, self._clock(now) * TS_SCALE)
 
     # -- shared helpers --------------------------------------------------------
 
@@ -362,27 +371,22 @@ class _ArrayViewBase(ViewProvider):
             return
         self.ensure_capacity(int(live_ids.max()) + 1)
         wanted = min(self.capacity if contacts is None else contacts, n - 1)
+        ids, ts = self._views(live_ids)
         if n <= 2048:
             keys = self.rng.random((n, n))
             keys[np.arange(n), np.arange(n)] = np.inf  # never self
             picks = np.argpartition(keys, wanted - 1, axis=1)[:, :wanted]
-            self._ids[live_ids, :wanted] = live_ids[picks]
-            self._ts[live_ids, :wanted] = 0
-            return
-        # Large populations: replacement + dedup through the merge kernel.
-        draw = live_ids[self.rng.integers(0, n, size=(n, wanted + wanted // 2))]
-        collide = draw == live_ids[:, None]
-        draw[collide] = live_ids[(np.nonzero(collide)[0] + 1) % n]
-        ids, ts = merge_views(
-            self._ids[live_ids],
-            self._ts[live_ids],
-            draw,
-            np.zeros_like(draw),
-            live_ids,
-            self.capacity,
-        )
-        self._ids[live_ids] = ids
-        self._ts[live_ids] = ts
+            ids[:, :wanted] = live_ids[picks]
+            ts[:, :wanted] = 0
+        else:
+            # Large populations: replacement + dedup through the merge kernel.
+            draw = live_ids[self.rng.integers(0, n, size=(n, wanted + wanted // 2))]
+            collide = draw == live_ids[:, None]
+            draw[collide] = live_ids[(np.nonzero(collide)[0] + 1) % n]
+            ids, ts = merge_views(
+                ids, ts, draw, np.zeros_like(draw), live_ids, self.capacity
+            )
+        self._store(live_ids, ids, ts)
 
 
 class NewscastArrayViews(_ArrayViewBase):
@@ -397,7 +401,7 @@ class NewscastArrayViews(_ArrayViewBase):
     entry — NEWSCAST has no failure detector.
 
     Exchanges execute as a sequence of vertex-disjoint *rounds*, each
-    one batched :func:`merge_candidates` call reading the current
+    one batched :func:`exchange_views` call reading the current
     (not cycle-start) views — equivalent to some sequential order of
     the same exchanges, preserving the in-cycle information cascade
     that gives reference-engine NEWSCAST overlays their clustering
@@ -405,6 +409,43 @@ class NewscastArrayViews(_ArrayViewBase):
     """
 
     name = "newscast"
+
+    def __init__(self, n: int, capacity: int, rng: np.random.Generator):
+        super().__init__(capacity, rng)
+        check_id_bound(n)
+        self._keys = np.full((n, capacity), EMPTY_KEY, dtype=np.int64)
+        self._counts = np.zeros(n, dtype=np.int64)
+
+    def ensure_capacity(self, n_ids: int) -> None:
+        check_id_bound(n_ids)
+        self._keys = _grow(self._keys, n_ids, EMPTY_KEY)
+        self._counts = _grow(self._counts, n_ids, 0)
+
+    def _views(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        return unpack_views(self._keys[rows])
+
+    def _store(self, rows, ids: np.ndarray, ts: np.ndarray) -> None:
+        self._keys[rows] = pack_views(ids, ts)
+        self._counts[rows] = (ids >= 0).sum(axis=-1)
+
+    def _seed_row(self, row: int, contact: int, stamp: int) -> None:
+        self._keys[row] = EMPTY_KEY
+        self._keys[row, 0] = ((TS_MASK - stamp) << ID_BITS) | (MAX_ID - contact)
+        self._counts[row] = 1
+
+    def view_counts(self, node_ids: np.ndarray) -> np.ndarray:
+        """Number of view entries per node of ``node_ids``.
+
+        Used by the event engines to tell silent nodes (empty view →
+        no shuffle request) from active initiators.
+        """
+        return self._counts[node_ids]
+
+    def gossip_targets(
+        self, live_ids: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """One uniform view entry per live node (``-1`` = empty view)."""
+        return draw_view_entries(self._keys, self._counts, live_ids, rng)
 
     def begin_cycle(
         self,
@@ -425,14 +466,15 @@ class NewscastArrayViews(_ArrayViewBase):
         m = live_ids.shape[0]
         if m < 2 or (initiators is not None and initiators.size == 0):
             return
-        rng = self.rng
+        rng, ws = self.rng, self._workspace
 
-        # Fresh self-descriptor stamps for the whole cycle, indexed by
-        # node id.
-        n_rows = self._ids.shape[0]
-        self_ts = np.zeros(n_rows, dtype=np.int64)
-        self_ts[live_ids] = self._clock(now) * TS_SCALE + rng.integers(
-            0, TS_SCALE, size=m
+        # Fresh self-descriptors for the whole cycle, indexed by node
+        # id (only live nodes end up in a pair).
+        n_rows = self._keys.shape[0]
+        fresh = ws.take("nc_fresh", (n_rows,), np.int64)
+        fresh[live_ids] = pack_views(
+            live_ids,
+            self._clock(now) * TS_SCALE + rng.integers(0, TS_SCALE, size=m),
         )
 
         # The reference engine runs the cycle's exchanges sequentially
@@ -460,19 +502,12 @@ class NewscastArrayViews(_ArrayViewBase):
             e_tgt = targets[ok]
             if e_init.size == 0:
                 break
-            accept = match_round(e_init, e_tgt, n_rows)
-            self.exchanges += int(accept.sum())
-            self._exchange(
-                np.stack([e_init[accept], e_tgt[accept]], axis=1), self_ts
+            ends, pending = match_round(e_init, e_tgt, n_rows, ws)
+            self.exchanges += ends.shape[1]
+            exchange_views(
+                self._keys, self._counts, ends, ends, fresh[ends],
+                self._backend, ws,
             )
-            pending = e_init[~accept]
-
-    def _exchange(self, pairs: np.ndarray, self_ts: np.ndarray) -> None:
-        """:func:`exchange_views` of ``(p, 2)`` id pairs; ``self_ts`` is by node id."""
-        exchange_views(
-            self._ids, self._ts, pairs, pairs, self_ts[pairs],
-            self._backend, self._workspace,
-        )
 
 
 class CyclonArrayViews(_ArrayViewBase):
@@ -498,7 +533,9 @@ class CyclonArrayViews(_ArrayViewBase):
         rng: np.random.Generator,
         shuffle_length: int | None = None,
     ):
-        super().__init__(n, capacity, rng)
+        super().__init__(capacity, rng)
+        self._ids = np.full((n, capacity), _EMPTY_ID, dtype=np.int64)
+        self._ts = np.full((n, capacity), _EMPTY_TS, dtype=np.int64)
         self.shuffle_length = (
             max(1, capacity // 2) if shuffle_length is None else shuffle_length
         )
@@ -506,6 +543,36 @@ class CyclonArrayViews(_ArrayViewBase):
             raise ConfigurationError(
                 "CYCLON shuffle_length must be in [1, view_size]"
             )
+
+    # -- storage ---------------------------------------------------------------
+
+    def ensure_capacity(self, n_ids: int) -> None:
+        self._ids = _grow(self._ids, n_ids, _EMPTY_ID)
+        self._ts = _grow(self._ts, n_ids, _EMPTY_TS)
+
+    def _views(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        return self._ids[rows], self._ts[rows]
+
+    def _store(self, rows, ids: np.ndarray, ts: np.ndarray) -> None:
+        self._ids[rows] = ids
+        self._ts[rows] = ts
+
+    def _seed_row(self, row: int, contact: int, stamp: int) -> None:
+        self._store(row, _EMPTY_ID, _EMPTY_TS)
+        self._ids[row, 0] = contact
+        self._ts[row, 0] = stamp
+
+    def gossip_targets(
+        self, live_ids: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """One uniform view entry per live node (``-1`` = empty view)."""
+        own = self._ids[live_ids]
+        counts = (own >= 0).sum(axis=1)
+        pick = np.minimum(
+            (rng.random(own.shape[0]) * counts).astype(np.int64),
+            np.maximum(counts - 1, 0),
+        )
+        return np.where(counts > 0, own[np.arange(own.shape[0]), pick], _EMPTY_ID)
 
     # -- helpers ---------------------------------------------------------------
 

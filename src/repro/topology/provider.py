@@ -2,7 +2,7 @@
 
 The reference engine stores topology state in per-node protocol
 objects (:class:`~repro.topology.views.PartialView` and friends); the
-fast engine stores it in id/timestamp matrices
+fast engine stores it in matrices, one row per node
 (:mod:`~repro.topology.array_views`).  Everything above the topology
 layer — the gossip phase, churn hooks, overlay analysis — talks to a
 :class:`ViewProvider` and cannot tell the backends apart.

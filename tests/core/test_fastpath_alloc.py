@@ -211,6 +211,7 @@ class TestSteadyStateAllocations:
         # candidate/merge matrices all live in the arena.
         for expected in ("sweep_pos", "sweep_vel", "sweep_pb", "sweep_pbv",
                          "sweep_val", "gp_val", "gp_posm", "gp_pval",
-                         "gp_ppos", "nc_cand_ids", "nc_cand_ts",
-                         "mc_key", "mc_out_ids", "mc_out_ts"):
+                         "gp_ppos", "nc_fresh", "nc_cand", "nc_gather",
+                         "mr_first", "mr_ends", "mc_key", "mc_tmp",
+                         "mw_merged", "mw_kept"):
             assert expected in names, f"{expected} missing from {names}"

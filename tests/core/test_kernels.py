@@ -27,7 +27,8 @@ from repro.core.kernels import (
 )
 from repro.core.kernels import numpy_backend
 from repro.core.kernels.numpy_backend import NumpyKernelBackend
-from repro.topology.array_views import merge_candidates as oracle_merge
+from repro.core.kernels.numpy_backend import EMPTY_KEY
+from repro.topology.array_views import pack_views, unpack_views
 from repro.utils.exceptions import ConfigurationError
 
 BACKENDS = available_backends()
@@ -290,46 +291,52 @@ class TestMergeContract:
         rng = np.random.default_rng(seed)
         ids = rng.integers(-1, id_pool, size=(m, w)).astype(np.int64)
         ts = rng.integers(0, 1 << 20, size=(m, w)).astype(np.int64)
-        self_ids = rng.integers(0, id_pool, size=m).astype(np.int64)
-        return ids, ts, self_ids
+        return pack_views(ids, ts)
 
     @pytest.mark.parametrize("capacity", [1, 5, 17, 30])
     def test_matches_oracle_merge(self, backend, capacity):
-        ids, ts, self_ids = self._candidates(11)
-        want_ids, want_ts = oracle_merge(ids, ts, self_ids, capacity)
-        got_ids, got_ts = backend.merge_candidates(ids, ts, self_ids, capacity)
-        np.testing.assert_array_equal(got_ids, want_ids)
-        np.testing.assert_array_equal(got_ts, want_ts)
+        keys = self._candidates(11)
+        want = numpy_backend.merge_candidates(keys, capacity)
+        got = backend.merge_candidates(keys, capacity)
+        assert got.shape == (40, min(capacity, 17))
+        np.testing.assert_array_equal(got, want, strict=True)
 
-    def test_workspace_path_equals_plain(self, backend):
-        ids, ts, self_ids = self._candidates(12)
-        plain = backend.merge_candidates(ids, ts, self_ids, 8)
+    def test_workspace_path_equals_private_workspace(self, backend):
+        keys = self._candidates(12)
+        before = keys.copy()
+        plain = backend.merge_candidates(keys, 8).copy()
         ws = Workspace()
-        wsed = backend.merge_candidates(ids, ts, self_ids, 8, ws=ws)
-        np.testing.assert_array_equal(wsed[0], plain[0])
-        np.testing.assert_array_equal(wsed[1], plain[1])
+        wsed = backend.merge_candidates(keys, 8, ws=ws)
+        np.testing.assert_array_equal(wsed, plain, strict=True)
+        np.testing.assert_array_equal(keys, before)  # input is only read
         # Steady state: a second call with the same shapes allocates
         # nothing new.
-        before = ws.allocations
-        backend.merge_candidates(ids, ts, self_ids, 8, ws=ws)
-        assert ws.allocations == before
+        allocations = ws.allocations
+        backend.merge_candidates(keys, 8, ws=ws)
+        assert ws.allocations == allocations
 
     def test_duplicate_ids_keep_freshest(self, backend):
         ids = np.array([[3, 3, 5, -1, 3]], dtype=np.int64)
         ts = np.array([[10, 40, 7, 99, 20]], dtype=np.int64)
-        self_ids = np.array([9], dtype=np.int64)
-        out_ids, out_ts = backend.merge_candidates(ids, ts, self_ids, 4)
-        assert out_ids[0, 0] == 3 and out_ts[0, 0] == 40
-        assert out_ids[0, 1] == 5 and out_ts[0, 1] == 7
-        assert (out_ids[0, 2:] == -1).all()
-
-    def test_self_is_dropped(self, backend):
-        ids = np.array([[9, 2]], dtype=np.int64)
-        ts = np.array([[100, 1]], dtype=np.int64)
-        out_ids, _ = backend.merge_candidates(
-            ids, ts, np.array([9], dtype=np.int64), 2
+        out_ids, out_ts = unpack_views(
+            backend.merge_candidates(pack_views(ids, ts), 4)
         )
-        assert 9 not in out_ids
+        assert out_ids[0].tolist() == [3, 5, -1, -1]
+        assert out_ts[0].tolist() == [40, 7, -1, -1]
+
+    def test_rows_do_not_dedup_across_their_boundary(self, backend):
+        # The adjacent compare runs on the flat buffer, and sorted by id
+        # field (descending id) id 3 ends row 0 and starts row 1.
+        ids = np.array([[9, 3], [3, 1]], dtype=np.int64)
+        ts = np.array([[5, 5], [5, 5]], dtype=np.int64)
+        out_ids, _ = unpack_views(
+            backend.merge_candidates(pack_views(ids, ts), 2)
+        )
+        assert out_ids.tolist() == [[9, 3], [3, 1]]
+
+    def test_all_empty_rows_stay_empty(self, backend):
+        keys = np.full((3, 5), EMPTY_KEY, dtype=np.int64)
+        assert np.all(backend.merge_candidates(keys, 4) == EMPTY_KEY)
 
 
 class TestScatterMinFoldContract:

@@ -149,6 +149,21 @@ def test_sharded_newscast_overlay_mixes_across_shards():
         remote = ((matrix < lo) | (matrix >= hi)).mean()
         assert 0.2 < remote < 0.8
         assert v.exchanges > 0
+        # the count vector the draws read agrees with the decoded rows
+        np.testing.assert_array_equal(v._counts, (matrix >= 0).sum(axis=1))
+
+
+def test_shard_views_reject_ids_beyond_the_packed_id_field():
+    """Global ids are written into packed descriptors; the bound fails
+    at construction (a duck-typed plan: a real one of this size would
+    not fit in memory)."""
+    from types import SimpleNamespace
+
+    from repro.core.kernels.numpy_backend import MAX_ID
+
+    plan = SimpleNamespace(nodes=MAX_ID + 2, block=lambda shard: (0, 4))
+    with pytest.raises(ConfigurationError, match=f"id bound .{MAX_ID}."):
+        make_shard_views("newscast", plan, 0, 4, np.random.default_rng(0))
 
 
 def test_run_sharded_rejects_impossible_shard_counts():

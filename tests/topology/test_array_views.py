@@ -12,27 +12,53 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.kernels import Workspace, available_backends, get_backend
+from repro.topology import array_views
 from repro.topology.array_views import (
     CyclonArrayViews,
     NewscastArrayViews,
     OracleViews,
     StaticArrayViews,
     TS_SCALE,
-    merge_candidates,
+    exchange_views,
+    match_round,
     merge_views,
+    pack_views,
+    unpack_views,
 )
+from repro.core.kernels.numpy_backend import EMPTY_KEY, MAX_ID, TS_MASK
 from repro.topology.static import ring_lattice, star_graph
 from repro.topology.views import NodeDescriptor, PartialView
+from repro.utils.exceptions import ConfigurationError
+
+@pytest.fixture(autouse=True, scope="module", params=available_backends())
+def kernel_backend(request):
+    """The whole module runs once per importable kernel backend.
+
+    Stand-alone providers and ``merge_views`` resolve their kernels
+    through ``array_views.get_backend``; where numba is installed (CI's
+    ``kernel-backends`` job) every test below also meets the compiled
+    merge.
+    """
+    backend = get_backend(request.param, fallback=False)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(array_views, "get_backend", lambda name="numpy": backend)
+        yield backend
 
 
-def random_view(rng, capacity, id_pool, fill=None):
+#: Both ends of both packed fields ride along in every id / stamp pool.
+EDGE_IDS = np.array([0, 1, MAX_ID - 1, MAX_ID], dtype=np.int64)
+EDGE_TS = np.array([0, 1, TS_MASK - 1, TS_MASK], dtype=np.int64)
+
+
+def random_view(rng, capacity, ids_pool, ts_pool, fill=None):
     """A -1-padded (ids, ts) row with distinct ids, any order."""
-    n = int(rng.integers(0, min(capacity, id_pool) + 1)) if fill is None else fill
+    most = min(capacity, ids_pool.size)
+    n = int(rng.integers(0, most + 1)) if fill is None else fill
     ids = np.full(capacity, -1, dtype=np.int64)
     ts = np.full(capacity, -1, dtype=np.int64)
-    picks = rng.permutation(id_pool)[:n]
-    ids[:n] = picks
-    ts[:n] = rng.integers(0, 60, n)
+    ids[:n] = rng.permutation(ids_pool)[:n]
+    ts[:n] = rng.choice(ts_pool, n)
     return ids, ts
 
 
@@ -47,15 +73,73 @@ def view_set(ids, ts):
     return {(int(i), int(t)) for i, t in zip(ids, ts) if i >= 0}
 
 
+def assert_view_rows(ids, ts, owners, ascending=True):
+    """Left-compacted, duplicate-free, self-free, freshest first."""
+    for row_ids, row_ts, owner in zip(ids, ts, owners):
+        valid = row_ids >= 0
+        assert not np.any(valid[1:] & ~valid[:-1])
+        assert np.all(row_ts[~valid] == -1)
+        held = row_ids[valid].tolist()
+        assert len(set(held)) == len(held)
+        assert int(owner) not in held
+        if ascending:
+            keys = pack_views(row_ids, row_ts)
+            assert np.all(np.diff(keys) >= 0)
+
+
+class TestPackedLayout:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ids=st.lists(st.integers(-1, MAX_ID), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pack_unpack_is_the_identity(self, ids, seed):
+        ids = np.array(ids + [0, MAX_ID, -1], dtype=np.int64)
+        ts = np.random.default_rng(seed).choice(
+            np.concatenate([EDGE_TS, np.arange(2, 9)]), ids.size
+        )
+        ts[ids < 0] = -1
+        keys = pack_views(ids, ts)
+        assert keys.dtype == np.int64 and keys.min() >= 0
+        assert np.all(keys[ids < 0] == EMPTY_KEY)
+        assert np.all(keys[ids >= 0] < EMPTY_KEY)
+        got_ids, got_ts = unpack_views(keys)
+        np.testing.assert_array_equal(got_ids, ids)
+        np.testing.assert_array_equal(got_ts, ts)
+
+    def test_ascending_keys_are_view_order(self):
+        # Freshest first, equal stamps by descending id, empties last.
+        ids = np.array([3, 9, MAX_ID, 0, -1, 4], dtype=np.int64)
+        ts = np.array([7, 7, 2, TS_MASK, -1, 0], dtype=np.int64)
+        got_ids, got_ts = unpack_views(np.sort(pack_views(ids, ts)))
+        assert got_ids.tolist() == [0, 9, 3, MAX_ID, 4, -1]
+        assert got_ts.tolist() == [TS_MASK, 7, 7, 2, 0, -1]
+
+
 class TestMergeKernel:
     def test_matches_partial_view_merge_exactly(self):
         rng = np.random.default_rng(7)
-        for trial in range(500):
+        seen = dict.fromkeys(
+            ("stale self", "stale peer", "tie", "all empty", "short", "full"), 0
+        )
+        for trial in range(600):
             c = int(rng.integers(1, 9))
-            pool = int(rng.integers(2, 14))
-            own_ids, own_ts = random_view(rng, c, pool)
-            inc_ids, inc_ts = random_view(rng, int(rng.integers(1, 11)), pool)
-            self_id = int(rng.integers(pool))
+            # Twelve ids, views of up to eight: both sides routinely
+            # hold (stale) copies of the same ids and of the receiver.
+            pool = np.concatenate([EDGE_IDS, 2 + rng.permutation(40)[:8]])
+            # Narrow stamp pools make equal-stamp ties the common case.
+            ts_pool = np.concatenate(
+                [EDGE_TS[rng.random(4) < 0.3], rng.integers(2, 8, 3)]
+            )
+            own_ids, own_ts = random_view(rng, c, pool, ts_pool)
+            inc_ids, inc_ts = random_view(
+                rng, int(rng.integers(1, 11)), pool, ts_pool
+            )
+            if trial % 7 == 0:
+                own_ids[:], own_ts[:] = -1, -1
+            if trial % 11 == 0:
+                inc_ids[:], inc_ts[:] = -1, -1
+            self_id = int(rng.choice(pool))
 
             out_ids, out_ts = merge_views(
                 own_ids[None], own_ts[None], inc_ids[None], inc_ts[None],
@@ -69,17 +153,25 @@ class TestMergeKernel:
             )
             ref = {(d.node_id, int(d.timestamp)) for d in pv}
             assert view_set(out_ids[0], out_ts[0]) == ref, trial
-            # Output is freshest-first with empties at the tail.
-            valid = out_ids[0] >= 0
-            assert not np.any(valid[1:] & ~valid[:-1])
-            vt = out_ts[0][valid]
-            assert np.all(np.diff(vt) <= 0)
+            assert_view_rows(out_ids, out_ts, [self_id])
+
+            own, inc = view_set(own_ids, own_ts), view_set(inc_ids, inc_ts)
+            seen["stale self"] += self_id in inc_ids
+            seen["stale peer"] += any(
+                i == j and t != u for i, t in own for j, u in inc
+            )
+            stamps = [t for _, t in own | inc]
+            seen["tie"] += len(set(stamps)) < len(stamps)
+            seen["all empty"] += not own and not inc
+            seen["short"] += 0 < len(ref) < c
+            seen["full"] += len(ref) == c
+        assert all(seen.values()), seen
 
     def test_idempotent(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             c = int(rng.integers(1, 8))
-            own_ids, own_ts = random_view(rng, c, 12)
+            own_ids, own_ts = random_view(rng, c, np.arange(12), np.arange(60))
             self_id = 99
             once = merge_views(own_ids[None], own_ts[None], own_ids[None],
                                own_ts[None], np.array([self_id]), c)
@@ -96,7 +188,10 @@ class TestMergeKernel:
             cand_ids = rng.integers(-1, 10, (3, 4 * c))
             cand_ts = rng.integers(0, 50, (3, 4 * c))
             selfs = rng.integers(0, 10, 3)
-            out_ids, _ = merge_candidates(cand_ids, cand_ts, selfs, c)
+            out_ids, _ = merge_views(
+                cand_ids[:, :c], cand_ts[:, :c], cand_ids[:, c:], cand_ts[:, c:],
+                selfs, c,
+            )
             assert np.all((out_ids >= 0).sum(axis=1) <= c)
             assert not np.any(out_ids == selfs[:, None])
 
@@ -115,6 +210,34 @@ class TestMergeKernel:
             np.array([0]), 2,
         )
         assert view_set(out_ids[0], out_ts[0]) == {(8, 5), (9, 5)}
+
+
+def brute_force_matching(e_init, e_tgt):
+    """Pair k is accepted iff no earlier pair touched either of its ends."""
+    seen: set[int] = set()
+    accept = []
+    for a, b in zip(e_init.tolist(), e_tgt.tolist()):
+        accept.append(a not in seen and b not in seen)
+        seen.update((a, b))
+    return np.array(accept, dtype=bool)
+
+
+class TestMatchRound:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40))
+    def test_equals_brute_force_first_come_matching(self, seed, n):
+        rng = np.random.default_rng(seed)
+        # Initiators are distinct (one exchange per pending node) and
+        # never their own target; targets repeat freely.
+        e_init = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        e_tgt = (e_init + rng.integers(1, n, e_init.size)) % n
+        ws = Workspace()
+        ws.take("mr_first", (n,), np.int64)[:] = -7  # stale scratch is ignored
+        ends, rest = match_round(e_init, e_tgt, n, ws)
+        accept = brute_force_matching(e_init, e_tgt)
+        np.testing.assert_array_equal(ends, [e_init[accept], e_tgt[accept]])
+        np.testing.assert_array_equal(rest, e_init[~accept])
+        assert np.unique(ends).size == ends.size
 
 
 class TestNewscastArrayViews:
@@ -163,13 +286,30 @@ class TestNewscastArrayViews:
         provider.on_join(64, live, now=1.0)
         peers = provider.known_peers(64)
         assert len(peers) == 1 and peers[0] in set(live.tolist())
+        assert provider.timestamp_of(64, peers[0]) == TS_SCALE
+        assert provider.timestamp_of(64, 64) is None
 
     def test_timestamps_advance_with_cycles(self):
         provider, live, alive = self.setup_overlay()
         for cycle in range(4):
             provider.begin_cycle(live, alive, float(cycle))
-        assert int(provider._ts[live].max()) >= 3 * TS_SCALE
+        assert int(unpack_views(provider._keys[live])[1].max()) >= 3 * TS_SCALE
 
+    def test_id_field_bound_fails_where_ids_are_written(self):
+        provider, _, _ = self.setup_overlay(n=4, c=2)
+        with pytest.raises(ConfigurationError, match=f"id bound .{MAX_ID}."):
+            provider.ensure_capacity(MAX_ID + 2)
+        with pytest.raises(ConfigurationError, match="id bound"):
+            NewscastArrayViews(MAX_ID + 2, 2, np.random.default_rng(0))
+
+    def test_stamp_field_bound_fails_on_join_and_begin_cycle(self):
+        provider, live, alive = self.setup_overlay(n=4, c=2)
+        too_late = float((1 << 32) // TS_SCALE)
+        provider.on_join(3, live, now=too_late - 1)  # the last legal tick
+        with pytest.raises(ConfigurationError, match="clock bound"):
+            provider.on_join(3, live, now=too_late)
+        with pytest.raises(ConfigurationError, match="clock bound"):
+            provider.begin_cycle(live, alive, too_late)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -178,49 +318,122 @@ class TestNewscastArrayViews:
         c=st.integers(1, 6),
         ts_range=st.sampled_from([2, 5, 40]),
     )
-    def test_pair_exchange_equals_a_merge_row_per_end(self, seed, n, c, ts_range):
+    def test_pair_exchange_equals_a_merge_row_per_end(
+        self, kernel_backend, seed, n, c, ts_range
+    ):
         """One merge per pair == the row-per-end merge it replaced.
 
         Random left-compacted views, often shorter than ``c``; partners
         routinely hold stale descriptors of each other (``n`` is
         small), and the narrow timestamp ranges make equal-timestamp
         ties — among entries, and between a stale and a fresh
-        descriptor — the common case.
+        descriptor, which may be the *staler* of the two — the common
+        case.
         """
         rng = np.random.default_rng(seed)
         provider = NewscastArrayViews(n, c, rng)
+        before_ids = np.full((n, c), -1, dtype=np.int64)
+        before_ts = np.full((n, c), -1, dtype=np.int64)
         for nid in range(n):
             others = np.delete(np.arange(n), nid)
             fill = int(rng.integers(0, min(c, n - 1) + 1))
-            provider._ids[nid, :fill] = rng.permutation(others)[:fill]
-            provider._ts[nid, :fill] = rng.integers(0, ts_range, fill)
+            before_ids[nid, :fill] = rng.permutation(others)[:fill]
+            before_ts[nid, :fill] = rng.integers(0, ts_range, fill)
+        provider._store(np.arange(n), before_ids, before_ts)
         self_ts = rng.integers(0, ts_range, n)
         p = int(rng.integers(1, n // 2 + 1))
-        pairs = rng.permutation(n)[: 2 * p].reshape(p, 2)
+        ends = rng.permutation(n)[: 2 * p].reshape(2, p)
 
         # The replaced exchange: a candidate row per end — own view,
         # the partner's view, the partner's fresh descriptor.
-        before_ids, before_ts = provider._ids.copy(), provider._ts.copy()
-        rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        srcs = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        want_ids, want_ts = merge_candidates(
-            np.concatenate(
-                [before_ids[rows], before_ids[srcs], srcs[:, None]], axis=1
-            ),
-            np.concatenate(
-                [before_ts[rows], before_ts[srcs], self_ts[srcs][:, None]],
-                axis=1,
-            ),
+        rows = ends.reshape(-1)
+        srcs = ends[::-1].reshape(-1)
+        want_ids, want_ts = merge_views(
+            before_ids[rows],
+            before_ts[rows],
+            np.concatenate([before_ids[srcs], srcs[:, None]], axis=1),
+            np.concatenate([before_ts[srcs], self_ts[srcs][:, None]], axis=1),
             rows,
             c,
         )
 
-        provider._exchange(pairs, self_ts)
-        np.testing.assert_array_equal(provider._ids[rows], want_ids)
-        np.testing.assert_array_equal(provider._ts[rows], want_ts)
+        exchange_views(
+            provider._keys, provider._counts, ends, ends,
+            pack_views(ends, self_ts[ends]), kernel_backend, Workspace(),
+        )
+        got_ids, got_ts = unpack_views(provider._keys)
+        np.testing.assert_array_equal(got_ids[rows], want_ids)
+        np.testing.assert_array_equal(got_ts[rows], want_ts)
         idle = np.setdiff1d(np.arange(n), rows)
-        np.testing.assert_array_equal(provider._ids[idle], before_ids[idle])
-        np.testing.assert_array_equal(provider._ts[idle], before_ts[idle])
+        np.testing.assert_array_equal(got_ids[idle], before_ids[idle])
+        np.testing.assert_array_equal(got_ts[idle], before_ts[idle])
+        np.testing.assert_array_equal(
+            provider.view_counts(np.arange(n)), (got_ids >= 0).sum(axis=1)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        c=st.integers(1, 5),
+        ops=st.lists(
+            st.sampled_from(["cycle", "cohort", "join", "crash", "reuse"]),
+            min_size=4, max_size=24,
+        ),
+    )
+    def test_count_vector_and_row_invariants_hold_after_every_operation(
+        self, seed, c, ops
+    ):
+        """The count vector is state of its own; this keeps it honest.
+
+        Starts from three joined nodes (no ``bootstrap``: its
+        exactly-distinct branch leaves rows in draw order until their
+        first exchange) and checks, after every drawn operation, that
+        ``view_counts`` equals the decoded row lengths and that rows
+        are left-compacted, duplicate-free, self-free and ascending.
+        """
+        rng = np.random.default_rng(seed)
+        provider = NewscastArrayViews(2, c, np.random.default_rng(seed + 1))
+        alive = np.zeros(64, dtype=bool)
+        next_id, now = 0, 0.0
+
+        def join(nid):
+            alive[nid] = True
+            provider.on_join(nid, np.flatnonzero(alive), now)
+
+        def check():
+            ids, ts = unpack_views(provider._keys)
+            owners = np.arange(ids.shape[0])
+            np.testing.assert_array_equal(
+                provider.view_counts(owners), (ids >= 0).sum(axis=1)
+            )
+            np.testing.assert_array_equal(ids, provider.neighbor_matrix())
+            assert_view_rows(ids, ts, owners)
+
+        for _ in range(3):
+            join(next_id)
+            next_id += 1
+        for op in ops:
+            live = np.flatnonzero(alive)
+            if op == "cycle":
+                now = float(int(now) + 1)
+                provider.begin_cycle(live, alive, now)
+            elif op == "cohort" and live.size:
+                # Same integer tick as the call before: circulating
+                # descriptors may be fresher than the redrawn stamps.
+                now += 0.125
+                cohort = live[rng.random(live.size) < 0.6]
+                cohort = cohort[provider.view_counts(cohort) > 0]
+                provider.begin_cycle(live, alive, now, initiators=cohort)
+            elif op == "join" and next_id < alive.size:
+                join(next_id)
+                next_id += 1
+            elif op == "crash" and live.size > 1:
+                victim = int(rng.choice(live))
+                alive[victim] = False
+                provider.on_crash(victim)
+            elif op == "reuse" and (~alive[:next_id]).any():
+                join(int(rng.choice(np.flatnonzero(~alive[:next_id]))))
+            check()
 
 
 class TestCyclonArrayViews:
@@ -263,8 +476,6 @@ class TestCyclonArrayViews:
         assert stale == 0  # oldest-selection flushes all dead entries
 
     def test_shuffle_length_validation(self):
-        from repro.utils.exceptions import ConfigurationError
-
         with pytest.raises(ConfigurationError):
             CyclonArrayViews(4, 4, np.random.default_rng(0), shuffle_length=9)
 
