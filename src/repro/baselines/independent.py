@@ -45,12 +45,8 @@ def run_record(scenario: "Scenario", repetition: int) -> "RunRecord":
     node_bests: list[float] = []
     node_qualities: list[float] = []
     evaluations = 0
-    for node in range(scenario.nodes):
-        swarm = Swarm(
-            function,
-            scenario.pso,
-            tree.rng("independent", repetition, "node", node),
-        )
+    for rng in tree.rngs(("independent", repetition, "node"), range(scenario.nodes)):
+        swarm = Swarm(function, scenario.pso, rng)
         best = swarm.run(budget)
         node_bests.append(best)
         node_qualities.append(function.quality(best))

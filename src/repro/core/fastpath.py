@@ -71,6 +71,8 @@ is one :func:`~repro.pso.swarm.initial_swarm_soa` call — per node only
 its private stream ``("node", nid, "pso")`` and one ``(2, k, d)``
 uniform fill, the box and ±vmax maps once over ``(n, k, d)`` — the
 initializer the reference swarm and churn joiners run at ``n = 1``.
+Those streams, and the draw blocks below, come from one batch
+(``SeedSequenceTree.rngs``) equal to ``tree.rng`` called per path.
 Whenever a node's per-cycle allowance is a whole synchronous sweep
 (``r = k``, the paper's default timing) the batched update consumes
 that stream exactly like :meth:`~repro.pso.swarm.Swarm.step_cycle` and
@@ -276,9 +278,7 @@ class FastEngine:
             self._default_ids = False
         n = node_ids.shape[0]
         id_span = config.nodes
-        self._gens: list[np.random.Generator] = [
-            tree.rng("node", nid, "pso") for nid in node_ids.tolist()
-        ]
+        self._gens = tree.rngs(("node",), node_ids, ("pso",))
         if self._node_group is None:
             lower, upper = self.function.lower, self.function.upper
         else:
@@ -740,30 +740,25 @@ class FastEngine:
         # generator).  SFC64 fills roughly twice as fast as PCG64 and
         # this stream owes bit-compatibility to nothing.
         out = self._draw_buffer((nl, 2, width, d))
-
-        def block_rng(block: int) -> np.random.Generator:
-            return np.random.Generator(
-                np.random.SFC64(
-                    self._tree.seed_sequence(
-                        "fastpath", "draws", self.cycle, chunk, block
-                    )
-                )
-            )
-
+        key = ("fastpath", "draws", self.cycle, chunk)
         if self.crashes == 0 and self._default_ids and nl == self._next_id:
             # The whole population, no churn holes: live row i is node
             # id i — each block's generator fills its slice in place (a
             # generator fills in C order, so a short last slice holds
             # exactly the leading rows of the full block).  Any other
             # cohort picks its rows from whole blocks by node id.
-            for block in range((nl + _DRAW_BLOCK - 1) >> _DRAW_BLOCK_BITS):
+            blocks = np.arange((nl + _DRAW_BLOCK - 1) >> _DRAW_BLOCK_BITS)
+            gens = self._tree.rngs(key, blocks, bit_generator=np.random.SFC64)
+            for block, gen in enumerate(gens):
                 lo = block << _DRAW_BLOCK_BITS
-                block_rng(block).random(out=out[lo : lo + _DRAW_BLOCK])
+                gen.random(out=out[lo : lo + _DRAW_BLOCK])
             return out
         ids = self._id_of_slot[live]
-        for block in np.unique(ids >> _DRAW_BLOCK_BITS):
+        blocks = np.unique(ids >> _DRAW_BLOCK_BITS)
+        gens = self._tree.rngs(key, blocks, bit_generator=np.random.SFC64)
+        for block, gen in zip(blocks.tolist(), gens):
             sel = (ids >> _DRAW_BLOCK_BITS) == block
-            rows = block_rng(int(block)).random((_DRAW_BLOCK, 2, width, d))
+            rows = gen.random((_DRAW_BLOCK, 2, width, d))
             out[sel] = rows[ids[sel] & (_DRAW_BLOCK - 1)]
         return out
 

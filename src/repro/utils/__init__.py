@@ -19,7 +19,7 @@ from repro.utils.exceptions import (
     ReproError,
     SimulationError,
 )
-from repro.utils.rng import SeedSequenceTree, derive_rng, spawn_rngs
+from repro.utils.rng import SeedSequenceTree
 from repro.utils.numerics import (
     RunningStats,
     clamp_array,
@@ -32,8 +32,6 @@ __all__ = [
     "ReproError",
     "SimulationError",
     "SeedSequenceTree",
-    "derive_rng",
-    "spawn_rngs",
     "RunningStats",
     "clamp_array",
     "geometric_mean",

@@ -29,19 +29,63 @@ NumPy's :class:`numpy.random.SeedSequence` already implements robust
 entropy splitting (``spawn_key``); we layer a stable string/int → key
 mapping on top so paths are self-describing.  Hash truncation uses
 BLAKE2b which is deterministic across platforms and Python versions
-(unlike built-in ``hash``).
+(unlike built-in ``hash``).  :meth:`SeedSequenceTree.rngs` derives a
+family of paths in one batch, bit for bit what
+:meth:`~SeedSequenceTree.rng` returns per path.  NumPy's documented
+``SeedSequence`` mixing (frozen with the stream by NEP 19) takes its
+hash constants from a fixed sequence, indexed by how many words came
+before — never by the data — so the master seed's words, first on
+every path, are mixed once per seed; the four key words of all ``m``
+paths go through ``(4, 4)`` constant tables as ``(m, 4)`` ``uint32``
+arrays; ``generate_state`` is one ``(m, 8)`` pass; and each row seeds
+``PCG64`` (four ``uint64`` words) or ``SFC64`` (three) through NumPy's
+seed-sequence interface, ``ISeedSequence``.
 """
 
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["SeedSequenceTree", "derive_rng", "spawn_rngs"]
+__all__ = ["SeedSequenceTree"]
 
 #: Number of 32-bit words taken from the path digest when deriving keys.
 _KEY_WORDS = 4
+#: NumPy's SeedSequence hash constants (pool of 4 words; 0-d arrays keep
+#: each ufunc call of a small batch cheap); ``uint64`` state words made
+#: per stream (PCG64 reads 4, SFC64 3) and their constants.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B, _MIX_L, _MIX_R, _SHIFT = (
+    np.array(c, np.uint32)
+    for c in (0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED, 0xCA01F9DD, 0x4973F715, 16)
+)
+_STATE_WORDS = 4
+_GEN = _INIT_B * _MULT_B ** np.arange(2 * _STATE_WORDS + 1, dtype=np.uint32)
+
+
+@lru_cache(maxsize=64)
+def _spawn_mix(seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pool a master seed's words leave, times ``_MIX_L`` (the first step
+    of mixing in a key word), and the key words' hash tables."""
+    words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))  # as NumPy pads them under a spawn key
+    # w words take 4w hash calls; key word j meets pool word d at call
+    # k = 4w + 4j + d, which xors constant k and multiplies by constant k + 1.
+    consts = _INIT_A * _MULT_A ** np.arange(4 * len(words), 4 * len(words) + 17, dtype=np.uint32)
+    tables = (c.reshape(_KEY_WORDS, 1, 4) for c in (consts[:-1], consts[1:]))
+    return np.random.SeedSequence(words).pool * _MIX_L, *tables
+
+
+def _part(item) -> str:
+    """Canonical text of one path component."""
+    if isinstance(item, str):
+        return f"s:{item}"
+    if isinstance(item, bool):  # bool is an int subclass; be explicit
+        return f"b:{int(item)}"
+    if isinstance(item, (int, np.integer)):
+        return f"i:{int(item)}"
+    raise TypeError(f"RNG path components must be int or str, got {type(item).__name__}")
 
 
 def _path_to_key(path: tuple) -> tuple[int, ...]:
@@ -50,23 +94,21 @@ def _path_to_key(path: tuple) -> tuple[int, ...]:
     The mapping must be stable across processes and platforms, so we
     serialize the path canonically and digest it with BLAKE2b.
     """
-    parts = []
-    for item in path:
-        if isinstance(item, bool):  # bool is an int subclass; be explicit
-            parts.append(f"b:{int(item)}")
-        elif isinstance(item, (int, np.integer)):
-            parts.append(f"i:{int(item)}")
-        elif isinstance(item, str):
-            parts.append(f"s:{item}")
-        else:
-            raise TypeError(
-                f"RNG path components must be int or str, got {type(item).__name__}"
-            )
-    digest = hashlib.blake2b("/".join(parts).encode("utf-8"), digest_size=4 * _KEY_WORDS)
-    raw = digest.digest()
-    return tuple(
-        int.from_bytes(raw[4 * i : 4 * (i + 1)], "little") for i in range(_KEY_WORDS)
-    )
+    raw = "/".join(map(_part, path)).encode("utf-8")
+    digest = hashlib.blake2b(raw, digest_size=4 * _KEY_WORDS).digest()
+    return tuple(np.frombuffer(digest, "<u4").tolist())
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """One stream's ``generate_state(n, uint64)``, computed in a batch."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if np.dtype(dtype) != np.uint64 or n_words > _STATE_WORDS:
+            raise ValueError(f"only up to {_STATE_WORDS} uint64 words are precomputed")
+        return self.words[:n_words]
 
 
 class SeedSequenceTree:
@@ -112,6 +154,35 @@ class SeedSequenceTree:
         """
         return np.random.default_rng(self.seed_sequence(*path))
 
+    def rngs(
+        self, prefix: tuple, ids, suffix: tuple = (), bit_generator=np.random.PCG64
+    ) -> list[np.random.Generator]:
+        """``[Generator(bit_generator(self.seed_sequence(*prefix, i, *suffix)))
+        for i in ids]``, bit for bit, derived in one batch (module notes)."""
+        ids = np.asarray(ids)
+        if ids.size and ids.dtype.kind not in "iu":
+            raise TypeError(f"ids must be integers, got dtype {ids.dtype}")
+        texts = [_part(c).replace("%", "%%") for c in (*prefix, *suffix)]
+        fmt = "/".join(texts[: len(prefix)] + ["i:%d"] + texts[len(prefix) :]).encode("utf-8")
+        keys = b"".join([hashlib.blake2b(fmt % i, digest_size=16).digest() for i in ids.tolist()])
+        keys = np.frombuffer(keys, "<u4").reshape(-1, _KEY_WORDS).T
+        pool_l, xor, mul = _spawn_mix(self._master_seed)
+        hashed = (keys[:, :, None] ^ xor) * mul  # hashmix: [key word, path, pool word]
+        hashed ^= hashed >> _SHIFT
+        hashed *= _MIX_R
+        pool = pool_l - hashed[0]  # mix(pool, ·), one key word after another
+        for j in range(1, _KEY_WORDS):
+            pool ^= pool >> _SHIFT
+            pool *= _MIX_L
+            pool -= hashed[j]
+        pool ^= pool >> _SHIFT
+        state = np.concatenate((pool, pool), axis=1)  # generate_state: word k reads pool[k % 4]
+        state ^= _GEN[:-1]
+        state *= _GEN[1:]
+        state ^= state >> _SHIFT
+        words = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+        return [np.random.Generator(bit_generator(_StateWords(w))) for w in words]
+
     def subtree(self, *path: int | str) -> "SeedSequenceTree":
         """Return a tree rooted at ``path``.
 
@@ -130,34 +201,3 @@ class SeedSequenceTree:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SeedSequenceTree(master_seed={self._master_seed})"
-
-
-def derive_rng(master_seed: int, *path: int | str) -> np.random.Generator:
-    """One-shot convenience wrapper around :class:`SeedSequenceTree`.
-
-    >>> derive_rng(1, "a").random() == derive_rng(1, "a").random()
-    True
-    """
-    return SeedSequenceTree(master_seed).rng(*path)
-
-
-def spawn_rngs(
-    master_seed: int, count: int, *prefix: int | str
-) -> list[np.random.Generator]:
-    """Spawn ``count`` independent generators under a common prefix.
-
-    Equivalent to ``[tree.rng(*prefix, i) for i in range(count)]`` and
-    used wherever a vector of per-entity streams is needed (one per
-    node, one per repetition, ...).
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    tree = SeedSequenceTree(master_seed)
-    return [tree.rng(*prefix, i) for i in range(count)]
-
-
-def rngs_from_tree(
-    tree: SeedSequenceTree, count: int, *prefix: int | str
-) -> list[np.random.Generator]:
-    """Like :func:`spawn_rngs` but reusing an existing tree."""
-    return [tree.rng(*prefix, i) for i in range(count)]
