@@ -222,7 +222,7 @@ def bench_churn_joins(benches: dict, quick: bool) -> float:
 
     Before PR 3 every join concatenated all SoA arrays — O(n·k·d) per
     join — so a join into a 16x larger network cost ~16x more.  With
-    capacity doubling + free-slot reuse the amortized per-join cost is
+    capacity doubling (joins append rows) the amortized per-join cost is
     O(k·d): the large/small ratio should sit near 1, and the gate in
     the CI job fails the bench if it drifts above 4.
     """
@@ -235,7 +235,7 @@ def bench_churn_joins(benches: dict, quick: bool) -> float:
         )
         t0 = time.perf_counter()
         for _ in range(joins):
-            engine._join()
+            engine._join(1)
         return (time.perf_counter() - t0) / joins
 
     small = join_burst(small_n)

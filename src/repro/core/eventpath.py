@@ -189,24 +189,18 @@ class CohortEventEngine(FastEngine):
             for _ in range(int(rng.poisson(cfg.crash_rate * span))):
                 if self.live_count <= cfg.min_population:
                     break
-                victim = self._live[int(rng.integers(self.live_count))]
-                self._crash(victim)
-                self.crashes += 1
+                self._crash(int(self._ids[int(rng.integers(self.live_count))]))
         if cfg.join_rate > 0:
-            for _ in range(int(rng.poisson(cfg.join_rate * span))):
-                nid = self._join()
-                self.joins += 1
-                self._grow_timers(nid + 1)
-                # Fresh random phases from the joiner's arrival instant.
-                self._next_compute[nid] = (
-                    self.now + cfg.compute_period * rng.random()
-                )
-                self._next_newscast[nid] = (
-                    self.now + cfg.newscast_period * rng.random()
-                )
-                self._next_gossip[nid] = (
-                    self.now + cfg.gossip_period * rng.random()
-                )
+            ids = self._join(int(rng.poisson(cfg.join_rate * span)))
+            if not ids.size:
+                return
+            self._grow_timers(self._next_id)
+            # Fresh random phases from each joiner's arrival instant:
+            # (compute, newscast, gossip) per joiner, in joiner order.
+            phase = rng.random(3 * ids.size).reshape(-1, 3)
+            self._next_compute[ids] = self.now + cfg.compute_period * phase[:, 0]
+            self._next_newscast[ids] = self.now + cfg.newscast_period * phase[:, 1]
+            self._next_gossip[ids] = self.now + cfg.gossip_period * phase[:, 2]
 
     # -- cohort phases -------------------------------------------------------------
 
@@ -322,7 +316,7 @@ class CohortEventEngine(FastEngine):
             rng = self._tree.rng("eventpath", "window", self._window_index)
             if churning:
                 self._churn_window(rng, w_end - self.now)
-            if self._live:
+            if self.live_count:
                 self._newscast_window(w_end, rng)
                 self._compute_window(w_end, rng)
                 self._gossip_window(w_end, rng)

@@ -15,12 +15,14 @@ handful of whole-network array operations:
 
 1. **churn** — binomial crash thinning and Poisson joins, drawing from
    the same ``("churn")`` seed-tree stream with the same call sequence
-   as :class:`~repro.simulator.churn.ChurnProcess`.  Node ids map to
-   array *slots* through an indirection table: joins reuse crashed
-   nodes' slots (their evaluation counts are retired into an
-   accumulator first) and otherwise extend the SoA arrays with
-   geometric capacity doubling — amortized O(k·d) per join instead of
-   the former per-join O(n·k·d) concatenation;
+   as :class:`~repro.simulator.churn.ChurnProcess`.  SoA row ``i`` is
+   the ``i``-th entry of the live list, so the whole-network sweep
+   holds under churn: a crash retires its row's evaluation count and
+   swap-removes the row exactly as the live list swap-removes the id
+   (the last row, its node generator and its objective group move
+   into the hole), and a cycle's joins append one block of rows,
+   built by one batched stream derivation and one initializer call
+   (capacity doubling: amortized O(k·d) per join);
 2. **topology** — the scenario's overlay advanced by its array-backed
    :class:`~repro.topology.provider.ViewProvider` (vectorized NEWSCAST
    view exchanges, CYCLON shuffles, or static neighborhoods — see
@@ -129,7 +131,7 @@ from repro.core.runner import RunResult
 from repro.functions.base import Function, get_function
 from repro.functions.problem import DynamicsSpec, EvalContext, build_problem
 from repro.pso.state import SwarmStateSoA
-from repro.pso.swarm import initial_swarm_soa, initial_swarm_state
+from repro.pso.swarm import initial_swarm_soa
 from repro.pso.velocity import resolve_vmax
 from repro.simulator.adversary import Adversary, AdversarySpec
 from repro.simulator.observers import StopCondition
@@ -214,7 +216,7 @@ class FastEngine:
         use the global ids, so a shard engine over a contiguous id
         block evolves its nodes on exactly the streams the
         whole-network engine would (see :mod:`repro.sharding`).  The
-        liveness and slot tables still span ``config.nodes`` ids, so a
+        liveness and id -> row tables still span ``config.nodes`` ids, so a
         gossip partner owned elsewhere reads as *not held here*.
         Subset engines must be churn-free and homogeneous, and take a
         ready ``ViewProvider`` (or run ``gossip=False``).
@@ -276,37 +278,20 @@ class FastEngine:
         else:
             node_ids = np.asarray(node_ids, dtype=np.int64)
             self._default_ids = False
-        n = node_ids.shape[0]
-        id_span = config.nodes
-        self._gens = tree.rngs(("node",), node_ids, ("pso",))
-        if self._node_group is None:
-            lower, upper = self.function.lower, self.function.upper
-        else:
-            lower = self._group_lower[self._node_group]
-            upper = self._group_upper[self._node_group]
-        self.soa: SwarmStateSoA = initial_swarm_soa(
-            self._gens, config.pso, lower, upper
-        )
-
-        # Liveness mirror of Network: a swap-remove live list keeps
-        # churn victim selection order-compatible with the reference.
-        # ``_live`` holds node *ids*; the indirection tables map ids to
-        # SoA slots (identical until churn reuses a crashed slot).
-        # ``_live_arr`` mirrors the list in a capacity-backed array, so
-        # ``live_ids`` is a prefix copy, not a list conversion per call.
-        self._live: list[int] = node_ids.tolist()
-        self._live_arr = node_ids.copy()
-        self._live_pos: dict[int, int] = {
-            nid: i for i, nid in enumerate(self._live)
-        }
-        self._initial_size = n
-        self._next_id = id_span
-        self._slot_of_id = np.full(id_span, -1, dtype=np.int64)
-        self._slot_of_id[node_ids] = np.arange(n, dtype=np.int64)
-        self._id_of_slot = node_ids.copy()
-        self._alive = np.zeros(id_span, dtype=bool)
-        self._alive[node_ids] = True
-        self._free_slots: list[int] = []
+        # Liveness mirror of Network: ``_ids[:live_count]`` is the
+        # swap-remove live list (churn victim selection stays
+        # order-compatible with the reference) and SoA row i is node
+        # ``_ids[i]``; ``_slot_of_id`` maps ids back to rows (-1: not
+        # held here).  Node generators and objective groups are
+        # row-aligned too.
+        self._initial_size = node_ids.shape[0]
+        self._next_id = config.nodes
+        self._ids = np.empty(0, dtype=np.int64)
+        self._slot_of_id = np.empty(0, dtype=np.int64)
+        self._alive = np.empty(0, dtype=bool)
+        self._gens: list[np.random.Generator] = []
+        self.soa: SwarmStateSoA | None = None
+        self._add_rows(node_ids)
         self._retired_evaluations = 0
         self._churn_rng = tree.rng("churn") if config.churn.enabled else None
         self._gossip_rng = tree.rng("fastpath", "gossip")
@@ -347,8 +332,8 @@ class FastEngine:
         if objective_map is None:
             self.function: Function = get_function(config.function)
             self._functions: list[Function] = [self.function]
-            self._node_group: list[int] | None = None
-            self._group_of_id: list[int] | None = None
+            self._node_group: np.ndarray | None = None
+            self._group_of_id: np.ndarray | None = None
             self._vmax = resolve_vmax(self.function, config.pso.vmax_fraction)
             self._group_vmax = None
             self._group_lower = self._group_upper = None
@@ -374,10 +359,11 @@ class FastEngine:
                 f"objective_map functions must share one dimension, got {sorted(dims)}"
             )
         self.function = self._functions[groups[0]]
-        # Per-slot (ndarray: indexed in the hot kernels) and per-id
-        # group assignment — identical until churn recycles slots.
-        self._node_group = np.asarray(groups, dtype=np.int64)
-        self._group_of_id = list(groups)
+        # Per-row group (filled as rows are added; indexed in the hot
+        # kernels) and per initial id: joiner ``nid`` takes the group
+        # of ``nid % initial_size``.
+        self._node_group = np.empty(0, dtype=np.int64)
+        self._group_of_id = np.asarray(groups, dtype=np.int64)
         # Bounds become per-group rows: groups may have different boxes.
         self._vmax = None
         vmaxes = [resolve_vmax(f, config.pso.vmax_fraction) for f in self._functions]
@@ -388,7 +374,7 @@ class FastEngine:
     def _function_of(self, nid: int) -> Function:
         if self._group_of_id is None:
             return self.function
-        return self._functions[self._group_of_id[nid]]
+        return self._functions[self._group_of_id[nid % self._initial_size]]
 
     def quality_of(self, value: float) -> float:
         """Solution quality of ``value`` across the network's objectives."""
@@ -415,13 +401,24 @@ class FastEngine:
             ctx=EvalContext(time=self.now, cycle=self.cycle),
         )
 
-    def _draw_buffer(self, shape: tuple[int, ...]) -> np.ndarray:
-        """Reusable uniform-draw buffer (steady state: one shape per run)."""
-        if self._draws is None or self._draws.shape != shape:
-            # Zero-filled, not empty: rows of non-moving nodes feed the
-            # fused update before being masked out, and must stay finite.
-            self._draws = np.zeros(shape)
-        return self._draws
+    def _draw_buffer(self, nl: int, width: int) -> np.ndarray:
+        """Reusable ``(nl, 2, width, d)`` uniform-draw buffer.
+
+        Capacity-backed: a live count that changes every churned cycle
+        takes a prefix view, and only outgrowing the buffer (or a new
+        chunk width) allocates.  Zero-filled, not empty: rows of
+        non-moving nodes feed the fused update before being masked
+        out, and must stay finite — any earlier draw is.
+        """
+        buf = self._draws
+        if buf is None or buf.shape[2] != width:
+            rows = nl
+        elif buf.shape[0] < nl:
+            rows = max(nl, 2 * buf.shape[0])
+        else:
+            return buf[:nl]
+        self._draws = np.zeros((rows, 2, width, self.soa.d))
+        return self._draws[:nl]
 
     # -- EngineBase-compatible control surface ---------------------------------------
 
@@ -448,20 +445,12 @@ class FastEngine:
 
     @property
     def live_count(self) -> int:
-        """Number of currently live nodes."""
-        return len(self._live)
+        """Number of currently live nodes (= SoA rows)."""
+        return self.soa.n
 
     def live_ids(self) -> np.ndarray:
-        """Live node ids as an index array (live-list order)."""
-        return self._live_arr[: len(self._live)].copy()
-
-    def live_slots(self) -> np.ndarray:
-        """SoA slots of the live nodes (live-list order).
-
-        Equal to :meth:`live_ids` until churn recycles a crashed
-        node's slot for a joiner.
-        """
-        return self._slot_of_id[self.live_ids()]
+        """Live node ids as an index array (live-list order = row order)."""
+        return self._ids[: self.soa.n].copy()
 
     def is_alive(self, node_id: int) -> bool:
         """Liveness check by node id."""
@@ -472,66 +461,73 @@ class FastEngine:
         if not self.is_alive(node_id):
             raise ConfigurationError(f"node {node_id} is not alive")
         self._crash(node_id)
-        self.crashes += 1
 
     def _crash(self, nid: int) -> None:
-        pos = self._live_pos.pop(nid)
-        last = self._live[-1]
-        self._live[pos] = last
-        self._live_arr[pos] = last
-        self._live.pop()
-        if last != nid:
-            self._live_pos[last] = pos
-        self._alive[nid] = False
-        self._free_slots.append(int(self._slot_of_id[nid]))
+        """Retire ``nid``'s evaluations and swap-remove its row."""
+        row, last = int(self._slot_of_id[nid]), self.soa.n - 1
+        self._retired_evaluations += int(self.soa.evaluations[row])
+        self.soa.swap_remove(row)
+        moved = int(self._ids[last])
+        self._ids[row] = moved
+        self._slot_of_id[moved] = row
         self._slot_of_id[nid] = -1
+        self._alive[nid] = False
+        self._gens[row] = self._gens[last]
+        self._gens.pop()
+        if self._node_group is not None:
+            self._node_group[row] = self._node_group[last]
+        self.crashes += 1
         self.provider.on_crash(nid)
 
-    def _join(self) -> int:
-        nid = self._next_id
-        self._next_id += 1
-        rng = self._tree.rng("node", nid, "pso")
-        group = None
-        if self._group_of_id is not None:
-            group = self._group_of_id[nid % self._initial_size]
-            self._group_of_id.append(group)
-        state = initial_swarm_state(self._function_of(nid), self.config.pso, rng)
-
-        if self._free_slots:
-            slot = self._free_slots.pop()
-            self._retired_evaluations += int(self.soa.evaluations[slot])
-            self.soa.replace_slot(slot, state)
-            self._gens[slot] = rng
-            self._id_of_slot[slot] = nid
-        else:
-            slot = self.soa.append_state(state)
-            self._gens.append(rng)
-            self._id_of_slot = _grow_1d(self._id_of_slot, slot + 1, -1)
-            self._id_of_slot[slot] = nid
+    def _add_rows(self, ids: np.ndarray) -> None:
+        """Append fresh swarms for ``ids``: one stream batch, one initializer call."""
+        gens = self._tree.rngs(("node",), ids, ("pso",))
+        lower, upper = self.function.lower, self.function.upper
         if self._node_group is not None:
-            self._node_group = _grow_1d(self._node_group, slot + 1, 0)
-            self._node_group[slot] = group
+            groups = self._group_of_id[ids % self._initial_size]
+            lower, upper = self._group_lower[groups], self._group_upper[groups]
+        block = initial_swarm_soa(gens, self.config.pso, lower, upper)
+        if self.soa is None:
+            self.soa, start = block, 0
+        else:
+            start = self.soa.n
+            self.soa.append(block)
+        end = self.soa.n
+        self._ids = _grow_1d(self._ids, end, -1)
+        self._ids[start:end] = ids
+        self._slot_of_id = _grow_1d(self._slot_of_id, self._next_id, -1)
+        self._slot_of_id[ids] = np.arange(start, end)
+        self._alive = _grow_1d(self._alive, self._next_id, False)
+        self._alive[ids] = True
+        self._gens.extend(gens)
+        if self._node_group is not None:
+            self._node_group = _grow_1d(self._node_group, end, 0)
+            self._node_group[start:end] = groups
 
-        self._slot_of_id = _grow_1d(self._slot_of_id, nid + 1, -1)
-        self._slot_of_id[nid] = slot
-        self._alive = _grow_1d(self._alive, nid + 1, False)
-        self._alive[nid] = True
-        n_live = len(self._live)
-        self._live_pos[nid] = n_live
-        self._live.append(nid)
-        self._live_arr = _grow_1d(self._live_arr, n_live + 1, -1)
-        self._live_arr[n_live] = nid
+    def _join(self, count: int) -> np.ndarray:
+        """Add ``count`` fresh nodes as one block of rows; returns their ids.
+
+        The overlay still bootstraps one joiner at a time, each against
+        the live list up to and including itself.
+        """
+        first = self._next_id
+        ids = np.arange(first, first + count, dtype=np.int64)
+        if count == 0:
+            return ids
+        self._next_id += count
+        self._add_rows(ids)
+        self.joins += count
         self.provider.ensure_capacity(self._next_id)
-        self.provider.on_join(nid, self.live_ids(), float(self.now))
-        return nid
+        first_row = self.soa.n - count
+        for j, nid in enumerate(ids.tolist()):
+            self.provider.on_join(nid, self._ids[: first_row + j + 1], float(self.now))
+        return ids
 
     # -- oracle metrics (GlobalQualityObserver hooks) -----------------------------------
 
     def global_best(self) -> float:
         """Best objective value known by any live node (inf if none yet)."""
-        if not self._live:
-            return float("inf")
-        vals = self.soa.best_values[self.live_slots()]
+        vals = self.soa.best_values
         finite = vals[np.isfinite(vals)]
         return float(finite.min()) if finite.size else float("inf")
 
@@ -543,16 +539,11 @@ class FastEngine:
         """Whether every live node has spent its local budget."""
         if self.budget is None:
             return False
-        if not self._live:
-            return True
-        live = self.live_slots()
-        return bool(np.all(self.soa.evaluations[live] >= self.budget))
+        return bool(np.all(self.soa.evaluations >= self.budget))
 
     def node_best_spread(self) -> float:
         """Max − min of live nodes' best values (consensus distance)."""
-        if not self._live:
-            return float("inf")
-        vals = self.soa.best_values[self.live_slots()]
+        vals = self.soa.best_values
         finite = vals[np.isfinite(vals)]
         if finite.size == 0:
             return float("inf")
@@ -598,34 +589,28 @@ class FastEngine:
         number of re-evaluations (tracked in ``reevaluations``, never
         charged to the optimization budget).
         """
-        rows = self.live_slots()
-        if rows.size == 0:
-            return 0
         soa = self.soa
+        nl, k, d = soa.n, soa.k, soa.d
+        if nl == 0:
+            return 0
         ctx = EvalContext(time=self.now, cycle=self.cycle)
-        nl, k, d = rows.size, soa.k, soa.d
-        pb = soa.pbest_positions[rows].reshape(-1, d)
-        pbv = self._problem.batch_at(pb, ctx).reshape(nl, k)
-        finite = np.isfinite(soa.pbest_values[rows])
-        soa.pbest_values[rows] = np.where(finite, pbv, np.inf)
+        pbv = self._problem.batch_at(soa.pbest_positions.reshape(-1, d), ctx)
+        finite = np.isfinite(soa.pbest_values)
+        soa.pbest_values = np.where(finite, pbv.reshape(nl, k), np.inf)
         count = int(finite.sum())
-        bv = self._problem.batch_at(soa.best_positions[rows], ctx)
-        bfin = np.isfinite(soa.best_values[rows])
+        bv = self._problem.batch_at(soa.best_positions, ctx)
+        bfin = np.isfinite(soa.best_values)
         new_best = np.where(bfin, bv, np.inf)
         count += int(bfin.sum())
         # Re-fold: under the new landscape a pbest may beat the incumbent.
-        refreshed = soa.pbest_values[rows]
+        refreshed = soa.pbest_values
         arg = np.argmin(refreshed, axis=1)
-        idx = np.arange(nl)
-        cand = refreshed[idx, arg]
+        cand = refreshed[np.arange(nl), arg]
         better = cand < new_best
-        new_best = np.where(better, cand, new_best)
-        soa.best_values[rows] = new_best
+        soa.best_values = np.where(better, cand, new_best)
         if np.any(better):
             win = np.nonzero(better)[0]
-            soa.best_positions[rows[win]] = soa.pbest_positions[
-                rows[win], arg[win]
-            ]
+            soa.best_positions[win] = soa.pbest_positions[win, arg[win]]
         self.reevaluations += count
         return count
 
@@ -643,14 +628,10 @@ class FastEngine:
         (Byzantine false bests), which is what the dynamic/robustness
         metrics measure.
         """
-        rows = self.live_slots()
-        if rows.size == 0:
-            return float("inf")
-        vals = self.soa.best_values[rows]
-        mask = np.isfinite(vals)
+        mask = np.isfinite(self.soa.best_values)
         if not mask.any():
             return float("inf")
-        verified = self._verify_values(self.soa.best_positions[rows[mask]])
+        verified = self._verify_values(self.soa.best_positions[mask])
         return max(0.0, float(verified.min()) - self._problem.optimum_value)
 
     def problem_layer_metrics(
@@ -673,27 +654,23 @@ class FastEngine:
         cfg = self.config.churn
         rng = self._churn_rng
         if cfg.crash_rate > 0:
-            live = list(self._live)
-            headroom = max(0, len(live) - cfg.min_population)
+            n_live = self.live_count
+            headroom = max(0, n_live - cfg.min_population)
             if headroom > 0:
-                n_crash = int(rng.binomial(len(live), cfg.crash_rate))
+                n_crash = int(rng.binomial(n_live, cfg.crash_rate))
                 n_crash = min(n_crash, headroom)
                 if n_crash > 0:
-                    victims = rng.choice(len(live), size=n_crash, replace=False)
-                    for idx in victims:
-                        self._crash(live[int(idx)])
-                        self.crashes += 1
+                    victims = rng.choice(n_live, size=n_crash, replace=False)
+                    # Indices into the live list as it stood before the crashes.
+                    for nid in self._ids[victims].tolist():
+                        self._crash(nid)
         if cfg.join_rate > 0:
-            lam = cfg.join_rate * self._initial_size
-            n_join = int(rng.poisson(lam))
-            for _ in range(n_join):
-                self._join()
-                self.joins += 1
+            self._join(int(rng.poisson(cfg.join_rate * self._initial_size)))
 
     def _pso_phase(self, live: np.ndarray) -> None:
         """Spend every live node's per-cycle evaluation allowance.
 
-        ``live`` holds SoA slots.  The allowance ``min(r, remaining
+        ``live`` holds SoA rows.  The allowance ``min(r, remaining
         budget)`` is consumed in chunks that visit each particle at
         most once, so each chunk is one fused move + one batched
         evaluation + one fold.  At ``r = k`` (cursors at 0) a cycle is
@@ -726,7 +703,7 @@ class FastEngine:
         """The chunk's ``(nl, 2, width, d)`` uniform block (both regimes)."""
         nl, d = live.shape[0], self.soa.d
         if self.rng_mode == "strict":
-            draws = self._draw_buffer((nl, 2, width, d))
+            draws = self._draw_buffer(nl, width)
             gens = self._gens
             for j in moving_nodes:
                 gens[live[j]].random(out=draws[j])
@@ -739,7 +716,7 @@ class FastEngine:
         # not drag an ever-growing dead-id range through the
         # generator).  SFC64 fills roughly twice as fast as PCG64 and
         # this stream owes bit-compatibility to nothing.
-        out = self._draw_buffer((nl, 2, width, d))
+        out = self._draw_buffer(nl, width)
         key = ("fastpath", "draws", self.cycle, chunk)
         if self.crashes == 0 and self._default_ids and nl == self._next_id:
             # The whole population, no churn holes: live row i is node
@@ -753,7 +730,7 @@ class FastEngine:
                 lo = block << _DRAW_BLOCK_BITS
                 gen.random(out=out[lo : lo + _DRAW_BLOCK])
             return out
-        ids = self._id_of_slot[live]
+        ids = self._ids[live]
         blocks = np.unique(ids >> _DRAW_BLOCK_BITS)
         gens = self._tree.rngs(key, blocks, bit_generator=np.random.SFC64)
         for block, gen in zip(blocks.tolist(), gens):
@@ -772,12 +749,14 @@ class FastEngine:
         nl = live.shape[0]
         cursors = soa.cursors[live]
 
-        # Whole-population synchronous sweep: no gather/scatter needed.
+        # A synchronous sweep (r = k timing, cursors at 0) moves whole
+        # rows: over the whole population — live churned or not, since
+        # row i is the i-th live node — no gather/scatter at all; over
+        # a cohort one row gather.  Only r ≠ k chunks gather
+        # (row, column) pairs.
+        whole_rows = width == k and not cursors.any()
         full_sweep = (
-            width == k
-            and nl == soa.n
-            and bool(np.all(cursors == 0))
-            and bool(np.all(live == np.arange(soa.n)))
+            whole_rows and nl == soa.n and bool(np.all(live == np.arange(nl)))
         )
         if full_sweep:
             sub_pos = soa.positions
@@ -785,12 +764,13 @@ class FastEngine:
             sub_pb = soa.pbest_positions
             sub_pbv = soa.pbest_values
         else:
-            rows = live[:, None]
-            cols = (cursors[:, None] + np.arange(width)[None, :]) % k
-            sub_pos = soa.positions[rows, cols]
-            sub_vel = soa.velocities[rows, cols]
-            sub_pb = soa.pbest_positions[rows, cols]
-            sub_pbv = soa.pbest_values[rows, cols]
+            index = live if whole_rows else (
+                live[:, None], (cursors[:, None] + np.arange(width)[None, :]) % k
+            )
+            sub_pos = soa.positions[index]
+            sub_vel = soa.velocities[index]
+            sub_pb = soa.pbest_positions[index]
+            sub_pbv = soa.pbest_values[index]
 
         all_in = bool(remaining.size) and bool(remaining.min() >= width)
         participating = (
@@ -811,6 +791,16 @@ class FastEngine:
         # (pinned by tests/core/test_fastpath_alloc.py).
         ws = self.workspace if full_sweep and moving_nodes.size else None
         backend = self.backend
+        if ws is not None:
+            # Capacity-sized, so the SoA can adopt them whole (churn
+            # headroom included): the handoff never copies.
+            cap = soa.capacity
+            sweep = (
+                ws.take("sweep_pos", (cap, width, d)),
+                ws.take("sweep_vel", (cap, width, d)),
+                ws.take("sweep_pb", (cap, width, d)),
+                ws.take("sweep_pbv", (cap, width)),
+            )
 
         if moving_nodes.size:
             # Per-node draws in the same (r1 block, r2 block) order as
@@ -837,8 +827,7 @@ class FastEngine:
                     upper = self._group_upper[groups][:, None, :]
             out_vel = out_pos = None
             if ws is not None:
-                out_vel = ws.take("sweep_vel", (nl, width, d))
-                out_pos = ws.take("sweep_pos", (nl, width, d))
+                out_pos, out_vel = sweep[0][:nl], sweep[1][:nl]
             vel, new_pos = backend.fused_pso_update(
                 sub_pos, sub_vel, sub_pb, gbest, r1, r2,
                 cfg.inertia, cfg.c1, cfg.c2,
@@ -846,9 +835,9 @@ class FastEngine:
                 out_vel=out_vel, out_pos=out_pos, ws=ws,
             )
             if move is not None:
-                mask3 = move[:, :, None]
-                vel = np.where(mask3, vel, sub_vel)
-                new_pos = np.where(mask3, new_pos, sub_pos)
+                frozen = ~move[:, :, None]
+                np.copyto(vel, sub_vel, where=frozen)
+                np.copyto(new_pos, sub_pos, where=frozen)
         else:
             vel = sub_vel
             new_pos = sub_pos
@@ -860,8 +849,7 @@ class FastEngine:
 
         out_pbv = out_pb = None
         if ws is not None:
-            out_pbv = ws.take("sweep_pbv", (nl, width))
-            out_pb = ws.take("sweep_pb", (nl, width, d))
+            out_pb, out_pbv = sweep[2][:nl], sweep[3][:nl]
         new_pbv, new_pb = backend.pbest_fold(
             values, sub_pbv, sub_pb, new_pos, participating,
             out_pbv=out_pbv, out_pb=out_pb, ws=ws,
@@ -872,20 +860,17 @@ class FastEngine:
                 # Double-buffer handoff: the SoA adopts the freshly
                 # written buffers and the displaced backing arrays
                 # become next cycle's workspace scratch.
-                old = soa.exchange_arrays(new_pos, vel, new_pb, new_pbv)
-                if old is not None:
-                    ws.replace("sweep_pos", old[0])
-                    ws.replace("sweep_vel", old[1])
-                    ws.replace("sweep_pb", old[2])
-                    ws.replace("sweep_pbv", old[3])
+                names = ("sweep_pos", "sweep_vel", "sweep_pb", "sweep_pbv")
+                for name, arr in zip(names, soa.exchange_arrays(*sweep)):
+                    ws.replace(name, arr)
             else:
                 # Zero-copy handoff; these arrays are not touched again.
                 soa.adopt_arrays(new_pos, vel, new_pb, new_pbv)
         else:
-            soa.positions[rows, cols] = new_pos
-            soa.velocities[rows, cols] = vel
-            soa.pbest_positions[rows, cols] = new_pb
-            soa.pbest_values[rows, cols] = new_pbv
+            soa.positions[index] = new_pos
+            soa.velocities[index] = vel
+            soa.pbest_positions[index] = new_pb
+            soa.pbest_values[index] = new_pbv
         if participating is None:
             soa.evaluations[live] += width
         else:
@@ -1049,11 +1034,10 @@ class FastEngine:
             self._churn_phase()
         live_ids = self.live_ids()
         if live_ids.size:
-            live = self._slot_of_id[live_ids]
             if self.gossip:
                 # Topology service first, like the reference stack.
                 self.provider.begin_cycle(live_ids, self._alive, float(self.now))
-            self._pso_phase(live)
+            self._pso_phase(np.arange(live_ids.size))
             if self.gossip and live_ids.size > 1:
                 self._gossip_phase(live_ids, self._gossip_rng)
         if self._stopped:
@@ -1074,7 +1058,7 @@ class FastEngine:
         for _ in range(cycles):
             if self._stopped:
                 break
-            if not self._live:
+            if not self.live_count:
                 self.stop("population extinct")
                 break
             if self.run_one_cycle():

@@ -12,7 +12,6 @@ prescribes for per-row operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -117,7 +116,7 @@ def _soa_slot_property(field: str):
     def setter(self: "SwarmStateSoA", value: np.ndarray) -> None:
         # Public assignment always copies into the backing slots, so
         # callers keep ownership of ``value``; the fast path's
-        # zero-copy full-sweep store goes through adopt_arrays.
+        # zero-copy full-sweep store goes through exchange_arrays.
         arr = getattr(self, buf)
         if value.shape[0] != self._n:
             raise ValueError(
@@ -134,23 +133,23 @@ class SwarmStateSoA:
     The network-level fast path (:mod:`repro.core.fastpath`) advances
     every node's swarm with single batched array operations, so the
     per-node :class:`SwarmState` rows are stacked along a leading node
-    axis.  Axis 0 is the node *slot* (the fast engine maps node ids to
-    slots and may reuse a crashed node's slot for a joiner), axis 1
-    the particle, axis 2 the search dimension.
+    axis.  Axis 0 is the node's position in the fast engine's live
+    list, axis 1 the particle, axis 2 the search dimension.  No row is
+    ever reused: a crash removes its row with :meth:`swap_remove` (the
+    last row moves into the hole, as in the live list) and joins
+    :meth:`append` a block of fresh rows.
 
     Storage is capacity-backed: the physical arrays may hold spare
-    trailing rows, and :meth:`append_state` grows them geometrically —
-    a churn join is amortized O(k·d) instead of the O(n·k·d)
-    reallocation a per-join concatenation costs (the ROADMAP's
-    "fast-path churn at scale" item).  All public array attributes are
-    views of the first ``n`` rows, so shapes look exactly like the
-    pre-capacity layout:
+    trailing rows, and :meth:`append` grows them geometrically — a
+    churn join is amortized O(k·d) instead of the O(n·k·d)
+    reallocation a per-join concatenation costs.  All public array
+    attributes are views of the first ``n`` rows:
 
     * ``positions`` / ``velocities`` / ``pbest_positions``: ``(n, k, d)``
     * ``pbest_values``: ``(n, k)``
-    * ``best_positions`` / ``best_values``: per-slot swarm optima
+    * ``best_positions`` / ``best_values``: per-node swarm optima
       ``g_p`` / ``f(g_p)``, ``(n, d)`` and ``(n,)``
-    * ``evaluations`` / ``cursors``: per-slot local time and
+    * ``evaluations`` / ``cursors``: per-node local time and
       round-robin cursor, ``(n,)``
     """
 
@@ -253,31 +252,28 @@ class SwarmStateSoA:
         velocities: np.ndarray,
         pbest_positions: np.ndarray,
         pbest_values: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-        """:meth:`adopt_arrays`, returning the displaced buffers.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Adopt capacity-sized particle buffers; return the displaced ones.
 
-        The fast engine's workspace double-buffering: while the
-        backing arrays carry no spare capacity, the new arrays are
-        adopted by reference and the *previous* backing arrays are
-        returned for the caller to reuse as next cycle's scratch — two
-        buffer sets ping-pong between the SoA state and the engine's
-        :class:`~repro.core.kernels.workspace.Workspace` with no
-        allocation ever after.  With spare capacity (churn headroom)
-        the values are copied into the slots instead and ``None`` is
-        returned: the caller keeps its buffers.
+        The fast engine's workspace double-buffering: the new buffers
+        have ``capacity`` rows, the first ``n`` holding the new state
+        (the rest is headroom, never read).  They are adopted by
+        reference and the *previous* backing arrays are returned for
+        the caller to reuse as next cycle's scratch — two buffer sets
+        ping-pong between the SoA state and the engine's
+        :class:`~repro.core.kernels.workspace.Workspace` with no copy
+        and, at a steady capacity, no allocation.
         """
-        if self.capacity != self._n:
-            self.adopt_arrays(
-                positions, velocities, pbest_positions, pbest_values
-            )
-            return None
-        old = (
-            self._positions,
-            self._velocities,
-            self._pbest_positions,
-            self._pbest_values,
-        )
-        self.adopt_arrays(positions, velocities, pbest_positions, pbest_values)
+        names = _SOA_FIELDS[:4]
+        old = tuple(getattr(self, "_" + name) for name in names)
+        new = (positions, velocities, pbest_positions, pbest_values)
+        for name, arr in zip(names, new):
+            if arr.shape[0] != self.capacity:
+                raise ValueError(
+                    f"{name}: expected {self.capacity} rows, got {arr.shape[0]}"
+                )
+        for name, arr in zip(names, new):
+            setattr(self, "_" + name, arr)
         return old
 
     def reserve(self, slots: int) -> None:
@@ -292,41 +288,25 @@ class SwarmStateSoA:
             grown[:cap] = buf
             setattr(self, "_" + name, grown)
 
-    def _write_row(self, slot: int, state: SwarmState) -> None:
-        self._positions[slot] = state.positions
-        self._velocities[slot] = state.velocities
-        self._pbest_positions[slot] = state.pbest_positions
-        self._pbest_values[slot] = state.pbest_values
-        self._best_positions[slot] = state.best_position
-        self._best_values[slot] = state.best_value
-        self._evaluations[slot] = state.evaluations
-        self._cursors[slot] = state.cursor
+    def append(self, block: "SwarmStateSoA") -> None:
+        """Append ``block``'s rows after the occupied ones (churn joins).
 
-    def append_state(self, state: SwarmState) -> int:
-        """Append one state in the next free slot; returns the slot.
-
-        Amortized O(k·d): at capacity the buffers double, otherwise
-        only the new row is written.
+        Amortized O(rows·k·d): at capacity the buffers double,
+        otherwise only the new rows are written.
         """
-        self.reserve(self._n + 1)
-        slot = self._n
-        self._n += 1
-        self._write_row(slot, state)
-        return slot
+        start, end = self._n, self._n + block.n
+        self.reserve(end)
+        for name in _SOA_FIELDS:
+            getattr(self, "_" + name)[start:end] = getattr(block, name)
+        self._n = end
 
-    def replace_slot(self, slot: int, state: SwarmState) -> None:
-        """Overwrite an existing slot with a fresh node state.
-
-        The fast engine recycles crashed nodes' slots through this
-        (after retiring their evaluation counts), so long heavy-churn
-        runs do not grow the arrays without bound.
-        """
-        if not (0 <= slot < self._n):
-            raise ValueError(f"slot {slot} out of range [0, {self._n})")
-        self._write_row(slot, state)
-
-    def extend(self, states: Sequence[SwarmState]) -> None:
-        """Append per-node states as new trailing slots (churn joins)."""
-        for state in states:
-            self.append_state(state)
+    def swap_remove(self, row: int) -> None:
+        """Drop ``row``; the last occupied row moves into its place."""
+        if not (0 <= row < self._n):
+            raise ValueError(f"row {row} out of range [0, {self._n})")
+        last = self._n - 1
+        for name in _SOA_FIELDS:
+            buf = getattr(self, "_" + name)
+            buf[row] = buf[last]
+        self._n = last
 

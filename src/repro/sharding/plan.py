@@ -4,8 +4,8 @@ Contiguity is load-bearing, not cosmetic: a shard's ids form one
 ``[lo, hi)`` block, so *owner lookup is arithmetic* (no hash table on
 the hot path — remote gossip routing does one ``searchsorted`` over at
 most a few dozen boundaries), and the per-shard
-:class:`~repro.core.fastpath.FastEngine` keeps its id→slot indirection
-dense.  Balance is exact to ±1 node: the first ``nodes % shards``
+:class:`~repro.core.fastpath.FastEngine` maps id ``lo + i`` to row
+``i``.  Balance is exact to ±1 node: the first ``nodes % shards``
 blocks are one node larger.
 """
 

@@ -106,7 +106,7 @@ class Network:
     def __init__(self, rng: np.random.Generator | None = None):
         self._nodes: list[Node] = []
         self._live: list[NodeId] = []  # sorted insertion order; index map below
-        self._live_pos: dict[NodeId, int] = {}
+        self._live_index: dict[NodeId, int] = {}
         self._rng = rng if rng is not None else np.random.default_rng()
 
     # -- population management ------------------------------------------------
@@ -115,7 +115,7 @@ class Network:
         """Allocate a new live node with the next dense id."""
         node = Node(len(self._nodes), birth_cycle=birth_cycle)
         self._nodes.append(node)
-        self._live_pos[node.node_id] = len(self._live)
+        self._live_index[node.node_id] = len(self._live)
         self._live.append(node.node_id)
         return node
 
@@ -146,12 +146,12 @@ class Network:
             raise SimulationError(f"node {node_id} is already down")
         node.alive = False
         # O(1) removal from the live index: swap with last.
-        pos = self._live_pos.pop(node_id)
+        pos = self._live_index.pop(node_id)
         last = self._live[-1]
         self._live[pos] = last
         self._live.pop()
         if last != node_id:
-            self._live_pos[last] = pos
+            self._live_index[last] = pos
 
     def revive(self, node_id: NodeId) -> None:
         """Bring a crashed node back (state intact).
@@ -163,7 +163,7 @@ class Network:
         if node.alive:
             raise SimulationError(f"node {node_id} is already up")
         node.alive = True
-        self._live_pos[node_id] = len(self._live)
+        self._live_index[node_id] = len(self._live)
         self._live.append(node_id)
 
     # -- lookup ----------------------------------------------------------------

@@ -214,6 +214,21 @@ class TestStatisticalEquivalence:
             self._qualities(cfg, "reference"), self._qualities(cfg, "fast")
         )
 
+    def test_quality_still_matches_reference_under_heavy_churn(self):
+        cfg = small_config(
+            nodes=16,
+            total_evaluations=16 * 8 * 20,
+            churn=ChurnConfig(crash_rate=0.10, join_rate=0.10, min_population=5),
+            seed=89,
+        )
+        ref = [Session(lift(cfg)).run_one(r).quality for r in range(4)]
+        fast = [
+            run_single_fast(cfg, repetition=r).quality for r in range(4)
+        ]
+        log_ref = np.log10(np.maximum(ref, 1e-300)).mean()
+        log_fast = np.log10(np.maximum(fast, 1e-300)).mean()
+        assert abs(log_ref - log_fast) < 2.0
+
     @pytest.mark.parametrize("mode", ["push", "pull", "push-pull"])
     def test_coordination_modes(self, mode):
         cfg = small_config(
@@ -300,12 +315,11 @@ class TestRunSemantics:
         engine.run(30)
         assert engine.crashes > 0
         assert engine.joins > 0
-        # Joins reuse crashed nodes' slots before growing the arrays,
-        # so slot count stays within [peak live, nodes + joins].
-        assert engine.live_count <= engine.soa.n <= cfg.nodes + engine.joins
+        # One SoA row per live node: crashes swap-remove, joins append.
+        assert engine.live_count == engine.soa.n
         assert engine.live_count == cfg.nodes + engine.joins - engine.crashes
-        # Retired evaluations from recycled slots stay accounted for.
-        assert engine.total_evaluations() > 0
+        # Crashed nodes' evaluations are retired, not lost.
+        assert engine.total_evaluations() > int(engine.soa.evaluations.sum())
 
     def test_min_population_floor_respected(self):
         cfg = small_config(
@@ -414,9 +428,9 @@ class TestBatchedRng:
     def test_cohort_draws_are_keyed_by_node_id(self):
         """The cohort event engine shares ``_chunk_draws``: a cohort
         that is the whole population takes the in-place fill, a strict
-        subset — also once churn has recycled slots, so slot != id —
-        the id-indexed rows.  Either way row j is its node id's row of
-        that id's block."""
+        subset — also once crashes have swap-removed rows, so row !=
+        id — the id-indexed rows.  Either way row j is its node id's
+        row of that id's block."""
         from repro.core.eventpath import CohortEventEngine
         from repro.deployment.runtime import DeploymentConfig
 
@@ -435,7 +449,7 @@ class TestBatchedRng:
                 out[j] = rng.random((256, 2, 8, engine.soa.d))[nid & 255]
             return out
 
-        everyone = engine.live_slots()
+        everyone = np.arange(engine.live_count)
         whole = engine._chunk_draws(everyone, everyone, 8, 0).copy()
         probe = np.array([0, 1, 255, 256, 299])
         np.testing.assert_array_equal(whole[probe], rows_of(probe))
@@ -446,73 +460,15 @@ class TestBatchedRng:
 
         for nid in (5, 17, 290):
             engine.crash_node(nid)
-        joined = [engine._join() for _ in range(2)]
+        joined = engine._join(2)
         ids = engine.live_ids()[::7]
         ids = np.concatenate([ids[~np.isin(ids, joined)], joined])
-        slots = engine._slot_of_id[ids]
-        assert (slots != ids).any()
+        rows = engine._slot_of_id[ids]
+        assert (rows != ids).any()
         np.testing.assert_array_equal(
-            engine._chunk_draws(slots, slots, 8, 0), rows_of(ids)
+            engine._chunk_draws(rows, rows, 8, 0), rows_of(ids)
         )
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(Exception, match="rng_mode"):
             FastEngine(small_config(), rng_mode="philox")
-
-
-class TestChurnSlotReuse:
-    """Joins recycle crashed slots with capacity-doubling growth."""
-
-    def test_slots_bounded_by_peak_population(self):
-        cfg = small_config(
-            nodes=12,
-            total_evaluations=12 * 8 * 60,
-            churn=ChurnConfig(crash_rate=0.25, join_rate=0.25, min_population=4),
-            seed=83,
-        )
-        engine = FastEngine(cfg)
-        engine.budget = None
-        engine.run(60)
-        assert engine.joins > engine.soa.n  # reuse actually happened
-        assert engine.soa.n <= cfg.nodes + engine.joins
-        # Ids keep growing monotonically even though slots recycle.
-        assert engine.live_count == len(set(engine.live_ids().tolist()))
-        assert engine.total_evaluations() == int(
-            engine.soa.evaluations.sum()
-        ) + engine._retired_evaluations
-
-    def test_live_ids_mirror_tracks_the_live_list(self):
-        cfg = small_config(
-            nodes=12,
-            total_evaluations=12 * 8 * 40,
-            churn=ChurnConfig(crash_rate=0.25, join_rate=0.25, min_population=4),
-            seed=83,
-        )
-        engine = FastEngine(cfg)
-        engine.budget = None
-        for _ in range(40):
-            engine.run(1)
-            ids = engine.live_ids()
-            assert ids.dtype == np.int64
-            assert ids.tolist() == engine._live  # same order: victim selection
-        engine.crash_node(int(ids[0]))
-        assert engine.live_ids().tolist() == engine._live
-        # A copy: callers may keep or mutate it across later churn.
-        ids = engine.live_ids()
-        ids[:] = -7
-        assert engine.live_ids().tolist() == engine._live
-
-    def test_quality_still_matches_reference_under_heavy_churn(self):
-        cfg = small_config(
-            nodes=16,
-            total_evaluations=16 * 8 * 20,
-            churn=ChurnConfig(crash_rate=0.10, join_rate=0.10, min_population=5),
-            seed=89,
-        )
-        ref = [Session(lift(cfg)).run_one(r).quality for r in range(4)]
-        fast = [
-            run_single_fast(cfg, repetition=r).quality for r in range(4)
-        ]
-        log_ref = np.log10(np.maximum(ref, 1e-300)).mean()
-        log_fast = np.log10(np.maximum(fast, 1e-300)).mean()
-        assert abs(log_ref - log_fast) < 2.0

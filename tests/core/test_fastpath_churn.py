@@ -1,0 +1,239 @@
+"""Churn on the SoA engines: record pins and the row-order invariant.
+
+SoA row ``i`` is the ``i``-th entry of the live list.  A crash
+swap-removes its row exactly as the live list swap-removes the id (the
+last row, its node generator and its objective group move into the
+hole), and a cycle's joins append one block of rows.  Per-row PSO
+arithmetic does not depend on row order, so the records below were
+captured on the commit *before* that layout, when joins recycled
+crashed nodes' slots through an id -> slot indirection, and every one
+must stay byte-equal.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.fastpath import FastEngine
+from repro.functions.problem import DynamicsSpec
+from repro.scenario import Scenario, Session
+from repro.simulator.adversary import AdversarySpec
+from repro.utils.config import ChurnConfig, ExperimentConfig
+
+UNREACHABLE = 10**12
+FUNCS = ("rastrigin", "griewank", "sphere")
+
+
+class CrashEnds:
+    """Observer: ``crash_node`` on the first, a middle and the last live id."""
+
+    def observe(self, engine) -> None:
+        pick = {3: 0, 5: engine.live_count // 2, 7: engine.live_count - 1}
+        if engine.cycle in pick:
+            engine.crash_node(int(engine.live_ids()[pick[engine.cycle]]))
+
+
+def churned(**fields) -> Scenario:
+    base = dict(
+        function="rastrigin", nodes=40, particles_per_node=4, gossip_cycle=4,
+        total_evaluations=UNREACHABLE, max_cycles=25, engine="fast", seed=5,
+        record_history=True,
+        churn=ChurnConfig(crash_rate=0.06, join_rate=0.06, min_population=8),
+    )
+    base.update(fields)
+    return Scenario(**base)
+
+
+def event(**fields) -> Scenario:
+    base = dict(
+        function="sphere", nodes=32, particles_per_node=4, gossip_cycle=4,
+        total_evaluations=UNREACHABLE, engine="event", event_backend="fast",
+        horizon=150.0, seed=5, record_history=True,
+        churn=ChurnConfig(crash_rate=0.1, join_rate=0.1, min_population=8),
+    )
+    base.update(fields)
+    return Scenario(**base)
+
+
+def hostile(rng_mode: str) -> Scenario:
+    """A small ``churn_hostile``: shifts plus a defended false-best adversary."""
+    return churned(
+        function="sphere", nodes=64, particles_per_node=8, gossip_cycle=8,
+        max_cycles=12, rng_mode=rng_mode,
+        churn=ChurnConfig(crash_rate=0.05, join_rate=0.05),
+        dynamics=DynamicsSpec(kind="shift", period=4, severity=1.0),
+        adversary=AdversarySpec(fraction=0.1, behavior="false-best", defense=True),
+    )
+
+
+SCENARIOS = {
+    "fast-strict": lambda: churned(rng_mode="strict"),
+    "fast-batched": lambda: churned(rng_mode="batched"),
+    "fast-r-not-k": lambda: churned(gossip_cycle=3, rng_mode="strict"),
+    "event-fast-strict": lambda: event(rng_mode="strict"),
+    "event-fast-batched": lambda: event(rng_mode="batched"),
+    "event-fast-r-not-k": lambda: event(gossip_cycle=3, rng_mode="batched"),
+    "objective-map": lambda: churned(
+        function=None, objective_map={i: FUNCS[i % 3] for i in range(12)},
+        nodes=12, churn=ChurnConfig(crash_rate=0.2, join_rate=0.2,
+                                    min_population=4),
+    ),
+    "hostile-batched": lambda: hostile("batched"),
+    "hostile-strict": lambda: hostile("strict"),
+    "crash-node": lambda: churned(
+        observers=(CrashEnds(),),
+        churn=ChurnConfig(crash_rate=0.03, join_rate=0.06, min_population=8),
+    ),
+}
+
+
+def record_sha(name: str) -> str:
+    record = Session(SCENARIOS[name]()).run_one(0)
+    blob = json.dumps(record.to_dict(), sort_keys=True, allow_nan=False)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+#: sha256 of the strict-JSON ``RunRecord.to_dict()`` (sorted keys) of
+#: each scenario above, repetition 0.
+PINNED_CHURN = {
+    "fast-strict": "9953a7b1d55e03c50b239467bce63cf4154e152bf2f483f1d6dbdb700edd274d",
+    "fast-batched": "7854cefe3197d7ebde2503518c24a5821bf083fe9063b107b3e61e08c4e53e37",
+    "fast-r-not-k": "b2c990cf8e55f66be498ea182ce5f947f14c46409c32e147505961dd29db1100",
+    "event-fast-strict": "8dc95187674eaaa76f2b6863ab441e39a964ed47a3cdfc9354982042d526fd7e",
+    "event-fast-batched": "3918a1670668b7a0785843b55a452106cdd92391c8d049b0faf2da91fdf863c5",
+    "event-fast-r-not-k": "9cbfba962aa6877ab4674e13bb969274c66a20199212c99981bda4b5a0014a64",
+    "objective-map": "4d938eae6b1c2ce2b7ff90aa50751717d44df140cdd97e254b7a7fa0c19da37e",
+    "hostile-batched": "1281a80095738ab739ce4deb4075ba07b62937d4cbd9a980aea0eccc05943ae7",
+    "hostile-strict": "d229f06fa7decd1e1cf128d26be5781ebca1e5a7315999d2c00f7e01e0a6d29e",
+    "crash-node": "54f7bccc74034e7a2eec13a525060bd115432c30d1663e2c34b875ef1da910ab",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CHURN))
+def test_churned_record_pinned(name):
+    assert record_sha(name) == PINNED_CHURN[name]
+
+
+# -- the invariant the engine keeps ------------------------------------------------
+
+
+def heavy_churn_engine(rng_mode: str = "strict", **fields) -> FastEngine:
+    config = dict(
+        function="sphere", nodes=12, particles_per_node=3,
+        total_evaluations=UNREACHABLE, gossip_cycle=3, seed=83,
+        churn=ChurnConfig(crash_rate=0.25, join_rate=0.25, min_population=4),
+    )
+    config.update(fields)
+    engine = FastEngine(ExperimentConfig(**config), rng_mode=rng_mode)
+    engine.budget = None
+    return engine
+
+
+def snapshot(engine: FastEngine) -> dict:
+    """Per live id: its row's state, generator and objective group."""
+    out = {}
+    for row, nid in enumerate(engine.live_ids().tolist()):
+        group = None if engine._node_group is None else int(engine._node_group[row])
+        out[nid] = (engine.soa.node_state(row), engine._gens[row], group)
+    return out
+
+
+def assert_rows_follow_live_list(engine: FastEngine, spent: int | None = None):
+    ids = engine.live_ids()
+    assert engine.soa.n == engine.live_count == ids.size
+    np.testing.assert_array_equal(engine._slot_of_id[ids], np.arange(ids.size))
+    assert engine._alive.sum() == ids.size
+    assert len(engine._gens) == engine.soa.n
+    total = engine.total_evaluations()
+    assert total == int(engine.soa.evaluations.sum()) + engine._retired_evaluations
+    if spent is not None:
+        assert total == spent
+
+
+def assert_rows_travel_with_ids(before: dict, engine: FastEngine) -> None:
+    after = snapshot(engine)
+    for nid, (state, gen, group) in after.items():
+        if nid not in before:
+            continue
+        old_state, old_gen, old_group = before[nid]
+        for field in ("positions", "velocities", "pbest_positions",
+                      "pbest_values", "best_position"):
+            np.testing.assert_array_equal(
+                getattr(state, field), getattr(old_state, field)
+            )
+        assert (state.best_value, state.evaluations, state.cursor) == (
+            old_state.best_value, old_state.evaluations, old_state.cursor
+        )
+        assert gen is old_gen and group == old_group
+
+
+@pytest.mark.parametrize("rng_mode", ["strict", "batched"])
+def test_every_cycle_and_crash_keeps_rows_in_live_order(rng_mode):
+    engine = heavy_churn_engine(rng_mode)
+    r = engine.config.gossip_cycle
+    spent = 0
+    for _ in range(40):
+        engine.run(1)
+        spent += engine.live_count * r  # churn runs first, then every live node steps
+        assert_rows_follow_live_list(engine, spent)
+    assert engine.joins > 0 and engine.crashes > 0
+    for where in (0.0, 0.5, 1.0):  # the first, a middle and the last live id
+        before = snapshot(engine)
+        ids = engine.live_ids()
+        engine.crash_node(int(ids[round(where * (ids.size - 1))]))
+        assert_rows_follow_live_list(engine, spent)
+        assert_rows_travel_with_ids(before, engine)
+
+
+def test_live_ids_is_a_copy():
+    engine = heavy_churn_engine()
+    engine.run(5)
+    ids = engine.live_ids()
+    ids[:] = -7
+    assert (engine.live_ids() >= 0).all()
+
+
+def test_join_batch_appends_rows_and_returns_ids():
+    engine = heavy_churn_engine()
+    first = engine._next_id
+    ids = engine._join(3)
+    np.testing.assert_array_equal(ids, np.arange(first, first + 3))
+    np.testing.assert_array_equal(engine.live_ids()[-3:], ids)
+    assert engine.joins == 3
+    assert engine._join(0).size == 0 and engine.joins == 3
+    assert_rows_follow_live_list(engine)
+
+
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("cycle"), st.integers(1, 3)),
+        st.tuples(st.just("crash"), st.floats(0, 1, exclude_max=True)),
+        st.tuples(st.just("join"), st.integers(0, 5)),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ops=OPS, rng_mode=st.sampled_from(["strict", "batched"]))
+def test_any_sequence_of_cycles_crashes_and_joins(ops, rng_mode):
+    engine = heavy_churn_engine(rng_mode, nodes=8)
+    for op, arg in ops:
+        before = snapshot(engine)
+        if op == "cycle":
+            engine.run(arg)
+        elif op == "crash":
+            if engine.live_count > 1:
+                engine.crash_node(int(engine.live_ids()[int(arg * engine.live_count)]))
+            assert_rows_travel_with_ids(before, engine)
+        else:
+            engine._join(arg)
+            assert_rows_travel_with_ids(before, engine)
+        assert_rows_follow_live_list(engine)

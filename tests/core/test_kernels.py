@@ -448,11 +448,15 @@ class TestExchangeArrays:
         assert displaced[0] is old_pos
         assert soa._positions is new[0]
 
-    def test_spare_capacity_copies_and_returns_none(self):
+    def test_spare_capacity_swaps_capacity_sized_buffers(self):
         soa = self._soa(3, 2, 4)
         soa.reserve(8)  # churn headroom
-        new = [np.full((3, 2, 4), 5.0), np.zeros((3, 2, 4)),
-               np.zeros((3, 2, 4)), np.zeros((3, 2))]
-        assert soa.exchange_arrays(*new) is None
-        np.testing.assert_array_equal(soa.positions, new[0])
-        assert soa._positions is not new[0]
+        old_pos = soa._positions
+        new = [np.full((8, 2, 4), 5.0), np.zeros((8, 2, 4)),
+               np.zeros((8, 2, 4)), np.zeros((8, 2))]
+        displaced = soa.exchange_arrays(*new)
+        assert displaced[0] is old_pos
+        assert soa._positions is new[0] and soa.capacity == 8
+        np.testing.assert_array_equal(soa.positions, new[0][:3])
+        with pytest.raises(ValueError, match="8 rows"):
+            soa.exchange_arrays(*(arr[:3] for arr in new))

@@ -1,26 +1,35 @@
-"""Capacity-backed SoA state: growth, slot recycling, view semantics."""
+"""Capacity-backed SoA state: block appends, swap-removes, view semantics."""
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.functions.base import get_function
-from repro.pso.swarm import initial_swarm_soa, initial_swarm_state
+from repro.pso.swarm import initial_swarm_soa
 from repro.utils.config import PSOConfig
 
 
-def make_state(seed):
-    return initial_swarm_state(
-        get_function("sphere"), PSOConfig(particles=3), np.random.default_rng(seed)
-    )
-
-
-def make_soa(n=4):
+def make_soa(n=4, first_seed=0):
     f = get_function("sphere")
     return initial_swarm_soa(
-        [np.random.default_rng(i) for i in range(n)],
+        [np.random.default_rng(first_seed + i) for i in range(n)],
         PSOConfig(particles=3), f.lower, f.upper,
     )
+
+
+def rows(soa):
+    return [soa.node_state(i) for i in range(soa.n)]
+
+
+def assert_same_rows(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a.velocities, b.velocities)
+        assert (a.best_value, a.evaluations, a.cursor) == (
+            b.best_value, b.evaluations, b.cursor
+        )
 
 
 class TestCapacity:
@@ -33,7 +42,7 @@ class TestCapacity:
         soa = make_soa(4)
         capacities = set()
         for i in range(60):
-            soa.append_state(make_state(100 + i))
+            soa.append(make_soa(1, 100 + i))
             capacities.add(soa.capacity)
         assert soa.n == 64
         # Geometric doubling: O(log n) distinct capacities, not O(n).
@@ -42,38 +51,38 @@ class TestCapacity:
 
     def test_views_track_occupied_slots_only(self):
         soa = make_soa(2)
-        soa.append_state(make_state(5))  # forces headroom
-        assert soa.capacity > soa.n or soa.capacity == soa.n
+        soa.append(make_soa(1, 5))
         soa.reserve(16)
         assert soa.positions.shape[0] == soa.n == 3
         assert soa.best_values.shape == (3,)
 
     def test_append_preserves_existing_rows(self):
         soa = make_soa(2)
-        before = soa.node_state(0)
+        before = rows(soa)
         for i in range(10):
-            soa.append_state(make_state(50 + i))
-        after = soa.node_state(0)
-        assert np.array_equal(before.positions, after.positions)
-        assert before.best_value == after.best_value
+            soa.append(make_soa(1, 50 + i))
+        assert_same_rows(rows(soa)[:2], before)
 
-    def test_replace_slot_overwrites_in_place(self):
-        soa = make_soa(3)
-        fresh = make_state(99)
-        soa.replace_slot(1, fresh)
-        got = soa.node_state(1)
-        assert np.array_equal(got.positions, fresh.positions)
-        assert got.evaluations == fresh.evaluations
-        assert soa.n == 3
-
-    def test_replace_slot_bounds_checked(self):
+    def test_block_append_equals_one_initializer_call(self):
         soa = make_soa(2)
-        try:
-            soa.replace_slot(5, make_state(1))
-        except ValueError:
-            pass
-        else:  # pragma: no cover
-            raise AssertionError("expected ValueError")
+        soa.append(make_soa(3, 2))
+        soa.append(make_soa(1, 5))
+        assert_same_rows(rows(soa), rows(make_soa(6)))
+
+    def test_swap_remove_moves_the_last_row_into_the_hole(self):
+        soa = make_soa(5)
+        soa.evaluations = np.arange(5) * 10
+        before = rows(soa)
+        soa.swap_remove(1)
+        assert_same_rows(rows(soa), [before[0], before[4], before[2], before[3]])
+        soa.swap_remove(3)  # the last row: nothing moves
+        assert_same_rows(rows(soa), [before[0], before[4], before[2]])
+        assert soa.capacity == 5
+
+    def test_swap_remove_bounds_checked(self):
+        soa = make_soa(2)
+        with pytest.raises(ValueError):
+            soa.swap_remove(2)
 
     def test_setter_writes_through_with_headroom(self):
         soa = make_soa(2)
@@ -82,14 +91,3 @@ class TestCapacity:
         soa.best_values = new_best
         assert np.array_equal(soa.best_values, new_best)
         assert soa.capacity == 8
-
-    def test_extend_matches_append_sequence(self):
-        a = make_soa(2)
-        b = make_soa(2)
-        states = [make_state(70 + i) for i in range(5)]
-        a.extend(states)
-        for st in states:
-            b.append_state(st)
-        assert a.n == b.n
-        assert np.array_equal(a.positions, b.positions)
-        assert np.array_equal(a.evaluations, b.evaluations)

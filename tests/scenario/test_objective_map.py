@@ -86,9 +86,12 @@ class TestGroupedBatching:
                 fn.batch(state.pbest_positions), state.pbest_values
             )
 
-    def test_join_inherits_objective_of_replaced_slot(self):
+    def test_group_moves_with_its_row(self):
+        """Joiner ``nid`` optimizes ``nid % n``'s function, and a crash's
+        swap-remove carries the moved row's group along."""
         scenario = make(
-            n=6, churn=ChurnConfig(join_rate=0.5, min_population=2),
+            n=6, churn=ChurnConfig(crash_rate=0.3, join_rate=0.5,
+                                   min_population=2),
             total_evaluations=6 * 4 * 30,
         )
         engine = FastEngine(
@@ -96,9 +99,19 @@ class TestGroupedBatching:
             objective_map=scenario.objective_map,
         )
         engine.run(10)
-        assert engine.joins > 0
-        for nid in range(6, engine.soa.n):
-            assert engine._function_of(nid).NAME == FUNCS[nid % 6 % len(FUNCS)]
+        assert engine.joins > 0 and engine.crashes > 0
+        ids = engine.live_ids()
+        assert (ids != np.arange(ids.size)).any()
+        for row, nid in enumerate(ids.tolist()):
+            want = FUNCS[nid % 6 % len(FUNCS)]
+            assert engine._function_of(nid).NAME == want
+            fn = engine._functions[engine._node_group[row]]
+            assert fn.NAME == want
+            state = engine.soa.node_state(row)
+            seen = np.isfinite(state.pbest_values)
+            np.testing.assert_allclose(
+                fn.batch(state.pbest_positions[seen]), state.pbest_values[seen]
+            )
 
 
 class TestEngineEquivalence:
