@@ -7,32 +7,26 @@ trajectory of the repo can be tracked PR-over-PR::
     PYTHONPATH=src python benchmarks/run_bench.py                 # full
     PYTHONPATH=src python benchmarks/run_bench.py --quick         # CI smoke
     PYTHONPATH=src python benchmarks/run_bench.py --min-speedup 15
-    PYTHONPATH=src python benchmarks/run_bench.py \
-        --backends numpy,numba --min-newscast-speedup 16 --require-numba-gain
+    PYTHONPATH=src python benchmarks/run_bench.py --min-newscast-speedup 16
     PYTHONPATH=src python benchmarks/run_bench.py -o BENCH_5.json
 
 Schema of the emitted file::
 
     {
       "schema": "repro-bench/4",
-      "environment": {"python": ..., "numpy": ..., "numba": ...},
-      "parameters": {"nodes": ..., "particles": ..., "rounds": ...,
-                     "backends": [...]},
+      "environment": {"python": ..., "numpy": ..., "machine": ...},
+      "parameters": {"nodes": ..., "particles": ..., "rounds": ...},
       "benches": {"<name>": {"median_s": ..., "rounds": N}},
       "derived": {"fast_vs_reference_speedup": ...,
-                  "speedup_grid": {...},
-                  "backend_grid": {"numpy": {"newscast_n1000": ...}, ...},
+                  "speedup_grid": {"newscast_n1000": ..., ...},
                   "event_speedup": ...,
                   "join_slowdown_large_vs_small": ...}
     }
 
-``backend_grid`` is PR 8's number: the full backend × topology speedup
-grid of the fast engine over the reference engine, one row per kernel
-backend (see :mod:`repro.core.kernels`).  The reference timing per
-(n, k) point is measured once and shared across backends, so rows are
-commensurable.  ``--min-newscast-speedup`` gates every benched
-backend's NEWSCAST point; ``--require-numba-gain`` additionally
-requires the numba row's NEWSCAST point to beat the NumPy row's.
+``speedup_grid`` holds the topology grid of the fast engine over the
+reference engine.  The reference timing per (n, k) point is measured
+once and shared across topologies, so cells are commensurable.
+``--min-newscast-speedup`` gates its NEWSCAST cell at n = ``--nodes``.
 
 The headline number is ``fast_vs_reference_speedup``: wall-clock ratio
 of one reference-engine cycle to one fast-engine cycle on the paper's
@@ -72,7 +66,6 @@ import numpy as np
 
 from repro.core.eventpath import CohortEventEngine
 from repro.core.fastpath import FastEngine
-from repro.core.kernels import available_backends
 from repro.core.runner import _build_network
 from repro.deployment.runtime import AsyncRuntime, DeploymentConfig
 from repro.functions.base import get_function
@@ -83,7 +76,7 @@ from repro.utils.rng import SeedSequenceTree
 
 DEFAULT_OUTPUT = Path(__file__).parent / "BENCH_5.json"
 
-#: Topology models of the backend × topology grid.
+#: Topology models of the speedup grid.
 GRID_TOPOLOGIES = ("newscast", "oracle", "ring", "kregular")
 
 
@@ -116,12 +109,8 @@ def scenario_config(nodes: int, particles: int) -> ExperimentConfig:
     )
 
 
-def fast_engine(
-    config: ExperimentConfig, topology: str, backend: str = "numpy"
-) -> FastEngine:
-    return FastEngine(
-        config, topology=topology, rng_mode="batched", kernel_backend=backend
-    )
+def fast_engine(config: ExperimentConfig, topology: str) -> FastEngine:
+    return FastEngine(config, topology=topology, rng_mode="batched")
 
 
 def reference_engine(config: ExperimentConfig) -> CycleDrivenEngine:
@@ -133,17 +122,15 @@ def reference_engine(config: ExperimentConfig) -> CycleDrivenEngine:
 def bench_engine_pair(
     benches: dict, nodes: int, particles: int, topology: str,
     rounds: int, ref_rounds: int, remeasure: bool = False,
-    backend: str = "numpy",
 ) -> float:
     """Time one (fast, reference) cycle pair; returns the speedup.
 
     The reference timing per ``(n, k)`` is measured once and reused
-    for every (topology, backend) cell, so all grid cells share one
-    denominator.
+    for every topology cell, so all grid cells share one denominator.
     """
     config = scenario_config(nodes, particles)
-    fast = fast_engine(config, topology, backend)
-    fast_key = f"fast_cycle_{backend}_{topology}_n{nodes}_k{particles}"
+    fast = fast_engine(config, topology)
+    fast_key = f"fast_cycle_{topology}_n{nodes}_k{particles}"
     benches[fast_key] = _time(fast.run_one_cycle, rounds, warmup=3)
 
     ref_key = f"reference_cycle_n{nodes}_k{particles}"
@@ -247,7 +234,6 @@ def bench_churn_joins(benches: dict, quick: bool) -> float:
 
 def run_benches(
     nodes: int, particles: int, rounds: int, ref_rounds: int, quick: bool,
-    backends: tuple[str, ...] = ("numpy",),
 ) -> dict:
     benches: dict[str, dict] = {}
 
@@ -258,28 +244,22 @@ def run_benches(
     swarm = Swarm(f, PSOConfig(particles=16), np.random.default_rng(0))
     benches["swarm_step_cycle_k16"] = _time(swarm.step_cycle, rounds)
 
-    # Backend × topology grid: every kernel backend times the same
-    # topology cells against the shared reference denominator.
-    backend_grid: dict[str, dict[str, float]] = {}
-    for backend in backends:
-        row: dict[str, float] = {}
-        for topology in GRID_TOPOLOGIES:
-            row[f"{topology}_n{nodes}"] = round(
-                bench_engine_pair(
-                    benches, nodes, particles, topology, rounds, ref_rounds,
-                    backend=backend,
-                ),
-                2,
-            )
-        backend_grid[backend] = row
+    # Topology grid against the shared reference denominator.
+    grid: dict[str, float] = {
+        f"{topology}_n{nodes}": round(
+            bench_engine_pair(
+                benches, nodes, particles, topology, rounds, ref_rounds
+            ),
+            2,
+        )
+        for topology in GRID_TOPOLOGIES
+    }
 
-    # Headline point: real NEWSCAST overlay on both engines, default
-    # (NumPy) kernels — comparable with BENCH_3/4's headline.
-    headline = backend_grid["numpy"][f"newscast_n{nodes}"]
+    # Headline point: real NEWSCAST overlay on both engines —
+    # comparable with BENCH_3/4's headline.
+    headline = grid[f"newscast_n{nodes}"]
 
-    # Legacy-shaped grid view (the NumPy row) plus a larger-n NEWSCAST
-    # point tracking how the kernels scale.
-    grid: dict[str, float] = dict(backend_grid["numpy"])
+    # A larger-n NEWSCAST point tracking how the kernels scale.
     big = nodes if quick else 4 * nodes
     if big != nodes:
         grid[f"newscast_n{big}"] = round(
@@ -300,33 +280,24 @@ def run_benches(
 
     join_ratio = bench_churn_joins(benches, quick)
 
-    environment = {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-    }
-    try:  # record the compiler version when the numba row is benched
-        import numba
-
-        environment["numba"] = numba.__version__
-    except ImportError:
-        environment["numba"] = None
     return {
         "schema": "repro-bench/4",
-        "environment": environment,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+        },
         "parameters": {
             "nodes": nodes,
             "particles": particles,
             "rounds": rounds,
             "reference_rounds": ref_rounds,
             "quick": quick,
-            "backends": list(backends),
         },
         "benches": benches,
         "derived": {
             "fast_vs_reference_speedup": round(headline, 2),
             "speedup_grid": grid,
-            "backend_grid": backend_grid,
             "event_speedup": round(event_speedup, 2),
             "join_slowdown_large_vs_small": round(join_ratio, 2),
         },
@@ -359,20 +330,9 @@ def main(argv: list[str] | None = None) -> int:
              "than this multiple of a join into the small one",
     )
     parser.add_argument(
-        "--backends", type=str, default=None,
-        help="comma-separated kernel backends for the backend × topology "
-             "grid (default: every importable backend); 'numpy' is always "
-             "included as the reference row",
-    )
-    parser.add_argument(
         "--min-newscast-speedup", type=float, default=None,
-        help="exit non-zero if any benched backend's NEWSCAST grid point "
-             "falls below this speedup over the reference engine",
-    )
-    parser.add_argument(
-        "--require-numba-gain", action="store_true",
-        help="exit non-zero unless the numba backend's NEWSCAST grid "
-             "point strictly beats the NumPy backend's",
+        help="exit non-zero if the NEWSCAST grid point falls below this "
+             "speedup over the reference engine",
     )
     parser.add_argument("--nodes", type=int, default=None)
     parser.add_argument("--particles", type=int, default=8)
@@ -383,17 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         nodes, rounds, ref_rounds = args.nodes or 1000, 20, 5
 
-    if args.backends is not None:
-        backends = tuple(b.strip() for b in args.backends.split(",") if b.strip())
-    else:
-        backends = available_backends()
-    if "numpy" not in backends:
-        backends = ("numpy", *backends)
-
-    report = run_benches(
-        nodes, args.particles, rounds, ref_rounds, args.quick,
-        backends=backends,
-    )
+    report = run_benches(nodes, args.particles, rounds, ref_rounds, args.quick)
     args.output.write_text(json.dumps(report, indent=2) + "\n")
 
     for name, stats in report["benches"].items():
@@ -403,10 +353,6 @@ def main(argv: list[str] | None = None) -> int:
           f"{derived['fast_vs_reference_speedup']:10.2f} x")
     for point, ratio in derived["speedup_grid"].items():
         print(f"{'  grid ' + point:45s} {ratio:10.2f} x")
-    for backend, row in derived["backend_grid"].items():
-        for point, ratio in row.items():
-            print(f"{'  backend ' + backend + ' ' + point:45s} "
-                  f"{ratio:10.2f} x")
     print(f"{'event_speedup':45s} {derived['event_speedup']:10.2f} x")
     print(f"{'join_slowdown_large_vs_small':45s} "
           f"{derived['join_slowdown_large_vs_small']:10.2f} x")
@@ -451,49 +397,21 @@ def main(argv: list[str] | None = None) -> int:
               f"> allowed {args.max_join_ratio}", file=sys.stderr)
         failed = True
     newscast_key = f"newscast_n{nodes}"
-    if args.min_newscast_speedup is not None:
-        for backend in backends:
-            value = derived["backend_grid"][backend][newscast_key]
-            if value < args.min_newscast_speedup:
-                # Same transient-load-spike tolerance as the headline
-                # gate: one re-measure with more rounds before failing.
-                retry = round(bench_engine_pair(
-                    report["benches"], nodes, args.particles, "newscast",
-                    rounds * 2, ref_rounds * 2, remeasure=True,
-                    backend=backend,
-                ), 2)
-                derived["backend_grid"][backend][newscast_key] = retry
-                args.output.write_text(json.dumps(report, indent=2) + "\n")
-                print(f"re-measured {backend} NEWSCAST point: {retry:.2f}x",
-                      file=sys.stderr)
-                if retry < args.min_newscast_speedup:
-                    print(f"FAIL: {backend} NEWSCAST speedup {retry:.2f}x "
-                          f"< required {args.min_newscast_speedup}x",
-                          file=sys.stderr)
-                    failed = True
-    if args.require_numba_gain:
-        if "numba" not in derived["backend_grid"]:
-            print("FAIL: --require-numba-gain but the numba backend was "
-                  "not benched (is numba installed?)", file=sys.stderr)
+    if (args.min_newscast_speedup is not None
+            and derived["speedup_grid"][newscast_key] < args.min_newscast_speedup):
+        # Same transient-load-spike tolerance as the headline gate: one
+        # re-measure with more rounds before failing.
+        retry = round(bench_engine_pair(
+            report["benches"], nodes, args.particles, "newscast",
+            rounds * 2, ref_rounds * 2, remeasure=True,
+        ), 2)
+        derived["speedup_grid"][newscast_key] = retry
+        args.output.write_text(json.dumps(report, indent=2) + "\n")
+        print(f"re-measured NEWSCAST point: {retry:.2f}x", file=sys.stderr)
+        if retry < args.min_newscast_speedup:
+            print(f"FAIL: NEWSCAST speedup {retry:.2f}x "
+                  f"< required {args.min_newscast_speedup}x", file=sys.stderr)
             failed = True
-        else:
-            numba_point = derived["backend_grid"]["numba"][newscast_key]
-            numpy_point = derived["backend_grid"]["numpy"][newscast_key]
-            if numba_point <= numpy_point:
-                retry = round(bench_engine_pair(
-                    report["benches"], nodes, args.particles, "newscast",
-                    rounds * 2, ref_rounds * 2, remeasure=True,
-                    backend="numba",
-                ), 2)
-                derived["backend_grid"]["numba"][newscast_key] = retry
-                args.output.write_text(json.dumps(report, indent=2) + "\n")
-                print(f"re-measured numba NEWSCAST point: {retry:.2f}x",
-                      file=sys.stderr)
-                if retry <= numpy_point:
-                    print(f"FAIL: numba NEWSCAST speedup {retry:.2f}x does "
-                          f"not beat numpy's {numpy_point:.2f}x",
-                          file=sys.stderr)
-                    failed = True
     return 1 if failed else 0
 
 

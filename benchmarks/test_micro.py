@@ -8,10 +8,9 @@ when optimizing the simulator or solver internals.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.dpso import DistributedPSOService
-from repro.core.kernels import available_backends, get_backend
+from repro.core.kernels import get_backend
 from repro.core.kernels.workspace import Workspace
 from repro.functions.base import get_function
 from repro.pso.swarm import Swarm
@@ -86,30 +85,14 @@ class TestNewscastCycle:
         benchmark(engine.run, 1)
 
 
-#: Every backend the registry knows about; unavailable ones (numba on
-#: a box without it) show up as explicit skips, not silent absences.
-KERNEL_BACKENDS_PARAMS = [
-    pytest.param(
-        name,
-        marks=[]
-        if name in available_backends()
-        else [pytest.mark.skip(reason=f"kernel backend {name!r} unavailable")],
-    )
-    for name in ("numpy", "numba")
-]
-
-
 class TestKernelBackendMicro:
-    """Per-backend kernel cost on the paper-default hot-path shapes
-    (n=1000 nodes, k=8 particles, d=10 dimensions; NEWSCAST view
-    capacity c=20).  Compare rows across backends with
-    ``--benchmark-group-by=func``; each call runs through a warmed
-    workspace so numba JIT compilation and first-touch allocation stay
-    out of the timed region."""
+    """Kernel cost on the paper-default hot-path shapes (n=1000 nodes,
+    k=8 particles, d=10 dimensions; NEWSCAST view capacity c=20).  Each
+    call runs through a warmed workspace so first-touch allocation
+    stays out of the timed region."""
 
-    @pytest.mark.parametrize("backend_name", KERNEL_BACKENDS_PARAMS)
-    def test_fused_update_n1000_k8(self, benchmark, backend_name):
-        backend = get_backend(backend_name, fallback=False)
+    def test_fused_update_n1000_k8(self, benchmark):
+        backend = get_backend("numpy")
         rng = np.random.default_rng(0)
         m, w, d = 1000, 8, 10
         pos = rng.uniform(-100.0, 100.0, (m, w, d))
@@ -132,12 +115,11 @@ class TestKernelBackendMicro:
                 out_vel=out_vel, out_pos=out_pos, ws=ws,
             )
 
-        run()  # warm: JIT compile (numba) and size the scratch buffers
+        run()  # warm: size the scratch buffers
         benchmark(run)
 
-    @pytest.mark.parametrize("backend_name", KERNEL_BACKENDS_PARAMS)
-    def test_newscast_merge_n1000_c20(self, benchmark, backend_name):
-        backend = get_backend(backend_name, fallback=False)
+    def test_newscast_merge_n1000_c20(self, benchmark):
+        backend = get_backend("numpy")
         rng = np.random.default_rng(1)
         m, c = 1000, 20
         width = 2 * c + 1

@@ -5,9 +5,6 @@ works on offline boxes without fetching PEP 517 build dependencies.
 
 Extras:
 
-* ``repro[numba]`` — installs the optional JIT kernel backend
-  (``Scenario(kernel_backend="numba")``).  Without it the registry
-  falls back to the NumPy backend with a one-time warning.
 * ``repro[dev]`` — the test/lint toolchain CI runs.
 """
 
@@ -35,7 +32,6 @@ setup(
     python_requires=">=3.11",
     install_requires=["numpy>=1.26"],
     extras_require={
-        "numba": ["numba>=0.59"],
         "dev": [
             "pytest",
             "pytest-benchmark",

@@ -201,14 +201,11 @@ class FastEngine:
         ``"strict"`` or ``"batched"`` per-particle draws (see module
         docstring).
     kernel_backend:
-        Name of a registered kernel backend (``"numpy"`` — the default
-        and the pinned oracle — or ``"numba"``), or a ready
-        :class:`~repro.core.kernels.KernelBackend` instance.  All hot
-        kernels (fused update, batched eval, gossip reduction,
-        NEWSCAST merge) dispatch through it; backends whose runtime
-        dependency is missing fall back to NumPy with a one-time
-        warning.  Results are bit-identical across backends (the
-        kernel contract; see :mod:`repro.core.kernels`).
+        ``"numpy"`` or a ready :class:`~repro.core.kernels.KernelBackend`
+        instance (a subclass that wraps the NumPy kernels, e.g. a
+        timing proxy).  All hot kernels (fused update, batched eval,
+        gossip reduction, NEWSCAST merge) dispatch through it; see
+        :mod:`repro.core.kernels`.
     node_ids:
         Global node ids this engine owns (default: the whole network,
         ``0..config.nodes-1``).  The sharding seam: per-node RNG
@@ -1088,8 +1085,8 @@ def run_single_fast(
     use; ``objective_map`` routes heterogeneous networks through
     grouped batch evaluation, ``topology`` selects the array-backed
     overlay, ``rng_mode`` the draw regime, and ``kernel_backend`` the
-    kernel implementation the hot paths dispatch through (see
-    :class:`FastEngine`; every backend returns bit-identical results).
+    kernel instance the hot paths dispatch through (see
+    :class:`FastEngine`).
     """
     if config.evaluations_per_node < 1:
         raise ConfigurationError(

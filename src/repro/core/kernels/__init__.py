@@ -1,150 +1,41 @@
-"""Pluggable kernel backends for the SoA hot paths.
+"""The SoA hot-path kernels.
 
 The fast engine's cycle cost is concentrated in four whole-network
-kernels — the fused PSO velocity/position update, the batched
-objective-evaluation dispatch, the anti-entropy gossip reduction, and
-the NEWSCAST packed-int64 merge.  This package puts them behind one
-narrow :class:`KernelBackend` interface so the *same* engine code runs
-under plain NumPy (the default, and the pinned correctness oracle) or
-a compiled backend (Numba today; the seam CuPy/JAX GPU backends will
-plug into), selected per run via ``Scenario(kernel_backend=...)``.
+kernels — the fused PSO velocity/position update (with its per-particle
+best fold), the batched objective evaluation, the anti-entropy gossip
+reduction, and the NEWSCAST packed-int64 merge.  They are the methods
+of one NumPy class, :class:`KernelBackend`, and every engine calls
+them through an instance (``FastEngine.backend``, the array overlays'
+``attach_kernels``), so a proxy subclass can time them without the
+engines knowing.
 
-Two contracts keep backends honest (``tests/core/test_kernels.py``):
+Two contracts pin the kernels (``tests/core/test_kernels.py``):
 
-* **bit-identity** on the strict-RNG path — every backend's float
-  kernels must reproduce the NumPy backend's exact IEEE-754 bit
-  stream (no reassociation, no FMA contraction), and the integer
-  merge kernel must match exactly;
+* **bit-identity** — each float kernel reproduces its documented
+  expression's exact IEEE-754 bit stream, and its workspace path is
+  bit-identical to its allocating path;
 * **workspace discipline** — kernels write into caller-provided
   (:class:`Workspace`-owned) buffers so a steady-state engine cycle
   performs no new large-array allocations
   (``tests/core/test_fastpath_alloc.py``).
-
-Backend selection is *graceful*: asking for a backend whose runtime
-dependency is missing falls back to NumPy with a one-time warning, so
-a scenario file written on a machine with numba still runs (more
-slowly) anywhere.  Pass ``fallback=False`` to make the absence an
-error instead.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable
-
-from repro.core.kernels.interface import BackendUnavailable, KernelBackend
+from repro.core.kernels.numpy_backend import KernelBackend
 from repro.core.kernels.workspace import Workspace
 from repro.utils.exceptions import ConfigurationError
 
-__all__ = [
-    "KERNEL_BACKENDS",
-    "KernelBackend",
-    "BackendUnavailable",
-    "Workspace",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "resolve_backend_name",
-]
+__all__ = ["KernelBackend", "Workspace", "get_backend"]
 
-#: Names the registry knows how to build (availability not implied:
-#: "numba" is registered but needs the optional numba dependency).
-KERNEL_BACKENDS = ("numpy", "numba")
-
-_FACTORIES: dict[str, Callable[[], KernelBackend]] = {}
-_INSTANCES: dict[str, KernelBackend] = {}
-_WARNED: set[str] = set()
+_NUMPY = KernelBackend()
 
 
-def register_backend(name: str, factory: Callable[[], KernelBackend]) -> None:
-    """Register a backend factory under ``name``.
-
-    The factory runs at first :func:`get_backend` lookup and may raise
-    :class:`BackendUnavailable` when a runtime dependency is missing;
-    instances are cached (backends hold no per-run state — per-run
-    scratch lives in each engine's :class:`Workspace`).
-    """
-    _FACTORIES[name] = factory
-
-
-def _build(name: str) -> KernelBackend:
-    if name not in _INSTANCES:
-        _INSTANCES[name] = _FACTORIES[name]()
-    return _INSTANCES[name]
-
-
-def available_backends() -> tuple[str, ...]:
-    """Registered backends whose runtime dependencies are importable."""
-    out = []
-    for name in _FACTORIES:
-        try:
-            _build(name)
-        except BackendUnavailable:
-            continue
-        out.append(name)
-    return tuple(out)
-
-
-def get_backend(
-    name: str | KernelBackend = "numpy", fallback: bool = True
-) -> KernelBackend:
-    """Resolve a backend by name (a ready instance passes through).
-
-    Unknown names raise :class:`ConfigurationError`; known-but-
-    unavailable backends (numba not installed) fall back to the NumPy
-    backend with a one-time warning, or raise
-    :class:`BackendUnavailable` under ``fallback=False``.
-    """
+def get_backend(name: str | KernelBackend = "numpy") -> KernelBackend:
+    """The kernels ``name`` stands for: an instance passes through,
+    ``"numpy"`` is the shared built-in one, anything else is an error."""
     if isinstance(name, KernelBackend):
         return name
-    if name not in _FACTORIES:
-        raise ConfigurationError(
-            f"unknown kernel backend {name!r}; registered backends: "
-            f"{tuple(_FACTORIES)}"
-        )
-    try:
-        return _build(name)
-    except BackendUnavailable as exc:
-        if not fallback:
-            raise
-        if name not in _WARNED:
-            _WARNED.add(name)
-            warnings.warn(
-                f"kernel backend {name!r} is unavailable ({exc}); "
-                "falling back to the NumPy backend",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return _build("numpy")
-
-
-def resolve_backend_name(name: str | KernelBackend = "numpy") -> str:
-    """The registry name of the backend that will actually execute.
-
-    Resolves ``name`` through :func:`get_backend` — including the
-    missing-dependency fallback, which warns **at most once in this
-    process** — and returns the resulting backend's name.  Coordinators
-    use this to pin the *resolved* name into job payloads before
-    handing work to spawned workers: each child process then asks for
-    a backend that is genuinely available and never re-triggers the
-    fallback ``RuntimeWarning`` that the parent already issued.
-    """
-    return get_backend(name).name
-
-
-def _register_builtins() -> None:
-    def numpy_factory() -> KernelBackend:
-        from repro.core.kernels.numpy_backend import NumpyKernelBackend
-
-        return NumpyKernelBackend()
-
-    def numba_factory() -> KernelBackend:
-        from repro.core.kernels.numba_backend import NumbaKernelBackend
-
-        return NumbaKernelBackend()
-
-    register_backend("numpy", numpy_factory)
-    register_backend("numba", numba_factory)
-
-
-_register_builtins()
+    if name != "numpy":
+        raise ConfigurationError(f"unknown kernel backend {name!r}; only 'numpy'")
+    return _NUMPY

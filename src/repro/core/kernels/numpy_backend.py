@@ -1,26 +1,24 @@
-"""The NumPy kernel backend — the pinned correctness oracle.
+"""The SoA engines' four hot kernels, as one NumPy class.
 
-Every other backend is tested against this one: the float kernels here
-define the reference bit stream (they evaluate the documented
-expressions in documented order through NumPy ufuncs), and the integer
-merge kernel defines the reference merge exactly.  The workspace paths
-(``ws=`` / ``out=`` given) decompose the same expressions into
-``out=`` ufunc calls — the same IEEE-754 operations in the same order,
-so the allocation-free path is bit-identical to the allocating one
-(pinned by ``tests/core/test_kernels.py``).
+Every method is a pure array transformation — no engine state, no RNG,
+no protocol logic — so randomness and protocol decisions stay in the
+engine.  Float kernels evaluate their documented expression in the
+documented operation order with IEEE-754 double arithmetic; the
+integer merge is exact.  The workspace paths (``ws=`` / ``out=``
+given) decompose the same expressions into ``out=`` ufunc calls — the
+same operations in the same order, so the allocation-free path is
+bit-identical to the allocating one (pinned by
+``tests/core/test_kernels.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels.interface import KernelBackend
 from repro.core.kernels.workspace import Workspace
 
 __all__ = [
-    "NumpyKernelBackend",
-    "scatter_min_fold",
-    "merge_candidates",
+    "KernelBackend",
     "EMPTY_KEY",
     "ID_BITS",
     "ID_MASK",
@@ -40,82 +38,6 @@ MAX_ID = ID_MASK - 1
 TS_MASK = (1 << 32) - 1
 EMPTY_KEY = np.iinfo(np.int64).max
 
-
-def scatter_min_fold(
-    senders: np.ndarray,
-    targets: np.ndarray,
-    src_val: np.ndarray,
-    src_pos: np.ndarray,
-    cmp_val: np.ndarray,
-    out_val: np.ndarray,
-    out_pos: np.ndarray,
-) -> int:
-    """Fold concurrent anti-entropy offers onto their receivers.
-
-    For every distinct entry of ``targets[senders]`` the single best
-    (lowest ``src_val``) offer is selected and adopted iff strictly
-    better than ``cmp_val`` at the receiver — the phased semantics both
-    SoA gossip phases share: at most one adoption per receiver per
-    call, where the reference engine's sequential delivery may count
-    several.  Writes adopted values/positions into ``out_val`` /
-    ``out_pos`` (which may alias ``cmp_val``) and returns the number of
-    receivers that adopted.
-    """
-    if senders.size == 0:
-        return 0
-    tgt = targets[senders]
-    order = np.lexsort((src_val[senders], tgt))
-    tgt_sorted = tgt[order]
-    src_sorted = senders[order]
-    uniq_tgt, first = np.unique(tgt_sorted, return_index=True)
-    best_src = src_sorted[first]
-    adopt = src_val[best_src] < cmp_val[uniq_tgt]
-    if not np.any(adopt):
-        return 0
-    receivers = uniq_tgt[adopt]
-    out_val[receivers] = src_val[best_src[adopt]]
-    out_pos[receivers] = src_pos[best_src[adopt]]
-    return int(adopt.sum())
-
-
-def merge_candidates(
-    keys: np.ndarray, capacity: int, ws: Workspace | None = None
-) -> np.ndarray:
-    """NEWSCAST-merge every row of a packed candidate matrix at once.
-
-    Swap each key's two fields so the id field leads (ids group,
-    freshest copy first), row sort, blank every entry whose left
-    neighbour carries the same id, swap back, row sort: the first
-    ``capacity`` columns are the merged view.  Pure int64 passes over workspace buffers
-    (``ws=None`` takes a private one); ``keys`` is only read.
-    """
-    ws = Workspace() if ws is None else ws
-    m, w = keys.shape
-    key = ws.take("mc_key", (m, w), np.int64)
-    tmp = ws.take("mc_tmp", (m, w), np.int64)
-    dup = ws.take("mc_dup", (m, w), bool)
-    # (id field, stamp field): duplicates adjacent, freshest first.
-    np.right_shift(keys, ID_BITS, out=tmp)
-    np.bitwise_and(keys, ID_MASK, out=key)
-    np.left_shift(key, 32, out=key)
-    np.bitwise_or(key, tmp, out=key)
-    key.sort(axis=1)
-    # Adjacent compare on the flat buffer (one contiguous pass); a
-    # row's first entry has no left neighbour in its own row.
-    np.right_shift(key, 32, out=tmp)
-    flat_ids, flat_dup = tmp.reshape(-1), dup.reshape(-1)
-    np.equal(flat_ids[1:], flat_ids[:-1], out=flat_dup[1:])
-    dup[:, 0] = False
-    # Back to (stamp field, id field); duplicates ORed to the empty key.
-    np.bitwise_and(key, TS_MASK, out=key)
-    np.left_shift(key, ID_BITS, out=key)
-    np.bitwise_or(key, tmp, out=key)
-    np.multiply(dup, EMPTY_KEY, out=tmp)
-    np.bitwise_or(key, tmp, out=key)
-    key.sort(axis=1)
-    return key[:, :capacity]
-
-
 #: The fused update runs its pass sequence over row blocks of about
 #: this many elements per operand (160 KB of doubles): a block's nine
 #: operands and scratch stay cache-resident between the eleven passes
@@ -132,29 +54,52 @@ def _rows(operand, m: int, block: slice):
     return operand
 
 
-class NumpyKernelBackend(KernelBackend):
-    """Plain-NumPy kernels: the default backend and the contract oracle."""
+class KernelBackend:
+    """Hot-path kernels of the SoA engines.
+
+    Methods accept optional ``out`` buffers and an optional
+    :class:`~repro.core.kernels.workspace.Workspace` for internal
+    scratch; with both provided a call performs no new large-array
+    allocations (the steady-state contract pinned by
+    ``tests/core/test_fastpath_alloc.py``).  With neither, results are
+    freshly allocated — the convenient form for tests and cold paths.
+    The class holds no state, so a subclass may wrap another instance
+    (a timing proxy) without calling ``super().__init__``.
+    """
 
     name = "numpy"
 
     def fused_pso_update(
         self,
-        pos,
-        vel,
-        pb,
-        gbest,
-        r1,
-        r2,
-        inertia,
-        c1,
-        c2,
-        vmax=None,
-        lower=None,
-        upper=None,
-        out_vel=None,
-        out_pos=None,
-        ws=None,
-    ):
+        pos: np.ndarray,
+        vel: np.ndarray,
+        pb: np.ndarray,
+        gbest: np.ndarray,
+        r1: np.ndarray,
+        r2: np.ndarray,
+        inertia: float,
+        c1: float,
+        c2: float,
+        vmax: np.ndarray | None = None,
+        lower: np.ndarray | None = None,
+        upper: np.ndarray | None = None,
+        out_vel: np.ndarray | None = None,
+        out_pos: np.ndarray | None = None,
+        ws: Workspace | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fused velocity/position/clamp update over ``(m, w, d)`` particles.
+
+        Computes, in exactly this operation order per element::
+
+            v' = inertia*vel + (c1*r1)*(pb - pos) + (c2*r2)*(gbest - pos)
+            v' = clip(v', -vmax, vmax)        # iff vmax given
+            x' = pos + v'
+            x' = clip(x', lower, upper)       # iff lower/upper given
+
+        ``gbest`` has shape ``(m, 1, d)`` (broadcast over particles);
+        ``vmax``/``lower``/``upper`` broadcast against ``(m, w, d)``.
+        Returns ``(v', x')``.  Does not mutate any input.
+        """
         m, w, d = pos.shape
         if out_vel is None:
             out_vel = np.empty((m, w, d))
@@ -168,8 +113,7 @@ class NumpyKernelBackend(KernelBackend):
         else:
             t1 = np.empty(scratch)
             t2 = np.empty(scratch)
-        # v' = inertia*vel + (c1*r1)*(pb - pos) + (c2*r2)*(gbest - pos),
-        # decomposed left-to-right so each element sees the exact IEEE
+        # Decomposed left-to-right so each element sees the exact IEEE
         # operation sequence of the expression form.
         for lo in range(0, m, step):
             blk = slice(lo, lo + step)
@@ -196,15 +140,21 @@ class NumpyKernelBackend(KernelBackend):
 
     def pbest_fold(
         self,
-        values,
-        pbv,
-        pb,
-        pos,
-        participating=None,
-        out_pbv=None,
-        out_pb=None,
-        ws=None,
-    ):
+        values: np.ndarray,
+        pbv: np.ndarray,
+        pb: np.ndarray,
+        pos: np.ndarray,
+        participating: np.ndarray | None = None,
+        out_pbv: np.ndarray | None = None,
+        out_pb: np.ndarray | None = None,
+        ws: Workspace | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-particle best fold: adopt ``values``/``pos`` where improved.
+
+        ``improved = (values < pbv) & participating``; returns
+        ``(where(improved, values, pbv), where(improved[..., None],
+        pos, pb))``.  Does not mutate any input.
+        """
         if ws is not None:
             improved = ws.take("pbf_improved", values.shape, bool)
         else:
@@ -222,14 +172,34 @@ class NumpyKernelBackend(KernelBackend):
         np.copyto(out_pb, pos, where=improved[:, :, None])
         return out_pbv, out_pb
 
-    def batch_eval(self, functions, node_group, live, pos, out=None, ctx=None):
+    def batch_eval(
+        self,
+        functions: list,
+        node_group: np.ndarray | None,
+        live: np.ndarray,
+        pos: np.ndarray,
+        out: np.ndarray | None = None,
+        ctx=None,
+    ) -> np.ndarray:
+        """Evaluate ``(m, w, d)`` positions, one batched call per function group.
+
+        ``node_group`` maps SoA slots to indices of ``functions``
+        (``None`` = homogeneous: ``functions[0]`` evaluates everything);
+        ``live`` holds the SoA slot of each row of ``pos``.  Returns the
+        ``(m, w)`` objective values.
+
+        ``ctx`` is the time-aware dispatch seam: ``None`` (the static
+        case) calls ``fn.batch(points)``.  With an
+        :class:`~repro.functions.problem.EvalContext`, ``functions``
+        holds :class:`~repro.functions.problem.Problem` objects and
+        each group evaluates via ``fn.batch_at(points, ctx)`` — the
+        landscape as of the engine's virtual clock.
+        """
         m, w, d = pos.shape
         if out is None:
             out = np.empty((m, w))
 
         def evaluate(fn, points):
-            # ctx=None is the pinned static path; with a context the
-            # objective is a Problem evaluated as of the virtual clock.
             if ctx is None:
                 return fn.batch(points)
             return fn.batch_at(points, ctx)
@@ -247,11 +217,83 @@ class NumpyKernelBackend(KernelBackend):
         return out
 
     def scatter_min_fold(
-        self, senders, targets, src_val, src_pos, cmp_val, out_val, out_pos
-    ):
-        return scatter_min_fold(
-            senders, targets, src_val, src_pos, cmp_val, out_val, out_pos
-        )
+        self,
+        senders: np.ndarray,
+        targets: np.ndarray,
+        src_val: np.ndarray,
+        src_pos: np.ndarray,
+        cmp_val: np.ndarray,
+        out_val: np.ndarray,
+        out_pos: np.ndarray,
+    ) -> int:
+        """Anti-entropy gossip reduction: best offer per receiver wins.
 
-    def merge_candidates(self, keys, capacity, ws=None):
-        return merge_candidates(keys, capacity, ws=ws)
+        For every distinct entry of ``targets[senders]`` the single best
+        (lowest ``src_val``) offer is selected and adopted iff strictly
+        better than ``cmp_val`` at the receiver — the phased semantics
+        both SoA gossip phases share: at most one adoption per receiver
+        per call, where the reference engine's sequential delivery may
+        count several.  Writes adopted values/positions into
+        ``out_val`` / ``out_pos`` (which may alias ``cmp_val``) and
+        returns the number of receivers that adopted.
+        """
+        if senders.size == 0:
+            return 0
+        tgt = targets[senders]
+        order = np.lexsort((src_val[senders], tgt))
+        tgt_sorted = tgt[order]
+        src_sorted = senders[order]
+        uniq_tgt, first = np.unique(tgt_sorted, return_index=True)
+        best_src = src_sorted[first]
+        adopt = src_val[best_src] < cmp_val[uniq_tgt]
+        if not np.any(adopt):
+            return 0
+        receivers = uniq_tgt[adopt]
+        out_val[receivers] = src_val[best_src[adopt]]
+        out_pos[receivers] = src_pos[best_src[adopt]]
+        return int(adopt.sum())
+
+    def merge_candidates(
+        self, keys: np.ndarray, capacity: int, ws: Workspace | None = None
+    ) -> np.ndarray:
+        """NEWSCAST merge of every row of an ``(m, w)`` packed-key matrix.
+
+        Keys are the ``int64`` descriptors of
+        :mod:`repro.topology.array_views` (any order, empty slots
+        anywhere).  Returns ``(m, min(capacity, w))`` keys: per row the
+        freshest copy of each id, ascending — freshest first, equal
+        stamps by descending id, empty slots last.  ``keys`` is only
+        read.  The result is a view of a workspace buffer, valid until
+        the next merge on the same ``ws`` (``None``: a private one);
+        callers copy or scatter it out.
+
+        Swap each key's two fields so the id field leads (ids group,
+        freshest copy first), row sort, blank every entry whose left
+        neighbour carries the same id, swap back, row sort: the first
+        ``capacity`` columns are the merged view.
+        """
+        ws = Workspace() if ws is None else ws
+        m, w = keys.shape
+        key = ws.take("mc_key", (m, w), np.int64)
+        tmp = ws.take("mc_tmp", (m, w), np.int64)
+        dup = ws.take("mc_dup", (m, w), bool)
+        # (id field, stamp field): duplicates adjacent, freshest first.
+        np.right_shift(keys, ID_BITS, out=tmp)
+        np.bitwise_and(keys, ID_MASK, out=key)
+        np.left_shift(key, 32, out=key)
+        np.bitwise_or(key, tmp, out=key)
+        key.sort(axis=1)
+        # Adjacent compare on the flat buffer (one contiguous pass); a
+        # row's first entry has no left neighbour in its own row.
+        np.right_shift(key, 32, out=tmp)
+        flat_ids, flat_dup = tmp.reshape(-1), dup.reshape(-1)
+        np.equal(flat_ids[1:], flat_ids[:-1], out=flat_dup[1:])
+        dup[:, 0] = False
+        # Back to (stamp field, id field); duplicates ORed to the empty key.
+        np.bitwise_and(key, TS_MASK, out=key)
+        np.left_shift(key, ID_BITS, out=key)
+        np.bitwise_or(key, tmp, out=key)
+        np.multiply(dup, EMPTY_KEY, out=tmp)
+        np.bitwise_or(key, tmp, out=key)
+        key.sort(axis=1)
+        return key[:, :capacity]

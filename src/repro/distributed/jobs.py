@@ -24,34 +24,8 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.scenario.result import RunRecord
 from repro.scenario.session import Session
 from repro.scenario.spec import Scenario
-from repro.utils.exceptions import ConfigurationError
 
 __all__ = ["SweepJob", "jobs_for_sweep", "execute_job"]
-
-
-def _resolved_backend_payload(payload: dict[str, Any]) -> dict[str, Any]:
-    """Pin the payload's kernel backend to its resolved name.
-
-    Availability fallback must happen *here*, on the submitting host,
-    not in each worker process: a worker re-running the fallback would
-    re-emit the one-per-process warning for every job, and — worse —
-    submit/coordinator/collect each recompute job ids from the
-    scenario payload, so the digested dict must be identical on every
-    path.  Unknown backend names pass through untouched and fail at
-    execution with their real registry error.
-    """
-    name = payload.get("kernel_backend", "numpy")
-    if isinstance(name, str):
-        from repro.core.kernels import resolve_backend_name
-
-        try:
-            resolved = resolve_backend_name(name)
-        except ConfigurationError:
-            return payload
-        if resolved != name:
-            payload = dict(payload)
-            payload["kernel_backend"] = resolved
-    return payload
 
 
 def _scenario_digest(scenario: Mapping[str, Any]) -> str:
@@ -149,7 +123,6 @@ def jobs_for_sweep(
         else:
             payload = dict(scenario)
             repetitions = int(payload.get("repetitions", 1))
-        payload = _resolved_backend_payload(payload)
         for start in range(0, repetitions, reps_per_job):
             jobs.append(
                 SweepJob(

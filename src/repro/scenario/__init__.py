@@ -41,7 +41,6 @@ from repro.scenario.spec import (
     BASELINES,
     ENGINES,
     EVENT_BACKENDS,
-    KERNEL_BACKENDS,
     SOLVERS,
     TOPOLOGIES,
     AdversarySpec,
@@ -66,7 +65,6 @@ __all__ = [
     "ENGINES",
     "EVENT_BACKENDS",
     "TOPOLOGIES",
-    "KERNEL_BACKENDS",
     "SOLVERS",
     "BASELINES",
 ]

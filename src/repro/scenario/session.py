@@ -355,17 +355,7 @@ class Session:
         else:
             import multiprocessing
 
-            from repro.core.kernels import resolve_backend_name
-
-            # Resolve the kernel backend in *this* process: spawned
-            # children would each re-run the availability fallback,
-            # re-warning once per worker (and risking divergence if a
-            # backend is flaky).  The resolved name is a plain
-            # registered backend everywhere.
-            picklable = scenario.with_(
-                kernel_backend=resolve_backend_name(scenario.kernel_backend)
-            )
-            jobs = [(picklable, rep) for rep in range(scenario.repetitions)]
+            jobs = [(scenario, rep) for rep in range(scenario.repetitions)]
             ctx = multiprocessing.get_context("spawn")
             with ctx.Pool(processes=min(workers, scenario.repetitions)) as pool:
                 # imap, not map: map blocks until the *last* repetition,

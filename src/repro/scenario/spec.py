@@ -31,7 +31,6 @@ import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Callable, Mapping
 
-from repro.core.kernels import KERNEL_BACKENDS
 from repro.functions.problem import DynamicsSpec
 from repro.simulator.adversary import AdversarySpec
 from repro.utils.config import (
@@ -48,7 +47,6 @@ __all__ = [
     "EVENT_BACKENDS",
     "TOPOLOGIES",
     "RNG_MODES",
-    "KERNEL_BACKENDS",
     "SOLVERS",
     "BASELINES",
     "Scenario",
@@ -184,10 +182,8 @@ class Scenario:
         ``(n, 2, k, d)`` fill per chunk, statistically equivalent and
         faster).
     kernel_backend:
-        Which :mod:`repro.core.kernels` implementation executes the
-        fast engine's hot kernels: ``"numpy"`` (default — the pinned
-        oracle) or ``"numba"`` (compiled loops; falls back to NumPy
-        with a one-time warning when numba is not installed).
+        The :mod:`repro.core.kernels` implementation of the fast
+        engine's hot kernels: ``"numpy"``, the only value.
     solver:
         ``"pso"`` (the paper), ``"de"``, ``"random"``, or a tuple of
         those cycled over node ids — the heterogeneous-solver
@@ -289,9 +285,8 @@ class Scenario:
         self._validate_objective()
         _require("rng_mode", self.rng_mode in RNG_MODES,
                  f"must be one of {RNG_MODES}, got {self.rng_mode!r}")
-        _require("kernel_backend", self.kernel_backend in KERNEL_BACKENDS,
-                 f"must be one of {KERNEL_BACKENDS}, "
-                 f"got {self.kernel_backend!r}")
+        _require("kernel_backend", self.kernel_backend == "numpy",
+                 f"must be 'numpy', got {self.kernel_backend!r}")
         _require("topology",
                  callable(self.topology) or self.topology in TOPOLOGIES,
                  f"must be one of {TOPOLOGIES} or a factory callable, "

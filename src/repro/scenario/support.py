@@ -55,8 +55,6 @@ FEATURES = {
         "topology",
         lambda s: s.topology in ("cyclon", "ring", "kregular", "star")),
     "rng_mode batched": ("rng_mode", lambda s: s.rng_mode != "strict"),
-    "kernel_backend other than numpy": (
-        "kernel_backend", lambda s: s.kernel_backend != "numpy"),
     "churn": ("churn", lambda s: s.churn.enabled),
     "dynamics": ("dynamics", lambda s: s.dynamics.enabled),
     "adversary": ("adversary", lambda s: s.adversary.enabled),
@@ -110,9 +108,6 @@ UNSUPPORTED = _cells([
     (("rng_mode batched",), ("reference", "event", *_BASELINES),
      "batched draws are a SoA-kernel regime (the fast engine or the fast "
      "event backend)"),
-    (("kernel_backend other than numpy",),
-     ("reference", *_EVENT, *_BASELINES),
-     "only the fast engine takes an alternative kernel backend"),
     (("objective_map", "solver other than pso", "partitioned",
       "topology factory callable", "topology oracle",
       "topology cyclon / ring / kregular / star", "churn", "dynamics",

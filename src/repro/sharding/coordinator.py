@@ -33,8 +33,8 @@ elsewhere — the worker function and its arguments pickle, so both
 work.  NumPy's BLAS keeps an idle helper thread, so Python >= 3.12
 prints its "multi-threaded, use of fork() may lead to deadlocks" notice
 at each start; it is left visible, not filtered.  OpenBLAS registers
-``atfork`` handlers, no kernel backend here runs a parallel region, and
-the coordinator starts no thread of its own before forking.
+``atfork`` handlers, the NumPy kernels run no parallel region of their
+own, and the coordinator starts no thread of its own before forking.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ import sys
 from multiprocessing.connection import Connection, wait
 from pathlib import Path
 
-from repro.core.kernels import resolve_backend_name
 from repro.core.metrics import MessageTally, QualitySample
 from repro.functions.base import get_function
 from repro.scenario import support
@@ -209,9 +208,6 @@ def _run_workers(scenario: Scenario, repetition: int, plan: ShardPlan,
     )
     shards = plan.shards
     spec = scenario.to_dict()
-    # Resolved *before* the workers start: a per-process fallback
-    # would re-warn in every worker and could diverge.
-    spec["kernel_backend"] = resolve_backend_name(scenario.kernel_backend)
     if spool is None:
         fabric = {s: {} for s in range(shards)}
         for a, b in itertools.combinations(range(shards), 2):

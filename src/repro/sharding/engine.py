@@ -36,6 +36,7 @@ import time
 import numpy as np
 
 from repro.core.fastpath import FastEngine
+from repro.core.kernels import KernelBackend
 from repro.core.metrics import QualitySample
 from repro.sharding.plan import ShardPlan
 from repro.sharding.views import make_shard_views
@@ -67,7 +68,7 @@ class ShardEngine:
         *,
         topology: str = "newscast",
         rng_mode: str = "strict",
-        kernel_backend: str = "numpy",
+        kernel_backend: str | KernelBackend = "numpy",
         record_history: bool = False,
     ):
         self.plan = plan

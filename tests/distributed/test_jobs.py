@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.distributed.jobs import SweepJob, execute_job, jobs_for_sweep
-from repro.scenario import Scenario, Session
+from repro.scenario import Scenario, ScenarioValidationError, Session
 
 
 def make(**overrides) -> Scenario:
@@ -79,6 +79,42 @@ class TestJobsForSweep:
     def test_invalid_reps_per_job(self):
         with pytest.raises(ValueError):
             jobs_for_sweep([make()], reps_per_job=0)
+
+
+class TestKernelBackendPayload:
+    """Job payloads carry ``kernel_backend`` as the scenario has it;
+    nothing rewrites it before workers start."""
+
+    @pytest.mark.parametrize("engine, digest", [
+        ("reference", "b58745cc"),
+        ("fast", "415795c1"),
+    ])
+    def test_job_ids_are_pinned(self, engine, digest):
+        """A spool written before the backend registry went away stays
+        resumable: the same sweep still digests to the same ids."""
+        jobs = jobs_for_sweep([make(engine=engine)])
+        assert [j.job_id for j in jobs] == [
+            f"p00000-{digest}-r{rep:05d}" for rep in range(3)
+        ]
+
+    def test_payload_carries_numpy(self):
+        jobs = jobs_for_sweep([make(engine="fast")])
+        assert all(j.scenario["kernel_backend"] == "numpy" for j in jobs)
+
+    def test_explicit_numpy_ids_equal_default(self):
+        default = jobs_for_sweep([make(engine="fast")])
+        explicit = jobs_for_sweep([make(engine="fast", kernel_backend="numpy")])
+        assert [j.job_id for j in explicit] == [j.job_id for j in default]
+
+    def test_other_backend_payload_fails_at_execution(self):
+        """A payload naming another backend (e.g. spooled as "numba")
+        passes through submission and fails loudly on the worker."""
+        payload = make(engine="fast").to_dict()
+        payload["kernel_backend"] = "numba"
+        job = jobs_for_sweep([payload])[0]
+        assert job.scenario["kernel_backend"] == "numba"
+        with pytest.raises(ScenarioValidationError, match="kernel_backend"):
+            execute_job(job)
 
 
 class TestExecuteJob:

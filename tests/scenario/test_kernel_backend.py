@@ -1,13 +1,10 @@
-"""Scenario/Session wiring of the pluggable kernel backend."""
+"""``Scenario.kernel_backend``: one legal value, ``"numpy"``."""
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-from repro.core import kernels
-from repro.scenario import KERNEL_BACKENDS, Scenario, ScenarioValidationError, Session
+from repro.scenario import Scenario, ScenarioValidationError, Session
 
 
 def make(**overrides) -> Scenario:
@@ -20,61 +17,43 @@ def make(**overrides) -> Scenario:
     return Scenario(**base)
 
 
-class TestScenarioField:
-    def test_default_is_numpy(self):
-        assert make().kernel_backend == "numpy"
-        assert "numpy" in KERNEL_BACKENDS
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ScenarioValidationError, match="kernel_backend"):
-            make(kernel_backend="tpu")
-
-    def test_non_numpy_requires_fast_engine(self):
-        with pytest.raises(ScenarioValidationError,
-                           match="fast engine"):
-            make(kernel_backend="numba", engine="reference")
-
-    def test_round_trip_preserves_backend(self):
-        s = make(kernel_backend="numba")
-        assert Scenario.from_dict(s.to_dict()) == s
-
-    def test_old_json_without_field_loads(self):
-        """Scenario dicts serialized before PR 8 carry no
-        kernel_backend key and must keep loading with the default."""
-        d = make().to_dict()
-        del d["kernel_backend"]
-        s = Scenario.from_dict(d)
-        assert s.kernel_backend == "numpy"
+def test_default_is_numpy():
+    assert make().kernel_backend == "numpy"
 
 
-class TestSessionDispatch:
-    def test_numpy_backend_explicit_equals_default(self):
-        base = Session(make()).run()
-        explicit = Session(make(kernel_backend="numpy")).run()
-        assert [r.best_value for r in explicit.records] == [
-            r.best_value for r in base.records
-        ]
+@pytest.mark.parametrize("name", ["numba", "tpu"])
+def test_other_backends_rejected(name):
+    with pytest.raises(ScenarioValidationError, match="kernel_backend"):
+        make(kernel_backend=name)
 
-    def test_unavailable_backend_falls_back_with_one_warning(self):
-        """Without numba installed the session still runs — identical
-        results, one RuntimeWarning.  (With numba installed the run
-        exercises the real backend and the contract suite guarantees
-        identical results, so the equality check holds either way.)"""
-        kernels._WARNED.discard("numba")
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                result = Session(make(kernel_backend="numba")).run()
-            base = Session(make()).run()
-            assert [r.best_value for r in result.records] == [
-                r.best_value for r in base.records
-            ]
-            fallbacks = [w for w in caught
-                         if issubclass(w.category, RuntimeWarning)
-                         and "kernel backend" in str(w.message)]
-            if "numba" not in kernels.available_backends():
-                assert len(fallbacks) == 1
-            else:
-                assert not fallbacks
-        finally:
-            kernels._WARNED.discard("numba")
+
+@pytest.mark.parametrize("engine", ["reference", "fast", "event"])
+def test_numba_fails_with_one_message_on_every_engine(engine):
+    """Construction rejects ``"numba"`` the same way whatever the
+    engine: no fallback, no engine-specific rule."""
+    horizon = 5.0 if engine == "event" else None
+    with pytest.raises(ScenarioValidationError,
+                       match="kernel_backend: must be 'numpy', got 'numba'"):
+        make(kernel_backend="numba", engine=engine, horizon=horizon)
+
+
+def test_round_trip_preserves_backend():
+    s = make(kernel_backend="numpy")
+    assert s.to_dict()["kernel_backend"] == "numpy"
+    assert Scenario.from_dict(s.to_dict()) == s
+
+
+def test_old_json_without_field_loads():
+    """Scenario dicts serialized before the field existed carry no
+    kernel_backend key and keep loading with the default."""
+    d = make().to_dict()
+    del d["kernel_backend"]
+    assert Scenario.from_dict(d).kernel_backend == "numpy"
+
+
+def test_numpy_backend_explicit_equals_default():
+    base = Session(make()).run()
+    explicit = Session(make(kernel_backend="numpy")).run()
+    assert [r.to_dict() for r in explicit.records] == [
+        r.to_dict() for r in base.records
+    ]

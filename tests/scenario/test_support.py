@@ -68,7 +68,6 @@ ENABLE = {
     "topology oracle": {"topology": "oracle"},
     "topology cyclon / ring / kregular / star": {"topology": "ring"},
     "rng_mode batched": {"rng_mode": "batched"},
-    "kernel_backend other than numpy": {"kernel_backend": "numba"},
     "churn": {"churn": ChurnConfig(crash_rate=0.1, join_rate=0.1)},
     "dynamics": {"dynamics": DynamicsSpec(kind="shift", period=2.0)},
     "adversary": {"adversary": AdversarySpec(fraction=0.25)},

@@ -13,7 +13,6 @@ import pkgutil
 import pytest
 
 import repro
-from repro.core.kernels import BackendUnavailable
 
 
 def _all_modules():
@@ -25,13 +24,7 @@ def _all_modules():
 
 @pytest.mark.parametrize("module_name", _all_modules())
 def test_module_doctests(module_name):
-    try:
-        module = importlib.import_module(module_name)
-    except BackendUnavailable as exc:
-        # Optional-dependency kernel backends (numba) refuse to import
-        # where the dependency is missing — that is their contract, not
-        # a doctest failure.
-        pytest.skip(str(exc))
+    module = importlib.import_module(module_name)
     results = doctest.testmod(
         module,
         optionflags=doctest.NORMALIZE_WHITESPACE | doctest.ELLIPSIS,

@@ -104,8 +104,6 @@ def test_exported_and_imported_names_resolve(name):
 KEPT_WITHOUT_IMPORTER = {
     "repro.functions.extra":
         "registers its functions by import; scenarios reach them by name",
-    "repro.core.kernels.numba_backend":
-        "registers the numba backend by import; selected by name",
     "repro.functions.counting":
         "the evaluation counter Swarm's docs hand to users",
     "repro.distributed.chaos":

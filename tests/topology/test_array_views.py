@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.kernels import Workspace, available_backends, get_backend
-from repro.topology import array_views
+from repro.core.kernels import Workspace, get_backend
 from repro.topology.array_views import (
     CyclonArrayViews,
     NewscastArrayViews,
@@ -30,21 +29,6 @@ from repro.core.kernels.numpy_backend import EMPTY_KEY, MAX_ID, TS_MASK
 from repro.topology.static import ring_lattice, star_graph
 from repro.topology.views import NodeDescriptor, PartialView
 from repro.utils.exceptions import ConfigurationError
-
-@pytest.fixture(autouse=True, scope="module", params=available_backends())
-def kernel_backend(request):
-    """The whole module runs once per importable kernel backend.
-
-    Stand-alone providers and ``merge_views`` resolve their kernels
-    through ``array_views.get_backend``; where numba is installed (CI's
-    ``kernel-backends`` job) every test below also meets the compiled
-    merge.
-    """
-    backend = get_backend(request.param, fallback=False)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(array_views, "get_backend", lambda name="numpy": backend)
-        yield backend
-
 
 #: Both ends of both packed fields ride along in every id / stamp pool.
 EDGE_IDS = np.array([0, 1, MAX_ID - 1, MAX_ID], dtype=np.int64)
@@ -319,7 +303,7 @@ class TestNewscastArrayViews:
         ts_range=st.sampled_from([2, 5, 40]),
     )
     def test_pair_exchange_equals_a_merge_row_per_end(
-        self, kernel_backend, seed, n, c, ts_range
+        self, seed, n, c, ts_range
     ):
         """One merge per pair == the row-per-end merge it replaced.
 
@@ -359,7 +343,7 @@ class TestNewscastArrayViews:
 
         exchange_views(
             provider._keys, provider._counts, ends, ends,
-            pack_views(ends, self_ts[ends]), kernel_backend, Workspace(),
+            pack_views(ends, self_ts[ends]), get_backend(), Workspace(),
         )
         got_ids, got_ts = unpack_views(provider._keys)
         np.testing.assert_array_equal(got_ids[rows], want_ids)

@@ -5,9 +5,7 @@ packed ``int64`` row; the sha256 of the decoded ``(ids, ts)`` matrices
 (``-1`` / ``-1`` in empty slots) plus the two exchange counters is what
 that two-matrix code produced.  A storage or kernel change that moves a
 single descriptor, stamp or slot fails here before any engine-level
-digest does.  The ``backend`` fixture also runs every driver with the
-provider attached to the other kernel backends (CI's ``kernel-backends``
-job is the only place the compiled merge meets a full exchange).
+digest does.
 """
 
 from __future__ import annotations
@@ -17,15 +15,15 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.kernels import Workspace, available_backends, get_backend
+from repro.core.kernels import Workspace, get_backend
 from repro.sharding.plan import ShardPlan
 from repro.sharding.views import ShardNewscastViews
 from repro.topology.array_views import NewscastArrayViews, unpack_views
 
 
-@pytest.fixture(params=available_backends())
-def backend(request):
-    return get_backend(request.param, fallback=False)
+@pytest.fixture
+def backend():
+    return get_backend("numpy")
 
 
 def digest(providers, rows=None) -> str:
