@@ -5,6 +5,8 @@ works on offline boxes without fetching PEP 517 build dependencies.
 
 Extras:
 
+* ``repro[analysis]`` — networkx, for the overlay graph metrics of
+  :mod:`repro.topology.analysis` (no engine or CLI path needs it).
 * ``repro[dev]`` — the test/lint toolchain CI runs.
 """
 
@@ -32,6 +34,7 @@ setup(
     python_requires=">=3.11",
     install_requires=["numpy>=1.26"],
     extras_require={
+        "analysis": ["networkx"],
         "dev": [
             "pytest",
             "pytest-benchmark",

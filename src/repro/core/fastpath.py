@@ -30,7 +30,10 @@ handful of whole-network array operations:
 3. **optimization** — one fused velocity/position/clamp update over all
    ``n·k`` particles, one batched objective evaluation over the
    ``(n·k, d)`` reshape, and vectorized pbest/swarm-optimum folds
-   (``np.where`` / row ``argmin`` reductions);
+   (``np.where`` / row ``argmin`` reductions).  In the steady
+   whole-network sweep the update and the pbest fold write straight
+   into the SoA rows (the kernels read each element before writing
+   it), so the particle state exists once, with no second buffer;
 4. **coordination** — one anti-entropy exchange per node, its partner
    drawn *from its own overlay view* via the provider.  The exchange
    exists once, as three legs every SoA engine runs (this engine over
@@ -159,6 +162,16 @@ def _grow_1d(arr: np.ndarray, size: int, fill) -> np.ndarray:
     grown = np.full(max(size, 2 * arr.shape[0]), fill, dtype=arr.dtype)
     grown[: arr.shape[0]] = arr
     return grown
+
+
+def _uniform(bound: np.ndarray) -> np.ndarray | float:
+    """``bound`` as one float when every coordinate carries the same bits.
+
+    ``np.clip`` against that float is the same ufunc on the same values
+    as against the ``(d,)`` row, without a d-long inner loop.
+    """
+    bits = np.asarray(bound, dtype=np.float64).view(np.int64)
+    return float(bits.view(np.float64)[0]) if (bits == bits[0]).all() else bound
 
 
 class FastEngine:
@@ -331,7 +344,9 @@ class FastEngine:
             self._functions: list[Function] = [self.function]
             self._node_group: np.ndarray | None = None
             self._group_of_id: np.ndarray | None = None
-            self._vmax = resolve_vmax(self.function, config.pso.vmax_fraction)
+            vmax = resolve_vmax(self.function, config.pso.vmax_fraction)
+            self._vmax = None if vmax is None else _uniform(vmax)
+            self._box = (_uniform(self.function.lower), _uniform(self.function.upper))
             self._group_vmax = None
             self._group_lower = self._group_upper = None
             return
@@ -728,7 +743,7 @@ class FastEngine:
                 gen.random(out=out[lo : lo + _DRAW_BLOCK])
             return out
         ids = self._ids[live]
-        blocks = np.unique(ids >> _DRAW_BLOCK_BITS)
+        blocks = np.flatnonzero(np.bincount(ids >> _DRAW_BLOCK_BITS))
         gens = self._tree.rngs(key, blocks, bit_generator=np.random.SFC64)
         for block, gen in zip(blocks.tolist(), gens):
             sel = (ids >> _DRAW_BLOCK_BITS) == block
@@ -742,32 +757,31 @@ class FastEngine:
         """Advance up to ``width`` round-robin particles on every live node."""
         soa = self.soa
         cfg = self.config.pso
-        k, d = soa.k, soa.d
+        k = soa.k
         nl = live.shape[0]
         cursors = soa.cursors[live]
 
         # A synchronous sweep (r = k timing, cursors at 0) moves whole
         # rows: over the whole population — live churned or not, since
-        # row i is the i-th live node — no gather/scatter at all; over
-        # a cohort one row gather.  Only r ≠ k chunks gather
-        # (row, column) pairs.
+        # row i is the i-th live node — the SoA rows themselves, no
+        # gather/scatter at all; over a cohort one row gather.  Only
+        # r ≠ k chunks gather (row, column) pairs.
         whole_rows = width == k and not cursors.any()
         full_sweep = (
             whole_rows and nl == soa.n and bool(np.all(live == np.arange(nl)))
         )
         if full_sweep:
-            sub_pos = soa.positions
-            sub_vel = soa.velocities
-            sub_pb = soa.pbest_positions
-            sub_pbv = soa.pbest_values
+            index = slice(None)
+        elif whole_rows:
+            index = live
         else:
-            index = live if whole_rows else (
+            index = (
                 live[:, None], (cursors[:, None] + np.arange(width)[None, :]) % k
             )
-            sub_pos = soa.positions[index]
-            sub_vel = soa.velocities[index]
-            sub_pb = soa.pbest_positions[index]
-            sub_pbv = soa.pbest_values[index]
+        sub_pos = soa.positions[index]
+        sub_vel = soa.velocities[index]
+        sub_pb = soa.pbest_positions[index]
+        sub_pbv = soa.pbest_values[index]
 
         all_in = bool(remaining.size) and bool(remaining.min() >= width)
         participating = (
@@ -781,23 +795,16 @@ class FastEngine:
             move = finite if all_in else (participating & finite)
             moving_nodes = np.nonzero(move.any(axis=1))[0]
 
-        # Workspace buffers carry the steady-state full-sweep chunk:
-        # every large intermediate lands in a preallocated arena and
-        # the particle arrays double-buffer with the SoA state, so a
-        # settled cycle performs no new large-array allocations
-        # (pinned by tests/core/test_fastpath_alloc.py).
-        ws = self.workspace if full_sweep and moving_nodes.size else None
+        # The steady full sweep updates the SoA rows in place — the
+        # kernels read every element before writing it — with its
+        # scratch in the workspace, so a settled cycle performs no new
+        # large-array allocations (pinned by
+        # tests/core/test_fastpath_alloc.py).  Any other chunk (frozen
+        # particles, a cohort, r ≠ k) computes into fresh arrays and
+        # stores them back.
+        in_place = full_sweep and move is None
+        ws = self.workspace if in_place else None
         backend = self.backend
-        if ws is not None:
-            # Capacity-sized, so the SoA can adopt them whole (churn
-            # headroom included): the handoff never copies.
-            cap = soa.capacity
-            sweep = (
-                ws.take("sweep_pos", (cap, width, d)),
-                ws.take("sweep_vel", (cap, width, d)),
-                ws.take("sweep_pb", (cap, width, d)),
-                ws.take("sweep_pbv", (cap, width)),
-            )
 
         if moving_nodes.size:
             # Per-node draws in the same (r1 block, r2 block) order as
@@ -808,28 +815,24 @@ class FastEngine:
             gbest = (
                 soa.best_positions if full_sweep else soa.best_positions[live]
             )[:, None, :]
-            if self._vmax is not None:
-                vmax = self._vmax
-            elif self._group_vmax is not None:
+            if self._group_vmax is not None:
                 vmax = self._group_vmax[self._node_group[live]][:, None, :]
             else:
-                vmax = None
+                vmax = self._vmax
             lower = upper = None
             if cfg.clamp_positions:
                 if self._node_group is None:
-                    lower, upper = self.function.lower, self.function.upper
+                    lower, upper = self._box
                 else:
                     groups = self._node_group[live]
                     lower = self._group_lower[groups][:, None, :]
                     upper = self._group_upper[groups][:, None, :]
-            out_vel = out_pos = None
-            if ws is not None:
-                out_pos, out_vel = sweep[0][:nl], sweep[1][:nl]
             vel, new_pos = backend.fused_pso_update(
                 sub_pos, sub_vel, sub_pb, gbest, r1, r2,
                 cfg.inertia, cfg.c1, cfg.c2,
                 vmax=vmax, lower=lower, upper=upper,
-                out_vel=out_vel, out_pos=out_pos, ws=ws,
+                out_vel=sub_vel if in_place else None,
+                out_pos=sub_pos if in_place else None, ws=ws,
             )
             if move is not None:
                 frozen = ~move[:, :, None]
@@ -843,29 +846,15 @@ class FastEngine:
             live, new_pos,
             out=None if ws is None else ws.take("sweep_val", (nl, width)),
         )
-
-        out_pbv = out_pb = None
-        if ws is not None:
-            out_pb, out_pbv = sweep[2][:nl], sweep[3][:nl]
         new_pbv, new_pb = backend.pbest_fold(
             values, sub_pbv, sub_pb, new_pos, participating,
-            out_pbv=out_pbv, out_pb=out_pb, ws=ws,
+            out_pbv=sub_pbv if in_place else None,
+            out_pb=sub_pb if in_place else None, ws=ws,
         )
-
-        if full_sweep:
-            if ws is not None:
-                # Double-buffer handoff: the SoA adopts the freshly
-                # written buffers and the displaced backing arrays
-                # become next cycle's workspace scratch.
-                names = ("sweep_pos", "sweep_vel", "sweep_pb", "sweep_pbv")
-                for name, arr in zip(names, soa.exchange_arrays(*sweep)):
-                    ws.replace(name, arr)
-            else:
-                # Zero-copy handoff; these arrays are not touched again.
-                soa.adopt_arrays(new_pos, vel, new_pb, new_pbv)
-        else:
-            soa.positions[index] = new_pos
-            soa.velocities[index] = vel
+        if not in_place:
+            if moving_nodes.size:
+                soa.positions[index] = new_pos
+                soa.velocities[index] = vel
             soa.pbest_positions[index] = new_pb
             soa.pbest_values[index] = new_pbv
         if participating is None:

@@ -98,7 +98,10 @@ class KernelBackend:
 
         ``gbest`` has shape ``(m, 1, d)`` (broadcast over particles);
         ``vmax``/``lower``/``upper`` broadcast against ``(m, w, d)``.
-        Returns ``(v', x')``.  Does not mutate any input.
+        Returns ``(v', x')``.  ``out_vel`` may be ``vel`` and
+        ``out_pos`` may be ``pos`` (the in-place update): every element
+        is read before it is written, so the bits do not change.  Any
+        other input is only read.
         """
         m, w, d = pos.shape
         if out_vel is None:
@@ -153,7 +156,10 @@ class KernelBackend:
 
         ``improved = (values < pbv) & participating``; returns
         ``(where(improved, values, pbv), where(improved[..., None],
-        pos, pb))``.  Does not mutate any input.
+        pos, pb))``.  ``out_pbv`` may be ``pbv`` and ``out_pb`` may be
+        ``pb`` (the in-place fold): the full copy is then skipped and
+        only improved entries are written.  Any other input is only
+        read.
         """
         if ws is not None:
             improved = ws.take("pbf_improved", values.shape, bool)
@@ -166,9 +172,11 @@ class KernelBackend:
             out_pbv = np.empty(pbv.shape)
         if out_pb is None:
             out_pb = np.empty(pb.shape)
-        np.copyto(out_pbv, pbv)
+        if out_pbv is not pbv:
+            np.copyto(out_pbv, pbv)
         np.copyto(out_pbv, values, where=improved)
-        np.copyto(out_pb, pb)
+        if out_pb is not pb:
+            np.copyto(out_pb, pb)
         np.copyto(out_pb, pos, where=improved[:, :, None])
         return out_pbv, out_pb
 

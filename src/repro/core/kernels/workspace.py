@@ -16,13 +16,10 @@ Ownership discipline
 --------------------
 
 A buffer named ``x`` is valid from one ``take("x", ...)`` to the next:
-callers must not hold a view across takes of the same name.  The one
-sanctioned exception is the engine's full-sweep double buffering:
-:meth:`~repro.pso.state.SwarmStateSoA.exchange_arrays` adopts the
-workspace's freshly computed particle buffers *by reference* and hands
-back the previous backing arrays, which the engine re-seeds into the
-workspace via :meth:`Workspace.replace` — two buffer sets ping-pong
-between the SoA state and the workspace forever after.
+callers must not hold a view across takes of the same name.  The
+particle state itself never lives here: the engine's steady full
+sweep writes its results into the SoA rows in place, so the workspace
+holds only scratch and per-cycle snapshots.
 """
 
 from __future__ import annotations
@@ -68,16 +65,6 @@ class Workspace:
             self._buffers[name] = buf
             self.allocations += 1
         return buf[:lead]
-
-    def replace(self, name: str, array: np.ndarray) -> None:
-        """Re-seed ``name`` with ``array`` (the double-buffer handoff).
-
-        The previous buffer of that name is released to the caller's
-        ownership implicitly — it is whatever the caller just handed
-        off elsewhere (the SoA adopt path).  Not counted as an
-        allocation: no new memory exists.
-        """
-        self._buffers[name] = array
 
     def nbytes(self) -> int:
         """Total bytes currently held (diagnostics)."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.scenario.result import RunRecord
@@ -69,9 +70,13 @@ class SweepJob:
         object.__setattr__(self, "repetitions", reps)
         object.__setattr__(self, "scenario", dict(self.scenario))
 
-    @property
+    @cached_property
     def job_id(self) -> str:
-        """Deterministic, filesystem-safe, collision-resistant id."""
+        """Deterministic, filesystem-safe, collision-resistant id.
+
+        Computed once per job: the spool path asks for it at every
+        step, and each computation hashes the sorted scenario JSON.
+        """
         return (
             f"p{self.point_index:05d}-{_scenario_digest(self.scenario)}"
             f"-r{self.repetitions[0]:05d}"

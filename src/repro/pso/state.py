@@ -115,8 +115,8 @@ def _soa_slot_property(field: str):
 
     def setter(self: "SwarmStateSoA", value: np.ndarray) -> None:
         # Public assignment always copies into the backing slots, so
-        # callers keep ownership of ``value``; the fast path's
-        # zero-copy full-sweep store goes through exchange_arrays.
+        # callers keep ownership of ``value``; only reserve() replaces
+        # a backing array.
         arr = getattr(self, buf)
         if value.shape[0] != self._n:
             raise ValueError(
@@ -218,63 +218,6 @@ class SwarmStateSoA:
             evaluations=int(self._evaluations[i]),
             cursor=int(self._cursors[i]),
         )
-
-    def adopt_arrays(
-        self,
-        positions: np.ndarray,
-        velocities: np.ndarray,
-        pbest_positions: np.ndarray,
-        pbest_values: np.ndarray,
-    ) -> None:
-        """Take ownership of freshly computed particle arrays.
-
-        The fast engine's full-sweep chunk rewrites all four particle
-        arrays every cycle; while the buffers carry no spare capacity (the
-        no-churn steady state) they are adopted by reference — the
-        caller MUST NOT mutate them afterwards.  With spare capacity
-        the values are copied into the backing slots instead, keeping
-        the headroom.
-        """
-        new = (positions, velocities, pbest_positions, pbest_values)
-        names = _SOA_FIELDS[:4]
-        if self.capacity == self._n:
-            for name, arr in zip(names, new):
-                if arr.shape[0] != self._n:
-                    raise ValueError(f"{name}: wrong leading axis")
-                setattr(self, "_" + name, np.ascontiguousarray(arr))
-        else:
-            for name, arr in zip(names, new):
-                getattr(self, "_" + name)[: self._n] = arr
-
-    def exchange_arrays(
-        self,
-        positions: np.ndarray,
-        velocities: np.ndarray,
-        pbest_positions: np.ndarray,
-        pbest_values: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Adopt capacity-sized particle buffers; return the displaced ones.
-
-        The fast engine's workspace double-buffering: the new buffers
-        have ``capacity`` rows, the first ``n`` holding the new state
-        (the rest is headroom, never read).  They are adopted by
-        reference and the *previous* backing arrays are returned for
-        the caller to reuse as next cycle's scratch — two buffer sets
-        ping-pong between the SoA state and the engine's
-        :class:`~repro.core.kernels.workspace.Workspace` with no copy
-        and, at a steady capacity, no allocation.
-        """
-        names = _SOA_FIELDS[:4]
-        old = tuple(getattr(self, "_" + name) for name in names)
-        new = (positions, velocities, pbest_positions, pbest_values)
-        for name, arr in zip(names, new):
-            if arr.shape[0] != self.capacity:
-                raise ValueError(
-                    f"{name}: expected {self.capacity} rows, got {arr.shape[0]}"
-                )
-        for name, arr in zip(names, new):
-            setattr(self, "_" + name, arr)
-        return old
 
     def reserve(self, slots: int) -> None:
         """Ensure physical capacity for ``slots`` rows (geometric growth)."""

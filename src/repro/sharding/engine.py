@@ -31,6 +31,7 @@ identical code and produce bit-identical overlays.
 
 from __future__ import annotations
 
+import sys
 import time
 
 import numpy as np
@@ -71,6 +72,7 @@ class ShardEngine:
         kernel_backend: str | KernelBackend = "numpy",
         record_history: bool = False,
     ):
+        self._modules = set(sys.modules)
         self.plan = plan
         self.shard = shard
         self.peers = [s for s in range(plan.shards) if s != shard]
@@ -147,12 +149,10 @@ class ShardEngine:
     def _route(self, targets: np.ndarray,
                payload: dict[str, np.ndarray]) -> dict[int, dict]:
         """Split a flat payload by the owning shard of ``targets``."""
-        owners = self.plan.owner_of(targets)
-        out: dict[int, dict[str, np.ndarray]] = {}
-        for dst in np.unique(owners):
-            sel = owners == dst
-            out[int(dst)] = {key: arr[sel] for key, arr in payload.items()}
-        return out
+        return {
+            dst: {key: arr[sel] for key, arr in payload.items()}
+            for dst, sel in self.plan.by_owner(targets)
+        }
 
     # -- leg 2 -----------------------------------------------------------------
 
@@ -277,6 +277,9 @@ class ShardEngine:
             "node_cycles_per_second": (
                 self.m * self.cycle / elapsed if elapsed > 0 else 0.0
             ),
+            # Modules first loaded while this shard was built and run:
+            # a forked worker that imports one pays for it every run.
+            "imports": sorted(set(sys.modules) - self._modules),
         }
 
 

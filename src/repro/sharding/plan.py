@@ -12,6 +12,7 @@ blocks are one node larger.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -76,6 +77,19 @@ class ShardPlan:
         out = np.searchsorted(arr[1:], np.asarray(ids, dtype=np.int64),
                               side="right")
         return out.astype(np.int64)
+
+    def by_owner(self, ids: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """``(shard, mask)`` for each shard owning some of ``ids``, ascending.
+
+        >>> plan = ShardPlan(nodes=10, shards=3)
+        >>> [(s, m.tolist()) for s, m in plan.by_owner(np.array([9, 0, 8]))]
+        [(0, [False, True, False]), (2, [True, False, True])]
+        """
+        owners = self.owner_of(ids)
+        for shard in range(self.shards):
+            mask = owners == shard
+            if mask.any():
+                yield shard, mask
 
     def _check(self, shard: int) -> None:
         if not (0 <= shard < self.shards):

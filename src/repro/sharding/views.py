@@ -199,13 +199,11 @@ class ShardNewscastViews:
             return {}
         init = np.concatenate(out_init)
         tgt = np.concatenate(out_tgt)
-        owners = self.plan.owner_of(tgt)
         requests: dict[int, dict[str, np.ndarray]] = {}
         rows = init - self.lo
-        for dst in np.unique(owners):
-            sel = owners == dst
+        for dst, sel in self.plan.by_owner(tgt):
             # Fancy indexing copies: a payload never aliases live rows.
-            requests[int(dst)] = {
+            requests[dst] = {
                 "vq_init": init[sel],
                 "vq_tgt": tgt[sel],
                 "vq_view": self._keys[rows[sel]],

@@ -8,6 +8,10 @@ objects, or a fast-engine
 :class:`~repro.topology.provider.ViewProvider` of view matrices —
 into :mod:`networkx` graphs and computes the metrics our tests check
 against the published behaviour.
+
+networkx is imported by the functions that build or walk a graph, not
+by this module: ``import repro`` and every engine run without it
+(install the ``analysis`` extra for this module).
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-import networkx as nx
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
+
     from repro.simulator.network import Network
 
 __all__ = [
@@ -46,6 +51,8 @@ def overlay_digraph_from_views(
     layout — fast-engine providers and
     :meth:`repro.simulator.network.Network.neighbor_matrix` alike.
     """
+    import networkx as nx
+
     g = nx.DiGraph()
     live = [int(i) for i in live_ids]
     live_set = set(live)
@@ -81,6 +88,8 @@ def overlay_digraph(
         are kept only if ``live_only`` is false (they represent stale
         view entries, interesting for self-repair analysis).
     """
+    import networkx as nx
+
     g = nx.DiGraph()
     nodes = list(network.live_nodes()) if live_only else list(network.all_nodes())
     live_ids = {nd.node_id for nd in nodes}
@@ -177,6 +186,8 @@ def overlay_metrics(
 
 def _metrics_of(g: nx.DiGraph, stale_fraction: float) -> OverlayMetrics:
     """Graph-theoretic summary shared by both overlay backends."""
+    import networkx as nx
+
     n = g.number_of_nodes()
     if n == 0:
         return OverlayMetrics(0, 0, False, 0.0, 0, 0.0, 0.0, 0.0)
@@ -234,6 +245,8 @@ def path_length_sample_from_views(
 def _path_length(
     g: nx.Graph, pairs: int, rng: np.random.Generator | None
 ) -> float:
+    import networkx as nx
+
     nodes = list(g.nodes)
     if len(nodes) < 2:
         return 0.0

@@ -360,11 +360,11 @@ class _ArrayViewBase(ViewProvider):
         The array analogue of
         :func:`~repro.topology.newscast.bootstrap_views` (PeerSim's
         ``WireKOut``).  Small populations draw exactly-distinct
-        contacts; above ``2048`` nodes contacts are drawn with
-        replacement and deduplicated (a view then rarely starts one or
-        two entries short of ``c`` — indistinguishable after a cycle
-        of mixing, and it avoids materializing an ``n × n`` key
-        matrix).
+        contacts from an ``n × n`` uniform key matrix, drawn in row
+        blocks of about 2 MB so the transient stays small; above
+        ``2048`` nodes contacts are drawn with replacement and
+        deduplicated (a view then rarely starts one or two entries
+        short of ``c`` — indistinguishable after a cycle of mixing).
         """
         n = live_ids.shape[0]
         if n <= 1:
@@ -373,10 +373,16 @@ class _ArrayViewBase(ViewProvider):
         wanted = min(self.capacity if contacts is None else contacts, n - 1)
         ids, ts = self._views(live_ids)
         if n <= 2048:
-            keys = self.rng.random((n, n))
-            keys[np.arange(n), np.arange(n)] = np.inf  # never self
-            picks = np.argpartition(keys, wanted - 1, axis=1)[:, :wanted]
-            ids[:, :wanted] = live_ids[picks]
+            # The generator fills in C order and argpartition works row
+            # by row, so block after block picks what one whole-matrix
+            # draw would.
+            step = max(1, (1 << 18) // n)
+            for lo in range(0, n, step):
+                rows = np.arange(lo, min(lo + step, n))
+                keys = self.rng.random((rows.size, n))
+                keys[rows - lo, rows] = np.inf  # never self
+                picks = np.argpartition(keys, wanted - 1, axis=1)[:, :wanted]
+                ids[rows, :wanted] = live_ids[picks]
             ts[:, :wanted] = 0
         else:
             # Large populations: replacement + dedup through the merge kernel.

@@ -472,3 +472,25 @@ class TestBatchedRng:
     def test_invalid_mode_rejected(self):
         with pytest.raises(Exception, match="rng_mode"):
             FastEngine(small_config(), rng_mode="philox")
+
+
+class TestUniformBox:
+    """A box every coordinate shares clamps against two floats: the
+    same clip on the same values, without a d-long bound row."""
+
+    def test_suite_bounds_become_floats(self):
+        engine = FastEngine(small_config(function="rastrigin"))
+        lower, upper = engine._box
+        assert type(lower) is float and type(upper) is float
+        assert type(engine._vmax) is float
+        assert lower == engine.function.lower[0]
+        assert upper == engine.function.upper[0]
+
+    def test_mixed_bounds_stay_arrays(self):
+        from repro.core.fastpath import _uniform
+
+        mixed = np.array([-1.0, -2.0])
+        assert _uniform(mixed) is mixed
+        signed_zeros = np.array([0.0, -0.0])  # equal, not the same bits
+        assert _uniform(signed_zeros) is signed_zeros
+        assert _uniform(np.full(3, 5.12)) == 5.12

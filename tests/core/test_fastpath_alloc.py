@@ -207,11 +207,19 @@ class TestSteadyStateAllocations:
         engine = self._engine()
         engine.run(3)
         names = set(engine.workspace.names())
-        # Sweep double-buffers, gossip snapshots, and the NEWSCAST
+        # Sweep values, gossip snapshots, and the NEWSCAST
         # candidate/merge matrices all live in the arena.
-        for expected in ("sweep_pos", "sweep_vel", "sweep_pb", "sweep_pbv",
-                         "sweep_val", "gp_val", "gp_posm", "gp_pval",
+        for expected in ("sweep_val", "gp_val", "gp_posm", "gp_pval",
                          "gp_ppos", "nc_fresh", "nc_cand", "nc_gather",
                          "mr_first", "mr_ends", "mc_key", "mc_tmp",
                          "mw_merged", "mw_kept"):
             assert expected in names, f"{expected} missing from {names}"
+        # The particle state is updated in place, never double-buffered.
+        assert not any(name in names for name in
+                       ("sweep_pos", "sweep_vel", "sweep_pb", "sweep_pbv"))
+        soa = engine.soa
+        fields = ("_positions", "_velocities", "_pbest_positions",
+                  "_pbest_values")
+        before = [getattr(soa, f) for f in fields]
+        engine.run(4)
+        assert all(getattr(soa, f) is arr for f, arr in zip(fields, before))

@@ -86,15 +86,6 @@ class TestWorkspace:
         ws.take("x", (4, 3), np.int64)
         assert ws.allocations == 3
 
-    def test_replace_reseeds_named_buffer(self):
-        ws = Workspace()
-        ws.take("x", (4,))
-        mine = np.arange(4, dtype=np.float64)
-        ws.replace("x", mine)
-        out = ws.take("x", (4,))
-        assert out.base is mine or out is mine
-        assert ws.allocations == 1  # replace is not an allocation
-
     def test_diagnostics(self):
         ws = Workspace()
         ws.take("a", (2, 2))
@@ -195,6 +186,20 @@ class TestFusedUpdateContract:
         np.testing.assert_array_equal(got_vel, want_vel, strict=True)
         np.testing.assert_array_equal(got_pos, want_pos, strict=True)
 
+    @pytest.mark.parametrize("bounds", ["none", "vmax+box"])
+    def test_in_place_bitwise_equals_out_of_place(self, backend, bounds):
+        """``out_vel=vel, out_pos=pos``: the steady sweep's in-place form."""
+        pos, vel, pb, gbest, r1, r2 = _update_inputs(6, m=9)
+        kw = {} if bounds == "none" else dict(vmax=0.7, lower=-1.5, upper=1.5)
+        args = (pb, gbest, r1, r2, 0.72, 1.49, 1.51)
+        want_vel, want_pos = backend.fused_pso_update(pos, vel, *args, **kw)
+        got_vel, got_pos = backend.fused_pso_update(
+            pos, vel, *args, out_vel=vel, out_pos=pos, ws=Workspace(), **kw
+        )
+        assert got_vel is vel and got_pos is pos
+        np.testing.assert_array_equal(vel, want_vel, strict=True)
+        np.testing.assert_array_equal(pos, want_pos, strict=True)
+
     def test_inputs_not_mutated(self, backend):
         pos, vel, pb, gbest, r1, r2 = _update_inputs(5)
         copies = [a.copy() for a in (pos, vel, pb, gbest, r1, r2)]
@@ -236,6 +241,26 @@ class TestPbestFoldContract:
         )
         np.testing.assert_array_equal(out[0], plain[0], strict=True)
         np.testing.assert_array_equal(out[1], plain[1], strict=True)
+
+
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_in_place_bitwise_equals_out_of_place(self, backend, partial):
+        """``out_pbv=pbv, out_pb=pb``: only improved entries are written."""
+        rng = np.random.default_rng(8)
+        m, k, d = 6, 4, 3
+        values, pbv = rng.random((m, k)), rng.random((m, k))
+        pb, pos = rng.normal(size=(m, k, d)), rng.normal(size=(m, k, d))
+        participating = rng.random((m, k)) < 0.6 if partial else None
+        want_pbv, want_pb = backend.pbest_fold(
+            values, pbv, pb, pos, participating
+        )
+        got_pbv, got_pb = backend.pbest_fold(
+            values, pbv, pb, pos, participating, out_pbv=pbv, out_pb=pb,
+            ws=Workspace(),
+        )
+        assert got_pbv is pbv and got_pb is pb
+        np.testing.assert_array_equal(pbv, want_pbv, strict=True)
+        np.testing.assert_array_equal(pb, want_pb, strict=True)
 
 
 def _reference_merge(keys, capacity):
@@ -388,46 +413,3 @@ class TestBatchEvalContract:
         out = np.empty((3, 2))
         got = backend.batch_eval([fn], None, np.arange(3), pos, out=out)
         assert got is out
-
-
-# -- double-buffer handoff -----------------------------------------------------
-
-
-class TestExchangeArrays:
-    def _soa(self, n, k, d):
-        from repro.pso.state import SwarmStateSoA
-
-        rng = np.random.default_rng(40)
-        return SwarmStateSoA(
-            positions=rng.normal(size=(n, k, d)),
-            velocities=rng.normal(size=(n, k, d)),
-            pbest_positions=rng.normal(size=(n, k, d)),
-            pbest_values=rng.random((n, k)),
-            best_positions=rng.normal(size=(n, d)),
-            best_values=np.zeros(n),
-            evaluations=np.zeros(n, dtype=np.int64),
-            cursors=np.zeros(n, dtype=np.int64),
-        )
-
-    def test_full_capacity_adopts_by_reference_and_returns_old(self):
-        soa = self._soa(3, 2, 4)
-        old_pos = soa._positions
-        new = [np.zeros((3, 2, 4)), np.ones((3, 2, 4)),
-               np.zeros((3, 2, 4)), np.zeros((3, 2))]
-        displaced = soa.exchange_arrays(*new)
-        assert displaced is not None
-        assert displaced[0] is old_pos
-        assert soa._positions is new[0]
-
-    def test_spare_capacity_swaps_capacity_sized_buffers(self):
-        soa = self._soa(3, 2, 4)
-        soa.reserve(8)  # churn headroom
-        old_pos = soa._positions
-        new = [np.full((8, 2, 4), 5.0), np.zeros((8, 2, 4)),
-               np.zeros((8, 2, 4)), np.zeros((8, 2))]
-        displaced = soa.exchange_arrays(*new)
-        assert displaced[0] is old_pos
-        assert soa._positions is new[0] and soa.capacity == 8
-        np.testing.assert_array_equal(soa.positions, new[0][:3])
-        with pytest.raises(ValueError, match="8 rows"):
-            soa.exchange_arrays(*(arr[:3] for arr in new))

@@ -38,6 +38,18 @@ class TestSweepJob:
         # Different sweeps sharing a spool directory must not collide.
         assert a.job_id != other.job_id
 
+    def test_job_id_hashes_the_scenario_once(self, monkeypatch):
+        from repro.distributed import jobs
+
+        calls = []
+        digest = jobs._scenario_digest
+        monkeypatch.setattr(
+            jobs, "_scenario_digest", lambda s: calls.append(1) or digest(s)
+        )
+        job = SweepJob(point_index=0, scenario=make().to_dict(), repetitions=(0,))
+        assert job.job_id == job.job_id == job.job_id
+        assert len(calls) == 1
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SweepJob(point_index=-1, scenario=make().to_dict(), repetitions=(0,))

@@ -242,6 +242,36 @@ class TestNewscastArrayViews:
             assert len(set(row)) == len(row)
             assert nid not in row
 
+    @pytest.mark.parametrize("n", [2, 3, 2047, 2048])
+    def test_bootstrap_blocks_equal_one_key_matrix(self, n):
+        """Row-blocked key draws pick what one ``(n, n)`` draw picks."""
+        c = 8
+        provider = NewscastArrayViews(n, c, np.random.default_rng(11))
+        live = np.arange(n, dtype=np.int64)
+        provider.bootstrap(live)
+        wanted = min(c, n - 1)
+        keys = np.random.default_rng(11).random((n, n))
+        keys[live, live] = np.inf
+        picks = np.argpartition(keys, wanted - 1, axis=1)[:, :wanted]
+        ids = provider.neighbor_matrix()[live]
+        np.testing.assert_array_equal(ids[:, :wanted], live[picks])
+        assert np.all(ids[:, wanted:] == -1)
+
+    def test_bootstrap_transient_stays_small(self):
+        import tracemalloc
+
+        n = 2000
+        provider = NewscastArrayViews(n, 20, np.random.default_rng(12))
+        live = np.arange(n, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            provider.bootstrap(live)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One (n, n) key matrix alone would be 32 MB.
+        assert peak < 8 * 2**20, f"bootstrap peaked at {peak / 2**20:.1f} MB"
+
     def test_exchanges_counted_per_live_initiator(self):
         provider, live, alive = self.setup_overlay()
         provider.begin_cycle(live, alive, 0.0)
