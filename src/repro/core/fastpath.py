@@ -714,12 +714,12 @@ class FastEngine:
     ) -> np.ndarray:
         """The chunk's ``(nl, 2, width, d)`` uniform block (both regimes)."""
         nl, d = live.shape[0], self.soa.d
+        out = self._draw_buffer(nl, width)
         if self.rng_mode == "strict":
-            draws = self._draw_buffer(nl, width)
             gens = self._gens
             for j in moving_nodes:
-                gens[live[j]].random(out=draws[j])
-            return draws
+                gens[live[j]].random(out=out[j])
+            return out
         # Batched: seed-branched fills keyed by node-id *block*, so a
         # node's draws depend only on (seed, cycle, chunk, node id) —
         # never on which other nodes are alive — while the work stays
@@ -728,7 +728,6 @@ class FastEngine:
         # not drag an ever-growing dead-id range through the
         # generator).  SFC64 fills roughly twice as fast as PCG64 and
         # this stream owes bit-compatibility to nothing.
-        out = self._draw_buffer(nl, width)
         key = ("fastpath", "draws", self.cycle, chunk)
         if self.crashes == 0 and self._default_ids and nl == self._next_id:
             # The whole population, no churn holes: live row i is node
@@ -745,9 +744,10 @@ class FastEngine:
         ids = self._ids[live]
         blocks = np.flatnonzero(np.bincount(ids >> _DRAW_BLOCK_BITS))
         gens = self._tree.rngs(key, blocks, bit_generator=np.random.SFC64)
+        rows = self.workspace.take("draw_block", (_DRAW_BLOCK, 2, width, d))
         for block, gen in zip(blocks.tolist(), gens):
             sel = (ids >> _DRAW_BLOCK_BITS) == block
-            rows = gen.random((_DRAW_BLOCK, 2, width, d))
+            gen.random(out=rows)
             out[sel] = rows[ids[sel] & (_DRAW_BLOCK - 1)]
         return out
 
@@ -795,15 +795,13 @@ class FastEngine:
             move = finite if all_in else (participating & finite)
             moving_nodes = np.nonzero(move.any(axis=1))[0]
 
-        # The steady full sweep updates the SoA rows in place — the
-        # kernels read every element before writing it — with its
-        # scratch in the workspace, so a settled cycle performs no new
-        # large-array allocations (pinned by
-        # tests/core/test_fastpath_alloc.py).  Any other chunk (frozen
-        # particles, a cohort, r ≠ k) computes into fresh arrays and
-        # stores them back.
-        in_place = full_sweep and move is None
-        ws = self.workspace if in_place else None
+        # Every full sweep updates the SoA rows in place (the kernels
+        # read each element before writing it) with workspace scratch,
+        # so a settled cycle, churned or not, allocates no large arrays
+        # (tests/core/test_fastpath_alloc.py).  Frozen particles (a
+        # joiner's first chunk, a spent budget) are held aside and
+        # written back.  Gathered chunks (cohorts, r ≠ k) use fresh arrays.
+        ws = self.workspace if full_sweep else None
         backend = self.backend
 
         if moving_nodes.size:
@@ -827,17 +825,18 @@ class FastEngine:
                     groups = self._node_group[live]
                     lower = self._group_lower[groups][:, None, :]
                     upper = self._group_upper[groups][:, None, :]
+            if move is not None:
+                frozen = np.nonzero(~move)
+                held = sub_pos[frozen], sub_vel[frozen]
             vel, new_pos = backend.fused_pso_update(
                 sub_pos, sub_vel, sub_pb, gbest, r1, r2,
                 cfg.inertia, cfg.c1, cfg.c2,
                 vmax=vmax, lower=lower, upper=upper,
-                out_vel=sub_vel if in_place else None,
-                out_pos=sub_pos if in_place else None, ws=ws,
+                out_vel=sub_vel if full_sweep else None,
+                out_pos=sub_pos if full_sweep else None, ws=ws,
             )
             if move is not None:
-                frozen = ~move[:, :, None]
-                np.copyto(vel, sub_vel, where=frozen)
-                np.copyto(new_pos, sub_pos, where=frozen)
+                new_pos[frozen], vel[frozen] = held
         else:
             vel = sub_vel
             new_pos = sub_pos
@@ -848,10 +847,10 @@ class FastEngine:
         )
         new_pbv, new_pb = backend.pbest_fold(
             values, sub_pbv, sub_pb, new_pos, participating,
-            out_pbv=sub_pbv if in_place else None,
-            out_pb=sub_pb if in_place else None, ws=ws,
+            out_pbv=sub_pbv if full_sweep else None,
+            out_pb=sub_pb if full_sweep else None, ws=ws,
         )
-        if not in_place:
+        if not full_sweep:
             if moving_nodes.size:
                 soa.positions[index] = new_pos
                 soa.velocities[index] = vel

@@ -100,8 +100,9 @@ class KernelBackend:
         ``vmax``/``lower``/``upper`` broadcast against ``(m, w, d)``.
         Returns ``(v', x')``.  ``out_vel`` may be ``vel`` and
         ``out_pos`` may be ``pos`` (the in-place update): every element
-        is read before it is written, so the bits do not change.  Any
-        other input is only read.
+        is read before it is written, so the bits do not change; every
+        one is written, so a caller keeping some particles unmoved holds
+        them aside and restores them.  Any other input is only read.
         """
         m, w, d = pos.shape
         if out_vel is None:

@@ -17,9 +17,9 @@ Ownership discipline
 
 A buffer named ``x`` is valid from one ``take("x", ...)`` to the next:
 callers must not hold a view across takes of the same name.  The
-particle state itself never lives here: the engine's steady full
-sweep writes its results into the SoA rows in place, so the workspace
-holds only scratch and per-cycle snapshots.
+particle state itself never lives here: every full sweep (churned or
+not; frozen particles held aside) writes into the SoA rows in place,
+and gathered chunks (cohorts, r ≠ k) into fresh arrays.
 """
 
 from __future__ import annotations

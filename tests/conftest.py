@@ -9,6 +9,14 @@ from repro.simulator.network import Network
 from repro.utils.rng import SeedSequenceTree
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    # Registered so CI's --strict-markers accepts it; tier-1 deselects
+    # nothing by it.
+    config.addinivalue_line(
+        "markers", "slow: a test that takes seconds (still part of tier-1)"
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic generator for tests that need raw randomness."""

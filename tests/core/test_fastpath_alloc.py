@@ -153,8 +153,11 @@ class _CachingSphere(Function):
         pts = self._validate_batch(points)
         m = pts.shape[0]
         if self._sq is None or self._sq.shape[0] < m:
-            self._sq = np.empty((m, self.dimension))
-            self._out = np.empty(m)
+            # Geometric, like the workspace: a churned population that
+            # creeps up a few rows per cycle does not regrow it each time.
+            rows = m if self._sq is None else max(m, 2 * self._sq.shape[0])
+            self._sq = np.empty((rows, self.dimension))
+            self._out = np.empty(rows)
         sq = self._sq[:m]
         out = self._out[:m]
         np.multiply(pts, pts, out=sq)
@@ -175,11 +178,27 @@ except Exception:  # pragma: no cover - double import under odd collection
 LARGE_ALLOC_BUDGET = 384 * 1024
 
 
+#: The SoA's capacity-backed particle arrays: updated in place, so the
+#: same objects before and after any number of settled cycles.
+SOA_FIELDS = ("_positions", "_velocities", "_pbest_positions", "_pbest_values")
+
+
+def traced_peak(engine: FastEngine, cycles: int) -> int:
+    """Peak bytes newly allocated while ``engine`` runs ``cycles`` cycles."""
+    tracemalloc.start()
+    try:
+        engine.run(cycles)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 class TestSteadyStateAllocations:
-    def _engine(self) -> FastEngine:
+    def _engine(self, **fields) -> FastEngine:
         config = ExperimentConfig(
             function=_CachingSphere.NAME, nodes=1000, particles_per_node=8,
-            total_evaluations=10**9, gossip_cycle=8, seed=1,
+            total_evaluations=10**9, gossip_cycle=8, seed=1, **fields,
         )
         return FastEngine(config, topology="newscast", rng_mode="strict")
 
@@ -187,12 +206,7 @@ class TestSteadyStateAllocations:
         engine = self._engine()
         engine.run(4)  # settle: grow every workspace buffer once
         allocs_before = engine.workspace.allocations
-        tracemalloc.start()
-        try:
-            engine.run(5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(engine, 5)
         assert engine.workspace.allocations == allocs_before, (
             "workspace buffers must stop growing once settled: "
             f"{engine.workspace.names()}"
@@ -201,6 +215,27 @@ class TestSteadyStateAllocations:
             f"steady-state cycles allocated {peak / 1024:.0f} KiB "
             f"(budget {LARGE_ALLOC_BUDGET // 1024} KiB): a large per-cycle "
             "temporary has crept back into the hot path"
+        )
+
+    def test_churned_cycles_allocate_like_steady_ones(self):
+        """Joiners (pbest = inf, frozen for their first chunk) keep the
+        whole population on the in-place sweep."""
+        engine = self._engine(
+            churn=ChurnConfig(crash_rate=0.01, join_rate=0.01)
+        )
+        engine.run(4)
+        engine.soa.reserve(2 * engine.soa.n)  # joins append, never regrow
+        before = [getattr(engine.soa, f) for f in SOA_FIELDS]
+        joins, crashes = engine.joins, engine.crashes
+        peak = traced_peak(engine, 5)
+        assert engine.joins > joins and engine.crashes > crashes
+        assert peak < LARGE_ALLOC_BUDGET, (
+            f"churned cycles allocated {peak / 1024:.0f} KiB "
+            f"(budget {LARGE_ALLOC_BUDGET // 1024} KiB): a frozen particle "
+            "has knocked the sweep off the SoA rows"
+        )
+        assert all(
+            getattr(engine.soa, f) is arr for f, arr in zip(SOA_FIELDS, before)
         )
 
     def test_workspace_carries_the_hot_buffers(self):
@@ -217,9 +252,8 @@ class TestSteadyStateAllocations:
         # The particle state is updated in place, never double-buffered.
         assert not any(name in names for name in
                        ("sweep_pos", "sweep_vel", "sweep_pb", "sweep_pbv"))
-        soa = engine.soa
-        fields = ("_positions", "_velocities", "_pbest_positions",
-                  "_pbest_values")
-        before = [getattr(soa, f) for f in fields]
+        before = [getattr(engine.soa, f) for f in SOA_FIELDS]
         engine.run(4)
-        assert all(getattr(soa, f) is arr for f, arr in zip(fields, before))
+        assert all(
+            getattr(engine.soa, f) is arr for f, arr in zip(SOA_FIELDS, before)
+        )

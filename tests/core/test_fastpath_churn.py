@@ -237,3 +237,33 @@ def test_any_sequence_of_cycles_crashes_and_joins(ops, rng_mode):
             engine._join(arg)
             assert_rows_travel_with_ids(before, engine)
         assert_rows_follow_live_list(engine)
+
+
+def test_spent_nodes_stay_put_beside_joiners():
+    """A node that has spent its budget never moves again, also on the
+    full sweep its joining neighbours keep running.  No record shows
+    this (an unevaluated particle's position reaches no output), so the
+    SoA rows are compared directly."""
+    engine = FastEngine(ExperimentConfig(
+        function="sphere", nodes=12, particles_per_node=3,
+        total_evaluations=12 * 12, gossip_cycle=3, seed=83,
+        churn=ChurnConfig(join_rate=0.25),
+    ), rng_mode="strict")
+    engine.run(4)  # cycle 0 evaluates, three cycles move: every founder is spent
+    spent = {
+        nid: engine.soa.node_state(row)
+        for row, nid in enumerate(engine.live_ids().tolist())
+        if engine.soa.evaluations[row] >= engine.budget
+    }
+    assert len(spent) == 12
+    joins = engine.joins
+    engine.run(3)
+    assert engine.joins > joins
+    for row, nid in enumerate(engine.live_ids().tolist()):
+        if nid in spent:
+            state = engine.soa.node_state(row)
+            for field in ("positions", "velocities", "pbest_positions",
+                          "pbest_values", "evaluations", "cursor"):
+                np.testing.assert_array_equal(
+                    getattr(state, field), getattr(spent[nid], field)
+                )
