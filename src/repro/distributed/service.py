@@ -15,8 +15,8 @@ branch ``("rep", i)``, independent of where or when it runs.
 
 Two execution modes:
 
-* ``spool=None`` — an in-process ``multiprocessing`` pool
-  (``spawn`` context) streams job results back as they complete.
+* ``spool=None`` — an in-process worker pool streams job results back
+  as they complete.
 * ``spool=DIR`` — jobs go through the file-backed
   :class:`~repro.distributed.spool.JobQueue`; local worker processes
   are started for you, and any number of additional
@@ -35,7 +35,7 @@ from typing import Callable, Mapping, Sequence
 from repro.distributed.jobs import SweepJob, execute_job, jobs_for_sweep
 from repro.distributed.spool import JobQueue
 from repro.distributed.worker import run_worker
-from repro.scenario.policy import ExecutionPolicy
+from repro.scenario.policy import ExecutionPolicy, process_context
 from repro.scenario.result import Result, RunRecord
 from repro.scenario.spec import Scenario
 from repro.utils.exceptions import SimulationError
@@ -208,13 +208,10 @@ def _run_jobs_pool(
     workers: int,
     offer: Callable[[str, list[RunRecord], float], None],
 ) -> tuple[dict[str, list[RunRecord]], dict[str, float]]:
-    """Execute jobs on an in-process spawn pool, streaming completions."""
-    import multiprocessing
-
+    """Execute jobs on an in-process worker pool, streaming completions."""
     records_by_job: dict[str, list[RunRecord]] = {}
     elapsed_by_job: dict[str, float] = {}
-    ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(processes=min(workers, len(jobs))) as pool:
+    with process_context().Pool(processes=min(workers, len(jobs))) as pool:
         for job_id, records, elapsed in pool.imap_unordered(
             _star_execute, jobs
         ):
@@ -251,13 +248,11 @@ def _run_jobs_spool(
     The call returns with the sweep complete or raises naming the
     dead-lettered jobs.
     """
-    import multiprocessing
-
     queue = JobQueue(spool)
     for job in jobs:
         queue.submit(job)
     expected = {job.job_id for job in jobs}
-    ctx = multiprocessing.get_context("spawn")
+    ctx = process_context()
     worker_policy = ExecutionPolicy(
         heartbeat_interval=heartbeat_interval, job_timeout=job_timeout
     )

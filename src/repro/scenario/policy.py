@@ -25,7 +25,7 @@ from typing import Any, Mapping
 
 from repro.utils.exceptions import ConfigurationError
 
-__all__ = ["ExecutionPolicy", "EXECUTION_FIELDS"]
+__all__ = ["ExecutionPolicy", "EXECUTION_FIELDS", "process_context"]
 
 #: Field names of :class:`ExecutionPolicy` — the execution knobs that
 #: must *not* appear inside a :class:`~repro.scenario.spec.Scenario`
@@ -39,6 +39,23 @@ EXECUTION_FIELDS = (
     "heartbeat_interval",
     "job_timeout",
 )
+
+
+def process_context():
+    """Start method of every worker process: ``fork`` on Linux, else the default.
+
+    ``fork`` starts in milliseconds (``spawn`` re-imports ``repro`` in
+    every worker) and needs no importable ``__main__``, so a script fed
+    on stdin starts its pools too.  Python >= 3.12's "use of fork() may
+    lead to deadlocks" notice (NumPy's idle BLAS thread) stays visible:
+    OpenBLAS registers ``atfork`` handlers, and no caller starts a
+    thread of its own before forking.
+    """
+    import multiprocessing
+    import sys
+
+    return multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+
 
 class ExecutionPolicyError(ConfigurationError):
     """An execution-policy field failed validation.

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.runner import _run_single_reference
 from repro.scenario import support
-from repro.scenario.policy import ExecutionPolicy
+from repro.scenario.policy import ExecutionPolicy, process_context
 from repro.scenario.result import Result, RunRecord
 from repro.scenario.spec import Scenario
 from repro.utils.exceptions import ConfigurationError
@@ -353,11 +353,8 @@ class Session:
                 if progress is not None:
                     progress(rep, record)
         else:
-            import multiprocessing
-
             jobs = [(scenario, rep) for rep in range(scenario.repetitions)]
-            ctx = multiprocessing.get_context("spawn")
-            with ctx.Pool(processes=min(workers, scenario.repetitions)) as pool:
+            with process_context().Pool(min(workers, scenario.repetitions)) as pool:
                 # imap, not map: map blocks until the *last* repetition,
                 # firing every progress callback at once at the end —
                 # long parallel runs looked hung.  imap streams records

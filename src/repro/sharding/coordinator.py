@@ -26,15 +26,8 @@ Both fabrics produce bit-identical overlays and trajectories (pinned by
 "<shard>:<cycle>"`` arms a one-shot SIGKILL in the matching worker —
 the chaos seam the CI shard-smoke job exercises on both fabrics.
 
-The start method follows the platform, not the caller: ``fork`` on
-Linux (milliseconds; ``spawn`` or ``forkserver`` would put half a
-second of ``import repro`` into every run), the platform default
-elsewhere — the worker function and its arguments pickle, so both
-work.  NumPy's BLAS keeps an idle helper thread, so Python >= 3.12
-prints its "multi-threaded, use of fork() may lead to deadlocks" notice
-at each start; it is left visible, not filtered.  OpenBLAS registers
-``atfork`` handlers, the NumPy kernels run no parallel region of their
-own, and the coordinator starts no thread of its own before forking.
+Workers start by :func:`~repro.scenario.policy.process_context`'s rule
+(``fork`` on Linux); the coordinator starts no thread before forking.
 """
 
 from __future__ import annotations
@@ -44,13 +37,13 @@ import json
 import multiprocessing
 import os
 import signal
-import sys
 from multiprocessing.connection import Connection, wait
 from pathlib import Path
 
 from repro.core.metrics import MessageTally, QualitySample
 from repro.functions.base import get_function
 from repro.scenario import support
+from repro.scenario.policy import process_context
 from repro.scenario.result import RunRecord
 from repro.scenario.session import Session
 from repro.scenario.spec import Scenario
@@ -203,9 +196,7 @@ def _run_workers(scenario: Scenario, repetition: int, plan: ShardPlan,
     A worker that raised or died fails the run under its own name over
     pipes and is respawned (:data:`MAX_RESPAWNS` times) over a spool.
     """
-    ctx = multiprocessing.get_context(
-        "fork" if sys.platform == "linux" else None
-    )
+    ctx = process_context()
     shards = plan.shards
     spec = scenario.to_dict()
     if spool is None:

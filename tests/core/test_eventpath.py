@@ -8,15 +8,11 @@ running the same :class:`DeploymentConfig` through the SoA kernels.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from repro.core.eventpath import CohortEventEngine, default_window
 from repro.deployment.runtime import AsyncRuntime, DeploymentConfig
-from repro.simulator.adversary import AdversarySpec
-from repro.utils.config import CoordinationConfig
 from repro.utils.exceptions import ConfigurationError
 
 
@@ -232,58 +228,3 @@ class TestAsyncEquivalence:
         ref_total, fast_total = sum(ref_events), sum(fast_events)
         assert ref_total > 0 and fast_total > 0
         assert 0.5 < fast_total / ref_total < 2.0
-
-
-#: (mode, adversary?, best_value hex, evaluations, the five MessageTally
-#: fields in declaration order[, false_offers, filtered, verifications])
-#: — n = 48 under 5 % message loss and Poisson churn, repetition 1,
-#: captured on the commit *before* the fast, event and sharded engines
-#: shared one anti-entropy exchange.  The pull-mode adversary row was
-#: re-recorded once, by that change: a pull request carries no offer, so
-#: initiators are no longer tampered (false_offers 1661 -> 794, now
-#: equal to ``filtered``, like the reference stack's 1:1 accounting).
-PINNED_EXCHANGE = [
-    ("push", False, "0x1.fe84a7cdb0940p-12", 50456,
-     (4186, 4186, 878, 12314, 48)),
-    ("push", True, "0x1.208d1a9b9eff7p-11", 50456,
-     (4186, 4187, 694, 12315, 48), (869, 823, 3960)),
-    ("push-pull", False, "0x1.390e80c59beecp-16", 50456,
-     (4186, 7706, 1168, 15834, 53)),
-    ("push-pull", True, "0x1.948f3b493d4bap-14", 50456,
-     (4186, 7653, 1262, 15781, 53), (1562, 1522, 7272)),
-    ("pull", False, "0x1.d28b50f3bfb9cp-16", 50456,
-     (4186, 8163, 957, 16291, 53)),
-    ("pull", True, "0x1.2aa92118b74ddp-13", 50456,
-     (4186, 8163, 800, 16291, 53), (794, 794, 3774)),
-]
-
-
-class TestPinnedExchange:
-    """The shared exchange keeps the cohort engine's bit streams."""
-
-    @pytest.mark.parametrize(
-        "row", PINNED_EXCHANGE,
-        ids=[f"{r[0]}-{'false-best' if r[1] else 'honest'}"
-             for r in PINNED_EXCHANGE],
-    )
-    def test_lossy_churning_run(self, row):
-        mode, hostile, want_hex, evals, tally = row[:5]
-        cfg = make_config(
-            nodes=48, loss_rate=0.05, crash_rate=0.02, join_rate=0.02,
-            min_population=8, coordination=CoordinationConfig(mode=mode),
-        )
-        adversary = (
-            AdversarySpec(0.25, "false-best", defense=True) if hostile else None
-        )
-        res = CohortEventEngine(
-            cfg, repetition=1, adversary=adversary
-        ).run(until=5000.0)
-        assert float(res.best_value).hex() == want_hex
-        assert res.total_evaluations == evals
-        assert dataclasses.astuple(res.messages) == tally
-        if hostile:
-            assert (
-                res.adversary["false_offers"],
-                res.adversary["filtered"],
-                res.adversary["verifications"],
-            ) == row[5]

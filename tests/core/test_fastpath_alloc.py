@@ -1,16 +1,12 @@
-"""Allocation discipline and pre-refactor bit-identity pins.
+"""Allocation discipline of the SoA engine, and the no-op problem layer.
 
-Two guards on the kernel-backend refactor (PR 8):
-
-* **Pinned results** — ``run_single_fast`` with the default
-  ``kernel_backend="numpy"`` must keep producing the exact pre-refactor
-  bit streams.  The hex floats below were captured on the commit
-  *before* the kernels package existed, so any reordering of IEEE
-  operations inside the backends or the workspace paths fails loudly.
 * **Zero steady-state allocations** — once the engine settles into
   full-sweep cycles, the workspace owns every large intermediate: a
   traced block of cycles must allocate no new large arrays and the
   workspace's allocation counter must stand still.
+* **Default problem-layer specs are no-ops** — explicit
+  ``DynamicsSpec()`` / ``AdversarySpec()`` give the record of a run
+  without them.  The records themselves are pinned in ``tests/pins``.
 """
 
 from __future__ import annotations
@@ -23,111 +19,25 @@ import pytest
 from repro.core.fastpath import FastEngine, run_single_fast
 from repro.functions.base import Function, register_function
 from repro.functions.problem import DynamicsSpec
+from repro.scenario.result import RunRecord
 from repro.simulator.adversary import AdversarySpec
 from repro.utils.config import ChurnConfig, ExperimentConfig
 
-CONFIG_A = dict(function="sphere", nodes=32, particles_per_node=4,
-                total_evaluations=2560, gossip_cycle=4, seed=7)
 
-#: (topology, best_value hex, evals, cycles, coordination messages,
-#: adoptions, newscast exchanges) — strict RNG, repetition 1, captured
-#: pre-refactor.
-PINNED_STRICT = [
-    ("newscast", "0x1.36f9d03b5ed79p+9", 2560, 20, 1078, 305, 640),
-    ("cyclon", "0x1.2e05c977746b7p+10", 2560, 20, 1055, 321, 640),
-    ("ring", "0x1.9fd42f424607cp+9", 2560, 20, 1118, 223, 0),
-    ("oracle", "0x1.fdd9caf2bf628p+9", 2560, 20, 1111, 255, 0),
-]
-
-
-class TestPinnedBitIdentity:
-    """kernel_backend='numpy' reproduces the pre-refactor streams."""
-
-    @pytest.mark.parametrize(
-        "topology,want_hex,evals,cycles,msgs,adoptions,exchanges",
-        PINNED_STRICT, ids=[row[0] for row in PINNED_STRICT],
-    )
-    def test_strict_topologies(self, topology, want_hex, evals, cycles,
-                               msgs, adoptions, exchanges):
-        res = run_single_fast(
-            ExperimentConfig(**CONFIG_A), repetition=1, topology=topology,
-            rng_mode="strict", kernel_backend="numpy",
-        )
-        assert float(res.best_value).hex() == want_hex
-        assert res.total_evaluations == evals
-        assert res.cycles == cycles
-        assert res.messages.coordination_messages == msgs
-        assert res.messages.coordination_adoptions == adoptions
-        assert res.messages.newscast_exchanges == exchanges
-
-    def test_batched_newscast(self):
-        res = run_single_fast(
-            ExperimentConfig(**CONFIG_A), repetition=1, topology="newscast",
-            rng_mode="batched",
-        )
-        assert float(res.best_value).hex() == "0x1.1e9376a701fa6p+10"
-        assert res.total_evaluations == 2560
-        assert res.cycles == 20
-        assert res.messages.coordination_messages == 1100
-        assert res.messages.newscast_exchanges == 640
-
-    def test_strict_under_churn(self):
-        config = ExperimentConfig(
-            function="rastrigin", nodes=24, particles_per_node=4,
-            total_evaluations=1440, gossip_cycle=4, seed=11,
-            churn=ChurnConfig(crash_rate=0.02, join_rate=0.02,
-                              min_population=4),
-        )
-        res = run_single_fast(config, repetition=0, topology="newscast",
-                              rng_mode="strict")
-        assert float(res.best_value).hex() == "0x1.108536263f3c0p+6"
-        assert res.total_evaluations == 1916
-        assert res.cycles == 34
-        assert res.crashes == 19
-        assert res.joins == 20
-        assert res.messages.coordination_messages == 1465
-        assert res.messages.newscast_exchanges == 664
-
-    @pytest.mark.parametrize(
-        "topology,want_hex,evals,cycles,msgs,adoptions,exchanges",
-        PINNED_STRICT, ids=[row[0] for row in PINNED_STRICT],
-    )
-    def test_default_problem_layer_specs_stay_bit_identical(
-            self, topology, want_hex, evals, cycles, msgs, adoptions,
-            exchanges):
-        """Explicit default-disabled Dynamics/Adversary specs are no-ops.
-
-        The time-aware Problem layer threads ``dynamics=``/``adversary=``
-        through every engine; a scenario that leaves both at their
-        defaults must keep producing the exact pre-Problem-layer bit
-        streams — the same pins as ``test_strict_topologies``.
-        """
-        res = run_single_fast(
-            ExperimentConfig(**CONFIG_A), repetition=1, topology=topology,
-            rng_mode="strict", kernel_backend="numpy",
-            dynamics=DynamicsSpec(), adversary=AdversarySpec(),
-        )
-        assert float(res.best_value).hex() == want_hex
-        assert res.total_evaluations == evals
-        assert res.cycles == cycles
-        assert res.messages.coordination_messages == msgs
-        assert res.messages.coordination_adoptions == adoptions
-        assert res.messages.newscast_exchanges == exchanges
-        assert res.dynamics is None
-        assert res.adversary is None
-
-    def test_strict_r_not_dividing_k(self):
-        config = ExperimentConfig(
-            function="sphere", nodes=16, particles_per_node=6,
-            total_evaluations=960, gossip_cycle=3, seed=3,
-        )
-        res = run_single_fast(config, repetition=0, topology="newscast",
-                              rng_mode="strict")
-        assert float(res.best_value).hex() == "0x1.752bba3416ea0p+11"
-        assert res.total_evaluations == 960
-        assert res.cycles == 20
-        assert res.messages.coordination_messages == 565
-        assert res.messages.newscast_exchanges == 320
+@pytest.mark.parametrize("topology", ["newscast", "cyclon", "ring", "oracle"])
+def test_default_problem_layer_specs_are_no_ops(topology):
+    """The time-aware Problem layer threads ``dynamics=``/``adversary=``
+    through every engine; explicit default-disabled specs must give the
+    record of a run that passes neither."""
+    config = ExperimentConfig(function="sphere", nodes=32, particles_per_node=4,
+                              total_evaluations=2560, gossip_cycle=4, seed=7)
+    runs = [
+        run_single_fast(config, repetition=1, topology=topology, **specs)
+        for specs in ({}, dict(dynamics=DynamicsSpec(), adversary=AdversarySpec()))
+    ]
+    assert runs[1].dynamics is None and runs[1].adversary is None
+    default, explicit = (RunRecord.from_run_result(run).to_dict() for run in runs)
+    assert explicit == default
 
 
 # -- steady-state allocation regression ---------------------------------------

@@ -1,19 +1,15 @@
-"""Churn on the SoA engines: record pins and the row-order invariant.
+"""Churn on the SoA engines: the row-order invariant.
 
 SoA row ``i`` is the ``i``-th entry of the live list.  A crash
 swap-removes its row exactly as the live list swap-removes the id (the
 last row, its node generator and its objective group move into the
 hole), and a cycle's joins append one block of rows.  Per-row PSO
-arithmetic does not depend on row order, so the records below were
-captured on the commit *before* that layout, when joins recycled
-crashed nodes' slots through an id -> slot indirection, and every one
-must stay byte-equal.
+arithmetic does not depend on row order, so the churned records pinned
+in ``tests/pins`` (``record/churn-*``), captured when joins recycled
+crashed nodes' slots through an id -> slot indirection, stay byte-equal.
 """
 
 from __future__ import annotations
-
-import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -21,103 +17,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.fastpath import FastEngine
-from repro.functions.problem import DynamicsSpec
-from repro.scenario import Scenario, Session
-from repro.simulator.adversary import AdversarySpec
 from repro.utils.config import ChurnConfig, ExperimentConfig
 
 UNREACHABLE = 10**12
-FUNCS = ("rastrigin", "griewank", "sphere")
-
-
-class CrashEnds:
-    """Observer: ``crash_node`` on the first, a middle and the last live id."""
-
-    def observe(self, engine) -> None:
-        pick = {3: 0, 5: engine.live_count // 2, 7: engine.live_count - 1}
-        if engine.cycle in pick:
-            engine.crash_node(int(engine.live_ids()[pick[engine.cycle]]))
-
-
-def churned(**fields) -> Scenario:
-    base = dict(
-        function="rastrigin", nodes=40, particles_per_node=4, gossip_cycle=4,
-        total_evaluations=UNREACHABLE, max_cycles=25, engine="fast", seed=5,
-        record_history=True,
-        churn=ChurnConfig(crash_rate=0.06, join_rate=0.06, min_population=8),
-    )
-    base.update(fields)
-    return Scenario(**base)
-
-
-def event(**fields) -> Scenario:
-    base = dict(
-        function="sphere", nodes=32, particles_per_node=4, gossip_cycle=4,
-        total_evaluations=UNREACHABLE, engine="event", event_backend="fast",
-        horizon=150.0, seed=5, record_history=True,
-        churn=ChurnConfig(crash_rate=0.1, join_rate=0.1, min_population=8),
-    )
-    base.update(fields)
-    return Scenario(**base)
-
-
-def hostile(rng_mode: str) -> Scenario:
-    """A small ``churn_hostile``: shifts plus a defended false-best adversary."""
-    return churned(
-        function="sphere", nodes=64, particles_per_node=8, gossip_cycle=8,
-        max_cycles=12, rng_mode=rng_mode,
-        churn=ChurnConfig(crash_rate=0.05, join_rate=0.05),
-        dynamics=DynamicsSpec(kind="shift", period=4, severity=1.0),
-        adversary=AdversarySpec(fraction=0.1, behavior="false-best", defense=True),
-    )
-
-
-SCENARIOS = {
-    "fast-strict": lambda: churned(rng_mode="strict"),
-    "fast-batched": lambda: churned(rng_mode="batched"),
-    "fast-r-not-k": lambda: churned(gossip_cycle=3, rng_mode="strict"),
-    "event-fast-strict": lambda: event(rng_mode="strict"),
-    "event-fast-batched": lambda: event(rng_mode="batched"),
-    "event-fast-r-not-k": lambda: event(gossip_cycle=3, rng_mode="batched"),
-    "objective-map": lambda: churned(
-        function=None, objective_map={i: FUNCS[i % 3] for i in range(12)},
-        nodes=12, churn=ChurnConfig(crash_rate=0.2, join_rate=0.2,
-                                    min_population=4),
-    ),
-    "hostile-batched": lambda: hostile("batched"),
-    "hostile-strict": lambda: hostile("strict"),
-    "crash-node": lambda: churned(
-        observers=(CrashEnds(),),
-        churn=ChurnConfig(crash_rate=0.03, join_rate=0.06, min_population=8),
-    ),
-}
-
-
-def record_sha(name: str) -> str:
-    record = Session(SCENARIOS[name]()).run_one(0)
-    blob = json.dumps(record.to_dict(), sort_keys=True, allow_nan=False)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-#: sha256 of the strict-JSON ``RunRecord.to_dict()`` (sorted keys) of
-#: each scenario above, repetition 0.
-PINNED_CHURN = {
-    "fast-strict": "9953a7b1d55e03c50b239467bce63cf4154e152bf2f483f1d6dbdb700edd274d",
-    "fast-batched": "7854cefe3197d7ebde2503518c24a5821bf083fe9063b107b3e61e08c4e53e37",
-    "fast-r-not-k": "b2c990cf8e55f66be498ea182ce5f947f14c46409c32e147505961dd29db1100",
-    "event-fast-strict": "8dc95187674eaaa76f2b6863ab441e39a964ed47a3cdfc9354982042d526fd7e",
-    "event-fast-batched": "3918a1670668b7a0785843b55a452106cdd92391c8d049b0faf2da91fdf863c5",
-    "event-fast-r-not-k": "9cbfba962aa6877ab4674e13bb969274c66a20199212c99981bda4b5a0014a64",
-    "objective-map": "4d938eae6b1c2ce2b7ff90aa50751717d44df140cdd97e254b7a7fa0c19da37e",
-    "hostile-batched": "1281a80095738ab739ce4deb4075ba07b62937d4cbd9a980aea0eccc05943ae7",
-    "hostile-strict": "d229f06fa7decd1e1cf128d26be5781ebca1e5a7315999d2c00f7e01e0a6d29e",
-    "crash-node": "54f7bccc74034e7a2eec13a525060bd115432c30d1663e2c34b875ef1da910ab",
-}
-
-
-@pytest.mark.parametrize("name", sorted(PINNED_CHURN))
-def test_churned_record_pinned(name):
-    assert record_sha(name) == PINNED_CHURN[name]
 
 
 # -- the invariant the engine keeps ------------------------------------------------

@@ -2,21 +2,11 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 import numpy as np
 import pytest
 
 from repro.deployment import AsyncRuntime, DeploymentConfig
-from repro.scenario import (
-    AdversarySpec,
-    DynamicsSpec,
-    Scenario,
-    Session,
-    TransportSpec,
-)
-from repro.utils.config import ChurnConfig
+from repro.scenario import Scenario, Session
 from repro.utils.exceptions import ConfigurationError
 
 
@@ -133,50 +123,6 @@ class TestDeterminism:
         a = AsyncRuntime(make_config(seed=1)).run(until=3000.0)
         b = AsyncRuntime(make_config(seed=2)).run(until=3000.0)
         assert a.best_value != b.best_value
-
-
-#: (overrides, best_value hex, evaluations, crashes, joins, sha256 of the
-#: strict-JSON record) — n = 12, repetition 1, captured on the commit
-#: *before* the runtime built its nodes through
-#: ``core.node.build_optimization_node`` and shared the reference
-#: runner's problem-layer helpers.
-PINNED_ORACLE = {
-    "static": (
-        {},
-        "0x1.43cb070b3f801p+5", 4800, 0, 0,
-        "37a22cc6c588df7d17964a3cd3d21693ad3884d4bf900da9971c5561025b1996",
-    ),
-    "shift+false-best+churn+loss": (
-        dict(
-            transport=TransportSpec(loss_rate=0.1),
-            churn=ChurnConfig(crash_rate=0.02, join_rate=0.05,
-                              min_population=4),
-            dynamics=DynamicsSpec(kind="shift", severity=0.1, period=40.0),
-            adversary=AdversarySpec(0.25, "false-best", defense=True),
-        ),
-        "0x1.d2bebe7a1b978p+7", 11928, 9, 19,
-        "ad1a7326bb878bcf0f596f57eb2a4bed63572b631bfaece495c904c53f3f9ffd",
-    ),
-}
-
-
-class TestPinnedOracle:
-    """The per-node event oracle keeps its bit streams."""
-
-    @pytest.mark.parametrize("name", PINNED_ORACLE)
-    def test_record_is_bit_identical(self, name):
-        overrides, want_hex, evals, crashes, joins, sha = PINNED_ORACLE[name]
-        record = Session(Scenario(
-            function="sphere", nodes=12, particles_per_node=8,
-            total_evaluations=12 * 400, gossip_cycle=8, seed=9,
-            engine="event", horizon=400.0, record_history=True, **overrides,
-        )).run_one(1)
-        assert float(record.best_value).hex() == want_hex
-        assert (record.total_evaluations, record.crashes, record.joins) == (
-            evals, crashes, joins
-        )
-        blob = json.dumps(record.to_dict(), sort_keys=True)
-        assert hashlib.sha256(blob.encode()).hexdigest() == sha
 
 
 class TestDegradedNetworks:

@@ -97,18 +97,6 @@ class TestKernelBackendPayload:
     """Job payloads carry ``kernel_backend`` as the scenario has it;
     nothing rewrites it before workers start."""
 
-    @pytest.mark.parametrize("engine, digest", [
-        ("reference", "b58745cc"),
-        ("fast", "415795c1"),
-    ])
-    def test_job_ids_are_pinned(self, engine, digest):
-        """A spool written before the backend registry went away stays
-        resumable: the same sweep still digests to the same ids."""
-        jobs = jobs_for_sweep([make(engine=engine)])
-        assert [j.job_id for j in jobs] == [
-            f"p00000-{digest}-r{rep:05d}" for rep in range(3)
-        ]
-
     def test_payload_carries_numpy(self):
         jobs = jobs_for_sweep([make(engine="fast")])
         assert all(j.scenario["kernel_backend"] == "numpy" for j in jobs)

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.scenario import (
     ExecutionPolicy,
     ExecutionPolicyError,
@@ -130,3 +137,27 @@ def test_scenario_from_dict_round_trip():
         topology="newscast", record_history=True, quality_threshold=0.5
     )
     assert Scenario.from_dict(scenario.to_dict()) == scenario
+
+
+#: Run from stdin, ``__main__.__file__`` is ``"<stdin>"``: a worker that
+#: re-imported ``__main__`` would die on it, and the pool would respawn
+#: it forever.
+STDIN_SCRIPT = """
+import json, sys
+from repro.scenario import ExecutionPolicy, Scenario, Session
+scenario = Scenario.from_dict(json.loads(sys.argv[1]))
+records = Session(scenario).run(policy=ExecutionPolicy(workers=2)).records
+print(json.dumps([record.to_dict() for record in records]))
+"""
+
+
+def test_worker_pool_runs_a_script_fed_on_stdin():
+    scenario = _scenario(repetitions=2)
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-", json.dumps(scenario.to_dict())], input=STDIN_SCRIPT,
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    sequential = Session(scenario).run().records
+    assert json.loads(proc.stdout) == [record.to_dict() for record in sequential]

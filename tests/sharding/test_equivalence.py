@@ -9,15 +9,12 @@ streams differ.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from repro.scenario import ExecutionPolicy, Scenario, Session
 from repro.sharding import ShardPlan, run_sharded
 from repro.sharding.views import make_shard_views
-from repro.utils.config import CoordinationConfig
 from repro.utils.exceptions import ConfigurationError
 from repro.utils.rng import SeedSequenceTree
 
@@ -87,25 +84,6 @@ def test_session_policy_entry_point_matches_run_sharded():
     via_session = Session(scenario).run(policy=ExecutionPolicy(shards=2))
     direct = run_sharded(scenario, repetition=0, shards=2)
     assert via_session.records[0] == direct
-
-
-@pytest.mark.parametrize("mode,want_hex,tally", [
-    ("push-pull", "0x1.ddc8d40b6d990p+7", (1280, 2240, 639, 2240, 0)),
-    ("pull", "0x1.0703d7a873506p+9", (1280, 2560, 539, 2560, 0)),
-])
-def test_two_shard_in_memory_fabric_is_pinned(mode, want_hex, tally):
-    """Captured on the commit before the shard legs called the fast
-    engine's exchange, on the thread fabric the pipes replaced:
-    boundary routing and the move to worker processes keep the bit
-    stream."""
-    scenario = _scenario(
-        nodes=64, total_evaluations=64 * 8 * 20,
-        coordination=CoordinationConfig(mode=mode),
-    )
-    rec = run_sharded(scenario, repetition=0, shards=2)
-    assert float(rec.best_value).hex() == want_hex
-    assert (rec.total_evaluations, rec.cycles) == (10240, 20)
-    assert dataclasses.astuple(rec.messages) == tally
 
 
 def test_sharded_newscast_overlay_mixes_across_shards():
