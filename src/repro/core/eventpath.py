@@ -58,6 +58,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.fastpath import FastEngine
+from repro.core.kernels import grow_rows
 from repro.core.metrics import DynamicsTracker, MessageTally
 from repro.deployment.runtime import DeploymentConfig, DeploymentResult
 from repro.utils.config import ExperimentConfig
@@ -162,11 +163,7 @@ class CohortEventEngine(FastEngine):
 
     def _grow_timers(self, n_ids: int) -> None:
         for name in ("_next_compute", "_next_newscast", "_next_gossip"):
-            arr = getattr(self, name)
-            if arr.shape[0] < n_ids:
-                grown = np.full(max(n_ids, 2 * arr.shape[0]), np.inf)
-                grown[: arr.shape[0]] = arr
-                setattr(self, name, grown)
+            setattr(self, name, grow_rows(getattr(self, name), n_ids, np.inf))
 
     def _due(self, live_ids: np.ndarray, clocks: np.ndarray, w_end: float) -> np.ndarray:
         """Ids of ``live_ids`` whose ``clocks`` entry fires before ``w_end``."""

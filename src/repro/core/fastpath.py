@@ -104,15 +104,22 @@ Two RNG regimes drive the per-particle draws (``rng_mode``):
 * ``"strict"`` (default) — each node consumes its private
   ``("node", nid, "pso")`` stream exactly like the reference solver:
   the regime under which the bit-identity contract above holds.
-* ``"batched"`` — the whole network's ``(n, 2, k, d)`` uniform block
-  is filled by one generator call per chunk, seed-branched as
-  ``("fastpath", "draws", cycle, chunk)`` and indexed by node id, so
-  each node's draws still depend only on ``(seed, repetition, cycle,
-  chunk, node id)`` — reproducible run-to-run and unperturbed by
-  which *other* nodes are alive — but are no longer the reference
-  engine's bit stream.  Statistically equivalent, measurably faster
-  (the per-node draw loop was ~40% of the strict cycle; see
-  ``benchmarks/BENCH_3.json``).
+* ``"batched"`` — each 256-id block's ``(256, 2, k, d)`` uniform fill
+  is one generator call per chunk, seed-branched as ``("fastpath",
+  "draws", cycle, chunk, block)``, and a node draws its id's rows of
+  it: still only a function of ``(seed, repetition, cycle, chunk,
+  node id)`` — reproducible run-to-run and unperturbed by which
+  *other* nodes are alive — but no longer the reference engine's bit
+  stream.  Statistically equivalent, measurably faster (the per-node
+  draw loop was ~40% of the strict cycle; ``benchmarks/BENCH_3.json``),
+  and the engine keeps no per-node generator past the initial swarm.
+
+Draws never take a swarm-sized buffer where they need not: a full
+sweep whose rows come in whole draw blocks — strict, or batched over
+the whole population with no churn holes — fills one 256-row workspace
+block and updates its SoA rows before drawing the next.  Gathered
+chunks (event cohorts, churned batched sweeps, ``r ≠ k``) draw every
+row into one workspace block.
 
 What the fast path intentionally does **not** simulate: message loss /
 latency transports and arbitrary topology factory callables — use the
@@ -123,7 +130,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import KernelBackend, Workspace, get_backend
+from repro.core.kernels import KernelBackend, Workspace, get_backend, grow_rows
 from repro.core.metrics import (
     DynamicsObserver,
     DynamicsTracker,
@@ -153,15 +160,6 @@ RNG_MODES = ("strict", "batched")
 #: work under churn regardless of how many ids have ever existed.
 _DRAW_BLOCK_BITS = 8
 _DRAW_BLOCK = 1 << _DRAW_BLOCK_BITS
-
-
-def _grow_1d(arr: np.ndarray, size: int, fill) -> np.ndarray:
-    """Return ``arr`` with room for ``size`` entries (geometric growth)."""
-    if arr.shape[0] >= size:
-        return arr
-    grown = np.full(max(size, 2 * arr.shape[0]), fill, dtype=arr.dtype)
-    grown[: arr.shape[0]] = arr
-    return grown
 
 
 def _uniform(bound: np.ndarray) -> np.ndarray | float:
@@ -334,7 +332,6 @@ class FastEngine:
         self.transport_to_dead = 0
         self.crashes = 0
         self.joins = 0
-        self._draws: np.ndarray | None = None
 
     # -- objectives (homogeneous or grouped heterogeneous) -----------------------
 
@@ -413,25 +410,6 @@ class FastEngine:
             ctx=EvalContext(time=self.now, cycle=self.cycle),
         )
 
-    def _draw_buffer(self, nl: int, width: int) -> np.ndarray:
-        """Reusable ``(nl, 2, width, d)`` uniform-draw buffer.
-
-        Capacity-backed: a live count that changes every churned cycle
-        takes a prefix view, and only outgrowing the buffer (or a new
-        chunk width) allocates.  Zero-filled, not empty: rows of
-        non-moving nodes feed the fused update before being masked
-        out, and must stay finite — any earlier draw is.
-        """
-        buf = self._draws
-        if buf is None or buf.shape[2] != width:
-            rows = nl
-        elif buf.shape[0] < nl:
-            rows = max(nl, 2 * buf.shape[0])
-        else:
-            return buf[:nl]
-        self._draws = np.zeros((rows, 2, width, self.soa.d))
-        return self._draws[:nl]
-
     # -- EngineBase-compatible control surface ---------------------------------------
 
     def stop(self, reason: str = "requested") -> None:
@@ -484,8 +462,9 @@ class FastEngine:
         self._slot_of_id[moved] = row
         self._slot_of_id[nid] = -1
         self._alive[nid] = False
-        self._gens[row] = self._gens[last]
-        self._gens.pop()
+        if self._gens:
+            self._gens[row] = self._gens[last]
+            self._gens.pop()
         if self._node_group is not None:
             self._node_group[row] = self._node_group[last]
         self.crashes += 1
@@ -505,15 +484,16 @@ class FastEngine:
             start = self.soa.n
             self.soa.append(block)
         end = self.soa.n
-        self._ids = _grow_1d(self._ids, end, -1)
+        self._ids = grow_rows(self._ids, end, -1)
         self._ids[start:end] = ids
-        self._slot_of_id = _grow_1d(self._slot_of_id, self._next_id, -1)
+        self._slot_of_id = grow_rows(self._slot_of_id, self._next_id, -1)
         self._slot_of_id[ids] = np.arange(start, end)
-        self._alive = _grow_1d(self._alive, self._next_id, False)
+        self._alive = grow_rows(self._alive, self._next_id, False)
         self._alive[ids] = True
-        self._gens.extend(gens)
+        if self.rng_mode == "strict":  # batched engines never read them again
+            self._gens.extend(gens)
         if self._node_group is not None:
-            self._node_group = _grow_1d(self._node_group, end, 0)
+            self._node_group = grow_rows(self._node_group, end, 0)
             self._node_group[start:end] = groups
 
     def _join(self, count: int) -> np.ndarray:
@@ -710,46 +690,53 @@ class FastEngine:
             chunk += 1
 
     def _chunk_draws(
-        self, live: np.ndarray, moving_nodes: np.ndarray, width: int, chunk: int
-    ) -> np.ndarray:
-        """The chunk's ``(nl, 2, width, d)`` uniform block (both regimes)."""
-        nl, d = live.shape[0], self.soa.d
-        out = self._draw_buffer(nl, width)
-        if self.rng_mode == "strict":
-            gens = self._gens
-            for j in moving_nodes:
-                gens[live[j]].random(out=out[j])
-            return out
-        # Batched: seed-branched fills keyed by node-id *block*, so a
-        # node's draws depend only on (seed, cycle, chunk, node id) —
-        # never on which other nodes are alive — while the work stays
-        # proportional to the blocks the live population touches
-        # (churn retires old id blocks; a long heavy-churn run does
-        # not drag an ever-growing dead-id range through the
-        # generator).  SFC64 fills roughly twice as fast as PCG64 and
-        # this stream owes bit-compatibility to nothing.
-        key = ("fastpath", "draws", self.cycle, chunk)
-        if self.crashes == 0 and self._default_ids and nl == self._next_id:
-            # The whole population, no churn holes: live row i is node
-            # id i — each block's generator fills its slice in place (a
-            # generator fills in C order, so a short last slice holds
-            # exactly the leading rows of the full block).  Any other
-            # cohort picks its rows from whole blocks by node id.
-            blocks = np.arange((nl + _DRAW_BLOCK - 1) >> _DRAW_BLOCK_BITS)
+        self, live: np.ndarray, moving: np.ndarray | None, width: int,
+        chunk: int, stream: bool = False,
+    ):
+        """Yield ``(rows, draws)``: the uniform rows of SoA rows ``live[rows]``.
+
+        ``draws`` is a ``(·, 2, width, d)`` workspace block valid until
+        the next: 256 rows when ``stream``, else every row.  ``moving``
+        masks the rows whose node moves (``None``: all).  Strict fills
+        each moving row from its node's generator and zeroes the rest
+        (discarded, but must stay finite).  Batched picks rows out of
+        the id blocks they touch (work proportional to those, however
+        many ids churn retired); a streamed sweep has node id ``i`` in
+        row ``i``, so each block is one whole fill (in C order: a short
+        last block holds its leading rows).  SFC64 fills about twice as
+        fast as PCG64; this stream owes bit-compatibility to nothing.
+        """
+        nl, d, ws = live.shape[0], self.soa.d, self.workspace
+        step = _DRAW_BLOCK if stream else max(nl, 1)
+        if self.rng_mode == "batched":
+            ids = self._ids[live]
+            blocks = np.flatnonzero(np.bincount(ids >> _DRAW_BLOCK_BITS))
+            key = ("fastpath", "draws", self.cycle, chunk)
             gens = self._tree.rngs(key, blocks, bit_generator=np.random.SFC64)
-            for block, gen in enumerate(gens):
-                lo = block << _DRAW_BLOCK_BITS
-                gen.random(out=out[lo : lo + _DRAW_BLOCK])
-            return out
-        ids = self._ids[live]
-        blocks = np.flatnonzero(np.bincount(ids >> _DRAW_BLOCK_BITS))
-        gens = self._tree.rngs(key, blocks, bit_generator=np.random.SFC64)
-        rows = self.workspace.take("draw_block", (_DRAW_BLOCK, 2, width, d))
-        for block, gen in zip(blocks.tolist(), gens):
-            sel = (ids >> _DRAW_BLOCK_BITS) == block
-            gen.random(out=rows)
-            out[sel] = rows[ids[sel] & (_DRAW_BLOCK - 1)]
-        return out
+        for lo in range(0, nl, step):
+            rows = slice(lo, lo + step)
+            out = ws.take("draws", (min(step, nl - lo), 2, width, d))
+            if self.rng_mode == "strict":
+                nodes = live[rows]
+                if moving is not None:
+                    nodes = np.where(moving[rows], nodes, -1)
+                    out[nodes < 0] = 0.0
+                for j, row in enumerate(nodes.tolist()):
+                    if row >= 0:
+                        self._gens[row].random(out=out[j])
+            elif stream:
+                gens[lo >> _DRAW_BLOCK_BITS].random(out=out)
+            else:
+                # Picks go through scratch, not a temporary per block.
+                fill, pick = (ws.take(name, (_DRAW_BLOCK, 2, width, d))
+                              for name in ("draw_block", "draw_pick"))
+                for block, gen in zip(blocks.tolist(), gens):
+                    sel = (ids >> _DRAW_BLOCK_BITS) == block
+                    idx = ids[sel] & (_DRAW_BLOCK - 1)
+                    gen.random(out=fill)
+                    np.take(fill, idx, axis=0, out=pick[: idx.size], mode="clip")
+                    out[sel] = pick[: idx.size]
+            yield rows, out
 
     def _chunk_step(
         self, live: np.ndarray, remaining: np.ndarray, width: int, chunk: int = 0
@@ -789,27 +776,21 @@ class FastEngine:
         )
         finite = np.isfinite(sub_pbv)
         if all_in and finite.all():
-            move = None  # steady state: every particle moves
-            moving_nodes = np.arange(nl)
+            move = moving = None  # steady state: every particle moves
         else:
             move = finite if all_in else (participating & finite)
-            moving_nodes = np.nonzero(move.any(axis=1))[0]
+            moving = move.any(axis=1)
 
-        # Every full sweep updates the SoA rows in place (the kernels
-        # read each element before writing it) with workspace scratch,
-        # so a settled cycle, churned or not, allocates no large arrays
-        # (tests/core/test_fastpath_alloc.py).  Frozen particles (a
-        # joiner's first chunk, a spent budget) are held aside and
-        # written back.  Gathered chunks (cohorts, r ≠ k) use fresh arrays.
-        ws = self.workspace if full_sweep else None
-        backend = self.backend
-
-        if moving_nodes.size:
-            # Per-node draws in the same (r1 block, r2 block) order as
-            # Swarm.step_cycle; see _chunk_draws for the two regimes.
-            draws = self._chunk_draws(live, moving_nodes, width, chunk)
-            r1 = draws[:, 0]
-            r2 = draws[:, 1]
+        # A full sweep updates the SoA rows in place (the kernels read
+        # each element before writing it), a gathered chunk (cohorts,
+        # r ≠ k) its gathered copies, scattered back below; scratch and
+        # draws come from the workspace, so a settled cycle, churned or
+        # not, allocates no large arrays (tests/core/test_fastpath_alloc.py).
+        # Frozen particles (a joiner's first chunk, a spent budget) are
+        # held aside and written back.
+        ws, backend = self.workspace, self.backend
+        moved = moving is None or bool(moving.any())
+        if moved:
             gbest = (
                 soa.best_positions if full_sweep else soa.best_positions[live]
             )[:, None, :]
@@ -828,34 +809,37 @@ class FastEngine:
             if move is not None:
                 frozen = np.nonzero(~move)
                 held = sub_pos[frozen], sub_vel[frozen]
-            vel, new_pos = backend.fused_pso_update(
-                sub_pos, sub_vel, sub_pb, gbest, r1, r2,
-                cfg.inertia, cfg.c1, cfg.c2,
-                vmax=vmax, lower=lower, upper=upper,
-                out_vel=sub_vel if full_sweep else None,
-                out_pos=sub_pos if full_sweep else None, ws=ws,
-            )
+            # Per-node draws in the same (r1 block, r2 block) order as
+            # Swarm.step_cycle.  They stream per 256-row block when they
+            # come in whole blocks: strict rows always, batched rows when
+            # row i is node id i (the whole population, no churn holes).
+            stream = full_sweep and (self.rng_mode == "strict" or (
+                self.crashes == 0 and self._default_ids and nl == self._next_id
+            ))
+            for rows, draws in self._chunk_draws(live, moving, width, chunk, stream):
+                pos, vel, pb, gb, vm, lo, up = (
+                    a[rows] if np.ndim(a) == 3 else a
+                    for a in (sub_pos, sub_vel, sub_pb, gbest, vmax, lower, upper)
+                )
+                backend.fused_pso_update(
+                    pos, vel, pb, gb, draws[:, 0], draws[:, 1],
+                    cfg.inertia, cfg.c1, cfg.c2, vmax=vm, lower=lo, upper=up,
+                    out_vel=vel, out_pos=pos, ws=ws,
+                )
             if move is not None:
-                new_pos[frozen], vel[frozen] = held
-        else:
-            vel = sub_vel
-            new_pos = sub_pos
+                sub_pos[frozen], sub_vel[frozen] = held
 
-        values = self._batch_eval(
-            live, new_pos,
-            out=None if ws is None else ws.take("sweep_val", (nl, width)),
-        )
-        new_pbv, new_pb = backend.pbest_fold(
-            values, sub_pbv, sub_pb, new_pos, participating,
-            out_pbv=sub_pbv if full_sweep else None,
-            out_pb=sub_pb if full_sweep else None, ws=ws,
+        values = self._batch_eval(live, sub_pos, out=ws.take("sweep_val", (nl, width)))
+        backend.pbest_fold(
+            values, sub_pbv, sub_pb, sub_pos, participating,
+            out_pbv=sub_pbv, out_pb=sub_pb, ws=ws,
         )
         if not full_sweep:
-            if moving_nodes.size:
-                soa.positions[index] = new_pos
-                soa.velocities[index] = vel
-            soa.pbest_positions[index] = new_pb
-            soa.pbest_values[index] = new_pbv
+            if moved:
+                soa.positions[index] = sub_pos
+                soa.velocities[index] = sub_vel
+            soa.pbest_positions[index] = sub_pb
+            soa.pbest_values[index] = sub_pbv
         if participating is None:
             soa.evaluations[live] += width
         else:
@@ -864,14 +848,14 @@ class FastEngine:
 
         # Swarm-optimum fold: first-index argmin over the chunk, adopt
         # iff strictly better — step_cycle's exact rule.
-        best_j = np.argmin(new_pbv, axis=1)
+        best_j = np.argmin(sub_pbv, axis=1)
         idx = np.arange(nl)
-        cand_val = new_pbv[idx, best_j]
+        cand_val = sub_pbv[idx, best_j]
         better = cand_val < soa.best_values[live]
         if np.any(better):
             winners = live[better]
             soa.best_values[winners] = cand_val[better]
-            soa.best_positions[winners] = new_pb[idx[better], best_j[better]]
+            soa.best_positions[winners] = sub_pb[idx[better], best_j[better]]
 
     def _gossip_phase(
         self, ids: np.ndarray, rng: np.random.Generator, loss_rate: float = 0.0

@@ -23,10 +23,10 @@ Two contracts pin the kernels (``tests/core/test_kernels.py``):
 from __future__ import annotations
 
 from repro.core.kernels.numpy_backend import KernelBackend
-from repro.core.kernels.workspace import Workspace
+from repro.core.kernels.workspace import Workspace, grow_rows
 from repro.utils.exceptions import ConfigurationError
 
-__all__ = ["KernelBackend", "Workspace", "get_backend"]
+__all__ = ["KernelBackend", "Workspace", "get_backend", "grow_rows"]
 
 _NUMPY = KernelBackend()
 

@@ -19,14 +19,27 @@ A buffer named ``x`` is valid from one ``take("x", ...)`` to the next:
 callers must not hold a view across takes of the same name.  The
 particle state itself never lives here: every full sweep (churned or
 not; frozen particles held aside) writes into the SoA rows in place,
-and gathered chunks (cohorts, r ≠ k) into fresh arrays.
+and gathered chunks (cohorts, r ≠ k) into their gathered copies.  The
+draws do: ``"draws"`` is one 256-row block of a streamed full sweep,
+or every row of a gathered chunk (see :mod:`repro.core.fastpath`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Workspace"]
+__all__ = ["Workspace", "grow_rows"]
+
+
+def grow_rows(arr: np.ndarray, rows: int, fill) -> np.ndarray:
+    """``arr`` if it has ``rows`` leading rows, else a copy grown
+    geometrically (at least doubled) and padded with ``fill`` — the
+    capacity growth of every id-indexed engine and overlay table."""
+    if arr.shape[0] >= rows:
+        return arr
+    grown = np.full((max(rows, 2 * arr.shape[0]), *arr.shape[1:]), fill, dtype=arr.dtype)
+    grown[: arr.shape[0]] = arr
+    return grown
 
 
 class Workspace:

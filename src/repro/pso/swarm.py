@@ -39,6 +39,9 @@ from repro.utils.config import PSOConfig
 
 __all__ = ["Swarm", "initial_swarm_soa", "initial_swarm_state"]
 
+#: :func:`initial_swarm_soa` draws and maps this many swarms at a time.
+INIT_BLOCK = 256
+
 
 def initial_swarm_soa(
     rngs: list[np.random.Generator],
@@ -59,8 +62,9 @@ def initial_swarm_soa(
     uniform block from ``rngs[i]`` — the doubles, in the order, that
     ``rng.uniform(lower, upper, (k, d))`` then
     ``rng.uniform(-vmax, vmax, (k, d))`` consume — and ``uniform``'s
-    per-element map ``low + (high − low)·u`` runs once over the whole
-    network: bit-identical to the per-swarm calls
+    per-element map ``low + (high − low)·u`` runs straight into the
+    state arrays, :data:`INIT_BLOCK` swarms at a time (one block of
+    draws is the only scratch): bit-identical to the per-swarm calls
     (``tests/pso/test_swarm.py``).
 
     This is the **only** initializer: the reference :class:`Swarm`
@@ -70,18 +74,27 @@ def initial_swarm_soa(
     same order — which is what makes the two engines same-seed
     comparable.
     """
-    n, k = len(rngs), config.particles
-    u = np.empty((n, 2, k, lower.shape[-1]))
-    for i, rng in enumerate(rngs):
-        rng.random(out=u[i])
+    n, k, d = len(rngs), config.particles, lower.shape[-1]
     if lower.ndim == 2:
         lower, upper = lower[:, None, :], upper[:, None, :]
     width = upper - lower
     vmax = (config.vmax_fraction or 1.0) * width
-    positions = lower + width * u[:, 0]
+    maps = (width, lower, 2 * vmax, -vmax)
+    positions, velocities = np.empty((n, k, d)), np.empty((n, k, d))
+    u = np.empty((min(n, INIT_BLOCK), 2, k, d))
+    for lo in range(0, n, INIT_BLOCK):
+        blk = slice(lo, lo + INIT_BLOCK)
+        pos, vel = positions[blk], velocities[blk]
+        draws = u[: pos.shape[0]]
+        for row, rng in zip(draws, rngs[blk]):
+            rng.random(out=row)
+        scale, low, vscale, vlow = [a[blk] for a in maps] if width.ndim == 3 else maps
+        # low + (high − low)·u and (−vmax) + (2·vmax)·u, as uniform maps them.
+        np.add(low, np.multiply(scale, draws[:, 0], out=pos), out=pos)
+        np.add(vlow, np.multiply(vscale, draws[:, 1], out=vel), out=vel)
     return SwarmStateSoA(
         positions=positions,
-        velocities=-vmax + 2 * vmax * u[:, 1],
+        velocities=velocities,
         pbest_positions=positions.copy(),
         pbest_values=np.full((n, k), np.inf),
         best_positions=positions[:, 0].copy(),

@@ -35,11 +35,12 @@ from repro.core.kernels.numpy_backend import EMPTY_KEY
 from repro.sharding.plan import ShardPlan
 from repro.topology.array_views import (
     TS_SCALE,
+    bootstrap_by_replacement,
     check_id_bound,
+    collision_rounds,
     draw_view_entries,
     exchange_views,
     match_round,
-    merge_views,
     merge_without_own,
     pack_views,
     unpack_views,
@@ -112,34 +113,22 @@ class ShardNewscastViews:
         self.failed_exchanges = 0
         self._backend = get_backend("numpy")
         self._workspace = Workspace()
-        self._bootstrap()
+        # No shard sees the whole population to partition over, so the
+        # t = 0 contacts are always drawn with replacement.
+        if plan.nodes >= 2 and self.m:
+            bootstrap_by_replacement(
+                self, np.arange(plan.nodes, dtype=np.int64), self.gids,
+                min(capacity, plan.nodes - 1),
+            )
 
-    # -- setup -----------------------------------------------------------------
+    # -- storage (by global id) -----------------------------------------------
 
-    def _bootstrap(self) -> None:
-        """Uniform random t=0 contacts (replacement + merge-kernel dedup).
+    def _views(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return unpack_views(self._keys[ids - self.lo])
 
-        The whole-overlay analogue draws exactly-distinct contacts for
-        small populations; sharded bootstrap always uses the
-        replacement path (a view rarely starts an entry or two short —
-        indistinguishable after one cycle of mixing) because no shard
-        can see the full population to partition over.
-        """
-        n = self.plan.nodes
-        if n < 2 or self.m == 0:
-            return
-        wanted = min(self.capacity, n - 1)
-        draw = self.rng.integers(
-            0, n, size=(self.m, wanted + wanted // 2)
-        ).astype(np.int64)
-        collide = draw == self.gids[:, None]
-        draw[collide] = (np.nonzero(collide)[0] + self.lo + 1) % n
-        ids, ts = merge_views(
-            *unpack_views(self._keys), draw, np.zeros_like(draw),
-            self.gids, self.capacity,
-        )
-        self._keys = pack_views(ids, ts)
-        self._counts = (ids >= 0).sum(axis=1)
+    def _store(self, ids: np.ndarray, view_ids: np.ndarray, ts: np.ndarray) -> None:
+        self._keys[ids - self.lo] = pack_views(view_ids, ts)
+        self._counts[ids - self.lo] = (view_ids >= 0).sum(axis=1)
 
     # -- sampling --------------------------------------------------------------
 
@@ -216,11 +205,14 @@ class ShardNewscastViews:
     def _absorb(self, owners: np.ndarray, views: np.ndarray,
                 peers: np.ndarray, peer_ts: np.ndarray) -> None:
         """Each (distinct) owner merges a peer's view and fresh descriptor."""
-        rows = owners - self.lo
-        cand = np.concatenate(
-            [self._keys[rows], views, pack_views(peers, peer_ts)[:, None]],
-            axis=1,
-        )
+        rows, c = owners - self.lo, self.capacity
+        # The round exchange's candidate width, padded with an empty
+        # key (it sorts last), so the merge reuses the same buffers.
+        cand = self._workspace.take("nc_cand", (rows.shape[0], 2 * c + 2), np.int64)
+        cand[:, :c] = self._keys[rows]
+        cand[:, c : 2 * c] = views
+        cand[:, 2 * c] = pack_views(peers, peer_ts)
+        cand[:, 2 * c + 1] = EMPTY_KEY
         kept, counts = merge_without_own(
             cand, owners[None], self.capacity, self._backend, self._workspace
         )
@@ -262,18 +254,7 @@ class ShardNewscastViews:
             }
 
         # Then merge, one sub-round per same-row occurrence rank.
-        order = np.argsort(rl, kind="stable")
-        rl_sorted = rl[order]
-        new_row = np.empty(rl_sorted.shape, dtype=bool)
-        if rl_sorted.size:
-            new_row[0] = True
-            new_row[1:] = rl_sorted[1:] != rl_sorted[:-1]
-        starts = np.maximum.accumulate(
-            np.where(new_row, np.arange(rl_sorted.size), 0)
-        )
-        rank = np.arange(rl_sorted.size) - starts
-        for r in range(int(rank.max(initial=-1)) + 1):
-            sel = order[rank == r]
+        for sel in collision_rounds(rl):
             self._absorb(tgt[sel], views[sel], init[sel], sts[sel])
         self.exchanges += int(tgt.size)
         return replies

@@ -83,7 +83,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import Workspace, get_backend
+from repro.core.kernels import Workspace, get_backend, grow_rows
 from repro.core.kernels.numpy_backend import (
     EMPTY_KEY,
     ID_BITS,
@@ -102,8 +102,10 @@ __all__ = [
     "merge_views",
     "draw_view_entries",
     "match_round",
+    "collision_rounds",
     "merge_without_own",
     "exchange_views",
+    "bootstrap_by_replacement",
     "NewscastArrayViews",
     "CyclonArrayViews",
     "StaticArrayViews",
@@ -116,15 +118,10 @@ _EMPTY_TS = -1
 #: Sub-cycle timestamp resolution: logical time = cycle * TS_SCALE + frac.
 TS_SCALE = 1 << 12
 
-
-def _grow(matrix: np.ndarray, rows: int, fill) -> np.ndarray:
-    """Return ``matrix`` with capacity for ``rows`` rows (geometric)."""
-    if matrix.shape[0] >= rows:
-        return matrix
-    new_rows = max(rows, 2 * matrix.shape[0])
-    grown = np.full((new_rows, *matrix.shape[1:]), fill, dtype=matrix.dtype)
-    grown[: matrix.shape[0]] = matrix
-    return grown
+#: Round exchanges and the bootstrap merge work on at most this many
+#: pairs / rows per kernel call, so their scratch stays a few blocks
+#: of rows however large the overlay.
+ROW_BLOCK = 512
 
 
 def check_id_bound(n_ids: int) -> None:
@@ -214,6 +211,18 @@ def match_round(
     return ends, e_init[~accept]
 
 
+def collision_rounds(keys: np.ndarray) -> list[np.ndarray]:
+    """Positions of ``keys`` in rounds of distinct keys: round ``r`` holds
+    each key's ``r``-th occurrence, in stable key order."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    first = np.ones(ranked.shape, dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    at = np.arange(ranked.size)
+    rank = at - np.maximum.accumulate(np.where(first, at, 0))
+    return [order[rank == r] for r in range(int(rank.max(initial=-1)) + 1)]
+
+
 def merge_without_own(
     cand: np.ndarray, own: np.ndarray, capacity: int, backend, ws: Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -267,19 +276,50 @@ def exchange_views(
     vector ``counts`` (the same thing for a whole-overlay matrix,
     ``id - lo`` for a shard's block) and ``fresh`` their ``(2, p)``
     fresh self-descriptor keys.  See "One gather, two sorts, one
-    scatter" in the module docstring.
+    scatter" in the module docstring.  Pairs share no row, so running
+    them :data:`ROW_BLOCK` at a time gives the same views and caps the
+    workspace buffers at that many pairs.
     """
-    p, c = ends.shape[1], keys.shape[1]
-    cand = ws.take("nc_cand", (p, 2 * c + 2), np.int64)
-    # np.take needs a contiguous out=: gather both views of every
-    # pair in one call, then copy the block into place.
-    gather = ws.take("nc_gather", (p, 2, c), np.int64)
-    np.take(keys, rows.T, axis=0, out=gather, mode="clip")
-    np.copyto(cand[:, : 2 * c], gather.reshape(p, 2 * c))
-    cand[:, 2 * c :] = fresh.T
-    kept, kept_counts = merge_without_own(cand, ends, c, backend, ws)
-    keys[rows.reshape(-1)] = kept.reshape(2 * p, c)
-    counts[rows.reshape(-1)] = kept_counts.reshape(-1)
+    c = keys.shape[1]
+    for lo in range(0, ends.shape[1], ROW_BLOCK):
+        blk = slice(lo, lo + ROW_BLOCK)
+        pair_rows = rows[:, blk]
+        p = pair_rows.shape[1]
+        cand = ws.take("nc_cand", (p, 2 * c + 2), np.int64)
+        # np.take needs a contiguous out=: gather both views of every
+        # pair in one call, then copy the block into place.
+        gather = ws.take("nc_gather", (p, 2, c), np.int64)
+        np.take(keys, pair_rows.T, axis=0, out=gather, mode="clip")
+        np.copyto(cand[:, : 2 * c], gather.reshape(p, 2 * c))
+        cand[:, 2 * c :] = fresh[:, blk].T
+        kept, kept_counts = merge_without_own(cand, ends[:, blk], c, backend, ws)
+        keys[pair_rows.reshape(-1)] = kept.reshape(2 * p, c)
+        counts[pair_rows.reshape(-1)] = kept_counts.reshape(-1)
+
+
+def bootstrap_by_replacement(
+    views, population: np.ndarray, owners: np.ndarray, wanted: int
+) -> None:
+    """Seed owners' views with uniform t = 0 contacts drawn with replacement.
+
+    ``owners`` are positions in ``population`` (node ids).  One
+    ``views.rng.integers`` call draws ``wanted + wanted // 2`` positions
+    per owner, a draw of the owner moves to the next position, and the
+    merge kernel dedups the draws into the owner's view (read and
+    written by node id through ``views._views`` / ``_store``) —
+    :data:`ROW_BLOCK` owners at a time, as owners are independent.
+    """
+    n = population.shape[0]
+    draw = views.rng.integers(0, n, size=(owners.shape[0], wanted + wanted // 2))
+    for lo in range(0, owners.shape[0], ROW_BLOCK):
+        pos, picks = owners[lo : lo + ROW_BLOCK], draw[lo : lo + ROW_BLOCK]
+        collide = picks == pos[:, None]
+        picks[collide] = (pos[np.nonzero(collide)[0]] + 1) % n
+        own, contacts = population[pos], population[picks]
+        views._store(own, *merge_views(
+            *views._views(own), contacts, np.zeros_like(contacts), own,
+            views.capacity,
+        ))
 
 
 class _ArrayViewBase(ViewProvider):
@@ -371,27 +411,21 @@ class _ArrayViewBase(ViewProvider):
             return
         self.ensure_capacity(int(live_ids.max()) + 1)
         wanted = min(self.capacity if contacts is None else contacts, n - 1)
+        if n > 2048:
+            bootstrap_by_replacement(self, live_ids, np.arange(n), wanted)
+            return
+        # The generator fills in C order and argpartition works row by
+        # row, so block after block picks what one whole-matrix draw
+        # would.
         ids, ts = self._views(live_ids)
-        if n <= 2048:
-            # The generator fills in C order and argpartition works row
-            # by row, so block after block picks what one whole-matrix
-            # draw would.
-            step = max(1, (1 << 18) // n)
-            for lo in range(0, n, step):
-                rows = np.arange(lo, min(lo + step, n))
-                keys = self.rng.random((rows.size, n))
-                keys[rows - lo, rows] = np.inf  # never self
-                picks = np.argpartition(keys, wanted - 1, axis=1)[:, :wanted]
-                ids[rows, :wanted] = live_ids[picks]
-            ts[:, :wanted] = 0
-        else:
-            # Large populations: replacement + dedup through the merge kernel.
-            draw = live_ids[self.rng.integers(0, n, size=(n, wanted + wanted // 2))]
-            collide = draw == live_ids[:, None]
-            draw[collide] = live_ids[(np.nonzero(collide)[0] + 1) % n]
-            ids, ts = merge_views(
-                ids, ts, draw, np.zeros_like(draw), live_ids, self.capacity
-            )
+        step = max(1, (1 << 18) // n)
+        for lo in range(0, n, step):
+            rows = np.arange(lo, min(lo + step, n))
+            keys = self.rng.random((rows.size, n))
+            keys[rows - lo, rows] = np.inf  # never self
+            picks = np.argpartition(keys, wanted - 1, axis=1)[:, :wanted]
+            ids[rows, :wanted] = live_ids[picks]
+        ts[:, :wanted] = 0
         self._store(live_ids, ids, ts)
 
 
@@ -424,8 +458,8 @@ class NewscastArrayViews(_ArrayViewBase):
 
     def ensure_capacity(self, n_ids: int) -> None:
         check_id_bound(n_ids)
-        self._keys = _grow(self._keys, n_ids, EMPTY_KEY)
-        self._counts = _grow(self._counts, n_ids, 0)
+        self._keys = grow_rows(self._keys, n_ids, EMPTY_KEY)
+        self._counts = grow_rows(self._counts, n_ids, 0)
 
     def _views(self, rows) -> tuple[np.ndarray, np.ndarray]:
         return unpack_views(self._keys[rows])
@@ -553,8 +587,8 @@ class CyclonArrayViews(_ArrayViewBase):
     # -- storage ---------------------------------------------------------------
 
     def ensure_capacity(self, n_ids: int) -> None:
-        self._ids = _grow(self._ids, n_ids, _EMPTY_ID)
-        self._ts = _grow(self._ts, n_ids, _EMPTY_TS)
+        self._ids = grow_rows(self._ids, n_ids, _EMPTY_ID)
+        self._ts = grow_rows(self._ts, n_ids, _EMPTY_TS)
 
     def _views(self, rows) -> tuple[np.ndarray, np.ndarray]:
         return self._ids[rows], self._ts[rows]
@@ -582,18 +616,18 @@ class CyclonArrayViews(_ArrayViewBase):
 
     # -- helpers ---------------------------------------------------------------
 
-    def _compact(self, rows: np.ndarray, keep: np.ndarray) -> None:
-        """Left-compact kept entries of ``rows`` (order preserved)."""
-        ids = self._ids[rows]
-        ts = self._ts[rows]
+    def _compact(self, rows: np.ndarray, ids: np.ndarray, ts: np.ndarray,
+                 keep: np.ndarray) -> None:
+        """Store the first ``capacity`` kept entries of ``ids`` / ``ts`` as
+        the views of ``rows``, left-compacted in order."""
         pos = np.cumsum(keep, axis=1) - 1
-        out_ids = np.full_like(ids, _EMPTY_ID)
-        out_ts = np.full_like(ts, _EMPTY_TS)
+        keep = keep & (pos < self.capacity)
+        out_ids = np.full((rows.shape[0], self.capacity), _EMPTY_ID, np.int64)
+        out_ts = np.full((rows.shape[0], self.capacity), _EMPTY_TS, np.int64)
         r = np.broadcast_to(np.arange(rows.shape[0])[:, None], ids.shape)
         out_ids[r[keep], pos[keep]] = ids[keep]
         out_ts[r[keep], pos[keep]] = ts[keep]
-        self._ids[rows] = out_ids
-        self._ts[rows] = out_ts
+        self._store(rows, out_ids, out_ts)
 
     def _extract_random(
         self, rows: np.ndarray, count: int
@@ -614,7 +648,7 @@ class CyclonArrayViews(_ArrayViewBase):
         out_ts = np.where(valid, out_ts, _EMPTY_TS)
         removed = np.zeros((m, c), dtype=bool)
         removed[r, picks] = valid
-        self._compact(rows, ~removed & (ids >= 0))
+        self._compact(rows, ids, ts, ~removed & (ids >= 0))
         return out_ids, out_ts
 
     def _absorb(
@@ -640,18 +674,12 @@ class CyclonArrayViews(_ArrayViewBase):
                 .any(axis=2)
             )
         )
-        all_ids = np.concatenate([cur_ids, rec_ids, snt_ids], axis=1)
-        all_ts = np.concatenate([cur_ts, rec_ts, snt_ts], axis=1)
-        ok = np.concatenate([cur_ids >= 0, rec_ok, snt_ok], axis=1)
-        pos = np.cumsum(ok, axis=1) - 1
-        keep = ok & (pos < self.capacity)
-        out_ids = np.full((rows.shape[0], self.capacity), _EMPTY_ID, np.int64)
-        out_ts = np.full((rows.shape[0], self.capacity), _EMPTY_TS, np.int64)
-        r = np.broadcast_to(np.arange(rows.shape[0])[:, None], all_ids.shape)
-        out_ids[r[keep], pos[keep]] = all_ids[keep]
-        out_ts[r[keep], pos[keep]] = all_ts[keep]
-        self._ids[rows] = out_ids
-        self._ts[rows] = out_ts
+        self._compact(
+            rows,
+            np.concatenate([cur_ids, rec_ids, snt_ids], axis=1),
+            np.concatenate([cur_ts, rec_ts, snt_ts], axis=1),
+            np.concatenate([cur_ids >= 0, rec_ok, snt_ok], axis=1),
+        )
 
     # -- protocol --------------------------------------------------------------
 
@@ -681,7 +709,7 @@ class CyclonArrayViews(_ArrayViewBase):
         targets = ids[r, col]
         removed = np.zeros_like(ids, dtype=bool)
         removed[r, col] = True
-        self._compact(rows, ~removed & (ids >= 0))
+        self._compact(rows, ids, ts, ~removed & (ids >= 0))
 
         ok = alive[targets]
         self.failed_exchanges += int((~ok).sum())
@@ -700,19 +728,8 @@ class CyclonArrayViews(_ArrayViewBase):
         my_ts = np.concatenate([out_ts, frac[:, None]], axis=1)
 
         # Collision rounds: unique targets per round, sequential within.
-        order = np.argsort(tgt, kind="stable")
-        tgt_sorted = tgt[order]
-        new_group = np.empty(tgt_sorted.shape, dtype=bool)
-        new_group[0] = True
-        new_group[1:] = tgt_sorted[1:] != tgt_sorted[:-1]
-        starts = np.maximum.accumulate(
-            np.where(new_group, np.arange(tgt_sorted.size), 0)
-        )
-        round_index = np.arange(tgt_sorted.size) - starts
-        for p in range(int(round_index.max(initial=-1)) + 1):
-            sel = round_index == p
-            tgt_rows = tgt_sorted[sel]
-            init_rows = order[sel]
+        for init_rows in collision_rounds(tgt):
+            tgt_rows = tgt[init_rows]
             initiators = init[init_rows]
             their_ids, their_ts = self._extract_random(
                 tgt_rows, self.shuffle_length
@@ -777,13 +794,7 @@ class StaticArrayViews(ViewProvider):
 
     def ensure_capacity(self, n_ids: int) -> None:
         joiners = max(0, n_ids - self._joiner_base)
-        if joiners > self._joiner_contact.shape[0]:
-            grown = np.full(
-                max(joiners, 2 * self._joiner_contact.shape[0]),
-                _EMPTY_ID, dtype=np.int64,
-            )
-            grown[: self._joiner_contact.shape[0]] = self._joiner_contact
-            self._joiner_contact = grown
+        self._joiner_contact = grow_rows(self._joiner_contact, joiners, _EMPTY_ID)
 
     def on_join(self, node_id: int, live_ids: np.ndarray, now: float) -> None:
         self.ensure_capacity(node_id + 1)

@@ -69,6 +69,12 @@ def history_tuples(result):
     return [(h.cycle, h.evaluations, h.best_value) for h in result.history]
 
 
+def drawn(engine: FastEngine, live: np.ndarray, stream: bool = False) -> np.ndarray:
+    """The ``(nl, 2, 8, d)`` draws ``_chunk_draws`` yields for ``live``, joined."""
+    return np.concatenate([draws.copy() for _, draws
+                           in engine._chunk_draws(live, None, 8, 0, stream)])
+
+
 class TestTrajectoryIdentity:
     """Same-seed bit-identity of the fast path at r = k."""
 
@@ -412,25 +418,27 @@ class TestBatchedRng:
         assert row1.best_value == row4.best_value
 
     def test_in_place_block_fill_equals_id_indexed_rows(self):
-        """Without churn holes each draw block fills its slice of the
-        buffer in place; the rows must be the ones the id-indexed path
-        (whole blocks, rows picked by node id) hands the same nodes —
-        the short last slice included."""
+        """Without churn holes a full sweep streams its draws: each
+        block's generator fills one workspace block of rows in place;
+        those rows must be the ones the id-indexed path (whole blocks,
+        rows picked by node id) hands the same nodes — the short last
+        block included."""
         cfg = small_config(nodes=300, total_evaluations=300 * 8 * 2)
         engine = FastEngine(cfg, gossip=False, rng_mode="batched")
         live = np.arange(300)
-        in_place = engine._chunk_draws(live, live, 8, 0).copy()
-        engine.crashes = 1  # what selects the id-indexed path
-        np.testing.assert_array_equal(
-            engine._chunk_draws(live, live, 8, 0), in_place
-        )
+        by_id = drawn(engine, live)
+        blocks = [(rows, draws.copy()) for rows, draws
+                  in engine._chunk_draws(live, None, 8, 0, stream=True)]
+        assert [draws.shape[0] for _, draws in blocks] == [256, 44]
+        for rows, draws in blocks:
+            np.testing.assert_array_equal(draws, by_id[rows])
 
     def test_cohort_draws_are_keyed_by_node_id(self):
-        """The cohort event engine shares ``_chunk_draws``: a cohort
-        that is the whole population takes the in-place fill, a strict
-        subset — also once crashes have swap-removed rows, so row !=
-        id — the id-indexed rows.  Either way row j is its node id's
-        row of that id's block."""
+        """The cohort event engine shares ``_chunk_draws``: the whole
+        population streams its blocks, a strict subset — also once
+        crashes have swap-removed rows, so row != id — takes the
+        id-indexed rows.  Either way row j is its node id's row of that
+        id's block."""
         from repro.core.eventpath import CohortEventEngine
         from repro.deployment.runtime import DeploymentConfig
 
@@ -450,13 +458,10 @@ class TestBatchedRng:
             return out
 
         everyone = np.arange(engine.live_count)
-        whole = engine._chunk_draws(everyone, everyone, 8, 0).copy()
+        whole = drawn(engine, everyone, stream=True)
         probe = np.array([0, 1, 255, 256, 299])
         np.testing.assert_array_equal(whole[probe], rows_of(probe))
-        cohort = everyone[::3]
-        np.testing.assert_array_equal(
-            engine._chunk_draws(cohort, cohort, 8, 0), whole[::3]
-        )
+        np.testing.assert_array_equal(drawn(engine, everyone[::3]), whole[::3])
 
         for nid in (5, 17, 290):
             engine.crash_node(nid)
@@ -465,9 +470,7 @@ class TestBatchedRng:
         ids = np.concatenate([ids[~np.isin(ids, joined)], joined])
         rows = engine._slot_of_id[ids]
         assert (rows != ids).any()
-        np.testing.assert_array_equal(
-            engine._chunk_draws(rows, rows, 8, 0), rows_of(ids)
-        )
+        np.testing.assert_array_equal(drawn(engine, rows), rows_of(ids))
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(Exception, match="rng_mode"):

@@ -4,6 +4,10 @@
   full-sweep cycles, the workspace owns every large intermediate: a
   traced block of cycles must allocate no new large arrays and the
   workspace's allocation counter must stand still.
+* **The engine holds the swarm, not copies of it** — over build plus
+  a few cycles a batched engine's traced peak stays within twice its
+  particle arrays: draws stream per block, no per-node generators are
+  kept, and the bootstrap and NEWSCAST rounds work in row blocks.
 * **Default problem-layer specs are no-ops** — explicit
   ``DynamicsSpec()`` / ``AdversarySpec()`` give the record of a run
   without them.  The records themselves are pinned in ``tests/pins``.
@@ -167,3 +171,35 @@ class TestSteadyStateAllocations:
         assert all(
             getattr(engine.soa, f) is arr for f, arr in zip(SOA_FIELDS, before)
         )
+
+
+# -- working set -------------------------------------------------------------------
+
+
+#: Traced peak over build plus five cycles, in units of the three
+#: ``(n, k, d)`` particle arrays (about 1.8 at n = 2600).  A swarm-sized
+#: draw buffer adds about 0.67 of a unit, per-node generators kept by a
+#: batched engine about 0.4, so either regression breaks the bound.
+WORKING_SET_BOUND = 2.0
+
+
+def test_batched_engine_holds_the_swarm_not_copies_of_it():
+    """A batched whole-population engine past n = 2048 (so the
+    replacement bootstrap runs): SoA plus a few blocks of scratch."""
+    config = ExperimentConfig(function="sphere", nodes=2600, particles_per_node=8,
+                              total_evaluations=10**9, gossip_cycle=8, seed=1)
+    tracemalloc.start()
+    try:
+        engine = FastEngine(config, topology="newscast", rng_mode="batched")
+        engine.run(5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    soa = engine.soa
+    assert soa.d == 10 and engine.cycle == 5
+    swarm = soa.positions.nbytes + soa.velocities.nbytes + soa.pbest_positions.nbytes
+    assert engine._gens == []
+    assert peak <= WORKING_SET_BOUND * swarm, (
+        f"build plus 5 cycles peaked at {peak / swarm:.2f}x the particle "
+        f"arrays (bound {WORKING_SET_BOUND}x): a swarm-sized buffer is back"
+    )

@@ -3,7 +3,8 @@
 SoA row ``i`` is the ``i``-th entry of the live list.  A crash
 swap-removes its row exactly as the live list swap-removes the id (the
 last row, its node generator and its objective group move into the
-hole), and a cycle's joins append one block of rows.  Per-row PSO
+hole), and a cycle's joins append one block of rows.  Only a strict
+engine holds node generators (one per row); a batched one holds none.  Per-row PSO
 arithmetic does not depend on row order, so the churned records pinned
 in ``tests/pins`` (``record/churn-*``), captured when joins recycled
 crashed nodes' slots through an id -> slot indirection, stay byte-equal.
@@ -38,11 +39,12 @@ def heavy_churn_engine(rng_mode: str = "strict", **fields) -> FastEngine:
 
 
 def snapshot(engine: FastEngine) -> dict:
-    """Per live id: its row's state, generator and objective group."""
+    """Per live id: its row's state, generator (strict only) and objective group."""
     out = {}
     for row, nid in enumerate(engine.live_ids().tolist()):
         group = None if engine._node_group is None else int(engine._node_group[row])
-        out[nid] = (engine.soa.node_state(row), engine._gens[row], group)
+        gen = engine._gens[row] if engine._gens else None
+        out[nid] = (engine.soa.node_state(row), gen, group)
     return out
 
 
@@ -51,7 +53,10 @@ def assert_rows_follow_live_list(engine: FastEngine, spent: int | None = None):
     assert engine.soa.n == engine.live_count == ids.size
     np.testing.assert_array_equal(engine._slot_of_id[ids], np.arange(ids.size))
     assert engine._alive.sum() == ids.size
-    assert len(engine._gens) == engine.soa.n
+    # Strict rows draw from their node's generator; batched rows from
+    # id-keyed blocks, so a batched engine holds none.
+    held = engine.soa.n if engine.rng_mode == "strict" else 0
+    assert len(engine._gens) == held
     total = engine.total_evaluations()
     assert total == int(engine.soa.evaluations.sum()) + engine._retired_evaluations
     if spent is not None:

@@ -126,6 +126,13 @@ def fast32(**fields) -> Scenario:
                     gossip_cycle=4, seed=7, engine="fast", **fields)
 
 
+def n2600(**fields) -> Scenario:
+    """The fast engine at n = 2600, k = r = 4: a budget of 4 cycles."""
+    return scenario(**{"nodes": 2600, "particles_per_node": 4, "gossip_cycle": 4,
+                       "total_evaluations": 2600 * 4 * 4, "seed": 3,
+                       "engine": "fast", **fields})
+
+
 def lossy_cohorts(mode: str, hostile: bool) -> Scenario:
     """Cohort event engine, n = 48 under 5 % loss and Poisson churn."""
     return scenario(
@@ -210,6 +217,16 @@ RECORDS = {
         nodes=16, particles_per_node=6, total_evaluations=960,
         gossip_cycle=3, seed=3, engine="fast",
     )),
+    # n = 2600 reaches the large-population paths: the replacement
+    # bootstrap, NEWSCAST rounds of more than 512 pairs, several draw
+    # blocks with a short last one and, on two shards, a shard boundary
+    # (id 1300) inside a draw block.
+    **{f"fast-{mode}-newscast-n2600": Record(
+        n2600(function="rastrigin", seed=3, rng_mode=mode))
+       for mode in ("strict", "batched")},
+    **{f"sharded{suffix}-n2600": Record(
+        n2600(rng_mode=mode), policy=ExecutionPolicy(shards=2))
+       for suffix, mode in (("", "strict"), ("-batched", "batched"))},
     # The cohort engine's anti-entropy exchange, each mode honest and
     # under a defended false-best adversary.
     **{f"event-fast-{mode}{'-false-best' if hostile else ''}":
