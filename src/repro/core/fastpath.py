@@ -727,15 +727,23 @@ class FastEngine:
             elif stream:
                 gens[lo >> _DRAW_BLOCK_BITS].random(out=out)
             else:
-                # Picks go through scratch, not a temporary per block.
-                fill, pick = (ws.take(name, (_DRAW_BLOCK, 2, width, d))
-                              for name in ("draw_block", "draw_pick"))
-                for block, gen in zip(blocks.tolist(), gens):
-                    sel = (ids >> _DRAW_BLOCK_BITS) == block
-                    idx = ids[sel] & (_DRAW_BLOCK - 1)
+                # Each id block's rows, found once: a run of the ids when
+                # they ascend, picked straight into place; else a run of
+                # one stable sort (churn swaps rows), picked through
+                # scratch (not a temporary per block) and scattered.
+                order = None if np.all(ids[1:] > ids[:-1]) else np.argsort(ids, kind="stable")
+                by_id = ids if order is None else ids[order]
+                edges = np.searchsorted(by_id, blocks << _DRAW_BLOCK_BITS).tolist() + [nl]
+                fill = ws.take("draw_block", (_DRAW_BLOCK, 2, width, d))
+                if order is not None:
+                    pick = ws.take("draw_pick", (_DRAW_BLOCK, 2, width, d))
+                for a, b, gen in zip(edges, edges[1:], gens):
                     gen.random(out=fill)
-                    np.take(fill, idx, axis=0, out=pick[: idx.size], mode="clip")
-                    out[sel] = pick[: idx.size]
+                    into = out[a:b] if order is None else pick[: b - a]
+                    np.take(fill, by_id[a:b] & (_DRAW_BLOCK - 1), axis=0,
+                            out=into, mode="clip")
+                    if order is not None:
+                        out[order[a:b]] = into
             yield rows, out
 
     def _chunk_step(
@@ -816,10 +824,11 @@ class FastEngine:
             stream = full_sweep and (self.rng_mode == "strict" or (
                 self.crashes == 0 and self._default_ids and nl == self._next_id
             ))
+            operands = [(a, np.ndim(a) == 3) for a in
+                        (sub_pos, sub_vel, sub_pb, gbest, vmax, lower, upper)]
             for rows, draws in self._chunk_draws(live, moving, width, chunk, stream):
                 pos, vel, pb, gb, vm, lo, up = (
-                    a[rows] if np.ndim(a) == 3 else a
-                    for a in (sub_pos, sub_vel, sub_pb, gbest, vmax, lower, upper)
+                    a[rows] if per_row else a for a, per_row in operands
                 )
                 backend.fused_pso_update(
                     pos, vel, pb, gb, draws[:, 0], draws[:, 1],

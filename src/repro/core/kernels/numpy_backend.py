@@ -42,8 +42,11 @@ EMPTY_KEY = np.iinfo(np.int64).max
 #: this many elements per operand (160 KB of doubles): a block's nine
 #: operands and scratch stay cache-resident between the eleven passes
 #: instead of streaming the whole ``(m, w, d)`` network through memory
-#: once per pass.  Rows are independent, so blocking cannot change a
-#: bit.  Measured flat within 5 % from 8 000 to 28 000 elements.
+#: once per pass.  The ``m`` rows split into that many equal blocks,
+#: rounded, so a 256-row draw block at ``w·d = 80`` is one pass, not
+#: 250 rows and a 6-row tail.  Rows are independent, so blocking
+#: cannot change a bit.  Measured flat within 5 % from 8 000 to 28 000
+#: elements.
 BLOCK_ELEMENTS = 20_000
 
 
@@ -109,14 +112,9 @@ class KernelBackend:
             out_vel = np.empty((m, w, d))
         if out_pos is None:
             out_pos = np.empty((m, w, d))
-        step = max(1, BLOCK_ELEMENTS // max(1, w * d))
-        scratch = (min(step, m), w, d)
-        if ws is not None:
-            t1 = ws.take("fpu_t1", scratch)
-            t2 = ws.take("fpu_t2", scratch)
-        else:
-            t1 = np.empty(scratch)
-            t2 = np.empty(scratch)
+        step = max(1, -(-m // max(1, round(m * w * d / BLOCK_ELEMENTS))))
+        ws = Workspace() if ws is None else ws
+        t1, t2 = (ws.take(name, (min(step, m), w, d)) for name in ("fpu_t1", "fpu_t2"))
         # Decomposed left-to-right so each element sees the exact IEEE
         # operation sequence of the expression form.
         for lo in range(0, m, step):
@@ -162,10 +160,8 @@ class KernelBackend:
         only improved entries are written.  Any other input is only
         read.
         """
-        if ws is not None:
-            improved = ws.take("pbf_improved", values.shape, bool)
-        else:
-            improved = np.empty(values.shape, dtype=bool)
+        ws = Workspace() if ws is None else ws
+        improved = ws.take("pbf_improved", values.shape, bool)
         np.less(values, pbv, out=improved)
         if participating is not None:
             np.logical_and(improved, participating, out=improved)

@@ -50,38 +50,43 @@ class Workspace:
     (steady-state callers keep those fixed), while a smaller leading
     dimension returns a view of the existing buffer and a larger one
     grows it geometrically.  Contents are **uninitialized** — callers
-    fully overwrite what they take.
+    fully overwrite what they take — so an outgrown buffer is dropped
+    before its successor is allocated, never copied.
     """
 
     def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
+        #: name -> (buffer, trailing shape, dtype as last requested).
+        self._buffers: dict[str, tuple[np.ndarray, tuple, object]] = {}
         #: Buffers (re)allocated since construction — watched by the
         #: allocation-regression tests.
         self.allocations = 0
 
     def take(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
         """A ``shape``-sized view of the buffer named ``name``."""
+        # The steady request (same trailing shape, same dtype object,
+        # enough rows) is one lookup and a slice.
+        entry = self._buffers.get(name)
+        if (entry is not None and entry[2] is dtype and entry[1] == shape[1:]
+                and entry[0].shape[0] >= shape[0]):
+            return entry[0][: shape[0]]
         lead = int(shape[0])
         trail = tuple(int(s) for s in shape[1:])
-        dtype = np.dtype(dtype)
-        buf = self._buffers.get(name)
-        if (
-            buf is None
-            or buf.dtype != dtype
-            or buf.shape[1:] != trail
-            or buf.shape[0] < lead
-        ):
-            grown = lead if buf is None or buf.shape[1:] != trail else max(
-                lead, 2 * buf.shape[0]
-            )
-            buf = np.empty((grown, *trail), dtype=dtype)
-            self._buffers[name] = buf
-            self.allocations += 1
+        buf = self._buffers.pop(name, (None,))[0]
+        grown = lead
+        if buf is not None and buf.shape[1:] == trail:
+            if buf.dtype == dtype and buf.shape[0] >= lead:
+                self._buffers[name] = (buf, trail, dtype)
+                return buf[:lead]
+            grown = max(lead, 2 * buf.shape[0])
+        buf = entry = None  # the old buffer goes before the new one comes
+        buf = np.empty((grown, *trail), dtype=dtype)
+        self._buffers[name] = (buf, trail, dtype)
+        self.allocations += 1
         return buf[:lead]
 
     def nbytes(self) -> int:
         """Total bytes currently held (diagnostics)."""
-        return sum(buf.nbytes for buf in self._buffers.values())
+        return sum(entry[0].nbytes for entry in self._buffers.values())
 
     def names(self) -> tuple[str, ...]:
         """Currently held buffer names (diagnostics/tests)."""

@@ -13,9 +13,9 @@ and a reader never sees a half-written file:
 ``claimed/<job_id>.json``
     A job some worker owns.  The owner stamps the file's mtime on a
     fixed heartbeat interval while executing (see
-    :class:`ClaimHeartbeat`); if the worker dies, the stamps stop and
-    :meth:`JobQueue.requeue_stale` moves the claim back to
-    ``pending/`` with the attempt counter bumped.
+    :class:`ClaimHeartbeat`, one thread per worker); if the worker
+    dies, the stamps stop and :meth:`JobQueue.requeue_stale` moves the
+    claim back to ``pending/`` with the attempt counter bumped.
 ``results/<job_id>.json``
     A completed job's payload: the executed repetitions as
     :meth:`~repro.scenario.result.RunRecord.to_dict` dicts plus the
@@ -24,9 +24,9 @@ and a reader never sees a half-written file:
     Dead letters: jobs that exhausted ``max_retries`` or raised a
     non-transient error.  ``collect`` reports these loudly.
 ``workers/<host>-<pid>.json``
-    Per-worker status sidecars (jobs done, retries, current job);
-    purely informational — the ``status`` CLI reads them, nothing
-    else does.
+    Per-worker status sidecars (jobs done, retries, current job),
+    written at worker start, at each claim and once on going idle or
+    exiting; purely informational — only the ``status`` CLI reads them.
 
 Writes are crash-safe: the temp file is fsynced before the atomic
 rename and the directory is fsynced after it, so a host crash cannot
@@ -44,9 +44,10 @@ import random
 import socket
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from repro.distributed.jobs import SweepJob
 from repro.scenario.result import RunRecord
@@ -180,75 +181,85 @@ def with_retries(
     if attempts < 1:
         raise ValueError("with_retries needs attempts >= 1")
     rng = rng if rng is not None else random.Random()
-    for attempt in range(attempts):
+    for attempt in range(attempts - 1):
         try:
             return operation()
         except retry_on as exc:
-            if attempt == attempts - 1:
-                raise
             if on_retry is not None:
                 on_retry(attempt, exc)
             cap = min(max_delay, base_delay * (2.0 ** attempt))
             time.sleep(rng.uniform(0.0, cap))
-    raise AssertionError("unreachable")  # pragma: no cover
+    return operation()
 
 
 class ClaimHeartbeat:
-    """Background mtime-stamper for a held claim (the fallback timer).
+    """A worker's background mtime-stamper for whichever claim it holds.
 
     The worker's primary heartbeat is the hook
     :func:`~repro.distributed.jobs.execute_job` calls between
     repetitions — but a single long repetition would go silent for its
-    whole duration, so this daemon thread stamps the claim file every
-    ``interval`` seconds regardless of where execution is.  Stamps are
-    plain ``utime`` touches: :meth:`JobQueue.requeue_stale` measures
-    staleness as *age since the last stamp*, which is what lets
-    ``stale_after`` drop to a few heartbeat periods no matter how long
-    jobs run.
+    whole duration, so this daemon thread stamps the held claim file
+    every ``interval`` seconds regardless of where execution is.  One
+    thread serves a worker's life: it starts on the first
+    :meth:`holding` and is handed each later claim, so a job pays no
+    thread start.  Stamps are plain ``utime`` touches:
+    :meth:`JobQueue.requeue_stale` measures staleness as *age since the
+    last stamp*, so ``stale_after`` can be a few heartbeat periods no
+    matter how long jobs run.
 
     Transient ``OSError``\\ s while stamping are swallowed (the next
     beat retries); a *missing* claim file sets :attr:`lost` — the
-    claim was requeued or completed by someone else — and the thread
-    stops stamping.
+    claim was requeued or completed by someone else — and stops its
+    stamps.  Leaving :meth:`holding` waits out a stamp in flight: none
+    lands after the claim is let go.
     """
 
-    def __init__(self, queue: "JobQueue", claim: Claim, interval: float):
+    def __init__(self, queue: "JobQueue", interval: float):
         if interval <= 0:
             raise ValueError("heartbeat interval must be > 0")
         self._queue = queue
-        self._claim = claim
         self.interval = float(interval)
-        self.beats = 0
         self.lost = False
+        self._claim: Claim | None = None
+        self._lock = threading.Lock()
         self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name=f"heartbeat-{claim.job.job_id}", daemon=True
-        )
+        self._thread: threading.Thread | None = None
 
     def _run(self) -> None:
         while not self._stop.wait(self.interval):
-            if not self.beat():
-                return
+            self.beat()
 
     def beat(self) -> bool:
-        """Stamp once; returns False (and sets ``lost``) if the claim is gone."""
+        """Stamp the held claim once; False (and sets ``lost``) if it is gone."""
+        with self._lock:
+            if self._claim is not None and not self.lost:
+                try:
+                    self.lost = not self._queue.heartbeat(self._claim)
+                except OSError:
+                    pass  # transient stamp failure: try again next beat
+            return not self.lost
+
+    @contextmanager
+    def holding(self, claim: Claim) -> Iterator["ClaimHeartbeat"]:
+        """Stamp ``claim`` every interval until the block exits."""
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self._run, name="claim-heartbeat", daemon=True
+            )
+            self._thread.start()
+        with self._lock:
+            self._claim, self.lost = claim, False
         try:
-            alive = self._queue.heartbeat(self._claim)
-        except OSError:
-            return True  # transient stamp failure: try again next beat
-        if alive:
-            self.beats += 1
-            return True
-        self.lost = True
-        return False
+            yield self
+        finally:
+            with self._lock:
+                self._claim = None
 
-    def __enter__(self) -> "ClaimHeartbeat":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
+    def close(self) -> None:
+        """Stop the thread (if it ever started); idempotent."""
         self._stop.set()
-        self._thread.join(timeout=max(5.0, 2 * self.interval))
+        if self._thread is not None:
+            self._thread.join(timeout=max(5.0, 2 * self.interval))
 
 
 class JobQueue:

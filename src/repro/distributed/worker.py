@@ -20,11 +20,15 @@ three buckets and handled without crashing:
 
 While executing, the worker stamps its claim file on a fixed
 heartbeat interval — between repetitions via the ``execute_job`` hook
-and from a fallback timer thread (:class:`~repro.distributed.spool.ClaimHeartbeat`)
-— so the coordinator's ``stale_after`` can sit at a few heartbeat
-periods regardless of job length.  ``SIGTERM``/``SIGINT`` trigger a
-graceful shutdown: the current claim is released *without* consuming
-a retry, then the loop exits.
+and from one fallback timer thread per worker
+(:class:`~repro.distributed.spool.ClaimHeartbeat`, started on the
+first claim and handed each later one) — so the coordinator's
+``stale_after`` can sit at a few heartbeat periods regardless of job
+length.  The status sidecar is written at start, at each claim (that
+job, plus the jobs done so far) and once on going idle or exiting;
+a write whose payload equals the last one is skipped.
+``SIGTERM``/``SIGINT`` trigger a graceful shutdown: the current claim
+is released *without* consuming a retry, then the loop exits.
 """
 
 from __future__ import annotations
@@ -102,8 +106,8 @@ def run_worker(
     supplies the liveness knobs in one value — its
     ``heartbeat_interval`` (seconds between claim-file heartbeat
     stamps while executing; stamps happen between repetitions *and*
-    from a fallback timer thread, so the claim never goes silent
-    longer than this while its worker lives, which is what lets
+    from the worker's one fallback timer thread, so the claim never
+    goes silent longer than this while its worker lives, which lets
     ``stale_after`` drop to a few heartbeat periods) and its
     ``job_timeout`` (optional wall-clock budget per job, checked
     cooperatively between repetitions: a job past its deadline is
@@ -128,16 +132,11 @@ def run_worker(
     max_jobs:
         Optional cap on jobs to execute (testing/chaos knob).
 
-    A job that raises is released back to the queue — immediately
-    dead-lettered when the failure is deterministic (see
-    :func:`classify_failure`), otherwise retried by whoever claims it
-    next and dead-lettered after the queue's ``max_retries``.
-    Transient spool IO errors (``OSError`` on claim/complete/release)
-    are retried in place with capped exponential backoff plus jitter
-    instead of crashing the worker.  While idle, the worker
-    periodically probes for claims abandoned by *dead* local processes
-    (``requeue_abandoned``), so a killed worker on this host never
-    strands a job as long as any sibling keeps polling.
+    Failures are sorted into the module docstring's three buckets.
+    While idle, the worker periodically probes for claims abandoned by
+    *dead* local processes (``requeue_abandoned``), so a killed worker
+    on this host never strands a job as long as any sibling keeps
+    polling.
 
     ``SIGTERM``/``SIGINT`` (installed only when running in the main
     thread) shut the worker down gracefully: the current claim is
@@ -153,14 +152,15 @@ def run_worker(
             "run_worker takes policy=ExecutionPolicy(...); the loose "
             "heartbeat_interval/job_timeout kwargs were removed"
         )
-    heartbeat_interval = policy.heartbeat_interval
     job_timeout = policy.job_timeout
     queue = spool if isinstance(spool, JobQueue) else JobQueue(spool)
+    log = log or (lambda message: None)
     identity = worker_identity()
     rng = random.Random()  # per-process jitter stream (OS-seeded)
-    executed = 0
-    retries = 0
+    executed = retries = 0
     stop: dict[str, int] = {}
+    heartbeat = ClaimHeartbeat(queue, policy.heartbeat_interval)
+    published: dict = {}
 
     def handle_signal(signum, frame):  # pragma: no cover - timing dependent
         stop["signum"] = signum
@@ -174,24 +174,17 @@ def run_worker(
                 pass
 
     def publish_status(current_job: str | None) -> None:
-        queue.record_worker_status(
-            identity,
-            pid=os.getpid(),
-            jobs_done=executed,
-            retries=retries,
-            current_job=current_job,
-            shutdown="signum" in stop,
-        )
+        status = dict(pid=os.getpid(), jobs_done=executed, retries=retries,
+                      current_job=current_job, shutdown="signum" in stop)
+        if status != published:
+            queue.record_worker_status(identity, **status)
+            published.update(status)
 
     def spool_op(operation: Callable[[], object]):
         """Transient-IO shield around every queue touch."""
 
         def note_retry(attempt: int, exc: BaseException) -> None:
-            if log is not None:
-                log(
-                    f"spool IO retry {attempt + 1}: "
-                    f"{type(exc).__name__}: {exc}"
-                )
+            log(f"spool IO retry {attempt + 1}: {type(exc).__name__}: {exc}")
 
         return with_retries(operation, rng=rng, on_retry=note_retry)
 
@@ -204,6 +197,7 @@ def run_worker(
                 break
             claim = spool_op(queue.claim)
             if claim is None:
+                publish_status(None)
                 now = time.monotonic()
                 if now >= next_recovery:
                     # Safe by construction: only reclaims jobs whose
@@ -226,8 +220,7 @@ def run_worker(
                 continue
             job = claim.job
             publish_status(job.job_id)
-            if log is not None:
-                log(f"claimed {job.job_id} (attempt {claim.attempts + 1})")
+            log(f"claimed {job.job_id} (attempt {claim.attempts + 1})")
             t0 = time.perf_counter()
             deadline = None if job_timeout is None else t0 + job_timeout
 
@@ -242,7 +235,7 @@ def run_worker(
                 queue.heartbeat(claim)
 
             try:
-                with ClaimHeartbeat(queue, claim, heartbeat_interval):
+                with heartbeat.holding(claim):
                     records = execute_job(job, on_repetition=on_repetition)
             except _ShutdownRequested as exc:
                 spool_op(
@@ -252,29 +245,18 @@ def run_worker(
                         count_attempt=False,
                     )
                 )
-                if log is not None:
-                    log(f"released {job.job_id} (shutdown signal)")
+                log(f"released {job.job_id} (shutdown signal)")
                 break
-            except JobTimeoutError as exc:
-                retries += 1
-                spool_op(
-                    lambda: queue.release(claim, error=f"timeout: {exc}")
-                )
-                if log is not None:
-                    log(f"timeout {job.job_id}: {exc}")
             except Exception as exc:  # noqa: BLE001 - job errors must not kill the loop
-                permanent = classify_failure(exc) == "permanent"
-                retries += 0 if permanent else 1
-                spool_op(
-                    lambda: queue.release(
-                        claim,
-                        error=f"{type(exc).__name__}: {exc}",
-                        permanent=permanent,
-                    )
-                )
-                if log is not None:
-                    kind = "permanent" if permanent else "transient"
-                    log(f"failed  {job.job_id} ({kind}): {exc}")
+                # A timeout is transient: it counts an attempt, as any retry.
+                kind = classify_failure(exc)
+                retries += kind == "transient"
+                error = (f"timeout: {exc}" if isinstance(exc, JobTimeoutError)
+                         else f"{type(exc).__name__}: {exc}")
+                spool_op(lambda: queue.release(
+                    claim, error=error, permanent=kind == "permanent"
+                ))
+                log(f"failed  {job.job_id} ({kind}): {error}")
             else:
                 spool_op(
                     lambda: queue.complete(
@@ -282,11 +264,10 @@ def run_worker(
                     )
                 )
                 executed += 1
-                if log is not None:
-                    log(f"done    {job.job_id} ({len(records)} repetition(s))")
-            publish_status(None)
+                log(f"done    {job.job_id} ({len(records)} repetition(s))")
             last_work = time.monotonic()
     finally:
+        heartbeat.close()
         for signum, previous in installed.items():
             signal.signal(signum, previous)
         publish_status(None)

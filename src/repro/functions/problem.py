@@ -158,13 +158,6 @@ class Problem:
         """Coordinate-frame offset of ``epoch`` (static: zeros)."""
         return np.zeros(self.dimension)
 
-    def optimum_position_at(self, epoch: int) -> np.ndarray | None:
-        """Where the optimum sits during ``epoch`` (``None`` if unknown)."""
-        base_pos = self.base.optimum_position
-        if base_pos is None:
-            return None
-        return np.asarray(base_pos, dtype=float) + self.offset_at(epoch)
-
     # -- evaluation -------------------------------------------------------
 
     def batch_at(self, points: np.ndarray, ctx: EvalContext) -> np.ndarray:

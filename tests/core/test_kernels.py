@@ -8,6 +8,9 @@ workspace path must equal its allocating path.
 
 from __future__ import annotations
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,39 @@ class TestWorkspace:
         assert ws.allocations == 2
         ws.take("x", (4, 3), np.int64)
         assert ws.allocations == 3
+
+    def test_repeat_request_is_a_view_of_the_same_buffer(self):
+        ws = Workspace()
+        a = ws.take("x", (5, 2, 3))
+        a[...] = 7.0
+        b = ws.take("x", (5, 2, 3))
+        assert b.base is a.base and np.shares_memory(a, b)
+        assert (b == 7.0).all()
+        assert ws.allocations == 1
+
+    def test_an_outgrown_buffer_is_dropped_before_the_next_is_allocated(self):
+        ws = Workspace()
+        tracemalloc.start()
+        try:
+            old = weakref.ref(ws.take("x", (1_000_000,)).base)
+            ws.take("x", (1_000_001,))  # grows to 2 000 000 doubles
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert old() is None
+        assert peak < 2_000_000 * 8 + 1_000_000  # never old + new at once
+        assert ws.nbytes() == 2_000_000 * 8
+
+    def test_only_real_allocations_count(self):
+        ws = Workspace()
+        ws.take("x", (4, 3))
+        # The same request spelled with NumPy ints and a dtype instance.
+        ws.take("x", (np.int64(4), np.int64(3)), np.dtype(np.float64))
+        ws.take("x", (2, 3))
+        assert ws.allocations == 1
+        ws.take("x", (4, 3), bool)
+        ws.take("x", (4, 3), bool)
+        assert ws.allocations == 2
 
     def test_diagnostics(self):
         ws = Workspace()

@@ -212,22 +212,27 @@ class TestHeartbeats:
 
         live = queue.claim()  # held by this (live) process
         assert live is not None
-        with ClaimHeartbeat(queue, live, interval=0.05):
-            dead = queue.claim(owner=worker_identity(DEAD_PID))
-            assert dead is not None
-            dead_path = tmp_path / "claimed" / f"{dead.job.job_id}.json"
-            long_ago = time.time() - 60.0
-            os.utime(dead_path, (long_ago, long_ago))  # heartbeats stopped
+        heartbeat = ClaimHeartbeat(queue, interval=0.05)
+        try:
+            with heartbeat.holding(live):
+                dead = queue.claim(owner=worker_identity(DEAD_PID))
+                assert dead is not None
+                dead_path = tmp_path / "claimed" / f"{dead.job.job_id}.json"
+                long_ago = time.time() - 60.0
+                os.utime(dead_path, (long_ago, long_ago))  # heartbeats stopped
 
-            time.sleep(0.4)  # several heartbeat periods of "job runtime"
-            # stale_after (0.2s) is far below the simulated job length
-            # (the live claim has been held ~0.4s and counting).
-            assert queue.requeue_stale(0.2) == [dead.job.job_id]
-            assert queue.claimed_ids() == [live.job.job_id]
+                time.sleep(0.4)  # several heartbeat periods of "job runtime"
+                # stale_after (0.2s) is far below the simulated job length
+                # (the live claim has been held ~0.4s and counting).
+                assert queue.requeue_stale(0.2) == [dead.job.job_id]
+                assert queue.claimed_ids() == [live.job.job_id]
 
-        # Stamps stopped with the heartbeat: now the live claim ages out.
-        time.sleep(0.3)
-        assert queue.requeue_stale(0.2) == [live.job.job_id]
+            # Stamps stopped with the release, though the worker's one
+            # thread keeps running: now the live claim ages out.
+            time.sleep(0.3)
+            assert queue.requeue_stale(0.2) == [live.job.job_id]
+        finally:
+            heartbeat.close()
 
     def test_worker_stamps_claim_between_repetitions(self, tmp_path):
         """The execute_job hook is the primary heartbeat: even with the
@@ -249,18 +254,86 @@ class TestHeartbeats:
         queue = JobQueue(tmp_path)
         queue.submit(jobs_for_sweep([make()])[0])
         claim = queue.claim()
-        beat = ClaimHeartbeat(queue, claim, interval=30.0)
-        assert beat.beat() is True
-        (tmp_path / "claimed" / f"{claim.job.job_id}.json").unlink()
-        assert beat.beat() is False
-        assert beat.lost is True
+        beat = ClaimHeartbeat(queue, interval=30.0)
+        try:
+            with beat.holding(claim):
+                assert beat.beat() is True
+                (tmp_path / "claimed" / f"{claim.job.job_id}.json").unlink()
+                assert beat.beat() is False
+                assert beat.lost is True
+        finally:
+            beat.close()
 
     def test_heartbeat_interval_validation(self, tmp_path):
+        with pytest.raises(ValueError):
+            ClaimHeartbeat(JobQueue(tmp_path), interval=0.0)
+
+    def test_one_thread_serves_every_claim_and_stamps_only_the_held_one(
+        self, tmp_path
+    ):
         queue = JobQueue(tmp_path)
+        for seed in (31, 32):
+            queue.submit(jobs_for_sweep([make(seed=seed)])[0])
+        first, second = queue.claim(), queue.claim()
+
+        def path(claim):
+            return tmp_path / "claimed" / f"{claim.job.job_id}.json"
+
+        long_ago = time.time() - 60.0
+        heartbeat = ClaimHeartbeat(queue, interval=0.05)
+        threads = []
+        try:
+            for held, idle in ((first, second), (second, first)):
+                for claim in (held, idle):
+                    os.utime(path(claim), (long_ago, long_ago))
+                with heartbeat.holding(held):
+                    time.sleep(0.3)  # several heartbeat periods
+                threads.append(heartbeat._thread)
+                released = path(held).stat().st_mtime
+                assert time.time() - released < 5.0  # the held claim was stamped
+                assert abs(path(idle).stat().st_mtime - long_ago) < 1.0  # the other was not
+                time.sleep(0.2)
+                assert path(held).stat().st_mtime == released  # none after release
+            assert threads[0] is threads[1] and threads[0].is_alive()
+        finally:
+            heartbeat.close()
+        assert not threads[0].is_alive()
+
+    def test_no_stamp_lands_after_release_under_thread_switching(
+        self, tmp_path
+    ):
+        """Stress: a stamp every 0.5 ms against 300 hold/release cycles,
+        with the interpreter switching threads as often as it can."""
+        stamps = []
+        released = [False]
+
+        class Recording(JobQueue):
+            def heartbeat(self, claim):
+                time.sleep(0.0002)  # a slow stamp: release must wait it out
+                stamps.append(released[0])
+                return True
+
+        queue = Recording(tmp_path)
         queue.submit(jobs_for_sweep([make()])[0])
         claim = queue.claim()
-        with pytest.raises(ValueError):
-            ClaimHeartbeat(queue, claim, interval=0.0)
+        heartbeat = ClaimHeartbeat(queue, interval=0.0005)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 10.0
+            for _ in range(300):
+                released[0] = False
+                with heartbeat.holding(claim):
+                    time.sleep(0.001)
+                released[0] = True
+                time.sleep(0.0005)
+                if time.monotonic() > deadline:
+                    break
+        finally:
+            sys.setswitchinterval(switch)
+            heartbeat.close()
+        assert not heartbeat._thread.is_alive()
+        assert stamps and not any(stamps)
 
 
 class TestJobTimeout:

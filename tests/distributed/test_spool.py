@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -412,6 +413,37 @@ class TestWorkerStatusSidecars:
         (status,) = queue.worker_statuses()
         assert status["worker"] == worker_identity()
         assert status["jobs_done"] == 1
+        assert status["current_job"] is None
+
+    def test_drain_writes_the_sidecar_per_claim_and_starts_one_heartbeat(
+        self, tmp_path, monkeypatch
+    ):
+        """A drain writes the sidecar at start, at each claim and once on
+        going idle (``1 + jobs + 1``), and one heartbeat thread serves
+        every job."""
+        writes, started = [], []
+
+        class Counting(JobQueue):
+            def record_worker_status(self, identity, **fields):
+                writes.append(fields)
+                super().record_worker_status(identity, **fields)
+
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        queue = Counting(tmp_path)
+        for job in jobs_for_sweep([make(repetitions=3)], reps_per_job=1):
+            queue.submit(job)
+        assert run_worker(queue, policy=ExecutionPolicy(heartbeat_interval=0.05)) == 3
+        assert len(writes) <= 5
+        assert [w["current_job"] is None for w in writes] == [True] + [False] * 3 + [True]
+        assert started == ["claim-heartbeat"]
+        (status,) = queue.worker_statuses()
+        assert status["jobs_done"] == 3
         assert status["current_job"] is None
 
 
