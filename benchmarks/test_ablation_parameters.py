@@ -1,18 +1,13 @@
 """Ablation A7: PSO parameterizations — the reproduction's key deviation.
 
-Three parameterizations of the same distributed system:
+Two parameterizations of the same distributed system:
 
 * **literal** — the paper's quoted textbook equations
   (``w = 1, c1 = c2 = 2``);
-* **constricted** — Clerc's coefficients (our default; DESIGN.md §4.1);
-* **perturbed** — per-node random parameters around the constricted
-  point (the paper's "same solver with different parameters" future
-  work, via :func:`repro.core.solvers.perturbed_pso_factory`).
+* **constricted** — Clerc's coefficients (our default; DESIGN.md §4.1).
 
 Pinned shape: the literal parameters stagnate orders of magnitude
-above constriction (the documented reason we deviate), and the
-perturbed heterogeneous network stays in the constricted regime —
-parameter diversity costs little and hedges.
+above constriction (the documented reason we deviate).
 """
 
 from __future__ import annotations
@@ -21,21 +16,9 @@ import numpy as np
 
 from benchmarks.conftest import save_report
 from repro.analysis.tables import format_paper_table, format_value
-from repro.core.metrics import global_best, total_evaluations
-from repro.core.node import OptimizationNodeSpec, build_optimization_node
-from repro.core.solvers import perturbed_pso_factory
-from repro.functions.base import get_function
 from repro.scenario import Scenario, Session
-from repro.simulator.engine import CycleDrivenEngine
-from repro.simulator.network import Network
-from repro.topology.newscast import bootstrap_views
-from repro.utils.config import (
-    CoordinationConfig,
-    NewscastConfig,
-    PSOConfig,
-)
+from repro.utils.config import PSOConfig
 from repro.utils.numerics import safe_log10
-from repro.utils.rng import SeedSequenceTree
 
 N, K, BUDGET = 16, 8, 1500
 
@@ -49,41 +32,12 @@ def run_fixed(pso: PSOConfig) -> list[float]:
     return Session(cfg).run().qualities()
 
 
-def run_perturbed() -> list[float]:
-    out = []
-    for seed in (701, 702, 703):
-        tree = SeedSequenceTree(seed)
-        f = get_function("sphere")
-        factory = perturbed_pso_factory(
-            f, PSOConfig(particles=K), rng_for=lambda nid: tree.rng("pp", nid)
-        )
-        spec = OptimizationNodeSpec(
-            function=f,
-            pso=PSOConfig(particles=K),
-            newscast=NewscastConfig(),
-            coordination=CoordinationConfig(),
-            rng_tree=tree,
-            evals_per_cycle=K,
-            budget_per_node=BUDGET,
-            optimizer_factory=factory,
-        )
-        net = Network(rng=tree.rng("network"))
-        net.populate(N, factory=lambda node: build_optimization_node(node, spec))
-        bootstrap_views(net, tree.rng("bootstrap"))
-        engine = CycleDrivenEngine(net, rng=tree.rng("engine"))
-        engine.run(BUDGET // K + 1)
-        assert total_evaluations(net) == N * BUDGET
-        out.append(global_best(net))
-    return out
-
-
 def run_ablation():
     return {
         "literal (w=1, c=2)": run_fixed(
             PSOConfig(particles=K, inertia=1.0, c1=2.0, c2=2.0)
         ),
         "constricted": run_fixed(PSOConfig(particles=K)),
-        "perturbed per node": run_perturbed(),
     }
 
 
@@ -113,5 +67,3 @@ def test_ablation_parameters(benchmark, report_dir):
     # The documented deviation, quantified: literal stagnates far
     # above constriction.
     assert logq["literal (w=1, c=2)"] > logq["constricted"] + 3.0
-    # Parameter diversity stays in the constricted regime.
-    assert abs(logq["perturbed per node"] - logq["constricted"]) < 10.0

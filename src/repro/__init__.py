@@ -49,7 +49,6 @@ Package map
 ``repro.topology``       NEWSCAST peer sampling + static overlays + analysis
 ``repro.pso``            particle swarm solvers (gbest, lbest, FIPS)
 ``repro.functions``      benchmark objective suite
-``repro.aggregation``    gossip averaging substrate
 ``repro.baselines``      centralized / independent baselines (master-slave is
                          ``Scenario(topology="star")``)
 ``repro.deployment``     asynchronous event-driven runtime

@@ -23,12 +23,6 @@ per-repetition records and their aggregate.
 from repro.core.optimum import Optimum
 from repro.core.services import CoordinationService, OptimizationService
 from repro.core.dpso import DistributedPSOService, PSOStepProtocol
-from repro.core.solvers import (
-    DifferentialEvolutionService,
-    RandomSearchService,
-    mixed_solver_factory,
-)
-from repro.core.partitioning import ZonePSOService, partitioned_pso_factory
 from repro.core.coordination import CoordinationProtocol
 from repro.core.node import build_optimization_node, OptimizationNodeSpec
 from repro.core.metrics import GlobalQualityObserver, global_best, MessageTally
@@ -40,11 +34,6 @@ __all__ = [
     "CoordinationService",
     "DistributedPSOService",
     "PSOStepProtocol",
-    "RandomSearchService",
-    "DifferentialEvolutionService",
-    "mixed_solver_factory",
-    "ZonePSOService",
-    "partitioned_pso_factory",
     "CoordinationProtocol",
     "build_optimization_node",
     "OptimizationNodeSpec",

@@ -122,8 +122,9 @@ chunks (event cohorts, churned batched sweeps, ``r ≠ k``) draw every
 row into one workspace block.
 
 What the fast path intentionally does **not** simulate: message loss /
-latency transports and arbitrary topology factory callables — use the
-reference engine when those mechanisms are the object of study.
+latency transports and the object NEWSCAST's several exchanges per
+cycle — use the reference engine when those mechanisms are the object
+of study.
 """
 
 from __future__ import annotations

@@ -60,13 +60,14 @@ class OptimizationNodeSpec:
         Optional replacement topology: a callable
         ``node_id -> (protocol_name, protocol_instance)`` returning a
         :class:`~repro.topology.sampler.PeerSampler` protocol for that
-        node.  ``None`` (default) attaches NEWSCAST.  Used by the
-        master–slave baseline (static star) and the topology ablation.
+        node.  ``None`` (default) attaches NEWSCAST.  Used by the named
+        non-NEWSCAST overlays (CYCLON, ring, k-regular, star) and the
+        event runtime.
     optimizer_factory:
         Optional replacement solver: ``node_id -> OptimizationService``.
-        ``None`` (default) builds the paper's distributed PSO.  Used by
-        the multi-solver extension (heterogeneous networks mixing PSO,
-        DE and random search — see :mod:`repro.core.solvers`).
+        ``None`` (default) builds the paper's distributed PSO on
+        ``function``.  Used by heterogeneous ``objective_map`` networks,
+        where each node's PSO runs on its own objective.
     adversary:
         Optional run-wide :class:`~repro.simulator.adversary.Adversary`
         handed to every node's coordination protocol (joiners included

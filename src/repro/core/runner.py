@@ -119,26 +119,21 @@ def _build_network(
     config: ExperimentConfig,
     function: Function,
     tree: SeedSequenceTree,
-    topology_factory=None,
+    plan=None,
     optimizer_factory=None,
     adversary=None,
 ) -> tuple[Network, OptimizationNodeSpec]:
     """Materialize the population with its topology attached.
 
-    ``topology_factory`` may be the legacy bare callable
-    ``node_id -> (protocol_name, sampler)``, or a
+    ``plan`` is ``None`` (the default NEWSCAST stack) or a
     :class:`~repro.topology.provider.TopologyPlan` whose ``per_node``
-    additionally receives the repetition's seed tree and whose
-    optional ``bootstrap`` seeds initial views after the population
-    exists (how CYCLON and seeded static overlays come up).
+    receives the repetition's seed tree and whose optional
+    ``bootstrap`` seeds initial views after the population exists (how
+    CYCLON and seeded static overlays come up).
     """
-    from repro.topology.provider import TopologyPlan
-
-    plan = topology_factory if isinstance(topology_factory, TopologyPlan) else None
+    per_node = None
     if plan is not None:
         per_node = lambda nid: plan.per_node(nid, tree)  # noqa: E731
-    else:
-        per_node = topology_factory
     spec = OptimizationNodeSpec(
         function=function,
         pso=config.pso,
@@ -157,9 +152,9 @@ def _build_network(
         build_optimization_node(node, spec)
 
     network.populate(config.nodes, factory=factory)
-    if topology_factory is None:
+    if plan is None:
         bootstrap_views(network, tree.rng("bootstrap"))
-    elif plan is not None and plan.bootstrap is not None:
+    elif plan.bootstrap is not None:
         plan.bootstrap(network, tree)
     return network, spec
 
@@ -213,7 +208,7 @@ def _run_single_reference(
     config: ExperimentConfig,
     repetition: int = 0,
     record_history: bool = False,
-    topology_factory=None,
+    plan=None,
     optimizer_builder: Callable[[Function, SeedSequenceTree], Callable] | None = None,
     extra_observers=(),
     max_cycles: int | None = None,
@@ -223,10 +218,11 @@ def _run_single_reference(
     """Reference-engine implementation of one repetition.
 
     This is the engine room behind :class:`repro.scenario.Session`.
+    ``plan`` is :func:`_build_network`'s topology plan.
     ``optimizer_builder`` maps ``(function, seed_tree)`` to a
     per-node ``node_id -> OptimizationService`` factory — how the
-    scenario layer routes heterogeneous objective maps, mixed solvers
-    and partitioned search through the unchanged node assembly.
+    scenario layer routes a heterogeneous objective map through the
+    unchanged node assembly.
     """
     if config.evaluations_per_node < 1:
         raise ConfigurationError(
@@ -243,7 +239,7 @@ def _run_single_reference(
         optimizer_builder(function, tree) if optimizer_builder is not None else None
     )
     network, spec = _build_network(
-        config, function, tree, topology_factory, optimizer_factory,
+        config, function, tree, plan, optimizer_factory,
         adversary=actor,
     )
 

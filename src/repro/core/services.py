@@ -9,9 +9,10 @@ swapped independently:
 * **coordination** — :class:`CoordinationService` below.
 
 The paper instantiates them as NEWSCAST + PSO + anti-entropy; the
-baselines and the multi-solver extension instantiate them differently
-with no changes to the other services — that substitutability is the
-framework's central claim, and tests exercise it directly.
+named overlays and per-node ``objective_map`` solvers instantiate them
+differently with no changes to the other services — that
+substitutability is the framework's central claim, and tests exercise
+it directly.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """Additional benchmark functions beyond the paper's suite.
 
-These extend the evaluation for the reproduction's ablation and
-multi-solver experiments (the paper's future-work direction of
-"module diversification among peers").  All are standard test
+These extend the evaluation for the reproduction's ablations and
+heterogeneous ``objective_map`` networks.  All are standard test
 functions, shifted where necessary so the global minimum value is 0 —
 keeping the library-wide invariant quality = best objective value.
 """

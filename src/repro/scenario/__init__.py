@@ -41,7 +41,6 @@ from repro.scenario.spec import (
     BASELINES,
     ENGINES,
     EVENT_BACKENDS,
-    SOLVERS,
     TOPOLOGIES,
     AdversarySpec,
     DynamicsSpec,
@@ -65,6 +64,5 @@ __all__ = [
     "ENGINES",
     "EVENT_BACKENDS",
     "TOPOLOGIES",
-    "SOLVERS",
     "BASELINES",
 ]

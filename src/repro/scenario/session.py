@@ -9,9 +9,10 @@ the baseline comparisons, always returning the unified
 
 The facade owns everything that used to be scattered across
 hand-rolled entry points: repetition loops, process-parallel
-execution, per-engine argument adaptation, topology/solver factory
-construction, and sweep iteration.  It is the only way to run a
-scenario; the engines below it take what the session hands them.
+execution, per-engine argument adaptation, topology and per-node
+objective factory construction, and sweep iteration.  It is the only
+way to run a scenario; the engines below it take what the session
+hands them.
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ def _star_args(args: tuple) -> RunRecord:
     return Session(scenario).run_one(repetition)
 
 
-def _topology_factory(scenario: Scenario):
+def _topology_plan(scenario: Scenario):
     """Materialize the scenario's topology model for the reference engine.
 
-    Returns ``None`` for the default NEWSCAST stack, the callable
-    itself for custom factories, or a
+    Returns ``None`` for the default NEWSCAST stack, or a
     :class:`~repro.topology.provider.TopologyPlan` for the other named
     models.  Plans derive random structure (the k-regular wiring, the
     CYCLON per-node streams) from the repetition's seed tree through
@@ -48,8 +48,6 @@ def _topology_factory(scenario: Scenario):
     graphs.
     """
     topology = scenario.topology
-    if callable(topology):
-        return topology
     if topology == "newscast":
         return None
     if topology == "cyclon":
@@ -111,63 +109,27 @@ def _topology_factory(scenario: Scenario):
 def _optimizer_builder(scenario: Scenario):
     """Per-node solver factory builder for the reference engine.
 
-    Returns ``None`` for the plain homogeneous-PSO scenario (the node
-    assembly then builds the paper's default stack), otherwise a
-    callable ``(function, seed_tree) -> (node_id -> service)`` routing
-    the heterogeneous extensions through the unchanged node assembly.
+    Returns ``None`` for a one-objective scenario (the node assembly
+    then builds the paper's default stack), otherwise a callable
+    ``(function, seed_tree) -> (node_id -> service)`` giving each node
+    a PSO service on its ``objective_map`` function.
     """
-    if scenario.objective_map is not None:
+    if scenario.objective_map is None:
+        return None
 
-        def objective_map_builder(function, tree):
-            from repro.core.dpso import DistributedPSOService
-            from repro.functions.base import get_function
+    def objective_map_builder(function, tree):
+        from repro.core.dpso import DistributedPSOService
+        from repro.functions.base import get_function
 
-            def factory(node_id: int):
-                fn = get_function(scenario.function_for(node_id))
-                return DistributedPSOService(
-                    fn, scenario.pso, tree.rng("node", node_id, "pso")
-                )
-
-            return factory
-
-        return objective_map_builder
-
-    if scenario.partitioned:
-
-        def partitioned_builder(function, tree):
-            from repro.core.partitioning import partitioned_pso_factory
-
-            return partitioned_pso_factory(
-                function,
-                scenario.nodes,
-                scenario.pso,
-                rng_for=lambda node_id: tree.rng("node", node_id, "zone"),
+        def factory(node_id: int):
+            fn = get_function(scenario.function_for(node_id))
+            return DistributedPSOService(
+                fn, scenario.pso, tree.rng("node", node_id, "pso")
             )
 
-        return partitioned_builder
+        return factory
 
-    names = (
-        scenario.solver
-        if isinstance(scenario.solver, tuple)
-        else (scenario.solver,)
-    )
-    if names != ("pso",):
-
-        def mixed_builder(function, tree):
-            from repro.core.solvers import mixed_solver_factory
-
-            return mixed_solver_factory(
-                function,
-                names,
-                swarm_particles=scenario.particles_per_node,
-                rng_for=lambda node_id, name: tree.rng(
-                    "node", node_id, "solver", name
-                ),
-            )
-
-        return mixed_builder
-
-    return None
+    return objective_map_builder
 
 
 class Session:
@@ -208,7 +170,7 @@ class Session:
             scenario.to_experiment_config(),
             repetition=repetition,
             record_history=scenario.record_history,
-            topology_factory=_topology_factory(scenario),
+            plan=_topology_plan(scenario),
             optimizer_builder=_optimizer_builder(scenario),
             extra_observers=scenario.observers,
             max_cycles=scenario.max_cycles,
@@ -471,8 +433,8 @@ class Session:
     def build_network(self, repetition: int = 0):
         """Materialize the scenario's node graph without running it.
 
-        Reference-engine escape hatch for protocol-level extensions
-        (piggybacking aggregation protocols, custom drivers): returns
+        Reference-engine escape hatch for protocol-level work (extra
+        per-node protocols, custom drivers): returns
         ``(network, spec, tree)`` — the populated simulator network,
         the node spec (churn processes use it as the join factory) and
         the repetition's seed tree.  The caller owns engine
@@ -494,7 +456,7 @@ class Session:
             scenario.to_experiment_config(),
             function,
             tree,
-            _topology_factory(scenario),
+            _topology_plan(scenario),
             builder(function, tree) if builder is not None else None,
         )
         return network, spec, tree

@@ -28,9 +28,13 @@ True
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
+import numpy as np
+
+from repro.functions.base import available_functions
 from repro.functions.problem import DynamicsSpec
 from repro.simulator.adversary import AdversarySpec
 from repro.utils.config import (
@@ -47,7 +51,6 @@ __all__ = [
     "EVENT_BACKENDS",
     "TOPOLOGIES",
     "RNG_MODES",
-    "SOLVERS",
     "BASELINES",
     "Scenario",
     "TransportSpec",
@@ -62,14 +65,11 @@ ENGINES = ("reference", "fast", "event")
 #: discrete-event runtime (the correctness oracle) or the
 #: cohort-batched SoA kernel (see repro.core.eventpath).
 EVENT_BACKENDS = ("reference", "fast")
-#: Built-in topology models (a callable factory is also accepted);
-#: "oracle" is the fast path's idealized uniform sampler kept for
-#: kernel-vs-overlay ablations.
+#: Built-in topology models; "oracle" is the fast path's idealized
+#: uniform sampler kept for kernel-vs-overlay ablations.
 TOPOLOGIES = ("newscast", "cyclon", "ring", "kregular", "star", "oracle")
 #: Per-particle RNG regimes of the fast engine (see repro.core.fastpath).
 RNG_MODES = ("strict", "batched")
-#: Built-in local solvers (a tuple of these cycles over the nodes).
-SOLVERS = ("pso", "de", "random")
 #: Baseline comparison modes (master–slave is ``topology="star"``).
 BASELINES = ("centralized", "independent")
 
@@ -90,6 +90,30 @@ class ScenarioValidationError(ConfigurationError):
 def _require(field_name: str, condition: bool, message: str) -> None:
     if not condition:
         raise ScenarioValidationError(field_name, message)
+
+
+def _is_integer(value: Any) -> bool:
+    """``int`` or a NumPy integer; ``bool`` is a flag, not a count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value: Any) -> bool:
+    """A finite ``int`` / ``float`` or NumPy number, never a ``bool``."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+#: Count fields, stored as ``int``; the optional ones may be ``None``.
+_INTEGER_FIELDS = ("nodes", "particles_per_node", "total_evaluations",
+                   "gossip_cycle", "repetitions", "seed", "swarm_size",
+                   "max_cycles")
+_OPTIONAL = ("swarm_size", "max_cycles")
+#: Real-valued fields, each ``None``-able.
+_REAL_FIELDS = ("quality_threshold", "horizon", "event_window")
+_BOOL_FIELDS = ("synchronous", "record_history")
+#: Why ``solver`` / ``partitioned`` keep one legal value and
+#: ``topology`` takes no callable.
+_REMOVED = "the extension was removed; only the paper's stack runs"
 
 
 @dataclass(frozen=True)
@@ -126,6 +150,18 @@ class TransportSpec:
                  "must be in [0, 1)")
         _require("transport.clock_jitter", 0.0 <= self.clock_jitter <= 1.0,
                  "must be in [0, 1]")
+
+
+#: The nested parameter bundles: field -> type (dicts in JSON).
+_BUNDLES = {
+    "churn": ChurnConfig,
+    "transport": TransportSpec,
+    "newscast": NewscastConfig,
+    "pso": PSOConfig,
+    "coordination": CoordinationConfig,
+    "dynamics": DynamicsSpec,
+    "adversary": AdversarySpec,
+}
 
 
 @dataclass(frozen=True)
@@ -171,9 +207,7 @@ class Scenario:
         ``"newscast"`` (default), ``"cyclon"`` (shuffle-based peer
         sampling), ``"ring"`` (radius-2 lattice), ``"kregular"``
         (frozen random overlay), ``"star"`` (master–slave), or
-        ``"oracle"`` (the fast path's idealized uniform sampler); a
-        callable ``node_id -> (protocol_name, PeerSampler)`` builds
-        custom overlays.
+        ``"oracle"`` (the fast path's idealized uniform sampler).
     rng_mode:
         Per-particle draw regime of the SoA kernels — the fast engine
         and the fast event backend: ``"strict"`` (default;
@@ -184,14 +218,11 @@ class Scenario:
     kernel_backend:
         The :mod:`repro.core.kernels` implementation of the fast
         engine's hot kernels: ``"numpy"``, the only value.
-    solver:
-        ``"pso"`` (the paper), ``"de"``, ``"random"``, or a tuple of
-        those cycled over node ids — the heterogeneous-solver
-        extension.
-    partitioned:
-        Give every node responsibility for one non-overlapping zone
-        of the search space (paper Sec. 3.2's second coordination
-        strategy).
+    solver / partitioned:
+        ``"pso"`` and ``False``, the only values: every node runs the
+        paper's PSO over the whole search space.  Any other value
+        fails validation (the solver-mix and partitioned-search
+        extensions were removed).
     baseline:
         ``"centralized"`` (one big swarm, same total budget) or
         ``"independent"`` (isolated multi-start, best-of-n); ``None``
@@ -241,10 +272,10 @@ class Scenario:
     repetitions: int = 1
     seed: int = 0
     engine: str = "reference"
-    topology: str | Callable = "newscast"
+    topology: str = "newscast"
     rng_mode: str = "strict"
     kernel_backend: str = "numpy"
-    solver: str | tuple = "pso"
+    solver: str = "pso"
     partitioned: bool = False
     baseline: str | None = None
     swarm_size: int | None = None
@@ -272,6 +303,13 @@ class Scenario:
         # table, repro.scenario.support.
         from repro.scenario.support import check
 
+        _require("solver", self.solver == "pso",
+                 f"must be 'pso', got {self.solver!r}: {_REMOVED}")
+        _require("partitioned", self.partitioned is False,
+                 f"must be False, got {self.partitioned!r}: {_REMOVED}")
+        _require("topology", not callable(self.topology),
+                 f"a factory callable is not accepted: {_REMOVED}")
+        self._normalize_types()
         _require("nodes", self.nodes >= 1, "must be >= 1")
         _require("particles_per_node", self.particles_per_node >= 1,
                  "must be >= 1")
@@ -287,17 +325,8 @@ class Scenario:
                  f"must be one of {RNG_MODES}, got {self.rng_mode!r}")
         _require("kernel_backend", self.kernel_backend == "numpy",
                  f"must be 'numpy', got {self.kernel_backend!r}")
-        _require("topology",
-                 callable(self.topology) or self.topology in TOPOLOGIES,
-                 f"must be one of {TOPOLOGIES} or a factory callable, "
-                 f"got {self.topology!r}")
-        if isinstance(self.solver, list):
-            object.__setattr__(self, "solver", tuple(self.solver))
-        names = self.solver if isinstance(self.solver, tuple) else (self.solver,)
-        _require("solver", len(names) >= 1, "must name at least one solver")
-        for name in names:
-            _require("solver", name in SOLVERS,
-                     f"must be drawn from {SOLVERS}, got {name!r}")
+        _require("topology", self.topology in TOPOLOGIES,
+                 f"must be one of {TOPOLOGIES}, got {self.topology!r}")
         if self.baseline is not None:
             _require("baseline", self.baseline in BASELINES,
                      f"must be one of {BASELINES} or None, got {self.baseline!r}")
@@ -305,6 +334,11 @@ class Scenario:
                      "baselines run on the reference engine")
         if self.swarm_size is not None:
             _require("swarm_size", self.swarm_size >= 1, "must be >= 1")
+        if self.baseline == "centralized" and self.synchronous:
+            size = self.swarm_size or self.nodes * self.particles_per_node
+            _require("total_evaluations", self.total_evaluations >= size,
+                     f"e={self.total_evaluations} is less than one "
+                     f"synchronous iteration of the {size}-particle swarm")
         if self.baseline != "centralized":
             # Every regime but the single big swarm splits the budget
             # evenly over the nodes (there, nodes only sizes the swarm).
@@ -351,28 +385,63 @@ class Scenario:
                 {int(k): str(v) for k, v in self.objective_map.items()},
             )
 
+    def _normalize_types(self) -> None:
+        """Reject wrong types by field name; store counts as ``int``,
+        flags as ``bool`` and NumPy reals as ``float`` (JSON-safe)."""
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if type(value) is int or (value is None and name in _OPTIONAL):
+                continue
+            if not _is_integer(value):
+                raise ScenarioValidationError(
+                    name, f"must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if value is None or type(value) in (int, float) and math.isfinite(value):
+                continue
+            if not _is_real(value):
+                raise ScenarioValidationError(
+                    name, f"must be a finite number or None, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        for name in _BOOL_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ScenarioValidationError(
+                    name, f"must be True or False, got {value!r}")
+            object.__setattr__(self, name, bool(value))
+        for name, kind in _BUNDLES.items():
+            if not isinstance(getattr(self, name), kind):
+                raise ScenarioValidationError(
+                    name, f"must be a {kind.__name__}, "
+                    f"got {getattr(self, name)!r}")
+
     def _validate_objective(self) -> None:
+        known = available_functions()
         if self.objective_map is None:
             _require("function",
                      isinstance(self.function, str) and bool(self.function),
                      "a function name (or an objective_map) is required")
+            _require("function", self.function.lower() in known,
+                     f"unknown function {self.function!r}; available: {known}")
             return
         _require("function", self.function is None,
                  "give either function or objective_map, not both")
+        _require("objective_map", isinstance(self.objective_map, Mapping),
+                 "must map integer node ids to function names")
+        _require("objective_map", all(map(_is_integer, self.objective_map)),
+                 "node ids must be integers")
         ids = sorted(int(k) for k in self.objective_map)
         _require("objective_map", ids == list(range(self.nodes)),
                  f"must map every node id 0..{self.nodes - 1} exactly once")
+        names = set(self.objective_map.values())
+        for name in names:
+            _require("objective_map",
+                     isinstance(name, str) and name.lower() in known,
+                     f"unknown function {name!r}; available: {known}")
         from repro.functions.base import get_function
 
-        dims = set()
-        for name in {str(v) for v in self.objective_map.values()}:
-            try:
-                fn = get_function(name)
-            except ConfigurationError as exc:
-                raise ScenarioValidationError(
-                    "objective_map", str(exc)
-                ) from None
-            dims.add(fn.dimension)
+        dims = {get_function(name).dimension for name in names}
         _require("objective_map", len(dims) == 1,
                  f"all objectives must share one dimension, got {sorted(dims)}")
 
@@ -478,9 +547,8 @@ class Scenario:
         """JSON-safe dict representation (see :meth:`from_dict`).
 
         Raises :class:`ScenarioValidationError` naming the field when
-        the scenario holds live objects (a topology callable,
-        observers) — the ``jobs`` column of
-        :mod:`repro.scenario.support`.
+        the scenario holds live observer objects — the ``jobs`` column
+        of :mod:`repro.scenario.support`.
         """
         from repro.scenario.support import check
 
@@ -492,10 +560,7 @@ class Scenario:
                 continue
             if f.name == "objective_map" and value is not None:
                 value = {str(k): v for k, v in value.items()}
-            elif f.name == "solver" and isinstance(value, tuple):
-                value = list(value)
-            elif f.name in ("churn", "transport", "newscast", "pso",
-                            "coordination", "dynamics", "adversary"):
+            elif f.name in _BUNDLES:
                 value = asdict(value)
             out[f.name] = value
         return out
@@ -509,15 +574,6 @@ class Scenario:
         a typo in a JSON sweep file fails loudly instead of silently
         running defaults.
         """
-        nested = {
-            "churn": ChurnConfig,
-            "transport": TransportSpec,
-            "newscast": NewscastConfig,
-            "pso": PSOConfig,
-            "coordination": CoordinationConfig,
-            "dynamics": DynamicsSpec,
-            "adversary": AdversarySpec,
-        }
         known = {f.name for f in fields(cls)}
         kwargs: dict[str, Any] = {}
         for key, value in data.items():
@@ -533,8 +589,8 @@ class Scenario:
                         "policy=ExecutionPolicy(...)))",
                     )
                 raise ScenarioValidationError(key, "unknown scenario field")
-            if key in nested and isinstance(value, Mapping):
-                ctor = nested[key]
+            if key in _BUNDLES and isinstance(value, Mapping):
+                ctor = _BUNDLES[key]
                 sub_known = {f.name for f in fields(ctor)}
                 bad = set(value) - sub_known
                 if bad:
@@ -552,7 +608,5 @@ class Scenario:
                         "objective_map",
                         "must map integer node ids to function names",
                     ) from None
-            elif key == "solver" and isinstance(value, list):
-                value = tuple(value)
             kwargs[key] = value
         return cls(**kwargs)

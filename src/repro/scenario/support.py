@@ -45,11 +45,6 @@ _DEFAULT_TRANSPORT = TransportSpec()
 FEATURES = {
     "objective_map": (
         "objective_map", lambda s: s.objective_map is not None),
-    "solver other than pso": (
-        "solver", lambda s: s.solver not in ("pso", ("pso",))),
-    "partitioned": ("partitioned", lambda s: s.partitioned),
-    "topology factory callable": (
-        "topology", lambda s: callable(s.topology)),
     "topology oracle": ("topology", lambda s: s.topology == "oracle"),
     "topology cyclon / ring / kregular / star": (
         "topology",
@@ -88,11 +83,6 @@ def _cells(blocks: list[tuple[tuple, tuple, str]]) -> dict[tuple[str, str], str]
 
 #: ``(feature, column) -> reason``; absent = supported.
 UNSUPPORTED = _cells([
-    (("solver other than pso", "partitioned", "topology factory callable"),
-     ("fast", *_EVENT, "shards"),
-     "built from per-node service objects (solver services, zone-confined "
-     "swarms, custom topology factories), which only the reference engine "
-     "hosts"),
     (("objective_map",), _EVENT,
      "the event runtimes bind one shared objective"),
     (("objective_map",), ("shards",),
@@ -108,8 +98,7 @@ UNSUPPORTED = _cells([
     (("rng_mode batched",), ("reference", "event", *_BASELINES),
      "batched draws are a SoA-kernel regime (the fast engine or the fast "
      "event backend)"),
-    (("objective_map", "solver other than pso", "partitioned",
-      "topology factory callable", "topology oracle",
+    (("objective_map", "topology oracle",
       "topology cyclon / ring / kregular / star", "churn", "dynamics",
       "adversary"),
      _BASELINES,
@@ -129,9 +118,9 @@ UNSUPPORTED = _cells([
      "the event engines are bounded by horizon, not cycles"),
     (("observers",), _EVENT,
      "observers are called once per cycle; the event engines have none"),
-    (("topology factory callable", "observers"), ("jobs",),
-     "live callables and observer objects stay in the process that built "
-     "them: a job is a pickle or a JSON file"),
+    (("observers",), ("jobs",),
+     "live observer objects stay in the process that built them: a job "
+     "is a pickle or a JSON file"),
     (("observers",), ("shards",),
      "live observer objects cannot cross shard boundaries"),
     (("swarm_size",),
@@ -157,14 +146,8 @@ UNSUPPORTED = _cells([
 
 #: ``(feature, other feature) -> reason``, blamed on the first.
 CONFLICTS = _cells([
-    (("objective_map",), ("partitioned",),
-     "zones partition one shared objective's domain"),
-    (("solver other than pso",), ("partitioned",),
-     "partitioned search uses zone-confined PSO"),
-    (("dynamics", "adversary"),
-     ("objective_map", "solver other than pso", "partitioned"),
-     "the problem layer needs the standard stack: one shared objective, "
-     "plain PSO, unpartitioned"),
+    (("dynamics", "adversary"), ("objective_map",),
+     "the problem layer needs one shared objective"),
 ])
 
 

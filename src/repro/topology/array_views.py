@@ -211,6 +211,19 @@ def match_round(
     return ends, e_init[~accept]
 
 
+def smallest_keys(keys: np.ndarray, kth: int, count: int) -> np.ndarray:
+    """Column indices of each row's ``count`` smallest ``keys``, by key.
+
+    ``argpartition`` leaves its picks in an order NumPy does not specify
+    (it follows the SIMD dispatch), and the callers store picks in order;
+    sorting them by key makes a seed name one run on every CPU.
+    """
+    picks = np.argpartition(keys, kth, axis=1)[:, :count]
+    order = np.argsort(np.take_along_axis(keys, picks, axis=1), axis=1,
+                       kind="stable")
+    return np.take_along_axis(picks, order, axis=1)
+
+
 def collision_rounds(keys: np.ndarray) -> list[np.ndarray]:
     """Positions of ``keys`` in rounds of distinct keys: round ``r`` holds
     each key's ``r``-th occurrence, in stable key order."""
@@ -414,17 +427,15 @@ class _ArrayViewBase(ViewProvider):
         if n > 2048:
             bootstrap_by_replacement(self, live_ids, np.arange(n), wanted)
             return
-        # The generator fills in C order and argpartition works row by
-        # row, so block after block picks what one whole-matrix draw
-        # would.
+        # The generator fills in C order and the picks are per row, so
+        # block after block picks what one whole-matrix draw would.
         ids, ts = self._views(live_ids)
         step = max(1, (1 << 18) // n)
         for lo in range(0, n, step):
             rows = np.arange(lo, min(lo + step, n))
             keys = self.rng.random((rows.size, n))
             keys[rows - lo, rows] = np.inf  # never self
-            picks = np.argpartition(keys, wanted - 1, axis=1)[:, :wanted]
-            ids[rows, :wanted] = live_ids[picks]
+            ids[rows, :wanted] = live_ids[smallest_keys(keys, wanted - 1, wanted)]
         ts[:, :wanted] = 0
         self._store(live_ids, ids, ts)
 
@@ -639,7 +650,7 @@ class CyclonArrayViews(_ArrayViewBase):
         keys = self.rng.random((m, c))
         keys[ids < 0] = np.inf
         count = min(count, c)
-        picks = np.argpartition(keys, min(count, c - 1), axis=1)[:, :count]
+        picks = smallest_keys(keys, min(count, c - 1), count)
         r = np.arange(m)[:, None]
         out_ids = ids[r, picks]
         out_ts = ts[r, picks]

@@ -173,17 +173,12 @@ class TopologyPlan:
     ``(protocol_name, PeerSampler)`` attachment (from the repetition's
     seed tree, so array and object backends can derive identical
     random structure), and ``bootstrap`` seeds initial views after the
-    population exists.  A bare callable ``node_id -> (name, sampler)``
-    is still accepted everywhere a plan is — the legacy factory
-    contract is a plan with no bootstrap.
+    population exists.
     """
 
     name: str
     per_node: Callable[[int, "SeedSequenceTree"], tuple[str, object]]
     bootstrap: Callable[["Network", "SeedSequenceTree"], None] | None = None
-
-    def __call__(self, node_id: int, tree: "SeedSequenceTree"):
-        return self.per_node(node_id, tree)
 
 
 def static_adjacency(

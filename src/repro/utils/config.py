@@ -92,9 +92,7 @@ class PSOConfig:
         Multiplier on the previous velocity (see ``c1``/``c2``).
     clamp_positions:
         Clip particle positions into the function's box after every
-        move.  Off by default (the paper clamps velocity only); the
-        partitioned-coordination strategy turns it on so each node's
-        particles stay inside their assigned zone.
+        move.  Off by default (the paper clamps velocity only).
     """
 
     particles: int = 16

@@ -33,3 +33,29 @@ def seed_tree() -> SeedSequenceTree:
 def network(rng) -> Network:
     """An empty network with a seeded RNG."""
     return Network(rng=rng)
+
+
+@pytest.fixture
+def run_reference_on():
+    """Run a scenario's repetition on the reference engine over a custom
+    topology: ``per_node(node_id) -> (protocol_name, PeerSampler)``
+    replaces NEWSCAST on every node, joiners included.
+
+    The node assembly's substitutability seam; ``Scenario.topology``
+    names only the built-in overlays.
+    """
+    from repro.core.runner import _run_single_reference
+    from repro.scenario.session import _optimizer_builder
+    from repro.topology.provider import TopologyPlan
+
+    def run(scenario, per_node, repetition=0):
+        plan = TopologyPlan("custom", lambda nid, tree: per_node(nid))
+        return _run_single_reference(
+            scenario.to_experiment_config(),
+            repetition=repetition,
+            record_history=scenario.record_history,
+            plan=plan,
+            optimizer_builder=_optimizer_builder(scenario),
+        )
+
+    return run

@@ -23,7 +23,6 @@ from repro.core.fastpath import FastEngine, run_single_fast
 from repro.pso.swarm import Swarm
 from repro.scenario import ExecutionPolicy, Scenario, Session
 from repro.topology.sampler import PeerSampler
-from repro.topology.static import StaticTopologyProtocol, ring_lattice
 from repro.utils.config import (
     ChurnConfig,
     CoordinationConfig,
@@ -89,11 +88,10 @@ class TestTrajectoryIdentity:
         assert ref.total_evaluations == fast.total_evaluations
         assert history_tuples(ref) == history_tuples(fast)
 
-    def test_multinode_gossip_off_identical(self):
+    def test_multinode_gossip_off_identical(self, run_reference_on):
         cfg = small_config(function="rosenbrock", nodes=10)
-        ref = Session(
-            lift(cfg, topology=isolated_topology, record_history=True)
-        ).run_one(0)
+        ref = run_reference_on(lift(cfg, record_history=True),
+                               isolated_topology)
         fast = run_single_fast(cfg, record_history=True, gossip=False)
         assert ref.best_value == fast.best_value
         assert history_tuples(ref) == history_tuples(fast)
@@ -251,12 +249,7 @@ class TestStatisticalEquivalence:
         """The oracle sampler matches NEWSCAST statistically; even a
         constrained static ring lands in the same quality regime."""
         cfg = small_config(nodes=16, total_evaluations=16 * 8 * 20, seed=41)
-        adjacency = ring_lattice(cfg.nodes, 2)
-        ring = lambda nid: (
-            StaticTopologyProtocol.PROTOCOL_NAME,
-            StaticTopologyProtocol(adjacency.get(nid, [])),
-        )
-        ref = self._qualities(cfg, "reference", topology=ring)
+        ref = self._qualities(cfg, "reference", topology="ring")
         fast = self._qualities(cfg, "fast")
         self._assert_overlap(ref, fast)
 
@@ -345,7 +338,7 @@ class TestEngineSelectionAPI:
             Session(lift(small_config(), engine="warp")).run_one(0)
 
     def test_fast_rejects_topology_factory(self):
-        with pytest.raises(ValueError, match="topology factories"):
+        with pytest.raises(ValueError, match="Scenario.topology"):
             Session(
                 lift(small_config(), engine="fast", topology=isolated_topology)
             ).run_one(0)

@@ -52,9 +52,9 @@ class TestParallelRuns:
         with pytest.raises(ValueError):
             Session(make_config()).run(policy=ExecutionPolicy(workers=0))
 
-    def test_topology_factory_rejected_in_parallel(self):
+    def test_observers_rejected_in_parallel(self):
         with pytest.raises(ValueError):
-            Session(make_config(topology=lambda nid: None)).run(
+            Session(make_config(observers=(object(),))).run(
                 policy=ExecutionPolicy(workers=2)
             )
 

@@ -115,12 +115,12 @@ class TestGroupedBatching:
 
 
 class TestEngineEquivalence:
-    def test_gossip_off_bit_identical_to_reference(self):
+    def test_gossip_off_bit_identical_to_reference(self, run_reference_on):
         """With gossip silenced, every node is an isolated swarm on its
         own function — the fast path must reproduce the reference
         engine's trajectory bit-for-bit at r = k."""
         scenario = make(n=6, record_history=True)
-        ref = Session(scenario.with_(topology=isolated_topology)).run_one(0)
+        ref = run_reference_on(scenario, isolated_topology)
         fast = run_single_fast(
             scenario.to_experiment_config(),
             record_history=True,

@@ -227,17 +227,6 @@ class TestWorkloads:
         record = Session(make(topology="ring", repetitions=1)).run_one(0)
         assert np.isfinite(record.quality)
 
-    def test_mixed_solver_network(self):
-        record = Session(
-            make(solver=("pso", "de", "random"), repetitions=1)
-        ).run_one(0)
-        assert np.isfinite(record.quality)
-        assert record.total_evaluations == 6 * 4 * 10
-
-    def test_partitioned_search(self):
-        record = Session(make(partitioned=True, repetitions=1)).run_one(0)
-        assert np.isfinite(record.quality)
-
     def test_centralized_baseline(self):
         result = Session(make(baseline="centralized")).run()
         assert len(result.records) == 2

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 
+import numpy as np
 import pytest
 
+from repro.functions.base import available_functions
 from repro.scenario import (
     Scenario,
     ScenarioValidationError,
     TransportSpec,
 )
+from repro.topology.static import ring_lattice
 from repro.utils.config import ChurnConfig, NewscastConfig, PSOConfig
 from repro.utils.exceptions import ConfigurationError
 
@@ -61,6 +65,7 @@ class TestValidation:
             ("solver", {"solver": "annealing"}),
             ("solver", {"solver": ()}),
             ("solver", {"solver": "de", "engine": "fast"}),
+            ("solver", {"solver": ("pso",)}),
             ("partitioned", {"partitioned": True, "engine": "fast"}),
             ("baseline", {"baseline": "quantum"}),
             ("baseline", {"baseline": "centralized", "engine": "fast"}),
@@ -121,6 +126,16 @@ class TestValidation:
              {"engine": "event", "horizon": 10.0,
               "newscast": NewscastConfig(exchange_per_cycle=5)}),
             ("transport", {"transport": {"loss_rate": 0.9}}),
+            # Wrong types used to construct and fail inside an engine
+            # (the full type matrix is TestFieldTypes).
+            ("seed", {"seed": 1.5}),
+            ("churn", {"churn": 0.1}),
+            # A synchronous swarm rounds e down to whole iterations: none.
+            ("total_evaluations", {"baseline": "centralized",
+                                   "total_evaluations": 31}),
+            ("objective_map", {"function": None,
+                               "objective_map": {str(i): "sphere"
+                                                 for i in range(8)}}),
         ],
     )
     def test_errors_name_offending_field(self, field, overrides):
@@ -146,7 +161,8 @@ class TestValidation:
         assert exchanges == [208, 1040]
 
     def test_centralized_budget_is_not_split_over_nodes(self):
-        s = make(baseline="centralized", total_evaluations=4)
+        s = make(baseline="centralized", total_evaluations=4,
+                 synchronous=False)
         assert s.evaluations_per_node == 0  # nodes only sizes the swarm
 
     def test_validation_error_is_configuration_and_value_error(self):
@@ -154,6 +170,16 @@ class TestValidation:
             make(engine="warp")
         with pytest.raises(ValueError):
             make(engine="warp")
+
+    def test_numpy_scalars_stored_as_python_values(self):
+        s = make(nodes=np.int64(4), seed=np.uint32(3),
+                 quality_threshold=np.float32(0.5),
+                 record_history=np.bool_(True))
+        assert (type(s.nodes), type(s.seed)) == (int, int)
+        assert type(s.quality_threshold) is float
+        assert s.record_history is True
+        text = json.dumps(s.to_dict(), allow_nan=False)
+        assert Scenario.from_dict(json.loads(text)) == s
 
     def test_objective_map_must_cover_all_nodes(self):
         with pytest.raises(ScenarioValidationError) as err:
@@ -185,19 +211,169 @@ class TestValidation:
         assert s.pso.particles == 6
         assert s.coordination.cycle_length == 3
 
-    def test_solver_list_normalized_to_tuple(self):
-        s = make(solver=["pso", "de"])
-        assert s.solver == ("pso", "de")
-
-    def test_solver_singleton_pso_tuple_is_homogeneous(self):
-        # ("pso",) means plain PSO — valid on any engine.
-        s = make(solver=("pso",), engine="fast")
-        assert s.engine == "fast"
-
     def test_batched_draws_valid_on_fast_event_backend(self):
         s = make(engine="event", horizon=10.0, event_backend="fast",
                  rng_mode="batched")
         assert s.rng_mode == "batched"
+
+
+#: A valid value of each count field, with the selectors that admit it.
+COUNTS = {
+    "nodes": (8, {}),
+    "particles_per_node": (4, {}),
+    "total_evaluations": (800, {}),
+    "gossip_cycle": (4, {}),
+    "repetitions": (2, {}),
+    "seed": (7, {}),
+    "swarm_size": (16, {"baseline": "centralized"}),
+    "max_cycles": (5, {}),
+}
+#: The same for each real field.
+REALS = {
+    "quality_threshold": (1e-6, {}),
+    "horizon": (10.0, {"engine": "event"}),
+    "event_window": (0.5, {"engine": "event", "event_backend": "fast",
+                           "horizon": 10.0}),
+}
+FLAGS = ("synchronous", "record_history")
+SELECTORS = ("engine", "topology", "rng_mode", "kernel_backend",
+             "event_backend", "baseline")
+
+
+def named(field_name, **overrides):
+    """The validation error of ``make(**overrides)``; it must name
+    ``field_name``."""
+    with pytest.raises(ScenarioValidationError) as err:
+        make(**overrides)
+    assert err.value.field == field_name
+    return err.value
+
+
+def strict_round_trip(s: Scenario) -> Scenario:
+    return Scenario.from_dict(json.loads(json.dumps(s.to_dict(),
+                                                    allow_nan=False)))
+
+
+class TestFieldTypes:
+    """Every field rejects a wrong type by name at construction; the
+    NumPy spelling of a right one is stored as the Python value."""
+
+    @pytest.mark.parametrize("name", COUNTS)
+    @pytest.mark.parametrize("bad", [True, 4.0, "4", np.float64(4.0)],
+                             ids=["bool", "float", "str", "np-float"])
+    def test_count_rejects_non_integer(self, name, bad):
+        _, context = COUNTS[name]
+        named(name, **context, **{name: bad})
+
+    @pytest.mark.parametrize(
+        "name", [n for n in COUNTS if n not in ("swarm_size", "max_cycles")])
+    def test_required_count_rejects_none(self, name):
+        named(name, **{name: None})
+
+    @pytest.mark.parametrize("name", COUNTS)
+    @pytest.mark.parametrize("kind", [np.int64, np.uint16])
+    def test_count_takes_numpy_integer(self, name, kind):
+        value, context = COUNTS[name]
+        s = make(**context, **{name: kind(value)})
+        assert type(getattr(s, name)) is int
+        assert getattr(s, name) == value
+        assert strict_round_trip(s) == s
+
+    @pytest.mark.parametrize("name", REALS)
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -float("inf"), "1.0", True],
+        ids=["nan", "inf", "-inf", "str", "bool"])
+    def test_real_rejects_non_finite_or_non_number(self, name, bad):
+        _, context = REALS[name]
+        named(name, **context, **{name: bad})
+
+    @pytest.mark.parametrize("name", REALS)
+    @pytest.mark.parametrize("kind", [np.float32, np.float64])
+    def test_real_takes_numpy_float(self, name, kind):
+        value, context = REALS[name]
+        s = make(**context, **{name: kind(value)})
+        assert type(getattr(s, name)) is float
+        assert getattr(s, name) == float(kind(value))
+        assert strict_round_trip(s) == s
+
+    @pytest.mark.parametrize("name", FLAGS)
+    @pytest.mark.parametrize("bad", [1, 0, "yes", None])
+    def test_flag_rejects_non_bool(self, name, bad):
+        named(name, **{name: bad})
+
+    @pytest.mark.parametrize("name", FLAGS)
+    def test_flag_takes_numpy_bool(self, name):
+        s = make(**{name: np.bool_(False)})
+        assert getattr(s, name) is False
+        assert strict_round_trip(s) == s
+
+    @pytest.mark.parametrize("name", SELECTORS)
+    @pytest.mark.parametrize("bad", [1, ["fast"]], ids=["int", "list"])
+    def test_selector_rejects_non_name(self, name, bad):
+        named(name, **{name: bad})
+
+    @pytest.mark.parametrize("name", [
+        "churn", "transport", "newscast", "pso", "coordination", "dynamics",
+        "adversary"])
+    def test_bundle_must_be_its_dataclass(self, name):
+        err = named(name, **{name: {}})
+        assert "must be a" in str(err)
+
+    @pytest.mark.parametrize("name", available_functions())
+    def test_every_registered_function_is_accepted(self, name):
+        assert make(function=name).primary_function() == name
+
+    @pytest.mark.parametrize("bad", ["nope", "sphere ", "sphere2", ""])
+    def test_unknown_function_named(self, bad):
+        named("function", function=bad)
+
+    @pytest.mark.parametrize("objective_map", [
+        {**{i: "sphere" for i in range(7)}, 7: 3},
+        {**{i: "sphere" for i in range(7)}, 7.0: "sphere"},
+        {**{i: "sphere" for i in range(1, 8)}, False: "sphere"},
+    ], ids=["non-str-name", "float-id", "bool-id"])
+    def test_objective_map_rejects_wrong_types(self, objective_map):
+        named("objective_map", function=None, objective_map=objective_map)
+
+
+class TestRemovedExtensions:
+    """The solver mix, partitioned search and callable topologies were
+    removed: each value of theirs fails by name, with no alias."""
+
+    @pytest.mark.parametrize("name,value", [
+        ("solver", "de"),
+        ("solver", "random"),
+        ("solver", ("pso", "de")),
+        ("solver", ["pso"]),
+        ("partitioned", True),
+        ("partitioned", 1),
+        ("partitioned", np.bool_(False)),
+        ("topology", ring_lattice),
+        ("topology", lambda node_id: None),
+    ], ids=["de", "random", "mix", "pso-list", "true", "one", "np-false",
+            "function", "lambda"])
+    def test_constructor_names_the_field(self, name, value):
+        err = named(name, **{name: value})
+        assert "extension was removed" in str(err)
+
+    @pytest.mark.parametrize("name,value", [
+        ("solver", "de"),
+        ("solver", ["de"]),
+        ("solver", ["pso"]),
+        ("solver", ["pso", "de"]),
+        ("partitioned", True),
+    ], ids=["de", "de-list", "pso-list", "mix", "true"])
+    def test_from_dict_names_the_field(self, name, value):
+        with pytest.raises(ScenarioValidationError) as err:
+            Scenario.from_dict(make().to_dict() | {name: value})
+        assert err.value.field == name
+
+    @pytest.mark.parametrize("module", [
+        "repro.aggregation", "repro.core.solvers", "repro.core.partitioning",
+        "repro.functions.subdomain"])
+    def test_module_is_gone(self, module):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
 
 
 class TestDerivedViews:
@@ -311,20 +487,8 @@ class TestRoundTrip:
             Scenario.from_dict(data)
         assert err.value.field == "churn"
 
-    def test_callable_topology_not_serializable(self):
-        s = make(topology=lambda nid: None)
-        with pytest.raises(ScenarioValidationError) as err:
-            s.to_dict()
-        assert err.value.field == "topology"
-
     def test_observers_not_serializable(self):
         s = make(observers=(object(),))
         with pytest.raises(ScenarioValidationError) as err:
             s.to_dict()
         assert err.value.field == "observers"
-
-    def test_solver_tuple_round_trips(self):
-        s = make(solver=("pso", "de", "random"))
-        d = s.to_dict()
-        assert d["solver"] == ["pso", "de", "random"]
-        assert Scenario.from_dict(d).solver == ("pso", "de", "random")

@@ -28,7 +28,6 @@ from repro.scenario import (
 )
 from repro.scenario.session import run_points
 from repro.sharding import run_sharded_detailed
-from repro.topology.static import StaticTopologyProtocol
 from repro.utils.config import ChurnConfig, NewscastConfig
 from repro.utils.exceptions import ConfigurationError
 
@@ -47,10 +46,6 @@ REGIME = {
 }
 
 
-def ring_factory(node_id: int):
-    return ("topology", StaticTopologyProtocol([(node_id + 1) % 8]))
-
-
 class Spy:
     def observe(self, engine) -> None:
         pass
@@ -62,9 +57,6 @@ ENABLE = {
         "function": None,
         "objective_map": {i: ("sphere", "rastrigin")[i % 2] for i in range(8)},
     },
-    "solver other than pso": {"solver": ("pso", "de")},
-    "partitioned": {"partitioned": True},
-    "topology factory callable": {"topology": ring_factory},
     "topology oracle": {"topology": "oracle"},
     "topology cyclon / ring / kregular / star": {"topology": "ring"},
     "rng_mode batched": {"rng_mode": "batched"},

@@ -1,0 +1,149 @@
+"""Validation is total: a ``Scenario`` that constructs, runs.
+
+Every draw starts from a small scenario under one of the six regimes
+and replaces up to three fields with values from that field's pool:
+valid values, wrong types, NumPy scalars, out-of-range values, unknown
+names, NaN and inf, and the values of the removed extensions.  Each
+draw must either fail construction with a ``ScenarioValidationError``
+naming a field, or run one repetition (n ≤ 8, a budget of ≤ 3 cycles)
+and survive the strict-JSON round trip with the same job id.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import fields
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.distributed.jobs import SweepJob
+from repro.scenario import (
+    AdversarySpec,
+    DynamicsSpec,
+    RunRecord,
+    Scenario,
+    ScenarioValidationError,
+    Session,
+    TransportSpec,
+)
+from repro.utils.config import (
+    ChurnConfig,
+    CoordinationConfig,
+    NewscastConfig,
+    PSOConfig,
+)
+
+NAN, INF = float("nan"), float("inf")
+
+BASE = dict(function="sphere", nodes=4, particles_per_node=2,
+            total_evaluations=4 * 2 * 3, gossip_cycle=2, seed=3)
+
+REGIMES = [
+    {},
+    {"engine": "fast"},
+    {"engine": "event", "horizon": 3.0},
+    {"engine": "event", "event_backend": "fast", "horizon": 3.0},
+    {"baseline": "centralized"},
+    {"baseline": "independent"},
+]
+
+#: Stands for "n · r · cycles" of the drawn scenario (a budget of 1–3 cycles).
+BUDGET = object()
+#: Stands for a full objective map over the drawn node count.
+FULL_MAP = object()
+
+POOLS = {
+    "function": ["rastrigin", "Sphere", np.str_("levy"), "nope", "", 3,
+                 None],
+    "objective_map": [FULL_MAP, FULL_MAP, {0: "sphere"},
+                      {0: "f2", 1: "sphere", 2: "sphere", 3: "sphere"},
+                      {"0": "sphere", "1": "sphere", "2": "sphere",
+                       "3": "sphere"},
+                      {0: "nope", 1: "sphere", 2: "sphere", 3: "sphere"},
+                      ["sphere"] * 4, 7],
+    "nodes": [1, 2, 8, np.int64(3), np.uint8(5), 0, -2, 4.0, "4", True,
+              NAN, INF],
+    "particles_per_node": [1, 3, np.int32(2), 0, 2.5, "2", None],
+    "total_evaluations": [BUDGET, BUDGET, np.int64(24), 2, 0, 24.0, INF,
+                          "24"],
+    "gossip_cycle": [1, 3, np.int16(2), 0, -1, 2.0, False],
+    "repetitions": [2, np.int64(3), 0, 1.0, None],
+    "seed": [0, 2**40, np.uint64(11), -1, 1.5, "3", NAN],
+    "engine": ["reference", "fast", "event", "warp", 1],
+    "topology": ["cyclon", "ring", "kregular", "star", "oracle", "torus",
+                 lambda node_id: None],
+    "rng_mode": ["strict", "batched", "philox"],
+    "kernel_backend": ["numpy", "numba"],
+    "solver": ["pso", "de", "random", ("pso", "de"), ["pso"]],
+    "partitioned": [False, True, np.bool_(False), 0],
+    "baseline": [None, "centralized", "independent", "quantum"],
+    "swarm_size": [None, 6, np.int16(5), 0, 6.5],
+    "synchronous": [False, np.bool_(True), "no", 1],
+    "quality_threshold": [None, 1e-3, np.float32(0.5), 10, 0.0, -1.0, NAN,
+                          INF, "1e-3"],
+    "horizon": [None, 2.0, 3, np.float64(2.5), 0.0, -1.0, NAN, INF, "3"],
+    "event_backend": ["reference", "fast", "nope"],
+    "event_window": [None, 0.5, np.float32(0.25), 0.0, NAN, INF],
+    "max_cycles": [None, 2, np.int64(1), 0, 2.0],
+    "record_history": [True, np.bool_(True), "yes", None],
+    "churn": [ChurnConfig(crash_rate=0.2, join_rate=0.2), 0.1, None],
+    "transport": [TransportSpec(loss_rate=0.2), {"loss_rate": 0.2}],
+    "newscast": [NewscastConfig(view_size=3),
+                 NewscastConfig(exchange_per_cycle=2), 5],
+    "pso": [PSOConfig(inertia=1.0, c1=2.0, c2=2.0), "pso"],
+    "coordination": [CoordinationConfig(mode="pull"), None],
+    "dynamics": [DynamicsSpec(kind="shift", period=2.0), "shift"],
+    "adversary": [AdversarySpec(fraction=0.25), 0.25],
+}
+
+#: Every serializable field has a pool (``observers`` holds live objects).
+assert set(POOLS) == {f.name for f in fields(Scenario)} - {"observers"}
+
+
+@st.composite
+def drawn_fields(draw) -> dict:
+    chosen = draw(st.lists(st.sampled_from(sorted(POOLS)), max_size=3,
+                           unique=True))
+    kwargs = BASE | draw(st.sampled_from(REGIMES))
+    for name in chosen:
+        kwargs[name] = draw(st.sampled_from(POOLS[name]))
+    if kwargs.get("objective_map") is not None:
+        kwargs["function"] = None
+    nodes = kwargs["nodes"]
+    if kwargs.get("objective_map") is FULL_MAP:
+        n = nodes if isinstance(nodes, int) and 0 < nodes <= 8 else 4
+        kwargs["objective_map"] = {
+            i: ("sphere", "rastrigin")[i % 2] for i in range(n)}
+    if kwargs["total_evaluations"] is BUDGET:
+        r = kwargs["gossip_cycle"]
+        per_node = r if isinstance(r, int) and 0 < r <= 4 else 2
+        n = nodes if isinstance(nodes, int) and 0 < nodes <= 8 else 4
+        kwargs["total_evaluations"] = n * per_node * draw(st.integers(1, 3))
+    return kwargs
+
+
+def job_id(scenario: Scenario) -> str:
+    return SweepJob(0, scenario.to_dict(), (0,)).job_id
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(drawn_fields())
+def test_a_scenario_that_constructs_runs(kwargs):
+    try:
+        scenario = Scenario(**kwargs)
+    except ScenarioValidationError as err:
+        assert err.field.split(".")[0] in POOLS, err
+        return
+    assert scenario.nodes <= 8
+    record = Session(scenario).run_one(0)
+    assert math.isfinite(record.best_value)
+    text = json.dumps(record.to_dict(), allow_nan=False)
+    assert RunRecord.from_dict(json.loads(text)).to_dict() == record.to_dict()
+    text = json.dumps(scenario.to_dict(), allow_nan=False)
+    again = Scenario.from_dict(json.loads(text))
+    assert again == scenario
+    assert job_id(again) == job_id(scenario)

@@ -108,6 +108,9 @@ KEPT_WITHOUT_IMPORTER = {
         "the evaluation counter Swarm's docs hand to users",
     "repro.distributed.chaos":
         "fault-injection harness: safety tooling, next aimed at the shard fabric",
+    "repro.analysis.compare":
+        "the two-sample statistics (rank-sum test, bootstrap CI) the "
+        "benchmarks judge engine and regime pairs with",
 }
 
 

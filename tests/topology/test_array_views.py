@@ -23,6 +23,7 @@ from repro.topology.array_views import (
     match_round,
     merge_views,
     pack_views,
+    smallest_keys,
     unpack_views,
 )
 from repro.core.kernels.numpy_backend import EMPTY_KEY, MAX_ID, TS_MASK
@@ -535,3 +536,38 @@ class TestStaticAndOracle:
         assert all(int(t) in set(live.tolist()) for t in targets)
         assert not np.any(targets == live)
         assert provider.known_peers(0) == [3, 6, 9, 12]
+
+
+class TestSmallestKeys:
+    """``smallest_keys`` is the prefix of a stable sort by key, whatever
+    order ``argpartition`` left its picks in."""
+
+    @pytest.mark.parametrize("rows,cols,count", [
+        (1, 2, 1), (3, 5, 5), (7, 20, 3), (64, 33, 32), (16, 512, 20),
+        (4, 2048, 20),
+    ])
+    @pytest.mark.parametrize("kth_past_count", [False, True],
+                             ids=["bootstrap", "cyclon"])
+    def test_picks_are_the_sorted_prefix(self, rows, cols, count,
+                                         kth_past_count):
+        keys = np.random.default_rng(rows * cols).random((rows, cols))
+        kth = min(count, cols - 1) if kth_past_count else count - 1
+        picks = smallest_keys(keys, kth, count)
+        expected = np.argsort(keys, axis=1, kind="stable")[:, :count]
+        np.testing.assert_array_equal(picks, expected)
+
+    def test_order_does_not_follow_the_partition(self):
+        # Reversed keys: argpartition may leave the picks in any order.
+        keys = np.tile(np.arange(64, 0, -1, dtype=float), (5, 1))
+        picks = smallest_keys(keys, 9, 10)
+        np.testing.assert_array_equal(picks, np.tile(np.arange(63, 53, -1),
+                                                     (5, 1)))
+
+    def test_empty_slots_come_last(self):
+        # CYCLON's extraction marks empty slots inf: finite keys lead, by key.
+        keys = np.array([[0.7, np.inf, 0.2, np.inf, 0.5],
+                         [np.inf, np.inf, np.inf, 0.1, np.inf]])
+        picks = smallest_keys(keys, 3, 3)
+        np.testing.assert_array_equal(picks[0], [2, 4, 0])
+        assert picks[1, 0] == 3
+        assert np.isinf(keys[1, picks[1, 1:]]).all()
