@@ -62,7 +62,7 @@ from repro.core.kernels import grow_rows
 from repro.core.metrics import DynamicsTracker, MessageTally
 from repro.deployment.runtime import DeploymentConfig, DeploymentResult
 from repro.utils.config import ExperimentConfig
-from repro.utils.exceptions import ConfigurationError
+from repro.utils.validate import PERIOD
 
 __all__ = ["CohortEventEngine", "default_window"]
 
@@ -115,11 +115,7 @@ class CohortEventEngine(FastEngine):
         self.deployment = config
         if window is None:
             window = default_window(config)
-        if not (np.isfinite(window) and window > 0):
-            raise ConfigurationError(
-                f"event window must be positive and finite (got {window!r})"
-            )
-        self.window = float(window)
+        self.window = float(PERIOD.apply(window, "window", type(self).__name__))
         super().__init__(
             ExperimentConfig(
                 function=config.function,

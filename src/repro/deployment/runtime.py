@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from repro.core.dpso import PSOStepProtocol
 from repro.core.metrics import (
     DynamicsTracker,
@@ -44,8 +42,11 @@ from repro.simulator.network import Network, Node
 from repro.simulator.transport import LossyTransport, UniformLatencyTransport
 from repro.topology.newscast import bootstrap_views
 from repro.utils.config import CoordinationConfig, NewscastConfig, PSOConfig
-from repro.utils.exceptions import ConfigurationError
 from repro.utils.rng import SeedSequenceTree
+from repro.utils.validate import (
+    FRACTION, JITTER, LATENCY, PERIOD, RATE, bundle, check, count, optional,
+    real, require, text
+)
 
 __all__ = [
     "DeploymentConfig",
@@ -89,57 +90,26 @@ class DeploymentConfig:
     pso: PSOConfig = field(default_factory=PSOConfig)
     coordination: CoordinationConfig = field(default_factory=CoordinationConfig)
 
-    def __post_init__(self) -> None:
-        # Everything here would otherwise surface mid-run as a corrupt
-        # event heap (NaN timestamps order arbitrarily, non-positive
-        # periods schedule in the past, 1/0 churn rates overflow the
-        # exponential draw) — so reject at construction, naming the
-        # field.
-        def bad(field_name: str, message: str) -> ConfigurationError:
-            value = getattr(self, field_name)
-            return ConfigurationError(
-                f"DeploymentConfig.{field_name} {message} (got {value!r})"
-            )
+    # Each bad value would surface mid-run as a corrupt event heap (NaN
+    # timestamps, periods that schedule into the past, churn rates that
+    # overflow the exponential draw): construction rejects it instead.
+    RULES = {
+        "function": text, "nodes": count(), "particles_per_node": count(),
+        "budget_per_node": count(), "evals_per_tick": count(),
+        "compute_period": PERIOD, "newscast_period": PERIOD,
+        "gossip_period": PERIOD, "latency_min": LATENCY, "latency_max": LATENCY,
+        "loss_rate": FRACTION, "clock_jitter": JITTER,
+        "quality_threshold": optional(real(above=0)), "crash_rate": RATE,
+        "join_rate": RATE, "min_population": count(), "monitor_period": PERIOD,
+        "seed": count(min=0), "newscast": bundle(NewscastConfig),
+        "pso": bundle(PSOConfig), "coordination": bundle(CoordinationConfig),
+    }
 
-        if self.nodes < 1:
-            raise bad("nodes", "must be >= 1")
-        if self.particles_per_node < 1:
-            raise bad("particles_per_node", "must be >= 1")
-        if self.budget_per_node < 1:
-            raise bad("budget_per_node", "must be >= 1")
-        if self.evals_per_tick < 1:
-            raise bad("evals_per_tick", "must be >= 1")
-        for name in ("compute_period", "newscast_period", "gossip_period",
-                     "monitor_period"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise bad(name, "must be a positive finite timer period")
-        if not (np.isfinite(self.latency_min) and self.latency_min >= 0):
-            raise bad("latency_min", "must be finite and >= 0")
-        if not np.isfinite(self.latency_max):
-            raise bad("latency_max", "must be finite")
-        if self.latency_max < self.latency_min:
-            raise bad("latency_max", "must be >= latency_min "
-                                     f"({self.latency_min!r})")
-        if not (0.0 <= self.loss_rate < 1.0):
-            raise bad("loss_rate", "must be in [0, 1)")
-        if not (np.isfinite(self.clock_jitter)
-                and 0.0 <= self.clock_jitter <= 1.0):
-            raise bad("clock_jitter", "must be in [0, 1]")
-        for name in ("crash_rate", "join_rate"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise bad(name, "must be a finite churn rate >= 0 "
-                                "(events per simulated second)")
-        if self.min_population < 1:
-            raise bad("min_population", "must be >= 1")
-        if self.quality_threshold is not None and not (
-            np.isfinite(self.quality_threshold) and self.quality_threshold > 0
-        ):
-            raise bad("quality_threshold", "must be positive and finite, "
-                                           "or None")
-        if self.seed < 0:
-            raise bad("seed", "must be >= 0")
+    def __post_init__(self) -> None:
+        check(self, self.RULES)
+        require(self.latency_max >= self.latency_min, "latency_max",
+                f"must be >= latency_min ({self.latency_min!r})",
+                "DeploymentConfig")
         object.__setattr__(
             self, "pso", replace(self.pso, particles=self.particles_per_node)
         )

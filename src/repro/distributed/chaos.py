@@ -48,6 +48,7 @@ from pathlib import Path
 
 from repro.distributed.spool import Claim, JobQueue, worker_identity
 from repro.scenario.result import RunRecord
+from repro.utils.validate import check, real
 
 __all__ = ["FaultRates", "FaultInjector", "ChaosJobQueue", "DEAD_PID"]
 
@@ -66,18 +67,12 @@ class FaultRates:
     delay: float = 0.0  # sleep before the claim scan
     delay_seconds: float = 0.02
 
+    RULES = {**dict.fromkeys(("transient_error", "torn_result_write",
+                              "claim_race", "delay"), real(min=0, max=1)),
+             "delay_seconds": real(min=0)}
+
     def __post_init__(self) -> None:
-        for name in (
-            "transient_error",
-            "torn_result_write",
-            "claim_race",
-            "delay",
-        ):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"FaultRates.{name} must be in [0, 1]")
-        if self.delay_seconds < 0:
-            raise ValueError("FaultRates.delay_seconds must be >= 0")
+        check(self, self.RULES)
 
 
 class FaultInjector:

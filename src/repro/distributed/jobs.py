@@ -25,6 +25,7 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.scenario.result import RunRecord
 from repro.scenario.session import Session
 from repro.scenario.spec import Scenario
+from repro.utils.validate import check, count, load, mapping, sequence
 
 __all__ = ["SweepJob", "jobs_for_sweep", "execute_job"]
 
@@ -56,19 +57,11 @@ class SweepJob:
     scenario: Mapping[str, Any]
     repetitions: tuple[int, ...]
 
+    RULES = {"point_index": count(min=0), "scenario": mapping,
+             "repetitions": sequence(count(min=0), nonempty=True, distinct=True)}
+
     def __post_init__(self) -> None:
-        if self.point_index < 0:
-            raise ValueError("SweepJob.point_index must be >= 0")
-        reps = tuple(int(r) for r in self.repetitions)
-        if not reps or any(r < 0 for r in reps):
-            raise ValueError(
-                "SweepJob.repetitions must be a non-empty tuple of "
-                "non-negative indices"
-            )
-        if len(set(reps)) != len(reps):
-            raise ValueError("SweepJob.repetitions must be unique")
-        object.__setattr__(self, "repetitions", reps)
-        object.__setattr__(self, "scenario", dict(self.scenario))
+        check(self, self.RULES)
 
     @cached_property
     def job_id(self) -> str:
@@ -93,17 +86,7 @@ class SweepJob:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepJob":
         """Rebuild a job from :meth:`to_dict` output; validates keys."""
-        unknown = set(data) - {"point_index", "scenario", "repetitions"}
-        if unknown:
-            raise ValueError(f"SweepJob: unknown field {sorted(unknown)[0]!r}")
-        try:
-            return cls(
-                point_index=int(data["point_index"]),
-                scenario=dict(data["scenario"]),
-                repetitions=tuple(int(r) for r in data["repetitions"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"SweepJob: missing field {exc.args[0]!r}") from None
+        return load(cls, data)
 
 
 def jobs_for_sweep(

@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.functions.base import Function
 from repro.utils.exceptions import ConfigurationError
+from repro.utils.validate import PERIOD, SEVERITY, check, choice, count, optional
 
 __all__ = [
     "EvalContext",
@@ -196,12 +197,9 @@ class _EpochOffsetProblem(Problem):
         rng_for_epoch: Callable[[int], np.random.Generator],
     ):
         super().__init__(base)
-        if severity <= 0:
-            raise ConfigurationError("dynamics.severity: must be positive")
-        if period <= 0:
-            raise ConfigurationError("dynamics.period: must be positive")
-        self.severity = float(severity)
-        self.period = float(period)
+        owner = type(self).__name__
+        self.severity = float(SEVERITY.apply(severity, "severity", owner))
+        self.period = float(PERIOD.apply(period, "period", owner))
         self._rng_for_epoch = rng_for_epoch
         self._width = self.base.domain_width
         self._limit = _OFFSET_LIMIT_FRACTION * self._width
@@ -282,19 +280,11 @@ class DynamicsSpec:
     period: float = 10.0
     seed: int | None = None
 
+    RULES = {"kind": choice(*DYNAMICS_KINDS), "severity": SEVERITY,
+             "period": PERIOD, "seed": optional(count(min=0))}
+
     def __post_init__(self) -> None:
-        if self.kind not in DYNAMICS_KINDS:
-            raise ConfigurationError(
-                f"dynamics.kind: {self.kind!r} is not one of {DYNAMICS_KINDS}"
-            )
-        if not self.severity > 0:
-            raise ConfigurationError("dynamics.severity: must be positive")
-        if not self.period > 0:
-            raise ConfigurationError("dynamics.period: must be positive")
-        if self.seed is not None and int(self.seed) < 0:
-            raise ConfigurationError(
-                "dynamics.seed: must be a non-negative integer or None"
-            )
+        check(self, self.RULES)
 
     @property
     def enabled(self) -> bool:

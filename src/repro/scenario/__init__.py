@@ -30,11 +30,7 @@ it.  Master–slave is ``topology="star"``, the baselines are
 deployment is ``engine="event"``.
 """
 
-from repro.scenario.policy import (
-    EXECUTION_FIELDS,
-    ExecutionPolicy,
-    ExecutionPolicyError,
-)
+from repro.scenario.policy import EXECUTION_FIELDS, ExecutionPolicy
 from repro.scenario.result import Result, RunRecord
 from repro.scenario.session import Session
 from repro.scenario.spec import (
@@ -53,7 +49,6 @@ __all__ = [
     "Scenario",
     "Session",
     "ExecutionPolicy",
-    "ExecutionPolicyError",
     "EXECUTION_FIELDS",
     "Result",
     "RunRecord",

@@ -20,10 +20,10 @@ exactly one frozen policy value — the loose kwargs are gone.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Mapping
 
-from repro.utils.exceptions import ConfigurationError
+from repro.utils.validate import check, count, load, optional, real, require, text
 
 __all__ = ["ExecutionPolicy", "EXECUTION_FIELDS", "process_context"]
 
@@ -55,23 +55,6 @@ def process_context():
     import sys
 
     return multiprocessing.get_context("fork" if sys.platform == "linux" else None)
-
-
-class ExecutionPolicyError(ConfigurationError):
-    """An execution-policy field failed validation.
-
-    The message always starts with ``ExecutionPolicy.<field>:``,
-    mirroring :class:`~repro.scenario.spec.ScenarioValidationError`.
-    """
-
-    def __init__(self, field_name: str, message: str):
-        self.field = field_name
-        super().__init__(f"ExecutionPolicy.{field_name}: {message}")
-
-
-def _require(field_name: str, condition: bool, message: str) -> None:
-    if not condition:
-        raise ExecutionPolicyError(field_name, message)
 
 
 @dataclass(frozen=True)
@@ -114,28 +97,19 @@ class ExecutionPolicy:
     heartbeat_interval: float = 15.0
     job_timeout: float | None = None
 
+    # A zero job_timeout is legal: an immediately-expiring budget (the
+    # chaos suite uses it to force the timeout path deterministically).
+    RULES = {"workers": count(), "spool": optional(text), "shards": count(),
+             "stale_after": optional(real(above=0)),
+             "heartbeat_interval": real(above=0),
+             "job_timeout": optional(real(min=0))}
+
     def __post_init__(self) -> None:
-        _require("workers", int(self.workers) >= 1, "must be >= 1")
-        _require("shards", int(self.shards) >= 1, "must be >= 1")
-        object.__setattr__(self, "workers", int(self.workers))
-        object.__setattr__(self, "shards", int(self.shards))
-        _require("workers", self.workers == 1 or self.shards == 1,
-                 "shards > 1 already runs one process per shard — pick "
-                 "repetition parallelism (workers) or overlay sharding "
-                 "(shards)")
-        if self.spool is not None:
-            _require("spool", isinstance(self.spool, str) and bool(self.spool),
-                     "must be a non-empty directory path or None")
-        _require("heartbeat_interval", self.heartbeat_interval > 0,
-                 "must be positive seconds")
-        if self.stale_after is not None:
-            _require("stale_after", self.stale_after > 0,
-                     "must be positive seconds or None")
-        if self.job_timeout is not None:
-            # zero is legal: an immediately-expiring budget (the chaos
-            # suite uses it to force the timeout path deterministically)
-            _require("job_timeout", self.job_timeout >= 0,
-                     "must be >= 0 seconds or None")
+        check(self, self.RULES)
+        require(self.workers == 1 or self.shards == 1, "workers",
+                "shards > 1 already runs one process per shard — pick "
+                "repetition parallelism (workers) or overlay sharding "
+                "(shards)", "ExecutionPolicy")
 
     # -- JSON round-trip ------------------------------------------------------
 
@@ -146,14 +120,8 @@ class ExecutionPolicy:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExecutionPolicy":
         """Rebuild a policy from :meth:`to_dict` output; validates keys."""
-        known = {f.name for f in fields(cls)}
-        bad = set(data) - known
-        if bad:
-            raise ExecutionPolicyError(sorted(bad)[0], "unknown execution field")
-        return cls(**dict(data))
+        return load(cls, data)
 
     def with_(self, **changes: Any) -> "ExecutionPolicy":
         """Return a modified copy."""
-        from dataclasses import replace
-
         return replace(self, **changes)

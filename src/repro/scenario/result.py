@@ -77,7 +77,7 @@ def _metrics_in(metrics: Mapping[str, Any] | None) -> dict | None:
     }
 
 
-def _required(data: Mapping[str, Any], key: str, what: str) -> Any:
+def _field_of(data: Mapping[str, Any], key: str, what: str) -> Any:
     try:
         return data[key]
     except KeyError:
@@ -212,22 +212,22 @@ class RunRecord(RunResult):
         threshold_total = data.get("threshold_total_evaluations")
         node_qualities = data.get("node_qualities")
         return cls(
-            best_value=_float_in(_required(data, "best_value", "RunRecord")),
-            quality=_float_in(_required(data, "quality", "RunRecord")),
+            best_value=_float_in(_field_of(data, "best_value", "RunRecord")),
+            quality=_float_in(_field_of(data, "quality", "RunRecord")),
             total_evaluations=int(
-                _required(data, "total_evaluations", "RunRecord")
+                _field_of(data, "total_evaluations", "RunRecord")
             ),
-            cycles=int(_required(data, "cycles", "RunRecord")),
-            stop_reason=str(_required(data, "stop_reason", "RunRecord")),
+            cycles=int(_field_of(data, "cycles", "RunRecord")),
+            stop_reason=str(_field_of(data, "stop_reason", "RunRecord")),
             threshold_local_time=(
                 None if threshold_local is None else int(threshold_local)
             ),
             threshold_total_evaluations=(
                 None if threshold_total is None else int(threshold_total)
             ),
-            messages=MessageTally(**_required(data, "messages", "RunRecord")),
+            messages=MessageTally(**_field_of(data, "messages", "RunRecord")),
             node_best_spread=_float_in(
-                _required(data, "node_best_spread", "RunRecord")
+                _field_of(data, "node_best_spread", "RunRecord")
             ),
             history=history,
             crashes=int(data.get("crashes", 0)),
@@ -340,10 +340,10 @@ class Result:
         from repro.scenario.spec import Scenario
 
         return cls(
-            scenario=Scenario.from_dict(_required(data, "scenario", "Result")),
+            scenario=Scenario.from_dict(_field_of(data, "scenario", "Result")),
             records=[
                 RunRecord.from_dict(record)
-                for record in _required(data, "records", "Result")
+                for record in _field_of(data, "records", "Result")
             ],
             elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
         )

@@ -18,6 +18,7 @@ hands them.
 from __future__ import annotations
 
 import time
+from dataclasses import asdict
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.runner import _run_single_reference
@@ -242,25 +243,16 @@ class Session:
         from repro.deployment.runtime import DeploymentConfig
 
         scenario = self.scenario
-        transport = scenario.transport
+        # TransportSpec and ChurnConfig fields keep their names here.
         return DeploymentConfig(
             function=scenario.primary_function(),
             nodes=scenario.nodes,
             particles_per_node=scenario.particles_per_node,
             budget_per_node=scenario.evaluations_per_node,
             evals_per_tick=scenario.gossip_cycle,
-            compute_period=transport.compute_period,
-            newscast_period=transport.newscast_period,
-            gossip_period=transport.gossip_period,
-            monitor_period=transport.monitor_period,
-            latency_min=transport.latency_min,
-            latency_max=transport.latency_max,
-            loss_rate=transport.loss_rate,
-            clock_jitter=transport.clock_jitter,
             quality_threshold=scenario.quality_threshold,
-            crash_rate=scenario.churn.crash_rate,
-            join_rate=scenario.churn.join_rate,
-            min_population=scenario.churn.min_population,
+            **asdict(scenario.transport),
+            **asdict(scenario.churn),
             seed=scenario.seed,
             newscast=scenario.newscast,
             pso=scenario.pso,

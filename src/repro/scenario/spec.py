@@ -16,7 +16,8 @@ Design rules:
   :meth:`Scenario.with_`.
 * **JSON-safe** — :meth:`Scenario.to_dict` / :meth:`Scenario.from_dict`
   round-trip through plain dicts, and every validation error names the
-  offending field (``Scenario.engine: ...``).
+  offending field by its dotted path (``Scenario.transport.loss_rate:
+  ...``): one rule per field, from :mod:`repro.utils.validate`.
 
 >>> s = Scenario(function="sphere", nodes=4, total_evaluations=400)
 >>> Scenario.from_dict(s.to_dict()) == s
@@ -27,14 +28,10 @@ True
 
 from __future__ import annotations
 
-import math
-import numbers
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping
 
-import numpy as np
-
-from repro.functions.base import available_functions
+from repro.functions.base import available_functions, get_function
 from repro.functions.problem import DynamicsSpec
 from repro.simulator.adversary import AdversarySpec
 from repro.utils.config import (
@@ -44,7 +41,11 @@ from repro.utils.config import (
     NewscastConfig,
     PSOConfig,
 )
-from repro.utils.exceptions import ConfigurationError
+from repro.utils.validate import (
+    FRACTION, JITTER, LATENCY, PERIOD, ScenarioValidationError, bundle, check,
+    choice, count, flag, load, mapping, optional, real, require, sequence,
+    text
+)
 
 __all__ = [
     "ENGINES",
@@ -74,43 +75,6 @@ RNG_MODES = ("strict", "batched")
 BASELINES = ("centralized", "independent")
 
 
-class ScenarioValidationError(ConfigurationError):
-    """A scenario field failed validation.
-
-    The message always starts with ``Scenario.<field>:`` so callers
-    (and humans reading sweep logs) can see exactly which knob is
-    wrong.  ``field`` carries the offending field name.
-    """
-
-    def __init__(self, field_name: str, message: str):
-        self.field = field_name
-        super().__init__(f"Scenario.{field_name}: {message}")
-
-
-def _require(field_name: str, condition: bool, message: str) -> None:
-    if not condition:
-        raise ScenarioValidationError(field_name, message)
-
-
-def _is_integer(value: Any) -> bool:
-    """``int`` or a NumPy integer; ``bool`` is a flag, not a count."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value: Any) -> bool:
-    """A finite ``int`` / ``float`` or NumPy number, never a ``bool``."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-#: Count fields, stored as ``int``; the optional ones may be ``None``.
-_INTEGER_FIELDS = ("nodes", "particles_per_node", "total_evaluations",
-                   "gossip_cycle", "repetitions", "seed", "swarm_size",
-                   "max_cycles")
-_OPTIONAL = ("swarm_size", "max_cycles")
-#: Real-valued fields, each ``None``-able.
-_REAL_FIELDS = ("quality_threshold", "horizon", "event_window")
-_BOOL_FIELDS = ("synchronous", "record_history")
 #: Why ``solver`` / ``partitioned`` keep one legal value and
 #: ``topology`` takes no callable.
 _REMOVED = "the extension was removed; only the paper's stack runs"
@@ -135,33 +99,15 @@ class TransportSpec:
     loss_rate: float = 0.0
     clock_jitter: float = 0.1
 
+    RULES = {"compute_period": PERIOD, "newscast_period": PERIOD,
+             "gossip_period": PERIOD, "monitor_period": PERIOD,
+             "latency_min": LATENCY, "latency_max": LATENCY,
+             "loss_rate": FRACTION, "clock_jitter": JITTER}
+
     def __post_init__(self) -> None:
-        for name in ("compute_period", "newscast_period", "gossip_period",
-                     "monitor_period"):
-            value = getattr(self, name)
-            _require(f"transport.{name}", math.isfinite(value) and value > 0,
-                     "must be positive and finite")
-        _require("transport.latency_min",
-                 0 <= self.latency_min <= self.latency_max,
-                 "require 0 <= latency_min <= latency_max")
-        _require("transport.latency_max", math.isfinite(self.latency_max),
-                 "must be finite")
-        _require("transport.loss_rate", 0.0 <= self.loss_rate < 1.0,
-                 "must be in [0, 1)")
-        _require("transport.clock_jitter", 0.0 <= self.clock_jitter <= 1.0,
-                 "must be in [0, 1]")
-
-
-#: The nested parameter bundles: field -> type (dicts in JSON).
-_BUNDLES = {
-    "churn": ChurnConfig,
-    "transport": TransportSpec,
-    "newscast": NewscastConfig,
-    "pso": PSOConfig,
-    "coordination": CoordinationConfig,
-    "dynamics": DynamicsSpec,
-    "adversary": AdversarySpec,
-}
+        check(self, self.RULES)
+        require(self.latency_max >= self.latency_min, "latency_max",
+                f"must be >= latency_min ({self.latency_min!r})", "TransportSpec")
 
 
 @dataclass(frozen=True)
@@ -295,81 +241,66 @@ class Scenario:
     adversary: AdversarySpec = field(default_factory=AdversarySpec)
     observers: tuple = ()
 
+    RULES = {
+        "function": optional(text), "objective_map": optional(mapping),
+        "nodes": count(), "particles_per_node": count(),
+        "total_evaluations": count(), "gossip_cycle": count(),
+        "repetitions": count(), "seed": count(min=0),
+        "engine": choice(*ENGINES), "topology": choice(*TOPOLOGIES),
+        "rng_mode": choice(*RNG_MODES), "kernel_backend": choice("numpy"),
+        "solver": choice("pso"), "partitioned": flag,
+        "baseline": optional(choice(*BASELINES)), "swarm_size": optional(count()),
+        "synchronous": flag, "quality_threshold": optional(real(above=0)),
+        "horizon": optional(real(above=0)),
+        "event_backend": choice(*EVENT_BACKENDS),
+        "event_window": optional(real(above=0)), "max_cycles": optional(count()),
+        "record_history": flag,
+        "churn": bundle(ChurnConfig), "transport": bundle(TransportSpec),
+        "newscast": bundle(NewscastConfig), "pso": bundle(PSOConfig),
+        "coordination": bundle(CoordinationConfig),
+        "dynamics": bundle(DynamicsSpec), "adversary": bundle(AdversarySpec),
+        "observers": sequence(),
+    }
+
     # -- validation -----------------------------------------------------------
 
     def __post_init__(self) -> None:
-        # Per-field ranges and the selector consistency that derives
-        # ``regime``; which feature runs under which regime is one
-        # table, repro.scenario.support.
-        from repro.scenario.support import check
+        # The field table, then the checks that read two fields; which
+        # feature runs under which regime is repro.scenario.support.
+        from repro.scenario.support import check as check_support
 
-        _require("solver", self.solver == "pso",
-                 f"must be 'pso', got {self.solver!r}: {_REMOVED}")
-        _require("partitioned", self.partitioned is False,
-                 f"must be False, got {self.partitioned!r}: {_REMOVED}")
-        _require("topology", not callable(self.topology),
-                 f"a factory callable is not accepted: {_REMOVED}")
-        self._normalize_types()
-        _require("nodes", self.nodes >= 1, "must be >= 1")
-        _require("particles_per_node", self.particles_per_node >= 1,
-                 "must be >= 1")
-        _require("total_evaluations", self.total_evaluations >= 1,
-                 "must be >= 1")
-        _require("gossip_cycle", self.gossip_cycle >= 1, "must be >= 1")
-        _require("repetitions", self.repetitions >= 1, "must be >= 1")
-        _require("seed", self.seed >= 0, "must be >= 0")
-        _require("engine", self.engine in ENGINES,
-                 f"must be one of {ENGINES}, got {self.engine!r}")
+        require(self.solver == "pso", "solver",
+                f"must be 'pso', got {self.solver!r}: {_REMOVED}")
+        require(self.partitioned is False, "partitioned",
+                f"must be False, got {self.partitioned!r}: {_REMOVED}")
+        require(not callable(self.topology), "topology",
+                f"a factory callable is not accepted: {_REMOVED}")
+        check(self, self.RULES)
         self._validate_objective()
-        _require("rng_mode", self.rng_mode in RNG_MODES,
-                 f"must be one of {RNG_MODES}, got {self.rng_mode!r}")
-        _require("kernel_backend", self.kernel_backend == "numpy",
-                 f"must be 'numpy', got {self.kernel_backend!r}")
-        _require("topology", self.topology in TOPOLOGIES,
-                 f"must be one of {TOPOLOGIES}, got {self.topology!r}")
-        if self.baseline is not None:
-            _require("baseline", self.baseline in BASELINES,
-                     f"must be one of {BASELINES} or None, got {self.baseline!r}")
-            _require("baseline", self.engine == "reference",
-                     "baselines run on the reference engine")
-        if self.swarm_size is not None:
-            _require("swarm_size", self.swarm_size >= 1, "must be >= 1")
+        require(self.baseline is None or self.engine == "reference", "baseline",
+                "baselines run on the reference engine")
         if self.baseline == "centralized" and self.synchronous:
             size = self.swarm_size or self.nodes * self.particles_per_node
-            _require("total_evaluations", self.total_evaluations >= size,
-                     f"e={self.total_evaluations} is less than one "
-                     f"synchronous iteration of the {size}-particle swarm")
+            require(self.total_evaluations >= size, "total_evaluations",
+                    f"e={self.total_evaluations} is less than one "
+                    f"synchronous iteration of the {size}-particle swarm")
         if self.baseline != "centralized":
             # Every regime but the single big swarm splits the budget
             # evenly over the nodes (there, nodes only sizes the swarm).
-            _require("total_evaluations",
-                     self.evaluations_per_node >= 1,
-                     f"e={self.total_evaluations} gives node budget "
-                     f"{self.evaluations_per_node} < 1 for n={self.nodes}")
-        if self.adversary.enabled:
-            _require("adversary", self.nodes >= 2,
-                     "a hostile overlay needs at least one honest node")
-        if self.quality_threshold is not None:
-            _require("quality_threshold", self.quality_threshold > 0,
-                     "must be > 0 or None")
+            require(self.evaluations_per_node >= 1, "total_evaluations",
+                    f"e={self.total_evaluations} gives node budget "
+                    f"{self.evaluations_per_node} < 1 for n={self.nodes}")
+        require(not self.adversary.enabled or self.nodes >= 2, "adversary",
+                "a hostile overlay needs at least one honest node")
         if self.engine == "event":
-            _require("horizon", self.horizon is not None and self.horizon > 0,
-                     "the event engine needs a positive time horizon")
+            require(self.horizon is not None, "horizon",
+                    "the event engine needs a positive time horizon")
         else:
-            _require("horizon", self.horizon is None,
-                     "only the event engine takes a time horizon")
-        _require("event_backend", self.event_backend in EVENT_BACKENDS,
-                 f"must be one of {EVENT_BACKENDS}, got {self.event_backend!r}")
-        if self.event_backend != "reference":
-            _require("event_backend", self.engine == "event",
-                     "an event backend needs engine='event'")
-        if self.event_window is not None:
-            _require("event_window",
-                     math.isfinite(self.event_window) and self.event_window > 0,
-                     "must be positive finite simulated seconds, or None")
-        if self.max_cycles is not None:
-            _require("max_cycles", self.max_cycles >= 1, "must be >= 1 or None")
-        check(self)
+            require(self.horizon is None, "horizon",
+                    "only the event engine takes a time horizon")
+        require(self.event_backend == "reference" or self.engine == "event",
+                "event_backend", "an event backend needs engine='event'")
+        check_support(self)
         # Keep the nested bundles consistent with the scalar knobs,
         # exactly like ExperimentConfig does.
         object.__setattr__(
@@ -385,65 +316,28 @@ class Scenario:
                 {int(k): str(v) for k, v in self.objective_map.items()},
             )
 
-    def _normalize_types(self) -> None:
-        """Reject wrong types by field name; store counts as ``int``,
-        flags as ``bool`` and NumPy reals as ``float`` (JSON-safe)."""
-        for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if type(value) is int or (value is None and name in _OPTIONAL):
-                continue
-            if not _is_integer(value):
-                raise ScenarioValidationError(
-                    name, f"must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if value is None or type(value) in (int, float) and math.isfinite(value):
-                continue
-            if not _is_real(value):
-                raise ScenarioValidationError(
-                    name, f"must be a finite number or None, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        for name in _BOOL_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, (bool, np.bool_)):
-                raise ScenarioValidationError(
-                    name, f"must be True or False, got {value!r}")
-            object.__setattr__(self, name, bool(value))
-        for name, kind in _BUNDLES.items():
-            if not isinstance(getattr(self, name), kind):
-                raise ScenarioValidationError(
-                    name, f"must be a {kind.__name__}, "
-                    f"got {getattr(self, name)!r}")
-
     def _validate_objective(self) -> None:
         known = available_functions()
         if self.objective_map is None:
-            _require("function",
-                     isinstance(self.function, str) and bool(self.function),
-                     "a function name (or an objective_map) is required")
-            _require("function", self.function.lower() in known,
-                     f"unknown function {self.function!r}; available: {known}")
+            require(self.function is not None, "function",
+                    "a function name (or an objective_map) is required")
+            require(self.function.lower() in known, "function",
+                    f"unknown function {self.function!r}; available: {known}")
             return
-        _require("function", self.function is None,
-                 "give either function or objective_map, not both")
-        _require("objective_map", isinstance(self.objective_map, Mapping),
-                 "must map integer node ids to function names")
-        _require("objective_map", all(map(_is_integer, self.objective_map)),
-                 "node ids must be integers")
-        ids = sorted(int(k) for k in self.objective_map)
-        _require("objective_map", ids == list(range(self.nodes)),
-                 f"must map every node id 0..{self.nodes - 1} exactly once")
+        require(self.function is None, "function",
+                "give either function or objective_map, not both")
+        ids = sorted(count(min=0).apply(k, "objective_map", "Scenario")
+                     for k in self.objective_map)
+        require(ids == list(range(self.nodes)), "objective_map",
+                f"must map every node id 0..{self.nodes - 1} exactly once")
         names = set(self.objective_map.values())
         for name in names:
-            _require("objective_map",
-                     isinstance(name, str) and name.lower() in known,
-                     f"unknown function {name!r}; available: {known}")
-        from repro.functions.base import get_function
-
+            require(isinstance(name, str) and name.lower() in known,
+                    "objective_map",
+                    f"unknown function {name!r}; available: {known}")
         dims = {get_function(name).dimension for name in names}
-        _require("objective_map", len(dims) == 1,
-                 f"all objectives must share one dimension, got {sorted(dims)}")
+        require(len(dims) == 1, "objective_map",
+                f"all objectives must share one dimension, got {sorted(dims)}")
 
     # -- derived views ---------------------------------------------------------
 
@@ -493,22 +387,11 @@ class Scenario:
 
         Lossy by design (engine, topology, objective map, transport and
         baseline knobs have no slot there); it is the argument the
-        cycle engines (reference, fast, sharded) take.
+        cycle engines (reference, fast, sharded) take.  Every field of
+        it is a field of this scenario, under the same name.
         """
-        return ExperimentConfig(
-            function=self.primary_function(),
-            nodes=self.nodes,
-            particles_per_node=self.particles_per_node,
-            total_evaluations=self.total_evaluations,
-            gossip_cycle=self.gossip_cycle,
-            repetitions=self.repetitions,
-            seed=self.seed,
-            quality_threshold=self.quality_threshold,
-            newscast=self.newscast,
-            pso=self.pso,
-            coordination=self.coordination,
-            churn=self.churn,
-        )
+        shared = {name: getattr(self, name) for name in ExperimentConfig.RULES}
+        return ExperimentConfig(**shared | {"function": self.primary_function()})
 
     def with_(self, **changes: Any) -> "Scenario":
         """Return a modified copy (sweep helper)."""
@@ -550,19 +433,19 @@ class Scenario:
         the scenario holds live observer objects — the ``jobs`` column
         of :mod:`repro.scenario.support`.
         """
-        from repro.scenario.support import check
+        from repro.scenario.support import check as check_support
 
-        check(self, "jobs")
+        check_support(self, "jobs")
         out: dict[str, Any] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "observers":
+        for name, rule in self.RULES.items():
+            value = getattr(self, name)
+            if name == "observers":
                 continue
-            if f.name == "objective_map" and value is not None:
+            if name == "objective_map" and value is not None:
                 value = {str(k): v for k, v in value.items()}
-            elif f.name in _BUNDLES:
+            elif isinstance(rule, bundle):
                 value = asdict(value)
-            out[f.name] = value
+            out[name] = value
         return out
 
     @classmethod
@@ -570,43 +453,23 @@ class Scenario:
         """Rebuild a scenario from :meth:`to_dict` output.
 
         Unknown keys — top-level or inside a nested bundle — raise a
-        :class:`ScenarioValidationError` naming the offending field, so
-        a typo in a JSON sweep file fails loudly instead of silently
-        running defaults.
+        :class:`ScenarioValidationError` naming the offending field by
+        its dotted path, so a typo in a JSON sweep file fails loudly
+        instead of silently running defaults.
         """
-        known = {f.name for f in fields(cls)}
-        kwargs: dict[str, Any] = {}
-        for key, value in data.items():
-            if key not in known or key == "observers":
-                from repro.scenario.policy import EXECUTION_FIELDS
+        from repro.scenario.policy import EXECUTION_FIELDS
 
-                if key in EXECUTION_FIELDS:
-                    raise ScenarioValidationError(
-                        key,
-                        "is an execution knob, not a scenario field — a "
-                        "scenario says *what* to simulate; pass how-to-run "
-                        "knobs via ExecutionPolicy (e.g. Session(s).run("
-                        "policy=ExecutionPolicy(...)))",
-                    )
-                raise ScenarioValidationError(key, "unknown scenario field")
-            if key in _BUNDLES and isinstance(value, Mapping):
-                ctor = _BUNDLES[key]
-                sub_known = {f.name for f in fields(ctor)}
-                bad = set(value) - sub_known
-                if bad:
-                    raise ScenarioValidationError(
-                        f"{key}.{sorted(bad)[0]}", "unknown scenario field")
-                try:
-                    value = ctor(**value)
-                except ConfigurationError as exc:
-                    raise ScenarioValidationError(key, str(exc)) from None
-            elif key == "objective_map" and value is not None:
-                try:
-                    value = {int(k): str(v) for k, v in value.items()}
-                except (TypeError, ValueError):
-                    raise ScenarioValidationError(
-                        "objective_map",
-                        "must map integer node ids to function names",
-                    ) from None
-            kwargs[key] = value
-        return cls(**kwargs)
+        for key in data:
+            require(key not in EXECUTION_FIELDS, key,
+                    "is an execution knob, not a scenario field — a "
+                    "scenario says *what* to simulate; pass how-to-run "
+                    "knobs via ExecutionPolicy (e.g. Session(s).run("
+                    "policy=ExecutionPolicy(...)))")
+        require("observers" not in data, "observers",
+                "live observer objects are not serializable")
+        objective_map = data.get("objective_map")
+        if isinstance(objective_map, Mapping):  # JSON object keys are strings
+            data = {**data, "objective_map": {
+                int(k) if isinstance(k, str) and k.isdecimal() else k: v
+                for k, v in objective_map.items()}}
+        return load(cls, data)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.exceptions import ConfigurationError
+from repro.utils.validate import FRACTION, check, choice, flag, real
 
 __all__ = ["AdversarySpec", "ADVERSARY_BEHAVIORS", "Adversary"]
 
@@ -74,20 +74,11 @@ class AdversarySpec:
     noise: float = 0.25
     defense: bool = False
 
+    RULES = {"fraction": FRACTION, "behavior": choice(*ADVERSARY_BEHAVIORS),
+             "magnitude": real(above=0), "noise": real(above=0), "defense": flag}
+
     def __post_init__(self) -> None:
-        if not 0.0 <= self.fraction < 1.0:
-            raise ConfigurationError(
-                "adversary.fraction: must be in [0, 1)"
-            )
-        if self.behavior not in ADVERSARY_BEHAVIORS:
-            raise ConfigurationError(
-                f"adversary.behavior: {self.behavior!r} is not one of "
-                f"{ADVERSARY_BEHAVIORS}"
-            )
-        if not self.magnitude > 0:
-            raise ConfigurationError("adversary.magnitude: must be positive")
-        if not self.noise > 0:
-            raise ConfigurationError("adversary.noise: must be positive")
+        check(self, self.RULES)
 
     @property
     def enabled(self) -> bool:

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.utils.exceptions import ConfigurationError
+from repro.utils.validate import (
+    FRACTION, RATE, bundle, check, choice, count, flag, optional, real, text
+)
 
 __all__ = [
     "NewscastConfig",
@@ -31,11 +33,6 @@ __all__ = [
     "ChurnConfig",
     "ExperimentConfig",
 ]
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigurationError(message)
 
 
 @dataclass(frozen=True)
@@ -56,12 +53,10 @@ class NewscastConfig:
     view_size: int = 20
     exchange_per_cycle: int = 1
 
+    RULES = {"view_size": count(), "exchange_per_cycle": count()}
+
     def __post_init__(self) -> None:
-        _require(self.view_size >= 1, "NEWSCAST view_size must be >= 1")
-        _require(
-            self.exchange_per_cycle >= 1,
-            "NEWSCAST exchange_per_cycle must be >= 1",
-        )
+        check(self, self.RULES)
 
 
 @dataclass(frozen=True)
@@ -102,12 +97,12 @@ class PSOConfig:
     inertia: float = 0.7298
     clamp_positions: bool = False
 
+    RULES = {"particles": count(), "c1": real(min=0), "c2": real(min=0),
+             "vmax_fraction": optional(real(above=0)), "inertia": real(above=0),
+             "clamp_positions": flag}
+
     def __post_init__(self) -> None:
-        _require(self.particles >= 1, "PSO particles must be >= 1")
-        _require(self.c1 >= 0 and self.c2 >= 0, "PSO learning factors must be >= 0")
-        if self.vmax_fraction is not None:
-            _require(self.vmax_fraction > 0, "PSO vmax_fraction must be > 0 or None")
-        _require(self.inertia > 0, "PSO inertia must be > 0")
+        check(self, self.RULES)
 
 
 @dataclass(frozen=True)
@@ -127,14 +122,10 @@ class CoordinationConfig:
     cycle_length: int = 16
     mode: str = "push-pull"
 
-    _MODES = ("push", "pull", "push-pull")
+    RULES = {"cycle_length": count(), "mode": choice("push", "pull", "push-pull")}
 
     def __post_init__(self) -> None:
-        _require(self.cycle_length >= 1, "coordination cycle_length must be >= 1")
-        _require(
-            self.mode in self._MODES,
-            f"coordination mode must be one of {self._MODES}, got {self.mode!r}",
-        )
+        check(self, self.RULES)
 
 
 @dataclass(frozen=True)
@@ -159,10 +150,10 @@ class ChurnConfig:
     join_rate: float = 0.0
     min_population: int = 1
 
+    RULES = {"crash_rate": FRACTION, "join_rate": RATE, "min_population": count()}
+
     def __post_init__(self) -> None:
-        _require(0.0 <= self.crash_rate < 1.0, "crash_rate must be in [0, 1)")
-        _require(self.join_rate >= 0.0, "join_rate must be >= 0")
-        _require(self.min_population >= 1, "min_population must be >= 1")
+        check(self, self.RULES)
 
     @property
     def enabled(self) -> bool:
@@ -215,16 +206,15 @@ class ExperimentConfig:
     coordination: CoordinationConfig = field(default_factory=CoordinationConfig)
     churn: ChurnConfig = field(default_factory=ChurnConfig)
 
+    RULES = {"function": text, "nodes": count(), "particles_per_node": count(),
+             "total_evaluations": count(), "gossip_cycle": count(),
+             "repetitions": count(), "seed": count(min=0),
+             "quality_threshold": optional(real(above=0)),
+             "newscast": bundle(NewscastConfig), "pso": bundle(PSOConfig),
+             "coordination": bundle(CoordinationConfig), "churn": bundle(ChurnConfig)}
+
     def __post_init__(self) -> None:
-        _require(bool(self.function), "function name must be non-empty")
-        _require(self.nodes >= 1, "nodes must be >= 1")
-        _require(self.particles_per_node >= 1, "particles_per_node must be >= 1")
-        _require(self.total_evaluations >= 1, "total_evaluations must be >= 1")
-        _require(self.gossip_cycle >= 1, "gossip_cycle must be >= 1")
-        _require(self.repetitions >= 1, "repetitions must be >= 1")
-        _require(self.seed >= 0, "seed must be >= 0")
-        if self.quality_threshold is not None:
-            _require(self.quality_threshold > 0, "quality_threshold must be > 0")
+        check(self, self.RULES)
         # Keep the nested bundles consistent with the scalar knobs.
         object.__setattr__(
             self, "pso", replace(self.pso, particles=self.particles_per_node)

@@ -13,7 +13,6 @@ import pytest
 import repro
 from repro.scenario import (
     ExecutionPolicy,
-    ExecutionPolicyError,
     Scenario,
     ScenarioValidationError,
     Session,
@@ -55,7 +54,8 @@ class TestValidation:
         ],
     )
     def test_bad_values_name_the_field(self, kwargs, field):
-        with pytest.raises(ExecutionPolicyError, match=f"ExecutionPolicy.{field}"):
+        with pytest.raises(ScenarioValidationError,
+                           match=f"^ExecutionPolicy.{field}: "):
             ExecutionPolicy(**kwargs)
 
     def test_frozen(self):
@@ -128,7 +128,8 @@ def test_scenario_from_dict_points_execution_keys_at_policy():
 def test_scenario_from_dict_unknown_key_stays_generic():
     spec = _scenario().to_dict()
     spec["frobnicate"] = 1
-    with pytest.raises(ScenarioValidationError, match="unknown scenario field"):
+    with pytest.raises(ScenarioValidationError,
+                       match="^Scenario.frobnicate: unknown field$"):
         Scenario.from_dict(spec)
 
 

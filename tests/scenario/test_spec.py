@@ -141,9 +141,11 @@ class TestValidation:
     def test_errors_name_offending_field(self, field, overrides):
         with pytest.raises(ScenarioValidationError) as err:
             if isinstance(overrides.get("transport"), dict):
-                overrides = {**overrides,
-                             "transport": TransportSpec(**overrides["transport"])}
-            make(**overrides)
+                # A bundle given as a dict is a sweep file's: from_dict
+                # names its field by dotted path.
+                Scenario.from_dict(make().to_dict() | overrides)
+            else:
+                make(**overrides)
         assert err.value.field.startswith(field)
         assert str(err.value).startswith(f"Scenario.{field}")
 
@@ -203,7 +205,9 @@ class TestValidation:
     def test_transport_validation_names_field(self):
         with pytest.raises(ScenarioValidationError) as err:
             TransportSpec(loss_rate=1.5)
-        assert "transport.loss_rate" in str(err.value)
+        assert err.value.field == "loss_rate"
+        assert str(err.value) == ("TransportSpec.loss_rate: must be >= 0 "
+                                  "and < 1, got 1.5")
 
     def test_nested_bundles_normalized(self):
         s = make(particles_per_node=6, gossip_cycle=3,
@@ -480,12 +484,20 @@ class TestRoundTrip:
             Scenario.from_dict(data)
         assert "churn.crashrate" in str(err.value)
 
-    def test_invalid_nested_value_named(self):
+    @pytest.mark.parametrize("path,value,reason", [
+        ("transport.loss_rate", 1.5, "must be >= 0 and < 1, got 1.5"),
+        ("churn.crash_rate", 2.0, "must be >= 0 and < 1, got 2.0"),
+        ("dynamics.severity", float("inf"), "must be a finite number, got inf"),
+        ("adversary.fraction", "0.2", "must be a finite number, got '0.2'"),
+    ])
+    def test_invalid_nested_value_named_by_path(self, path, value, reason):
+        bundle, name = path.split(".")
         data = make().to_dict()
-        data["churn"]["crash_rate"] = 2.0
+        data[bundle][name] = value
         with pytest.raises(ScenarioValidationError) as err:
             Scenario.from_dict(data)
-        assert err.value.field == "churn"
+        assert err.value.field == path
+        assert str(err.value) == f"Scenario.{path}: {reason}"
 
     def test_observers_not_serializable(self):
         s = make(observers=(object(),))
