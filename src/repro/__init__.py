@@ -33,9 +33,8 @@ Swap ``engine="fast"`` for the vectorized SoA kernel,
 ``engine="event"`` (plus a ``horizon``) for the asynchronous
 deployment (add ``event_backend="fast"`` to run it cohort-batched on
 the same SoA kernels), ``topology="star"`` for master–slave,
-``baseline="centralized"`` for the single-machine reference, or an
-``objective_map`` for a heterogeneous network — same spec, same
-unified :class:`~repro.scenario.Result`.
+or ``baseline="centralized"`` for the single-machine reference — same
+spec, same unified :class:`~repro.scenario.Result`.
 
 Package map
 -----------

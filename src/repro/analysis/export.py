@@ -51,7 +51,7 @@ def results_to_csv(
         for rep, run in enumerate(result.records):
             writer.writerow(
                 {
-                    "function": scenario.primary_function(),
+                    "function": scenario.function,
                     "nodes": scenario.nodes,
                     "particles_per_node": scenario.particles_per_node,
                     "total_evaluations": scenario.total_evaluations,

@@ -42,7 +42,7 @@ def run_record(scenario: "Scenario", repetition: int) -> "RunRecord":
         if scenario.swarm_size is not None
         else scenario.nodes * scenario.particles_per_node
     )
-    function = get_function(scenario.primary_function())
+    function = get_function(scenario.function)
     pso = PSOConfig(
         particles=k,
         c1=scenario.pso.c1,

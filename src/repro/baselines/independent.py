@@ -39,7 +39,7 @@ def run_record(scenario: "Scenario", repetition: int) -> "RunRecord":
     """
     from repro.scenario.result import RunRecord
 
-    function = get_function(scenario.primary_function())
+    function = get_function(scenario.function)
     budget = scenario.evaluations_per_node
     tree = SeedSequenceTree(scenario.seed)
     node_bests: list[float] = []

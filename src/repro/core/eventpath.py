@@ -322,7 +322,7 @@ class CohortEventEngine(FastEngine):
         )
         return DeploymentResult(
             best_value=best,
-            quality=self.quality_of(best),
+            quality=self.function.quality(best),
             total_evaluations=self.total_evaluations(),
             sim_time=float(self.now),
             stop_reason=self._stop_reason if self._stopped else "horizon",

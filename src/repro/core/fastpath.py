@@ -19,8 +19,8 @@ handful of whole-network array operations:
    the ``i``-th entry of the live list, so the whole-network sweep
    holds under churn: a crash retires its row's evaluation count and
    swap-removes the row exactly as the live list swap-removes the id
-   (the last row, its node generator and its objective group move
-   into the hole), and a cycle's joins append one block of rows,
+   (the last row and its node generator move into the hole), and a
+   cycle's joins append one block of rows,
    built by one batched stream derivation and one initializer call
    (capacity doubling: amortized O(k·d) per join);
 2. **topology** — the scenario's overlay advanced by its array-backed
@@ -122,9 +122,8 @@ chunks (event cohorts, churned batched sweeps, ``r ≠ k``) draw every
 row into one workspace block.
 
 What the fast path intentionally does **not** simulate: message loss /
-latency transports and the object NEWSCAST's several exchanges per
-cycle — use the reference engine when those mechanisms are the object
-of study.
+latency transports — use the event engine when those mechanisms are
+the object of study.
 """
 
 from __future__ import annotations
@@ -139,22 +138,21 @@ from repro.core.metrics import (
     MessageTally,
 )
 from repro.core.runner import RunResult
-from repro.functions.base import Function, get_function
+from repro.functions.base import get_function
 from repro.functions.problem import DynamicsSpec, EvalContext, build_problem
 from repro.pso.state import SwarmStateSoA
 from repro.pso.swarm import initial_swarm_soa
 from repro.pso.velocity import resolve_vmax
 from repro.simulator.adversary import Adversary, AdversarySpec
+from repro.scenario.spec import RNG_MODES
 from repro.simulator.observers import StopCondition
 from repro.topology.provider import ViewProvider, make_array_provider
 from repro.utils.config import ExperimentConfig
 from repro.utils.exceptions import ConfigurationError
 from repro.utils.rng import SeedSequenceTree
+from repro.utils.validate import choice
 
-__all__ = ["FastEngine", "run_single_fast", "RNG_MODES"]
-
-#: Supported per-particle draw regimes (see module docstring).
-RNG_MODES = ("strict", "batched")
+__all__ = ["FastEngine", "run_single_fast"]
 
 #: Batched draws are generated in fixed node-id blocks of this size,
 #: each from its own seed branch — per-node-id stable, and O(live)
@@ -195,14 +193,6 @@ class FastEngine:
         ``False`` isolates the nodes — the configuration under which
         fast and reference engines are same-seed trajectory-identical
         for any ``n``.
-    objective_map:
-        Optional heterogeneous network: ``{node_id: function_name}``
-        covering every initial node (all functions must share one
-        dimensionality; joiners reuse ``node_id % initial_size``'s
-        objective).  Nodes are grouped by function and each chunk
-        issues **one batched objective evaluation per group**.
-        Velocity/position bounds become per-node rows when the
-        groups' domains differ.
     topology:
         Name of an array-backed overlay (``"newscast"`` — the paper's
         protocol and the default — ``"cyclon"``, ``"ring"``,
@@ -227,8 +217,8 @@ class FastEngine:
         whole-network engine would (see :mod:`repro.sharding`).  The
         liveness and id -> row tables still span ``config.nodes`` ids, so a
         gossip partner owned elsewhere reads as *not held here*.
-        Subset engines must be churn-free and homogeneous, and take a
-        ready ``ViewProvider`` (or run ``gossip=False``).
+        Subset engines must be churn-free and take a ready
+        ``ViewProvider`` (or run ``gossip=False``).
     """
 
     def __init__(
@@ -236,7 +226,6 @@ class FastEngine:
         config: ExperimentConfig,
         repetition: int = 0,
         gossip: bool = True,
-        objective_map=None,
         topology: str | ViewProvider = "newscast",
         rng_mode: str = "strict",
         kernel_backend: str | KernelBackend = "numpy",
@@ -246,16 +235,17 @@ class FastEngine:
     ):
         self.config = config
         self.gossip = gossip
-        if rng_mode not in RNG_MODES:
-            raise ConfigurationError(
-                f"rng_mode must be one of {RNG_MODES}, got {rng_mode!r}"
-            )
-        self.rng_mode = rng_mode
+        # Scenario's rule, applied again: an engine may be built from
+        # a bare ExperimentConfig, with no Scenario to check it.
+        self.rng_mode = choice(*RNG_MODES).apply(rng_mode, "rng_mode", "FastEngine")
         self.backend = get_backend(kernel_backend)
         self.workspace = Workspace()
         tree = SeedSequenceTree(config.seed).subtree("rep", repetition)
         self._tree = tree
-        self._init_objectives(config, objective_map)
+        self.function = get_function(config.function)
+        vmax = resolve_vmax(self.function, config.pso.vmax_fraction)
+        self._vmax = None if vmax is None else _uniform(vmax)
+        self._box = (_uniform(self.function.lower), _uniform(self.function.upper))
 
         # Time-aware objective: a Problem wrapping self.function.  For
         # static scenarios the wrapper is inert and the evaluation hot
@@ -263,7 +253,7 @@ class FastEngine:
         # same bit stream as before the Problem layer existed.
         self._problem = build_problem(self.function, dynamics, tree)
         self._dynamic = self._problem.is_dynamic
-        self._problems = [self._problem]
+        self._objectives = [self._problem if self._dynamic else self.function]
         self._epoch = 0
         self.reevaluations = 0
 
@@ -291,8 +281,7 @@ class FastEngine:
         # swap-remove live list (churn victim selection stays
         # order-compatible with the reference) and SoA row i is node
         # ``_ids[i]``; ``_slot_of_id`` maps ids back to rows (-1: not
-        # held here).  Node generators and objective groups are
-        # row-aligned too.
+        # held here).  Node generators are row-aligned too.
         self._initial_size = node_ids.shape[0]
         self._next_id = config.nodes
         self._ids = np.empty(0, dtype=np.int64)
@@ -334,82 +323,17 @@ class FastEngine:
         self.crashes = 0
         self.joins = 0
 
-    # -- objectives (homogeneous or grouped heterogeneous) -----------------------
-
-    def _init_objectives(self, config: ExperimentConfig, objective_map) -> None:
-        if objective_map is None:
-            self.function: Function = get_function(config.function)
-            self._functions: list[Function] = [self.function]
-            self._node_group: np.ndarray | None = None
-            self._group_of_id: np.ndarray | None = None
-            vmax = resolve_vmax(self.function, config.pso.vmax_fraction)
-            self._vmax = None if vmax is None else _uniform(vmax)
-            self._box = (_uniform(self.function.lower), _uniform(self.function.upper))
-            self._group_vmax = None
-            self._group_lower = self._group_upper = None
-            return
-        names: list[str] = []
-        index: dict[str, int] = {}
-        groups: list[int] = []
-        for nid in range(config.nodes):
-            try:
-                name = str(objective_map[nid])
-            except KeyError:
-                raise ConfigurationError(
-                    f"objective_map must cover every node; missing id {nid}"
-                ) from None
-            if name not in index:
-                index[name] = len(names)
-                names.append(name)
-            groups.append(index[name])
-        self._functions = [get_function(name) for name in names]
-        dims = {f.dimension for f in self._functions}
-        if len(dims) != 1:
-            raise ConfigurationError(
-                f"objective_map functions must share one dimension, got {sorted(dims)}"
-            )
-        self.function = self._functions[groups[0]]
-        # Per-row group (filled as rows are added; indexed in the hot
-        # kernels) and per initial id: joiner ``nid`` takes the group
-        # of ``nid % initial_size``.
-        self._node_group = np.empty(0, dtype=np.int64)
-        self._group_of_id = np.asarray(groups, dtype=np.int64)
-        # Bounds become per-group rows: groups may have different boxes.
-        self._vmax = None
-        vmaxes = [resolve_vmax(f, config.pso.vmax_fraction) for f in self._functions]
-        self._group_vmax = None if vmaxes[0] is None else np.stack(vmaxes)
-        self._group_lower = np.stack([f.lower for f in self._functions])
-        self._group_upper = np.stack([f.upper for f in self._functions])
-
-    def _function_of(self, nid: int) -> Function:
-        if self._group_of_id is None:
-            return self.function
-        return self._functions[self._group_of_id[nid % self._initial_size]]
-
-    def quality_of(self, value: float) -> float:
-        """Solution quality of ``value`` across the network's objectives."""
-        if self._node_group is None:
-            return self.function.quality(value)
-        fstar = min(f.optimum_value for f in self._functions)
-        return max(0.0, float(value) - fstar)
-
     def _batch_eval(
         self, live: np.ndarray, pos: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Evaluate ``(nl, width, d)`` positions: one batch per function group.
+        """Evaluate ``(nl, width, d)`` positions in one batch.
 
         Static scenarios dispatch with ``ctx=None`` — the pinned
         bit-identical path.  Dynamic scenarios hand the kernels the
         Problem plus the engine's virtual clock.
         """
-        if not self._dynamic:
-            return self.backend.batch_eval(
-                self._functions, self._node_group, live, pos, out=out
-            )
-        return self.backend.batch_eval(
-            self._problems, self._node_group, live, pos, out=out,
-            ctx=EvalContext(time=self.now, cycle=self.cycle),
-        )
+        ctx = EvalContext(time=self.now, cycle=self.cycle) if self._dynamic else None
+        return self.backend.batch_eval(self._objectives, None, live, pos, out=out, ctx=ctx)
 
     # -- EngineBase-compatible control surface ---------------------------------------
 
@@ -466,19 +390,15 @@ class FastEngine:
         if self._gens:
             self._gens[row] = self._gens[last]
             self._gens.pop()
-        if self._node_group is not None:
-            self._node_group[row] = self._node_group[last]
         self.crashes += 1
         self.provider.on_crash(nid)
 
     def _add_rows(self, ids: np.ndarray) -> None:
         """Append fresh swarms for ``ids``: one stream batch, one initializer call."""
         gens = self._tree.rngs(("node",), ids, ("pso",))
-        lower, upper = self.function.lower, self.function.upper
-        if self._node_group is not None:
-            groups = self._group_of_id[ids % self._initial_size]
-            lower, upper = self._group_lower[groups], self._group_upper[groups]
-        block = initial_swarm_soa(gens, self.config.pso, lower, upper)
+        block = initial_swarm_soa(
+            gens, self.config.pso, self.function.lower, self.function.upper
+        )
         if self.soa is None:
             self.soa, start = block, 0
         else:
@@ -493,9 +413,6 @@ class FastEngine:
         self._alive[ids] = True
         if self.rng_mode == "strict":  # batched engines never read them again
             self._gens.extend(gens)
-        if self._node_group is not None:
-            self._node_group = grow_rows(self._node_group, end, 0)
-            self._node_group[start:end] = groups
 
     def _join(self, count: int) -> np.ndarray:
         """Add ``count`` fresh nodes as one block of rows; returns their ids.
@@ -803,18 +720,7 @@ class FastEngine:
             gbest = (
                 soa.best_positions if full_sweep else soa.best_positions[live]
             )[:, None, :]
-            if self._group_vmax is not None:
-                vmax = self._group_vmax[self._node_group[live]][:, None, :]
-            else:
-                vmax = self._vmax
-            lower = upper = None
-            if cfg.clamp_positions:
-                if self._node_group is None:
-                    lower, upper = self._box
-                else:
-                    groups = self._node_group[live]
-                    lower = self._group_lower[groups][:, None, :]
-                    upper = self._group_upper[groups][:, None, :]
+            lower, upper = self._box if cfg.clamp_positions else (None, None)
             if move is not None:
                 frozen = np.nonzero(~move)
                 held = sub_pos[frozen], sub_vel[frozen]
@@ -826,7 +732,7 @@ class FastEngine:
                 self.crashes == 0 and self._default_ids and nl == self._next_id
             ))
             operands = [(a, np.ndim(a) == 3) for a in
-                        (sub_pos, sub_vel, sub_pb, gbest, vmax, lower, upper)]
+                        (sub_pos, sub_vel, sub_pb, gbest, self._vmax, lower, upper)]
             for rows, draws in self._chunk_draws(live, moving, width, chunk, stream):
                 pos, vel, pb, gb, vm, lo, up = (
                     a[rows] if per_row else a for a, per_row in operands
@@ -1050,7 +956,6 @@ def run_single_fast(
     repetition: int = 0,
     record_history: bool = False,
     gossip: bool = True,
-    objective_map=None,
     extra_observers=(),
     max_cycles: int | None = None,
     topology: str | ViewProvider = "newscast",
@@ -1064,11 +969,9 @@ def run_single_fast(
     Same contract and :class:`~repro.core.runner.RunResult` schema; see
     the module docstring for the equivalence guarantees.  Reached via
     ``Scenario(engine="fast")`` through the session facade in normal
-    use; ``objective_map`` routes heterogeneous networks through
-    grouped batch evaluation, ``topology`` selects the array-backed
-    overlay, ``rng_mode`` the draw regime, and ``kernel_backend`` the
-    kernel instance the hot paths dispatch through (see
-    :class:`FastEngine`).
+    use; ``topology`` selects the array-backed overlay, ``rng_mode``
+    the draw regime, and ``kernel_backend`` the kernel instance the hot
+    paths dispatch through (see :class:`FastEngine`).
     """
     if config.evaluations_per_node < 1:
         raise ConfigurationError(
@@ -1079,7 +982,6 @@ def run_single_fast(
         config,
         repetition=repetition,
         gossip=gossip,
-        objective_map=objective_map,
         topology=topology,
         rng_mode=rng_mode,
         kernel_backend=kernel_backend,
@@ -1111,7 +1013,7 @@ def run_single_fast(
 
     stop_reason = engine.stop_reason or "cycle cap"
     best = quality_obs.best_value
-    quality = engine.quality_of(best)
+    quality = engine.function.quality(best)
 
     threshold_local = None
     if quality_obs.threshold_cycle is not None:

@@ -186,39 +186,25 @@ class KernelBackend:
         out: np.ndarray | None = None,
         ctx=None,
     ) -> np.ndarray:
-        """Evaluate ``(m, w, d)`` positions, one batched call per function group.
+        """Evaluate ``(m, w, d)`` positions in one batched call of ``functions[0]``.
 
-        ``node_group`` maps SoA slots to indices of ``functions``
-        (``None`` = homogeneous: ``functions[0]`` evaluates everything);
-        ``live`` holds the SoA slot of each row of ``pos``.  Returns the
-        ``(m, w)`` objective values.
+        Returns the ``(m, w)`` objective values.  ``node_group`` and
+        ``live`` (the SoA slot of each row of ``pos``) are unread; they
+        keep the signature that timing proxies forward positionally.
 
         ``ctx`` is the time-aware dispatch seam: ``None`` (the static
         case) calls ``fn.batch(points)``.  With an
         :class:`~repro.functions.problem.EvalContext`, ``functions``
-        holds :class:`~repro.functions.problem.Problem` objects and
-        each group evaluates via ``fn.batch_at(points, ctx)`` — the
-        landscape as of the engine's virtual clock.
+        holds a :class:`~repro.functions.problem.Problem`, evaluated
+        via ``fn.batch_at(points, ctx)`` — the landscape as of the
+        engine's virtual clock.
         """
         m, w, d = pos.shape
         if out is None:
             out = np.empty((m, w))
-
-        def evaluate(fn, points):
-            if ctx is None:
-                return fn.batch(points)
-            return fn.batch_at(points, ctx)
-
-        if node_group is None:
-            out[...] = evaluate(functions[0], pos.reshape(-1, d)).reshape(m, w)
-            return out
-        groups = node_group[live]
-        for gi, fn in enumerate(functions):
-            rows = np.nonzero(groups == gi)[0]
-            if rows.size:
-                out[rows] = evaluate(fn, pos[rows].reshape(-1, d)).reshape(
-                    rows.size, w
-                )
+        fn, points = functions[0], pos.reshape(-1, d)
+        values = fn.batch(points) if ctx is None else fn.batch_at(points, ctx)
+        out[...] = values.reshape(m, w)
         return out
 
     def scatter_min_fold(

@@ -44,7 +44,7 @@ class OptimizationNodeSpec:
     Attributes
     ----------
     function:
-        The shared objective.
+        The objective every node's PSO optimizes.
     pso / newscast / coordination:
         Per-service parameter bundles.
     rng_tree:
@@ -63,11 +63,6 @@ class OptimizationNodeSpec:
         node.  ``None`` (default) attaches NEWSCAST.  Used by the named
         non-NEWSCAST overlays (CYCLON, ring, k-regular, star) and the
         event runtime.
-    optimizer_factory:
-        Optional replacement solver: ``node_id -> OptimizationService``.
-        ``None`` (default) builds the paper's distributed PSO on
-        ``function``.  Used by heterogeneous ``objective_map`` networks,
-        where each node's PSO runs on its own objective.
     adversary:
         Optional run-wide :class:`~repro.simulator.adversary.Adversary`
         handed to every node's coordination protocol (joiners included
@@ -83,7 +78,6 @@ class OptimizationNodeSpec:
     evals_per_cycle: int
     budget_per_node: int | None
     topology_factory: Callable[[int], tuple[str, object]] | None = None
-    optimizer_factory: Callable[[int], object] | None = None
     adversary: object | None = None
 
     def __call__(self, node: "Node", engine: "CycleDrivenEngine") -> None:
@@ -109,12 +103,9 @@ def build_optimization_node(node: "Node", spec: OptimizationNodeSpec) -> None:
         topo = NewscastProtocol(spec.newscast, tree.rng("node", nid, "newscast"))
         node.attach(topo_name, topo)
 
-    if spec.optimizer_factory is not None:
-        service = spec.optimizer_factory(nid)
-    else:
-        service = DistributedPSOService(
-            spec.function, spec.pso, tree.rng("node", nid, "pso")
-        )
+    service = DistributedPSOService(
+        spec.function, spec.pso, tree.rng("node", nid, "pso")
+    )
     stepper = PSOStepProtocol(
         service,
         evals_per_cycle=spec.evals_per_cycle,

@@ -41,10 +41,6 @@ class Optimum:
         if np.isnan(self.value):
             raise ValueError("Optimum value cannot be NaN")
 
-    def better_than(self, other: "Optimum | None") -> bool:
-        """Strictly better (lower value) than ``other`` (None = beats)."""
-        return other is None or self.value < other.value
-
     def __lt__(self, other: "Optimum") -> bool:
         return self.value < other.value
 

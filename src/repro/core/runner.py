@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.core.dpso import PSOStepProtocol
 from repro.core.metrics import (
@@ -120,7 +119,6 @@ def _build_network(
     function: Function,
     tree: SeedSequenceTree,
     plan=None,
-    optimizer_factory=None,
     adversary=None,
 ) -> tuple[Network, OptimizationNodeSpec]:
     """Materialize the population with its topology attached.
@@ -143,7 +141,6 @@ def _build_network(
         evals_per_cycle=config.gossip_cycle,
         budget_per_node=config.evaluations_per_node,
         topology_factory=per_node,
-        optimizer_factory=optimizer_factory,
         adversary=adversary,
     )
     network = Network(rng=tree.rng("network"))
@@ -209,7 +206,6 @@ def _run_single_reference(
     repetition: int = 0,
     record_history: bool = False,
     plan=None,
-    optimizer_builder: Callable[[Function, SeedSequenceTree], Callable] | None = None,
     extra_observers=(),
     max_cycles: int | None = None,
     dynamics=None,
@@ -219,10 +215,6 @@ def _run_single_reference(
 
     This is the engine room behind :class:`repro.scenario.Session`.
     ``plan`` is :func:`_build_network`'s topology plan.
-    ``optimizer_builder`` maps ``(function, seed_tree)`` to a
-    per-node ``node_id -> OptimizationService`` factory — how the
-    scenario layer routes a heterogeneous objective map through the
-    unchanged node assembly.
     """
     if config.evaluations_per_node < 1:
         raise ConfigurationError(
@@ -235,13 +227,7 @@ def _run_single_reference(
     function, problem, clock, actor = bind_problem_layer(
         function, dynamics, adversary, config.nodes, tree
     )
-    optimizer_factory = (
-        optimizer_builder(function, tree) if optimizer_builder is not None else None
-    )
-    network, spec = _build_network(
-        config, function, tree, plan, optimizer_factory,
-        adversary=actor,
-    )
+    network, spec = _build_network(config, function, tree, plan, adversary=actor)
 
     churn = None
     if config.churn.enabled:

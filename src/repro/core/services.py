@@ -9,8 +9,8 @@ swapped independently:
 * **coordination** — :class:`CoordinationService` below.
 
 The paper instantiates them as NEWSCAST + PSO + anti-entropy; the
-named overlays and per-node ``objective_map`` solvers instantiate them
-differently with no changes to the other services — that
+named overlays instantiate the topology service differently with no
+changes to the other services — that
 substitutability is the framework's central claim, and tests exercise
 it directly.
 """

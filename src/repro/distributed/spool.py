@@ -649,10 +649,3 @@ class JobQueue:
     def load_failed(self, job_id: str) -> dict:
         """A dead-lettered job's payload (job dict, attempts, error)."""
         return _read_json(self._dir("failed") / f"{job_id}.json", job_id)
-
-    def load_records(self, job_id: str) -> list[RunRecord]:
-        """The completed job's records, in the job's repetition order."""
-        return [
-            RunRecord.from_dict(record)
-            for record in self.load_result(job_id)["records"]
-        ]

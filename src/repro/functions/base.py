@@ -102,11 +102,6 @@ class Function(abc.ABC):
             raise ValueError("count must be non-negative")
         return rng.uniform(self.lower, self.upper, size=(count, self.dimension))
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask: which rows of ``(m, d)`` lie inside the box."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all((pts >= self.lower) & (pts <= self.upper), axis=1)
-
     @property
     def domain_width(self) -> np.ndarray:
         """Per-dimension box width (used for velocity clamping)."""

@@ -1,9 +1,9 @@
 """Additional benchmark functions beyond the paper's suite.
 
-These extend the evaluation for the reproduction's ablations and
-heterogeneous ``objective_map`` networks.  All are standard test
-functions, shifted where necessary so the global minimum value is 0 —
-keeping the library-wide invariant quality = best objective value.
+These extend the evaluation for the reproduction's ablations.  All
+are standard test functions, shifted where necessary so the global
+minimum value is 0 — keeping the library-wide invariant quality = best
+objective value.
 """
 
 from __future__ import annotations

@@ -77,7 +77,7 @@ class Zakharov(Function):
     def batch(self, points: np.ndarray) -> np.ndarray:
         pts = self._validate_batch(points)
         quad = np.sum(pts**2, axis=1)
-        lin = pts @ self._weights
+        lin = np.einsum("ij,j->i", pts, self._weights)  # BLAS @ rounds by row place
         return quad + lin**2 + lin**4
 
     @property

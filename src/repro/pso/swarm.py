@@ -57,9 +57,9 @@ def initial_swarm_soa(
     +inf and the swarm optimum is +inf with a placeholder position;
     both resolve on the first evaluations.
 
-    ``lower`` / ``upper`` are one ``(d,)`` box for every swarm or
-    ``(n, d)`` per-swarm rows.  Swarm ``i`` draws one ``(2, k, d)``
-    uniform block from ``rngs[i]`` — the doubles, in the order, that
+    ``lower`` / ``upper`` are the ``(d,)`` box every swarm shares.
+    Swarm ``i`` draws one ``(2, k, d)`` uniform block from ``rngs[i]``
+    — the doubles, in the order, that
     ``rng.uniform(lower, upper, (k, d))`` then
     ``rng.uniform(-vmax, vmax, (k, d))`` consume — and ``uniform``'s
     per-element map ``low + (high − low)·u`` runs straight into the
@@ -75,11 +75,9 @@ def initial_swarm_soa(
     comparable.
     """
     n, k, d = len(rngs), config.particles, lower.shape[-1]
-    if lower.ndim == 2:
-        lower, upper = lower[:, None, :], upper[:, None, :]
     width = upper - lower
     vmax = (config.vmax_fraction or 1.0) * width
-    maps = (width, lower, 2 * vmax, -vmax)
+    vscale, vlow = 2 * vmax, -vmax
     positions, velocities = np.empty((n, k, d)), np.empty((n, k, d))
     u = np.empty((min(n, INIT_BLOCK), 2, k, d))
     for lo in range(0, n, INIT_BLOCK):
@@ -88,9 +86,8 @@ def initial_swarm_soa(
         draws = u[: pos.shape[0]]
         for row, rng in zip(draws, rngs[blk]):
             rng.random(out=row)
-        scale, low, vscale, vlow = [a[blk] for a in maps] if width.ndim == 3 else maps
         # low + (high − low)·u and (−vmax) + (2·vmax)·u, as uniform maps them.
-        np.add(low, np.multiply(scale, draws[:, 0], out=pos), out=pos)
+        np.add(lower, np.multiply(width, draws[:, 0], out=pos), out=pos)
         np.add(vlow, np.multiply(vscale, draws[:, 1], out=vel), out=vel)
     return SwarmStateSoA(
         positions=positions,

@@ -7,9 +7,8 @@ hand-rolled entry points those regimes used to have into one pair of
 concepts:
 
 * :class:`Scenario` — a frozen, validated, JSON-round-trippable value
-  describing *what* to run: network size, swarm shape, objective (or
-  per-node objective map), topology model, churn, transport, engine,
-  stop conditions, seed.
+  describing *what* to run: network size, swarm shape, objective,
+  topology model, churn, transport, engine, stop conditions, seed.
 * :class:`Session` — the facade that executes a scenario on any
   engine via ``run()`` / ``sweep()`` / ``trajectory()``, returning the
   unified :class:`Result` shape.

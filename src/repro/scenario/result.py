@@ -308,11 +308,6 @@ class Result:
         return sum(r.reached_threshold for r in self.records) / len(self.records)
 
     @property
-    def best_record(self) -> RunRecord:
-        """The repetition with the lowest final quality."""
-        return min(self.records, key=lambda r: r.quality)
-
-    @property
     def messages(self) -> MessageTally:
         """Communication tally summed over repetitions."""
         total = MessageTally()

@@ -107,32 +107,6 @@ def _topology_plan(scenario: Scenario):
     raise ConfigurationError(f"unknown topology {topology!r}")  # pragma: no cover
 
 
-def _optimizer_builder(scenario: Scenario):
-    """Per-node solver factory builder for the reference engine.
-
-    Returns ``None`` for a one-objective scenario (the node assembly
-    then builds the paper's default stack), otherwise a callable
-    ``(function, seed_tree) -> (node_id -> service)`` giving each node
-    a PSO service on its ``objective_map`` function.
-    """
-    if scenario.objective_map is None:
-        return None
-
-    def objective_map_builder(function, tree):
-        from repro.core.dpso import DistributedPSOService
-        from repro.functions.base import get_function
-
-        def factory(node_id: int):
-            fn = get_function(scenario.function_for(node_id))
-            return DistributedPSOService(
-                fn, scenario.pso, tree.rng("node", node_id, "pso")
-            )
-
-        return factory
-
-    return objective_map_builder
-
-
 class Session:
     """Execute a :class:`Scenario` and return unified results.
 
@@ -172,7 +146,6 @@ class Session:
             repetition=repetition,
             record_history=scenario.record_history,
             plan=_topology_plan(scenario),
-            optimizer_builder=_optimizer_builder(scenario),
             extra_observers=scenario.observers,
             max_cycles=scenario.max_cycles,
             dynamics=scenario.dynamics,
@@ -188,7 +161,6 @@ class Session:
             scenario.to_experiment_config(),
             repetition=repetition,
             record_history=scenario.record_history,
-            objective_map=scenario.objective_map,
             extra_observers=scenario.observers,
             max_cycles=scenario.max_cycles,
             topology=scenario.topology,
@@ -245,7 +217,7 @@ class Session:
         scenario = self.scenario
         # TransportSpec and ChurnConfig fields keep their names here.
         return DeploymentConfig(
-            function=scenario.primary_function(),
+            function=scenario.function,
             nodes=scenario.nodes,
             particles_per_node=scenario.particles_per_node,
             budget_per_node=scenario.evaluations_per_node,
@@ -442,14 +414,11 @@ class Session:
                 "build_network is a reference-engine escape hatch"
             )
         tree = SeedSequenceTree(scenario.seed).subtree("rep", repetition)
-        function = get_function(scenario.primary_function())
-        builder = _optimizer_builder(scenario)
         network, spec = _build_network(
             scenario.to_experiment_config(),
-            function,
+            get_function(scenario.function),
             tree,
             _topology_plan(scenario),
-            builder(function, tree) if builder is not None else None,
         )
         return network, spec, tree
 

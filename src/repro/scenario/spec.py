@@ -9,8 +9,8 @@ comparisons — one spec, every frontend.
 Design rules:
 
 * **Declarative** — a scenario names *what* to run (network size,
-  swarm shape, objective or per-node objective map, topology model,
-  churn, transport, engine, stop conditions, seed), never *how*; the
+  swarm shape, objective, topology model, churn, transport, engine,
+  stop conditions, seed), never *how*; the
   :class:`~repro.scenario.session.Session` facade owns the how.
 * **A value** — frozen; sweeps produce new instances via
   :meth:`Scenario.with_`.
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping
 
-from repro.functions.base import available_functions, get_function
+from repro.functions.base import available_functions
 from repro.functions.problem import DynamicsSpec
 from repro.simulator.adversary import AdversarySpec
 from repro.utils.config import (
@@ -42,9 +42,9 @@ from repro.utils.config import (
     PSOConfig,
 )
 from repro.utils.validate import (
-    FRACTION, JITTER, LATENCY, PERIOD, ScenarioValidationError, bundle, check,
-    choice, count, flag, load, mapping, optional, real, require, sequence,
-    text
+    FRACTION, JITTER, LATENCY, PERIOD, REMOVED, ScenarioValidationError,
+    bundle, check, choice, count, flag, load, mapping, optional, real,
+    require, sequence, text
 )
 
 __all__ = [
@@ -73,11 +73,6 @@ TOPOLOGIES = ("newscast", "cyclon", "ring", "kregular", "star", "oracle")
 RNG_MODES = ("strict", "batched")
 #: Baseline comparison modes (master–slave is ``topology="star"``).
 BASELINES = ("centralized", "independent")
-
-
-#: Why ``solver`` / ``partitioned`` keep one legal value and
-#: ``topology`` takes no callable.
-_REMOVED = "the extension was removed; only the paper's stack runs"
 
 
 @dataclass(frozen=True)
@@ -121,14 +116,7 @@ class Scenario:
     Attributes
     ----------
     function:
-        Registry name of the shared objective.  Exactly one of
-        ``function`` / ``objective_map`` must be set.
-    objective_map:
-        Per-node objective assignment ``{node_id: function_name}``
-        covering every node — a *heterogeneous* network.  All mapped
-        functions must share one dimensionality.  On the fast engine
-        this routes through grouped batch evaluation (one batched
-        objective call per function group per chunk).
+        Registry name of the objective every node optimizes (required).
     nodes / particles_per_node / total_evaluations / gossip_cycle:
         The paper's ``(n, k, e, r)`` knobs.
     repetitions / seed:
@@ -164,11 +152,12 @@ class Scenario:
     kernel_backend:
         The :mod:`repro.core.kernels` implementation of the fast
         engine's hot kernels: ``"numpy"``, the only value.
-    solver / partitioned:
-        ``"pso"`` and ``False``, the only values: every node runs the
-        paper's PSO over the whole search space.  Any other value
-        fails validation (the solver-mix and partitioned-search
-        extensions were removed).
+    solver / partitioned / objective_map:
+        ``"pso"``, ``False`` and ``None``, the only values: every node
+        runs the paper's PSO on the one ``function`` over the whole
+        search space.  Any other value fails validation (the solver-mix,
+        partitioned-search and per-node objective extensions were
+        removed).
     baseline:
         ``"centralized"`` (one big swarm, same total budget) or
         ``"independent"`` (isolated multi-start, best-of-n); ``None``
@@ -242,7 +231,7 @@ class Scenario:
     observers: tuple = ()
 
     RULES = {
-        "function": optional(text), "objective_map": optional(mapping),
+        "function": text, "objective_map": optional(mapping),
         "nodes": count(), "particles_per_node": count(),
         "total_evaluations": count(), "gossip_cycle": count(),
         "repetitions": count(), "seed": count(min=0),
@@ -270,13 +259,17 @@ class Scenario:
         from repro.scenario.support import check as check_support
 
         require(self.solver == "pso", "solver",
-                f"must be 'pso', got {self.solver!r}: {_REMOVED}")
+                f"must be 'pso', got {self.solver!r}: {REMOVED}")
         require(self.partitioned is False, "partitioned",
-                f"must be False, got {self.partitioned!r}: {_REMOVED}")
+                f"must be False, got {self.partitioned!r}: {REMOVED}")
+        require(self.objective_map is None, "objective_map",
+                f"must be None, got {self.objective_map!r}: {REMOVED}")
         require(not callable(self.topology), "topology",
-                f"a factory callable is not accepted: {_REMOVED}")
+                f"a factory callable is not accepted: {REMOVED}")
         check(self, self.RULES)
-        self._validate_objective()
+        known = available_functions()
+        require(self.function.lower() in known, "function",
+                f"unknown function {self.function!r}; available: {known}")
         require(self.baseline is None or self.engine == "reference", "baseline",
                 "baselines run on the reference engine")
         if self.baseline == "centralized" and self.synchronous:
@@ -310,34 +303,6 @@ class Scenario:
             self, "coordination",
             replace(self.coordination, cycle_length=self.gossip_cycle),
         )
-        if self.objective_map is not None:
-            object.__setattr__(
-                self, "objective_map",
-                {int(k): str(v) for k, v in self.objective_map.items()},
-            )
-
-    def _validate_objective(self) -> None:
-        known = available_functions()
-        if self.objective_map is None:
-            require(self.function is not None, "function",
-                    "a function name (or an objective_map) is required")
-            require(self.function.lower() in known, "function",
-                    f"unknown function {self.function!r}; available: {known}")
-            return
-        require(self.function is None, "function",
-                "give either function or objective_map, not both")
-        ids = sorted(count(min=0).apply(k, "objective_map", "Scenario")
-                     for k in self.objective_map)
-        require(ids == list(range(self.nodes)), "objective_map",
-                f"must map every node id 0..{self.nodes - 1} exactly once")
-        names = set(self.objective_map.values())
-        for name in names:
-            require(isinstance(name, str) and name.lower() in known,
-                    "objective_map",
-                    f"unknown function {name!r}; available: {known}")
-        dims = {get_function(name).dimension for name in names}
-        require(len(dims) == 1, "objective_map",
-                f"all objectives must share one dimension, got {sorted(dims)}")
 
     # -- derived views ---------------------------------------------------------
 
@@ -357,41 +322,16 @@ class Scenario:
         """Per-node share of the global budget (floor division)."""
         return self.total_evaluations // self.nodes
 
-    def function_for(self, node_id: int) -> str:
-        """Objective name for ``node_id``; joiners reuse ``id % nodes``."""
-        if self.objective_map is None:
-            return self.function  # type: ignore[return-value]
-        if node_id in self.objective_map:
-            return self.objective_map[node_id]
-        return self.objective_map[node_id % self.nodes]
-
-    def function_groups(self) -> list[tuple[str, list[int]]]:
-        """Nodes grouped by objective, first-seen order.
-
-        Homogeneous scenarios return one group; the fast engine issues
-        one batched objective evaluation per returned group.
-        """
-        if self.objective_map is None:
-            return [(self.function, list(range(self.nodes)))]  # type: ignore[list-item]
-        groups: dict[str, list[int]] = {}
-        for nid in range(self.nodes):
-            groups.setdefault(self.objective_map[nid], []).append(nid)
-        return list(groups.items())
-
-    def primary_function(self) -> str:
-        """Node 0's objective — the label tables and CSV rows carry."""
-        return self.function_for(0)
-
     def to_experiment_config(self) -> ExperimentConfig:
         """The :class:`ExperimentConfig` view of this scenario.
 
-        Lossy by design (engine, topology, objective map, transport and
-        baseline knobs have no slot there); it is the argument the
-        cycle engines (reference, fast, sharded) take.  Every field of
-        it is a field of this scenario, under the same name.
+        Lossy by design (engine, topology, transport and baseline knobs
+        have no slot there); it is the argument the cycle engines
+        (reference, fast, sharded) take.  Every field of it is a field
+        of this scenario, under the same name.
         """
-        shared = {name: getattr(self, name) for name in ExperimentConfig.RULES}
-        return ExperimentConfig(**shared | {"function": self.primary_function()})
+        return ExperimentConfig(
+            **{name: getattr(self, name) for name in ExperimentConfig.RULES})
 
     def with_(self, **changes: Any) -> "Scenario":
         """Return a modified copy (sweep helper)."""
@@ -399,11 +339,6 @@ class Scenario:
 
     def describe(self) -> str:
         """One-line human-readable summary used in logs and reports."""
-        objective = (
-            self.function
-            if self.objective_map is None
-            else "+".join(name for name, _ in self.function_groups())
-        )
         extras = ""
         if self.baseline:
             extras = f" baseline={self.baseline}"
@@ -418,7 +353,7 @@ class Scenario:
                 f"{'+defense' if self.adversary.defense else ''}"
             )
         return (
-            f"{objective}: n={self.nodes} k={self.particles_per_node} "
+            f"{self.function}: n={self.nodes} k={self.particles_per_node} "
             f"e={self.total_evaluations} r={self.gossip_cycle} "
             f"reps={self.repetitions} seed={self.seed} "
             f"engine={self.engine}{extras}"
@@ -441,9 +376,7 @@ class Scenario:
             value = getattr(self, name)
             if name == "observers":
                 continue
-            if name == "objective_map" and value is not None:
-                value = {str(k): v for k, v in value.items()}
-            elif isinstance(rule, bundle):
+            if isinstance(rule, bundle):
                 value = asdict(value)
             out[name] = value
         return out
@@ -467,9 +400,4 @@ class Scenario:
                     "policy=ExecutionPolicy(...)))")
         require("observers" not in data, "observers",
                 "live observer objects are not serializable")
-        objective_map = data.get("objective_map")
-        if isinstance(objective_map, Mapping):  # JSON object keys are strings
-            data = {**data, "objective_map": {
-                int(k) if isinstance(k, str) and k.isdecimal() else k: v
-                for k, v in objective_map.items()}}
         return load(cls, data)

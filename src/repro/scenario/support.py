@@ -7,8 +7,8 @@ validity domain.  That domain is data, here and nowhere else:
 ``Scenario.regime`` plus the two an
 :class:`~repro.scenario.policy.ExecutionPolicy` adds — ``jobs``
 (``workers > 1`` or a spool: the scenario crosses a process boundary as
-a pickle or a job file) and ``shards`` — and :data:`UNSUPPORTED` /
-:data:`CONFLICTS` the cells.  Validation (:func:`check`), README's
+a pickle or a job file) and ``shards`` — and :data:`UNSUPPORTED` the
+cells.  Validation (:func:`check`), README's
 "What runs where" block (:func:`markdown`) and the exhaustive
 ``tests/scenario/test_support.py`` all read the same rows.  Per-field
 range checks and the selector consistency that *derives* the regime
@@ -25,7 +25,6 @@ __all__ = [
     "COLUMNS",
     "FEATURES",
     "UNSUPPORTED",
-    "CONFLICTS",
     "check",
     "markdown",
 ]
@@ -43,8 +42,6 @@ _DEFAULT_TRANSPORT = TransportSpec()
 #: on"), in the order :func:`check` reads them — the first violated row
 #: is the one an error names.
 FEATURES = {
-    "objective_map": (
-        "objective_map", lambda s: s.objective_map is not None),
     "topology oracle": ("topology", lambda s: s.topology == "oracle"),
     "topology cyclon / ring / kregular / star": (
         "topology",
@@ -67,9 +64,6 @@ FEATURES = {
             s.transport.gossip_period)),
     "transport other than the default": (
         "transport", lambda s: s.transport != _DEFAULT_TRANSPORT),
-    "newscast.exchange_per_cycle other than 1": (
-        "newscast.exchange_per_cycle",
-        lambda s: s.newscast.exchange_per_cycle != 1),
     "engine other than fast": ("engine", lambda s: s.regime != "fast"),
 }
 
@@ -83,11 +77,6 @@ def _cells(blocks: list[tuple[tuple, tuple, str]]) -> dict[tuple[str, str], str]
 
 #: ``(feature, column) -> reason``; absent = supported.
 UNSUPPORTED = _cells([
-    (("objective_map",), _EVENT,
-     "the event runtimes bind one shared objective"),
-    (("objective_map",), ("shards",),
-     "grouped objective batches span ids 0..n-1; a shard engine owns one "
-     "id block"),
     (("topology oracle",), ("reference", *_EVENT),
      "the oracle sampler is the fast engine's idealized overlay; other "
      "engines model real topologies"),
@@ -98,9 +87,8 @@ UNSUPPORTED = _cells([
     (("rng_mode batched",), ("reference", "event", *_BASELINES),
      "batched draws are a SoA-kernel regime (the fast engine or the fast "
      "event backend)"),
-    (("objective_map", "topology oracle",
-      "topology cyclon / ring / kregular / star", "churn", "dynamics",
-      "adversary"),
+    (("topology oracle", "topology cyclon / ring / kregular / star",
+      "churn", "dynamics", "adversary"),
      _BASELINES,
      "a baseline is plain PSO on one shared static function: no overlay, "
      "no population change, nobody to lie"),
@@ -136,41 +124,24 @@ UNSUPPORTED = _cells([
       "transport other than the default"),
      ("reference", "fast", *_BASELINES, "shards"),
      "only the event engines have clocks and wires"),
-    (("newscast.exchange_per_cycle other than 1",),
-     ("fast", *_EVENT, *_BASELINES, "shards"),
-     "only the cycle-driven object NEWSCAST initiates several exchanges "
-     "per cycle"),
     (("engine other than fast",), ("shards",),
      "the per-shard substrate is the SoA fast engine (engine='fast')"),
 ])
 
-#: ``(feature, other feature) -> reason``, blamed on the first.
-CONFLICTS = _cells([
-    (("dynamics", "adversary"), ("objective_map",),
-     "the problem layer needs one shared objective"),
-])
-
-
 def check(scenario: Scenario, column: str | None = None) -> None:
     """Raise for the first feature ``scenario`` has on that ``column`` lacks.
 
-    ``column=None`` is the scenario's own regime plus the conflict
-    pairs — what construction validates; ``"jobs"`` / ``"shards"`` is
-    what the execution layers add.  Every violation is a
+    ``column=None`` is the scenario's own regime — what construction
+    validates; ``"jobs"`` / ``"shards"`` is what the execution layers
+    add.  Every violation is a
     :class:`~repro.scenario.spec.ScenarioValidationError` on the row's
-    field, naming the column (or the other feature).
+    field, naming the column.
     """
-    on = [name for name, (_, is_on) in FEATURES.items() if is_on(scenario)]
-    if column is None:
-        cells = [(UNSUPPORTED, scenario.regime)] + [(CONFLICTS, o) for o in on]
-    else:
-        cells = [(UNSUPPORTED, column)]
-    for name in on:
-        for table, other in cells:
-            if (name, other) in table:
-                raise ScenarioValidationError(
-                    FEATURES[name][0],
-                    f"{table[name, other]} (unsupported under {other!r})")
+    column = scenario.regime if column is None else column
+    for name, (field, is_on) in FEATURES.items():
+        if (name, column) in UNSUPPORTED and is_on(scenario):
+            raise ScenarioValidationError(
+                field, f"{UNSUPPORTED[name, column]} (unsupported under {column!r})")
 
 
 def markdown() -> str:
@@ -198,6 +169,4 @@ def markdown() -> str:
         lines.append(f"| {name} | " + " | ".join(cells) + " |")
     lines.append("")
     lines += [f"{i}. {reason}" for i, reason in enumerate(reasons, 1)]
-    lines += ["", "Never together (an error names the first):", ""]
-    lines += [f"- {a} + {b}: {reason}" for (a, b), reason in CONFLICTS.items()]
     return "\n".join(lines)

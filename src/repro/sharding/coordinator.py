@@ -87,7 +87,7 @@ def _assemble(scenario: Scenario, fragments: list[dict]) -> RunRecord:
     """
     frag0 = fragments[0]
     best = float(frag0["best_value"])
-    function = get_function(scenario.primary_function())
+    function = get_function(scenario.function)
     threshold_local = None
     if frag0["threshold_cycle"] is not None:
         threshold_local = frag0["threshold_cycle"] * scenario.gossip_cycle

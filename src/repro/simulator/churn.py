@@ -206,18 +206,6 @@ class SessionChurn:
             self.joins += 1
 
 
-def geometric_sessions(mean_cycles: float) -> Callable[[np.random.Generator], int]:
-    """Session sampler with geometric (memoryless) lengths, mean ``mean_cycles``."""
-    if mean_cycles < 1:
-        raise ValueError("mean_cycles must be >= 1")
-    p = 1.0 / mean_cycles
-
-    def sample(rng: np.random.Generator) -> int:
-        return int(rng.geometric(p))
-
-    return sample
-
-
 def lognormal_sessions(
     median_cycles: float, sigma: float = 1.0
 ) -> Callable[[np.random.Generator], int]:

@@ -208,33 +208,6 @@ class EventDrivenEngine(EngineBase):
             )
         heapq.heappush(self._queue, SimulationEvent(time, next(self._seq), action))
 
-    def schedule_periodic(
-        self,
-        start: float,
-        period: float,
-        action: Callable[[EngineBase], None],
-        jitter: float = 0.0,
-    ) -> None:
-        """Schedule ``action`` every ``period`` time units from ``start``.
-
-        Optional uniform jitter in ``[0, jitter]`` is added to each
-        firing — gossip protocols use it to desynchronize node clocks.
-        """
-        if period <= 0:
-            raise ValueError("period must be positive")
-        if jitter < 0:
-            raise ValueError("jitter must be non-negative")
-
-        def fire(engine: EngineBase) -> None:
-            action(engine)
-            if not engine.stopped:
-                delay = period + (
-                    float(self.rng.uniform(0.0, jitter)) if jitter else 0.0
-                )
-                engine.schedule(engine.now + delay, fire)
-
-        self.schedule(start, fire)
-
     def run(
         self,
         until: float | None = None,

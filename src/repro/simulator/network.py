@@ -153,19 +153,6 @@ class Network:
         if last != node_id:
             self._live_index[last] = pos
 
-    def revive(self, node_id: NodeId) -> None:
-        """Bring a crashed node back (state intact).
-
-        The paper treats rejoining workstations as *new* nodes, but
-        revival is useful for transient-failure experiments.
-        """
-        node = self.node(node_id)
-        if node.alive:
-            raise SimulationError(f"node {node_id} is already up")
-        node.alive = True
-        self._live_index[node_id] = len(self._live)
-        self._live.append(node_id)
-
     # -- lookup ----------------------------------------------------------------
 
     def node(self, node_id: NodeId) -> Node:
@@ -241,26 +228,6 @@ class Network:
             nid = self._live[int(self._rng.integers(n))]
             if nid != exclude:
                 return self._nodes[nid]
-
-    def sample_live_ids(self, count: int, replace: bool = False) -> list[NodeId]:
-        """Uniform sample of live node ids.
-
-        Parameters
-        ----------
-        count:
-            Sample size; without replacement it must not exceed
-            :attr:`live_count`.
-        replace:
-            Sample with replacement if true.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if not replace and count > len(self._live):
-            raise SimulationError(
-                f"cannot sample {count} distinct nodes from {len(self._live)} live"
-            )
-        idx = self._rng.choice(len(self._live), size=count, replace=replace)
-        return [self._live[int(i)] for i in np.atleast_1d(idx)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Network(size={self.size}, live={self.live_count})"

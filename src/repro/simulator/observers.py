@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.engine import CycleDrivenEngine
 
-__all__ = ["Observer", "FunctionObserver", "StopCondition", "PeriodicObserver"]
+__all__ = ["Observer", "FunctionObserver", "StopCondition"]
 
 
 class Observer(abc.ABC):
@@ -45,20 +45,6 @@ class FunctionObserver(Observer):
 
     def observe(self, engine: "CycleDrivenEngine") -> None:
         self._fn(engine)
-
-
-class PeriodicObserver(Observer):
-    """Run an inner observer every ``period`` cycles (cheap sampling)."""
-
-    def __init__(self, inner: Observer, period: int):
-        if period < 1:
-            raise ValueError("period must be >= 1")
-        self.inner = inner
-        self.period = period
-
-    def observe(self, engine: "CycleDrivenEngine") -> None:
-        if engine.cycle % self.period == 0:
-            self.inner.observe(engine)
 
 
 class StopCondition(Observer):

@@ -56,7 +56,7 @@ class NewscastProtocol(CycleProtocol, PeerSampler):
     Parameters
     ----------
     config:
-        View size ``c`` and exchange rate.
+        View size ``c``.
     rng:
         This node's private stream for peer selection.
     """
@@ -83,11 +83,7 @@ class NewscastProtocol(CycleProtocol, PeerSampler):
     # -- protocol behaviour ----------------------------------------------------------
 
     def next_cycle(self, node: "Node", engine: "EngineBase") -> None:
-        """Initiate ``exchange_per_cycle`` view exchanges."""
-        for _ in range(self.config.exchange_per_cycle):
-            self._initiate_exchange(node, engine)
-
-    def _initiate_exchange(self, node: "Node", engine: "EngineBase") -> None:
+        """Initiate one view exchange, as PeerSim's cycle-driven NEWSCAST does."""
         desc = self.view.sample(self.rng)
         if desc is None:
             return  # isolated node; it can only be re-absorbed by others

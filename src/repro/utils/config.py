@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.utils.validate import (
-    FRACTION, RATE, bundle, check, choice, count, flag, optional, real, text
+    FRACTION, RATE, REMOVED, bundle, check, choice, count, flag, optional,
+    real, require, text
 )
 
 __all__ = [
@@ -46,8 +47,10 @@ class NewscastConfig:
         The paper reports ``c = 20`` is sufficient for "very stable and
         robust connectivity"; that is our default.
     exchange_per_cycle:
-        How many view exchanges a node initiates per simulation cycle.
-        PeerSim's cycle-driven NEWSCAST initiates one.
+        ``1``, the only value: a node initiates one view exchange per
+        cycle, as PeerSim's cycle-driven NEWSCAST does.  Any other
+        value fails validation (the multi-exchange extension was
+        removed).
     """
 
     view_size: int = 20
@@ -56,6 +59,9 @@ class NewscastConfig:
     RULES = {"view_size": count(), "exchange_per_cycle": count()}
 
     def __post_init__(self) -> None:
+        require(self.exchange_per_cycle == 1, "exchange_per_cycle",
+                f"must be 1, got {self.exchange_per_cycle!r}: {REMOVED}",
+                "NewscastConfig")
         check(self, self.RULES)
 
 

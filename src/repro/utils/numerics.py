@@ -17,8 +17,6 @@ __all__ = [
     "clamp_array",
     "geometric_mean",
     "safe_log10",
-    "is_power_of_two",
-    "powers_of_two",
 ]
 
 #: Floor applied before taking log10 of solution qualities, so that an
@@ -79,18 +77,6 @@ def geometric_mean(values) -> float:
     return float(np.exp(np.mean(np.log(arr))))
 
 
-def is_power_of_two(n: int) -> bool:
-    """True iff ``n`` is a positive power of two (including 2**0)."""
-    return n > 0 and (n & (n - 1)) == 0
-
-
-def powers_of_two(lo_exp: int, hi_exp: int) -> list[int]:
-    """Inclusive list ``[2**lo_exp, ..., 2**hi_exp]`` (paper's n sweeps)."""
-    if lo_exp < 0 or hi_exp < lo_exp:
-        raise ValueError("require 0 <= lo_exp <= hi_exp")
-    return [2**i for i in range(lo_exp, hi_exp + 1)]
-
-
 @dataclass
 class RunningStats:
     """Welford online mean/variance with min/max tracking.
@@ -140,13 +126,6 @@ class RunningStats:
         if self.count == 0:
             return math.nan
         return self._m2 / self.count
-
-    @property
-    def sample_variance(self) -> float:
-        """Unbiased sample variance (n-1 denominator)."""
-        if self.count < 2:
-            return math.nan
-        return self._m2 / (self.count - 1)
 
     @property
     def std(self) -> float:

@@ -147,6 +147,16 @@ class TestCsvExport:
         assert rows[0]["repetition"] == "0"
         assert rows[1]["repetition"] == "1"
 
+    def test_function_column_names_each_result_function(self):
+        results = [
+            Session(Scenario(function=name, nodes=2, particles_per_node=2,
+                             total_evaluations=16, gossip_cycle=2,
+                             seed=3)).run()
+            for name in ("rastrigin", "dejong_f2")
+        ]
+        rows = list(csv.DictReader(io.StringIO(results_to_csv(results))))
+        assert [r["function"] for r in rows] == ["rastrigin", "dejong_f2"]
+
     def test_writes_file(self, small_result, tmp_path):
         path = tmp_path / "out.csv"
         text = results_to_csv([small_result], path=path)

@@ -5,7 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.functions.base import available_functions, get_function
+from repro.pso.swarm import Swarm
 from repro.scenario import Scenario, Session
+from repro.utils.config import PSOConfig
+from repro.utils.rng import SeedSequenceTree
 
 #: The star overlay's center (``topology.static.star_graph`` default).
 MASTER_NODE_ID = 0
@@ -83,6 +87,44 @@ class TestIndependent:
         coord_q = np.log10(np.maximum(coordinated.qualities(), 1e-300))
         indep_q = np.log10(np.maximum(independent.qualities(), 1e-300))
         assert np.median(coord_q) <= np.median(indep_q) + 0.5
+
+
+class TestNamedFunction:
+    """Both baselines optimise ``scenario.function`` from their
+    documented seed branches: ``("centralized", rep)`` for the one big
+    swarm, ``("independent", rep, "node", i)`` for node ``i``'s swarm."""
+
+    @pytest.mark.parametrize("name", available_functions())
+    def test_centralized_is_one_swarm_on_the_function(self, name):
+        scenario = make_config(function=name, nodes=4, particles_per_node=4,
+                               total_evaluations=16 * 5, baseline="centralized")
+        record = Session(scenario).run_one(1)
+        function = get_function(name)
+        pso = PSOConfig(particles=16, c1=scenario.pso.c1, c2=scenario.pso.c2,
+                        vmax_fraction=scenario.pso.vmax_fraction,
+                        inertia=scenario.pso.inertia)
+        swarm = Swarm(function, pso,
+                      SeedSequenceTree(scenario.seed).rng("centralized", 1))
+        best = swarm.run(scenario.total_evaluations,
+                         synchronous=scenario.synchronous)
+        assert record.best_value == best
+        assert record.quality == function.quality(best)
+        assert record.total_evaluations == swarm.state.evaluations
+
+    @pytest.mark.parametrize("name", available_functions())
+    def test_independent_is_one_swarm_per_node_on_the_function(self, name):
+        scenario = make_config(function=name, nodes=3, particles_per_node=4,
+                               total_evaluations=3 * 4 * 5, baseline="independent")
+        record = Session(scenario).run_one(1)
+        function = get_function(name)
+        tree = SeedSequenceTree(scenario.seed)
+        qualities = [
+            function.quality(Swarm(function, scenario.pso, rng).run(
+                scenario.evaluations_per_node))
+            for rng in tree.rngs(("independent", 1, "node"), range(3))
+        ]
+        assert record.node_qualities == qualities
+        assert record.quality == min(qualities)
 
 
 class TestMasterSlave:

@@ -45,7 +45,6 @@ def run_reference_on():
     names only the built-in overlays.
     """
     from repro.core.runner import _run_single_reference
-    from repro.scenario.session import _optimizer_builder
     from repro.topology.provider import TopologyPlan
 
     def run(scenario, per_node, repetition=0):
@@ -55,7 +54,6 @@ def run_reference_on():
             repetition=repetition,
             record_history=scenario.record_history,
             plan=plan,
-            optimizer_builder=_optimizer_builder(scenario),
         )
 
     return run

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.fastpath import FastEngine, run_single_fast
+from repro.functions.base import available_functions
 from repro.pso.swarm import Swarm
 from repro.scenario import ExecutionPolicy, Scenario, Session
 from repro.topology.sampler import PeerSampler
@@ -128,31 +129,28 @@ class TestTrajectoryIdentity:
             assert np.array_equal(row.best_position, swarm.state.best_position)
             assert row.evaluations == swarm.state.evaluations
 
-    @pytest.mark.parametrize("case", ["objective_map", "id_subset"])
+    @pytest.mark.parametrize("case", ["all_ids", "id_subset"])
     def test_build_matches_per_node_uniform_streams(self, case):
         """The one-call network build equals per-node ``uniform`` draws
-        from each node's own stream — heterogeneous boxes and
-        non-contiguous id subsets included — and leaves every node
-        generator where the per-node initializer would."""
+        from each node's own stream — non-contiguous id subsets
+        included — and leaves every node generator where the per-node
+        initializer would."""
         from repro.functions.base import get_function
         from repro.topology.array_views import OracleViews
 
         cfg = small_config(nodes=9, particles_per_node=4, seed=23,
+                           function="zakharov" if case == "all_ids" else "sphere",
                            pso=PSOConfig(particles=4, vmax_fraction=0.5))
-        if case == "objective_map":
-            names = ["sphere", "zakharov", "rastrigin"]
-            omap = {nid: names[nid % 3] for nid in range(cfg.nodes)}
+        if case == "all_ids":
             ids = np.arange(cfg.nodes)
-            engine = FastEngine(cfg, repetition=2, gossip=False,
-                                objective_map=omap)
+            engine = FastEngine(cfg, repetition=2, gossip=False)
         else:
-            omap = {nid: "sphere" for nid in range(cfg.nodes)}
             ids = np.array([1, 4, 5, 8])
             engine = FastEngine(cfg, repetition=2, gossip=False,
                                 topology=OracleViews(), node_ids=ids)
         tree = SeedSequenceTree(cfg.seed).subtree("rep", 2)
+        f = get_function(cfg.function)
         for slot, nid in enumerate(ids.tolist()):
-            f = get_function(omap[nid])
             rng = tree.rng("node", nid, "pso")
             positions = rng.uniform(f.lower, f.upper, size=(4, f.dimension))
             vmax = 0.5 * f.domain_width
@@ -490,3 +488,45 @@ class TestUniformBox:
         signed_zeros = np.array([0.0, -0.0])  # equal, not the same bits
         assert _uniform(signed_zeros) is signed_zeros
         assert _uniform(np.full(3, 5.12)) == 5.12
+
+
+class TestEveryFunction:
+    """The one objective a run holds may be any registered function:
+    the bit-identity tier holds for each box, not just the sphere's."""
+
+    @pytest.mark.parametrize("name", available_functions())
+    def test_gossip_off_identical_to_reference(self, name, run_reference_on):
+        cfg = small_config(function=name, nodes=4, particles_per_node=4,
+                           gossip_cycle=4, total_evaluations=4 * 4 * 6)
+        ref = run_reference_on(lift(cfg, record_history=True),
+                               isolated_topology)
+        fast = run_single_fast(cfg, record_history=True, gossip=False)
+        assert ref.best_value == fast.best_value
+        assert history_tuples(ref) == history_tuples(fast)
+        assert ref.node_best_spread == fast.node_best_spread
+        assert ref.total_evaluations == fast.total_evaluations
+
+    @pytest.mark.parametrize("name", available_functions())
+    def test_clamped_rows_match_reference_swarms(self, name):
+        """With position clamping on, each SoA row equals an isolated
+        reference Swarm on the named function and stays in its box."""
+        from repro.functions.base import get_function
+
+        pso = PSOConfig(particles=3, vmax_fraction=1.0, clamp_positions=True)
+        cfg = small_config(function=name, nodes=3, particles_per_node=3,
+                           gossip_cycle=3, total_evaluations=3 * 3 * 5, pso=pso)
+        engine = FastEngine(cfg, gossip=False)
+        engine.run(5)
+        function = get_function(name)
+        tree = SeedSequenceTree(cfg.seed).subtree("rep", 0)
+        for nid in range(cfg.nodes):
+            swarm = Swarm(function, pso, tree.rng("node", nid, "pso"))
+            for _ in range(5):
+                swarm.step_cycle()
+            row = engine.soa.node_state(nid)
+            np.testing.assert_array_equal(row.positions, swarm.state.positions)
+            np.testing.assert_array_equal(row.pbest_values,
+                                          swarm.state.pbest_values)
+            assert row.best_value == swarm.state.best_value
+            assert np.all((row.positions >= function.lower)
+                          & (row.positions <= function.upper))

@@ -2,8 +2,8 @@
 
 SoA row ``i`` is the ``i``-th entry of the live list.  A crash
 swap-removes its row exactly as the live list swap-removes the id (the
-last row, its node generator and its objective group move into the
-hole), and a cycle's joins append one block of rows.  Only a strict
+last row and its node generator move into the hole), and a cycle's
+joins append one block of rows.  Only a strict
 engine holds node generators (one per row); a batched one holds none.  Per-row PSO
 arithmetic does not depend on row order, so the churned records pinned
 in ``tests/pins`` (``record/churn-*``), captured when joins recycled
@@ -39,12 +39,11 @@ def heavy_churn_engine(rng_mode: str = "strict", **fields) -> FastEngine:
 
 
 def snapshot(engine: FastEngine) -> dict:
-    """Per live id: its row's state, generator (strict only) and objective group."""
+    """Per live id: its row's state and generator (strict only)."""
     out = {}
     for row, nid in enumerate(engine.live_ids().tolist()):
-        group = None if engine._node_group is None else int(engine._node_group[row])
         gen = engine._gens[row] if engine._gens else None
-        out[nid] = (engine.soa.node_state(row), gen, group)
+        out[nid] = (engine.soa.node_state(row), gen)
     return out
 
 
@@ -65,10 +64,10 @@ def assert_rows_follow_live_list(engine: FastEngine, spent: int | None = None):
 
 def assert_rows_travel_with_ids(before: dict, engine: FastEngine) -> None:
     after = snapshot(engine)
-    for nid, (state, gen, group) in after.items():
+    for nid, (state, gen) in after.items():
         if nid not in before:
             continue
-        old_state, old_gen, old_group = before[nid]
+        old_state, old_gen = before[nid]
         for field in ("positions", "velocities", "pbest_positions",
                       "pbest_values", "best_position"):
             np.testing.assert_array_equal(
@@ -77,7 +76,7 @@ def assert_rows_travel_with_ids(before: dict, engine: FastEngine) -> None:
         assert (state.best_value, state.evaluations, state.cursor) == (
             old_state.best_value, old_state.evaluations, old_state.cursor
         )
-        assert gen is old_gen and group == old_group
+        assert gen is old_gen
 
 
 @pytest.mark.parametrize("rng_mode", ["strict", "batched"])

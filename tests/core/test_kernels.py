@@ -17,6 +17,7 @@ import pytest
 from repro.core.kernels import KernelBackend, Workspace, get_backend
 from repro.core.kernels import numpy_backend
 from repro.core.kernels.numpy_backend import EMPTY_KEY
+from repro.functions.base import available_functions
 from repro.topology.array_views import pack_views, unpack_views
 from repro.utils.exceptions import ConfigurationError
 
@@ -427,19 +428,30 @@ class TestBatchEvalContract:
         )
         np.testing.assert_array_equal(got, want, strict=True)
 
-    def test_grouped_dispatch_routes_by_node_group(self, backend):
+    @pytest.mark.parametrize("name", available_functions())
+    def test_every_function_matches_its_batch(self, backend, name):
+        """One batched call equals the function's own ``batch``, row
+        for row, on points inside and outside its box."""
         from repro.functions.base import get_function
 
-        sphere = get_function("sphere")
-        rastrigin = get_function("rastrigin")
-        node_group = np.array([0, 1, 0, 1], dtype=np.int64)
-        live = np.arange(4)
-        rng = np.random.default_rng(31)
-        pos = rng.normal(size=(4, 3, sphere.dimension))
-        got = backend.batch_eval([sphere, rastrigin], node_group, live, pos)
-        for row, fn in zip(range(4), (sphere, rastrigin, sphere, rastrigin)):
-            want = fn.batch(pos[row])
-            np.testing.assert_array_equal(got[row], want)
+        fn = get_function(name)
+        rng = np.random.default_rng(33)
+        pos = rng.uniform(2 * fn.lower, 2 * fn.upper, size=(5, 3, fn.dimension))
+        got = backend.batch_eval([fn], None, np.arange(5), pos)
+        for row in range(5):
+            np.testing.assert_array_equal(got[row], fn.batch(pos[row]))
+
+    def test_node_group_and_live_are_unread(self, backend):
+        """The kept signature's ``node_group`` and ``live`` change nothing."""
+        from repro.functions.base import get_function
+
+        fn = get_function("rastrigin")
+        pos = np.random.default_rng(34).normal(size=(4, 3, fn.dimension))
+        plain = backend.batch_eval([fn], None, np.arange(4), pos)
+        scrambled = backend.batch_eval(
+            [fn], np.array([3, 0, 2, 1]), np.array([9, 7, 5, 3]), pos
+        )
+        np.testing.assert_array_equal(scrambled, plain, strict=True)
 
     def test_out_buffer_is_used(self, backend):
         from repro.functions.base import get_function

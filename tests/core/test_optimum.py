@@ -32,19 +32,6 @@ class TestOptimum:
         assert a < b
         assert not (b < a)
 
-    def test_better_than(self):
-        a = Optimum(np.zeros(2), 1.0)
-        b = Optimum(np.ones(2), 2.0)
-        assert a.better_than(b)
-        assert not b.better_than(a)
-        assert a.better_than(None)
-
-    def test_equal_values_not_better(self):
-        a = Optimum(np.zeros(2), 1.0)
-        b = Optimum(np.ones(2), 1.0)
-        assert not a.better_than(b)
-        assert not b.better_than(a)
-
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             Optimum(np.zeros(2), float("nan"))

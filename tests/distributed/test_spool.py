@@ -68,7 +68,7 @@ class TestQueueBasics:
         assert queue.result_ids() == [job.job_id]
         payload = queue.load_result(job.job_id)
         assert payload["elapsed_seconds"] == 1.5
-        assert len(queue.load_records(job.job_id)) == 2
+        assert len(queue.load_result(job.job_id)["records"]) == 2
 
     def test_claim_empty_returns_none(self, tmp_path):
         assert JobQueue(tmp_path).claim() is None
@@ -275,7 +275,7 @@ class TestCrashWindowEdges:
         with pytest.raises(SpoolCorruptionError, match=job.job_id):
             queue.load_result(job.job_id)
         with pytest.raises(SpoolCorruptionError, match="truncated or corrupt"):
-            queue.load_records(job.job_id)
+            queue.load_result(job.job_id)
 
     def test_corrupt_pending_entry_quarantined_on_claim(self, tmp_path):
         """A truncated pending file cannot wedge the claim scan: it is
@@ -303,7 +303,7 @@ class TestCrashWindowEdges:
         queue.complete(claim, records, elapsed_seconds=1.0)
         queue.complete(claim, records, elapsed_seconds=2.0)  # duplicate wins race
         assert queue.result_ids() == [job.job_id]
-        assert len(queue.load_records(job.job_id)) == 2
+        assert len(queue.load_result(job.job_id)["records"]) == 2
         assert queue.claimed_ids() == []
 
     def test_requeue_abandoned_spares_recycled_pid(self, tmp_path):

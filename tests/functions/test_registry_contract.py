@@ -6,9 +6,11 @@ function registered after this test was written — must satisfy the
 
 * ``batch(points)`` equals ``[f(p) for p in points]`` to floating-point
   roundoff (the SoA fast path evaluates batched, the reference solver
-  pointwise; any gap beyond sum-reordering noise — e.g. Zakharov's
-  ``pts @ weights`` GEMM vs the single-row dot — would silently break
+  pointwise; any gap beyond sum-reordering noise would silently break
   cross-engine equivalence);
+* a row's value does not depend on the batch around it (the fast
+  engine's ``(n·k, d)`` batch and a node's own ``(k, d)`` batch must
+  agree bit for bit, or the r = k identity tier breaks);
 * ``batch`` returns float64 of shape ``(rows,)``;
 * ``__call__`` returns a finite plain float inside the domain box.
 
@@ -67,6 +69,21 @@ def test_batch_matches_pointwise(name, data):
     # Tight tolerance, not exact: BLAS may reorder sums between the
     # one-row and many-row code paths (last-ulp differences only).
     np.testing.assert_allclose(batched, pointwise, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_batch_rows_do_not_depend_on_their_neighbours(name, data):
+    fn = get_function(name)
+    points = data.draw(_registry_points(name, max_rows=40))
+    whole = fn.batch(points).copy()
+    start = data.draw(st.integers(0, points.shape[0] - 1))
+    stop = data.draw(st.integers(start + 1, points.shape[0]))
+    part = fn.batch(points[start:stop]).copy()
+    np.testing.assert_array_equal(part, whole[start:stop])
+    for row in range(start, stop):
+        assert fn.batch(points[row:row + 1])[0] == whole[row]
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

@@ -115,7 +115,7 @@ class TestJoinersAdopt:
         spec(joiner, engine)
         positions = joiner.protocol("pso").service.swarm.state.positions
         f = get_function("sphere")
-        assert np.all(f.contains(positions))
+        assert np.all((positions >= f.lower) & (positions <= f.upper))
         # Distinct from every existing node's particles.
         for nid in range(5):
             other = net.node(nid).protocol("pso").service.swarm.state.positions

@@ -201,8 +201,6 @@ def reference(**fields) -> Scenario:
     })
 
 
-FUNCS = ("rastrigin", "griewank", "sphere")
-
 RECORDS = {
     # The fast engine's strict and batched draw regimes, repetition 1.
     **{f"fast-strict-{topology}": Record(fast32(topology=topology), 1)
@@ -255,11 +253,6 @@ RECORDS = {
     "churn-event-fast-batched": Record(churned_event(rng_mode="batched")),
     "churn-event-fast-r-not-k": Record(
         churned_event(gossip_cycle=3, rng_mode="batched")),
-    "churn-objective-map": Record(churned(
-        function=None, objective_map={i: FUNCS[i % 3] for i in range(12)},
-        nodes=12,
-        churn=ChurnConfig(crash_rate=0.2, join_rate=0.2, min_population=4),
-    )),
     "churn-hostile-batched": Record(churned_hostile("batched")),
     "churn-hostile-strict": Record(churned_hostile("strict")),
     "churn-crash-node": Record(churned(
@@ -274,8 +267,6 @@ RECORDS = {
     "reference-ring": Record(reference(topology="ring")),
     "reference-churn": Record(reference(
         churn=ChurnConfig(0.05, 0.05, min_population=4))),
-    "reference-objective-map": Record(reference(
-        function=None, objective_map={i: FUNCS[i % 3] for i in range(16)})),
 }
 
 

@@ -305,10 +305,9 @@ class TestEscapeHatch:
 
 
 class TestResultShape:
-    def test_result_qualities_and_best_record(self):
+    def test_result_qualities(self):
         result = Session(make()).run()
         assert result.qualities() == [r.quality for r in result.records]
-        assert result.best_record.quality == min(result.qualities())
 
     def test_success_rate_with_threshold(self):
         result = Session(make(quality_threshold=1e30)).run()

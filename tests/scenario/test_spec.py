@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.deployment.runtime import DeploymentConfig
 from repro.functions.base import available_functions
 from repro.scenario import (
     Scenario,
@@ -15,8 +16,9 @@ from repro.scenario import (
     TransportSpec,
 )
 from repro.topology.static import ring_lattice
-from repro.utils.config import ChurnConfig, NewscastConfig, PSOConfig
+from repro.utils.config import ChurnConfig, ExperimentConfig, NewscastConfig, PSOConfig
 from repro.utils.exceptions import ConfigurationError
+from repro.utils.validate import load
 
 
 def make(**overrides) -> Scenario:
@@ -38,8 +40,6 @@ class TestValidation:
         "field,overrides",
         [
             ("function", {"function": None}),
-            ("function", {"function": "sphere",
-                          "objective_map": {i: "sphere" for i in range(8)}}),
             ("nodes", {"nodes": 0}),
             ("particles_per_node", {"particles_per_node": 0}),
             ("total_evaluations", {"total_evaluations": 0}),
@@ -113,18 +113,10 @@ class TestValidation:
              {"transport": {"monitor_period": float("inf")}}),
             ("transport.latency_max",
              {"transport": {"latency_max": float("inf")}}),
-            # Two knobs every path but the cycle-driven reference stack
-            # (exchange_per_cycle) / the event engines (transport) used
-            # to ignore silently.  The transport row is read first.
+            # A knob every path but the event engines used to ignore
+            # silently.
             ("transport", {"engine": "fast",
-                           "transport": {"loss_rate": 0.9},
-                           "newscast": NewscastConfig(exchange_per_cycle=5)}),
-            ("newscast.exchange_per_cycle",
-             {"engine": "fast",
-              "newscast": NewscastConfig(exchange_per_cycle=5)}),
-            ("newscast.exchange_per_cycle",
-             {"engine": "event", "horizon": 10.0,
-              "newscast": NewscastConfig(exchange_per_cycle=5)}),
+                           "transport": {"loss_rate": 0.9}}),
             ("transport", {"transport": {"loss_rate": 0.9}}),
             # Wrong types used to construct and fail inside an engine
             # (the full type matrix is TestFieldTypes).
@@ -133,9 +125,6 @@ class TestValidation:
             # A synchronous swarm rounds e down to whole iterations: none.
             ("total_evaluations", {"baseline": "centralized",
                                    "total_evaluations": 31}),
-            ("objective_map", {"function": None,
-                               "objective_map": {str(i): "sphere"
-                                                 for i in range(8)}}),
         ],
     )
     def test_errors_name_offending_field(self, field, overrides):
@@ -148,19 +137,6 @@ class TestValidation:
                 make(**overrides)
         assert err.value.field.startswith(field)
         assert str(err.value).startswith(f"Scenario.{field}")
-
-    def test_reference_engine_still_honours_exchange_per_cycle(self):
-        from repro.scenario import Session
-
-        exchanges = [
-            Session(make(
-                nodes=16, particles_per_node=8, gossip_cycle=8,
-                total_evaluations=16 * 8 * 13, repetitions=1, seed=0,
-                newscast=NewscastConfig(exchange_per_cycle=per_cycle),
-            )).run_one(0).messages.newscast_exchanges
-            for per_cycle in (1, 5)
-        ]
-        assert exchanges == [208, 1040]
 
     def test_centralized_budget_is_not_split_over_nodes(self):
         s = make(baseline="centralized", total_evaluations=4,
@@ -182,25 +158,6 @@ class TestValidation:
         assert s.record_history is True
         text = json.dumps(s.to_dict(), allow_nan=False)
         assert Scenario.from_dict(json.loads(text)) == s
-
-    def test_objective_map_must_cover_all_nodes(self):
-        with pytest.raises(ScenarioValidationError) as err:
-            make(function=None, objective_map={0: "sphere"})
-        assert err.value.field == "objective_map"
-
-    def test_objective_map_unknown_function(self):
-        bad = {i: "sphere" for i in range(8)}
-        bad[3] = "not_a_function"
-        with pytest.raises(ScenarioValidationError) as err:
-            make(function=None, objective_map=bad)
-        assert err.value.field == "objective_map"
-
-    def test_objective_map_dimension_mismatch(self):
-        # f2 is 2-D, sphere is 10-D.
-        bad = {i: ("sphere" if i else "f2") for i in range(8)}
-        with pytest.raises(ScenarioValidationError) as err:
-            make(function=None, objective_map=bad)
-        assert err.value.field == "objective_map"
 
     def test_transport_validation_names_field(self):
         with pytest.raises(ScenarioValidationError) as err:
@@ -325,7 +282,7 @@ class TestFieldTypes:
 
     @pytest.mark.parametrize("name", available_functions())
     def test_every_registered_function_is_accepted(self, name):
-        assert make(function=name).primary_function() == name
+        assert make(function=name).function == name
 
     @pytest.mark.parametrize("bad", ["nope", "sphere ", "sphere2", ""])
     def test_unknown_function_named(self, bad):
@@ -337,12 +294,21 @@ class TestFieldTypes:
         {**{i: "sphere" for i in range(1, 8)}, False: "sphere"},
     ], ids=["non-str-name", "float-id", "bool-id"])
     def test_objective_map_rejects_wrong_types(self, objective_map):
-        named("objective_map", function=None, objective_map=objective_map)
+        """A malformed map fails as the removed extension, by name,
+        before any check of its keys or values."""
+        err = named("objective_map", function=None, objective_map=objective_map)
+        assert "extension was removed" in str(err)
+
+
+#: A NEWSCAST bundle as a sweep or spool file spells it, two exchanges
+#: per cycle.
+MULTI_EXCHANGE = {"view_size": 20, "exchange_per_cycle": 2}
 
 
 class TestRemovedExtensions:
-    """The solver mix, partitioned search and callable topologies were
-    removed: each value of theirs fails by name, with no alias."""
+    """The solver mix, partitioned search, callable topologies, the
+    per-node objective map and multi-exchange NEWSCAST were removed:
+    each value of theirs fails by name, with no alias."""
 
     @pytest.mark.parametrize("name,value", [
         ("solver", "de"),
@@ -354,11 +320,19 @@ class TestRemovedExtensions:
         ("partitioned", np.bool_(False)),
         ("topology", ring_lattice),
         ("topology", lambda node_id: None),
+        ("objective_map", {i: "sphere" for i in range(8)}),
+        ("objective_map", {}),
     ], ids=["de", "random", "mix", "pso-list", "true", "one", "np-false",
-            "function", "lambda"])
+            "function", "lambda", "map", "empty-map"])
     def test_constructor_names_the_field(self, name, value):
         err = named(name, **{name: value})
         assert "extension was removed" in str(err)
+
+    def test_objective_map_in_place_of_function_names_the_map(self):
+        with pytest.raises(ScenarioValidationError) as err:
+            Scenario(function=None, objective_map={0: "sphere"}, nodes=1)
+        assert err.value.field == "objective_map"
+        assert "extension was removed" in str(err.value)
 
     @pytest.mark.parametrize("name,value", [
         ("solver", "de"),
@@ -366,11 +340,54 @@ class TestRemovedExtensions:
         ("solver", ["pso"]),
         ("solver", ["pso", "de"]),
         ("partitioned", True),
-    ], ids=["de", "de-list", "pso-list", "mix", "true"])
+        ("objective_map", {"0": "sphere"}),
+        ("objective_map", {str(i): "sphere" for i in range(8)}),
+    ], ids=["de", "de-list", "pso-list", "mix", "true", "map", "full-map"])
     def test_from_dict_names_the_field(self, name, value):
         with pytest.raises(ScenarioValidationError) as err:
             Scenario.from_dict(make().to_dict() | {name: value})
         assert err.value.field == name
+        assert "extension was removed" in str(err.value)
+
+    @pytest.mark.parametrize("value", [0, -1, 5, np.int64(2), None, "1"],
+                             ids=["zero", "negative", "five", "np-two", "none",
+                                  "str-one"])
+    def test_every_other_exchange_count_is_removed(self, value):
+        with pytest.raises(ScenarioValidationError) as err:
+            NewscastConfig(exchange_per_cycle=value)
+        assert err.value.field == "exchange_per_cycle"
+        assert "extension was removed" in str(err.value)
+
+    @pytest.mark.parametrize("value", [True, 1.0], ids=["bool", "float"])
+    def test_one_of_the_wrong_type_is_a_type_error(self, value):
+        """``True == 1.0 == 1``, so these pass the one-value check and
+        fall to the field rule, which still wants an integer."""
+        with pytest.raises(ScenarioValidationError) as err:
+            NewscastConfig(exchange_per_cycle=value)
+        assert err.value.field == "exchange_per_cycle"
+        assert "must be an integer" in str(err.value)
+
+    def test_numpy_one_is_stored_as_int(self):
+        value = NewscastConfig(exchange_per_cycle=np.int64(1)).exchange_per_cycle
+        assert value == 1 and type(value) is int
+
+    @pytest.mark.parametrize("owner,field,build", [
+        ("NewscastConfig", "exchange_per_cycle",
+         lambda: NewscastConfig(exchange_per_cycle=2)),
+        ("Scenario", "newscast.exchange_per_cycle",
+         lambda: Scenario.from_dict(make().to_dict() | {"newscast": MULTI_EXCHANGE})),
+        ("ExperimentConfig", "newscast.exchange_per_cycle",
+         lambda: load(ExperimentConfig, vars(make().to_experiment_config())
+                      | {"newscast": MULTI_EXCHANGE})),
+        ("DeploymentConfig", "newscast.exchange_per_cycle",
+         lambda: load(DeploymentConfig, {"function": "sphere", "nodes": 4,
+                                         "newscast": MULTI_EXCHANGE})),
+    ], ids=["direct", "scenario", "experiment-config", "deployment-config"])
+    def test_exchange_per_cycle_names_the_field(self, owner, field, build):
+        with pytest.raises(ScenarioValidationError) as err:
+            build()
+        assert (err.value.owner, err.value.field) == (owner, field)
+        assert "extension was removed" in str(err.value)
 
     @pytest.mark.parametrize("module", [
         "repro.aggregation", "repro.core.solvers", "repro.core.partitioning",
@@ -381,21 +398,6 @@ class TestRemovedExtensions:
 
 
 class TestDerivedViews:
-    def test_function_for_and_groups(self):
-        m = {i: ("sphere" if i % 2 == 0 else "rastrigin") for i in range(8)}
-        s = make(function=None, objective_map=m)
-        assert s.function_for(0) == "sphere"
-        assert s.function_for(1) == "rastrigin"
-        assert s.function_for(9) == "rastrigin"  # joiner: 9 % 8 = 1
-        groups = dict(s.function_groups())
-        assert groups["sphere"] == [0, 2, 4, 6]
-        assert groups["rastrigin"] == [1, 3, 5, 7]
-        assert s.primary_function() == "sphere"
-
-    def test_homogeneous_groups(self):
-        s = make()
-        assert s.function_groups() == [("sphere", list(range(8)))]
-
     def test_to_experiment_config_round(self):
         s = make(quality_threshold=1e-6)
         cfg = s.to_experiment_config()
@@ -439,11 +441,7 @@ class TestRoundTrip:
         assert Scenario.from_dict(s.to_dict()) == s
 
     def test_round_trip_through_json_text(self):
-        s = make(
-            function=None,
-            objective_map={i: ("sphere" if i < 4 else "levy") for i in range(8)},
-            solver="pso",
-        )
+        s = make(function="levy", solver="pso", partitioned=False)
         blob = json.dumps(s.to_dict())
         assert Scenario.from_dict(json.loads(blob)) == s
 
@@ -466,11 +464,10 @@ class TestRoundTrip:
         assert s.event_backend == "reference"
         assert s.event_window is None
 
-    def test_objective_map_keys_stringified_in_dict(self):
-        s = make(function=None,
-                 objective_map={i: "sphere" for i in range(8)})
-        d = s.to_dict()
-        assert set(d["objective_map"]) == {str(i) for i in range(8)}
+    def test_one_value_fields_stay_in_the_dict(self):
+        d = make().to_dict()
+        assert (d["solver"], d["partitioned"], d["objective_map"]) == ("pso", False, None)
+        assert d["newscast"]["exchange_per_cycle"] == 1
 
     def test_unknown_key_named(self):
         with pytest.raises(ScenarioValidationError) as err:

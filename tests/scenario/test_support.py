@@ -28,7 +28,7 @@ from repro.scenario import (
 )
 from repro.scenario.session import run_points
 from repro.sharding import run_sharded_detailed
-from repro.utils.config import ChurnConfig, NewscastConfig
+from repro.utils.config import ChurnConfig
 from repro.utils.exceptions import ConfigurationError
 
 #: n = 8, three cycles (or a 6 s horizon) of four evaluations each.
@@ -53,10 +53,6 @@ class Spy:
 
 #: The smallest override that switches each row on.
 ENABLE = {
-    "objective_map": {
-        "function": None,
-        "objective_map": {i: ("sphere", "rastrigin")[i % 2] for i in range(8)},
-    },
     "topology oracle": {"topology": "oracle"},
     "topology cyclon / ring / kregular / star": {"topology": "ring"},
     "rng_mode batched": {"rng_mode": "batched"},
@@ -73,8 +69,6 @@ ENABLE = {
         "transport": TransportSpec(latency_min=2.0, latency_max=8.0)},
     "transport other than the default": {
         "transport": TransportSpec(loss_rate=0.2)},
-    "newscast.exchange_per_cycle other than 1": {
-        "newscast": NewscastConfig(exchange_per_cycle=2)},
     # on wherever the regime column is not ``fast``
     "engine other than fast": {},
 }
@@ -139,8 +133,6 @@ def test_every_row_has_an_enabling_override_and_every_cell_a_row():
     assert set(EXECUTE) | set(REGIME) == set(support.COLUMNS)
     for row, column in support.UNSUPPORTED:
         assert row in support.FEATURES and column in support.COLUMNS
-    for pair in support.CONFLICTS:
-        assert set(pair) <= set(support.FEATURES)
 
 
 @pytest.mark.filterwarnings("ignore:.*kernel backend:RuntimeWarning")
@@ -173,15 +165,6 @@ def test_execution_cell(row, column, tmp_path):
             enter(at_home(row), tmp_path / "spool")
         assert_cell_error(err, row, column)
     assert not (tmp_path / "spool").exists()
-
-
-@pytest.mark.parametrize("pair", support.CONFLICTS, ids=" + ".join)
-def test_conflict_pair(pair):
-    first, other = pair
-    with pytest.raises(ScenarioValidationError) as err:
-        Scenario(**(BASE | ENABLE[other] | ENABLE[first]))
-    assert err.value.field == support.FEATURES[first][0]
-    assert support.CONFLICTS[pair] in str(err.value)
 
 
 def test_a_cell_error_is_still_a_configuration_and_value_error():

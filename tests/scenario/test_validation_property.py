@@ -65,17 +65,14 @@ REGIMES = [
 
 #: Stands for "n · r · cycles" of the drawn scenario (a budget of 1–3 cycles).
 BUDGET = object()
-#: Stands for a full objective map over the drawn node count.
-FULL_MAP = object()
 
 POOLS = {
     "function": ["rastrigin", "Sphere", np.str_("levy"), "nope", "", 3,
                  None],
-    "objective_map": [FULL_MAP, FULL_MAP, {0: "sphere"},
-                      {0: "f2", 1: "sphere", 2: "sphere", 3: "sphere"},
+    "objective_map": [None, {0: "sphere"},
+                      {0: "sphere", 1: "sphere", 2: "sphere", 3: "sphere"},
                       {"0": "sphere", "1": "sphere", "2": "sphere",
                        "3": "sphere"},
-                      {0: "nope", 1: "sphere", 2: "sphere", 3: "sphere"},
                       ["sphere"] * 4, 7],
     "nodes": [1, 2, 8, np.int64(3), np.uint8(5), 0, -2, 4.0, "4", True,
               NAN, INF],
@@ -104,8 +101,7 @@ POOLS = {
     "record_history": [True, np.bool_(True), "yes", None],
     "churn": [ChurnConfig(crash_rate=0.2, join_rate=0.2), 0.1, None],
     "transport": [TransportSpec(loss_rate=0.2), {"loss_rate": 0.2}],
-    "newscast": [NewscastConfig(view_size=3),
-                 NewscastConfig(exchange_per_cycle=2), 5],
+    "newscast": [NewscastConfig(view_size=3), NewscastConfig(view_size=1), 5],
     "pso": [PSOConfig(inertia=1.0, c1=2.0, c2=2.0), "pso"],
     "coordination": [CoordinationConfig(mode="pull"), None],
     "dynamics": [DynamicsSpec(kind="shift", period=2.0), "shift"],
@@ -123,13 +119,7 @@ def drawn_fields(draw) -> dict:
     kwargs = BASE | draw(st.sampled_from(REGIMES))
     for name in chosen:
         kwargs[name] = draw(st.sampled_from(POOLS[name]))
-    if kwargs.get("objective_map") is not None:
-        kwargs["function"] = None
     nodes = kwargs["nodes"]
-    if kwargs.get("objective_map") is FULL_MAP:
-        n = nodes if isinstance(nodes, int) and 0 < nodes <= 8 else 4
-        kwargs["objective_map"] = {
-            i: ("sphere", "rastrigin")[i % 2] for i in range(n)}
     if kwargs["total_evaluations"] is BUDGET:
         r = kwargs["gossip_cycle"]
         per_node = r if isinstance(r, int) and 0 < r <= 4 else 2
@@ -217,10 +207,6 @@ def scenario_draws():
             data = dict(BASE)
             if value is BUDGET:
                 value = 24
-            if value is FULL_MAP:
-                value = {i: ("sphere", "rastrigin")[i % 2] for i in range(4)}
-            if name == "objective_map" and value is not None:
-                data["function"] = None
             yield name, value, data | {name: value}
     for name, base in BUNDLE_BASES.items():
         for field_name, rule in Scenario.RULES[name].cls.RULES.items():

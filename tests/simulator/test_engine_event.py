@@ -95,70 +95,3 @@ class TestRunBounds:
             engine.schedule(float(t), lambda e: None)
         engine.run()
         assert engine.events_processed == 4
-
-
-class TestPeriodic:
-    def test_periodic_fires_until_stopped(self):
-        engine = make_engine()
-        ticks = []
-        engine.schedule_periodic(1.0, 2.0, lambda e: ticks.append(e.now))
-        engine.run(until=9.0)
-        assert ticks == [1.0, 3.0, 5.0, 7.0, 9.0]
-
-    def test_periodic_with_jitter_spreads(self):
-        engine = make_engine()
-        ticks = []
-        engine.schedule_periodic(0.0, 1.0, lambda e: ticks.append(e.now), jitter=0.5)
-        engine.run(until=10.0)
-        gaps = np.diff(ticks)
-        assert np.all(gaps >= 1.0 - 1e-9)
-        assert np.all(gaps <= 1.5 + 1e-9)
-        assert len(set(np.round(gaps, 6))) > 1  # jitter actually varies
-
-    def test_bad_period_raises(self):
-        engine = make_engine()
-        with pytest.raises(ValueError):
-            engine.schedule_periodic(0.0, 0.0, lambda e: None)
-        with pytest.raises(ValueError):
-            engine.schedule_periodic(0.0, 1.0, lambda e: None, jitter=-1.0)
-
-    def test_jitter_drifts_instead_of_resynchronizing(self):
-        # Each firing schedules the next relative to *its own* time,
-        # so jitter accumulates as clock drift — the timer never snaps
-        # back to the nominal grid.  This is the desynchronization the
-        # deployment runtime (and the cohort event engine's timer
-        # model) rely on.
-        engine = make_engine()
-        ticks: list[float] = []
-        engine.schedule_periodic(0.0, 1.0, lambda e: ticks.append(e.now),
-                                 jitter=0.5)
-        engine.run(until=200.0)
-        nominal = np.arange(len(ticks), dtype=float)
-        drift = np.asarray(ticks) - nominal
-        # Drift is cumulative (non-decreasing, since jitter >= 0) and
-        # grows without bound — by E[jitter]/2 per period on average.
-        assert np.all(np.diff(drift) >= -1e-9)
-        assert drift[-1] > 10.0
-        assert drift[-1] > drift[len(drift) // 2]
-
-    def test_zero_jitter_stays_on_grid(self):
-        engine = make_engine()
-        ticks: list[float] = []
-        engine.schedule_periodic(0.5, 1.0, lambda e: ticks.append(e.now))
-        engine.run(until=50.0)
-        assert ticks == pytest.approx([0.5 + i for i in range(len(ticks))])
-        assert len(ticks) == 50
-
-    def test_periodic_stops_with_engine_stop(self):
-        engine = make_engine()
-        ticks: list[float] = []
-
-        def tick(e):
-            ticks.append(e.now)
-            if len(ticks) == 3:
-                e.stop("enough")
-
-        engine.schedule_periodic(1.0, 1.0, tick)
-        engine.run(until=100.0)
-        assert len(ticks) == 3
-        assert engine.pending_events == 0  # no rescheduling after stop

@@ -68,18 +68,6 @@ class TestNetworkPopulation:
         with pytest.raises(SimulationError):
             network.crash(0)
 
-    def test_revive(self, network):
-        network.populate(2)
-        network.crash(1)
-        network.revive(1)
-        assert network.is_alive(1)
-        assert sorted(network.live_ids()) == [0, 1]
-
-    def test_revive_live_raises(self, network):
-        network.populate(1)
-        with pytest.raises(SimulationError):
-            network.revive(0)
-
     def test_unknown_node_raises(self, network):
         with pytest.raises(SimulationError):
             network.node(99)
@@ -134,26 +122,3 @@ class TestNetworkSampling:
             net.crash(i)
         for _ in range(200):
             assert net.random_live_node().node_id >= 5
-
-    def test_sample_live_ids_without_replacement(self, rng):
-        net = Network(rng=rng)
-        net.populate(6)
-        sample = net.sample_live_ids(6)
-        assert sorted(sample) == list(range(6))
-
-    def test_sample_too_many_raises(self, rng):
-        net = Network(rng=rng)
-        net.populate(3)
-        with pytest.raises(SimulationError):
-            net.sample_live_ids(4)
-
-    def test_sample_with_replacement_allows_excess(self, rng):
-        net = Network(rng=rng)
-        net.populate(2)
-        assert len(net.sample_live_ids(10, replace=True)) == 10
-
-    def test_sample_negative_raises(self, rng):
-        net = Network(rng=rng)
-        net.populate(2)
-        with pytest.raises(ValueError):
-            net.sample_live_ids(-1)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.simulator.engine import CycleDrivenEngine
 from repro.simulator.network import Network
-from repro.simulator.observers import FunctionObserver, PeriodicObserver, StopCondition
+from repro.simulator.observers import FunctionObserver, StopCondition
 from repro.simulator.trace import TraceRecorder, emit
 
 
@@ -24,18 +24,6 @@ class TestObservers:
         engine.add_observer(FunctionObserver(lambda e: cycles.append(e.cycle)))
         engine.run(3)
         assert cycles == [1, 2, 3]
-
-    def test_periodic_observer(self):
-        engine = build_engine()
-        cycles = []
-        inner = FunctionObserver(lambda e: cycles.append(e.cycle))
-        engine.add_observer(PeriodicObserver(inner, period=3))
-        engine.run(9)
-        assert cycles == [3, 6, 9]
-
-    def test_periodic_requires_positive_period(self):
-        with pytest.raises(ValueError):
-            PeriodicObserver(FunctionObserver(lambda e: None), period=0)
 
     def test_stop_condition_reason(self):
         engine = build_engine()

@@ -12,8 +12,6 @@ from repro.utils.numerics import (
     RunningStats,
     clamp_array,
     geometric_mean,
-    is_power_of_two,
-    powers_of_two,
     safe_log10,
 )
 
@@ -79,24 +77,6 @@ class TestGeometricMean:
             geometric_mean([1.0, 0.0])
 
 
-class TestPowersOfTwo:
-    def test_is_power_of_two(self):
-        assert is_power_of_two(1)
-        assert is_power_of_two(1024)
-        assert not is_power_of_two(0)
-        assert not is_power_of_two(3)
-        assert not is_power_of_two(-4)
-
-    def test_powers_of_two_range(self):
-        assert powers_of_two(0, 4) == [1, 2, 4, 8, 16]
-
-    def test_bad_range_raises(self):
-        with pytest.raises(ValueError):
-            powers_of_two(3, 2)
-        with pytest.raises(ValueError):
-            powers_of_two(-1, 2)
-
-
 class TestRunningStats:
     def test_empty(self):
         s = RunningStats()
@@ -110,7 +90,6 @@ class TestRunningStats:
         assert s.minimum == 3.0
         assert s.maximum == 3.0
         assert s.variance == 0.0
-        assert math.isnan(s.sample_variance)
 
     def test_matches_numpy(self, rng):
         values = rng.normal(5.0, 2.0, size=200)
@@ -118,7 +97,6 @@ class TestRunningStats:
         s.extend(values)
         assert s.mean == pytest.approx(np.mean(values))
         assert s.variance == pytest.approx(np.var(values))
-        assert s.sample_variance == pytest.approx(np.var(values, ddof=1))
         assert s.minimum == np.min(values)
         assert s.maximum == np.max(values)
         assert s.std == pytest.approx(np.std(values))
