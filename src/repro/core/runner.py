@@ -206,7 +206,6 @@ def _run_single_reference(
     repetition: int = 0,
     record_history: bool = False,
     plan=None,
-    extra_observers=(),
     max_cycles: int | None = None,
     dynamics=None,
     adversary=None,
@@ -245,7 +244,7 @@ def _run_single_reference(
         tracker = DynamicsTracker()
         dyn_obs = DynamicsObserver(problem, tracker, clock=clock)
         observers.append(dyn_obs)
-    observers += [quality_obs, budget_stop, *extra_observers]
+    observers += [quality_obs, budget_stop]
     engine = CycleDrivenEngine(
         network,
         rng=tree.rng("engine"),

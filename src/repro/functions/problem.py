@@ -57,7 +57,6 @@ __all__ = [
     "ShiftingProblem",
     "DynamicsSpec",
     "DYNAMICS_KINDS",
-    "as_problem",
     "build_problem",
     "ProblemClock",
     "ProblemBoundFunction",
@@ -175,7 +174,7 @@ class Problem:
 
 
 class StaticProblem(Problem):
-    """Explicit name for the auto-adapted static case (see :func:`as_problem`)."""
+    """Explicit name for the static case (the base class's behaviour)."""
 
 
 class _EpochOffsetProblem(Problem):
@@ -289,13 +288,6 @@ class DynamicsSpec:
     @property
     def enabled(self) -> bool:
         return self.kind != "none"
-
-
-def as_problem(objective: "Function | Problem") -> Problem:
-    """Adapt a plain :class:`Function` to the :class:`Problem` surface."""
-    if isinstance(objective, Problem):
-        return objective
-    return StaticProblem(objective)
 
 
 def build_problem(

@@ -16,12 +16,8 @@ modes are exposed:
 
 from repro.pso.state import SwarmState
 from repro.pso.swarm import Swarm
-from repro.pso.velocity import VelocityClamp, no_clamp, domain_fraction_clamp
 
 __all__ = [
     "Swarm",
     "SwarmState",
-    "VelocityClamp",
-    "no_clamp",
-    "domain_fraction_clamp",
 ]

@@ -1,82 +1,31 @@
-"""Velocity clamping policies.
+"""The velocity bound.
 
 The paper (Sec. 2): "Particle speeds on each dimension are bounded to
 a maximum velocity vmax_i, specified by the user."  The standard
 convention — used here as the default — sets ``vmax_i`` to a fraction
 of the domain width in dimension ``i``; a fraction of 1.0 (full width)
 reproduces the permissive clamping typical of early PSO work.
-
-Policies are small callables over the velocity array so swarm variants
-share them, and the ablation benches can swap them per-experiment.
-They are plain classes (not closures) so swarm state — and therefore
-whole simulations — stay picklable for checkpointing.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
 from repro.functions.base import Function
 
-__all__ = ["VelocityClamp", "NoClamp", "DomainFractionClamp",
-           "no_clamp", "domain_fraction_clamp", "resolve_vmax"]
-
-#: A clamping policy mutates the velocity array in place.
-VelocityClamp = Callable[[np.ndarray], None]
+__all__ = ["resolve_vmax"]
 
 
 def resolve_vmax(function: Function, fraction: float | None) -> np.ndarray | None:
     """Per-dimension speed bound for ``fraction``, or None if unclamped.
 
     Single source of truth for the ``vmax_i = fraction × width_i``
-    convention, shared by :class:`DomainFractionClamp`, the reference
-    :class:`~repro.pso.swarm.Swarm` and the batched network engine in
-    :mod:`repro.core.fastpath` — so the two engines can never disagree
-    on the clamping bound.
+    convention, shared by the reference :class:`~repro.pso.swarm.Swarm`
+    and the batched network engine in :mod:`repro.core.fastpath` — so
+    the two engines can never disagree on the clamping bound.
     """
     if fraction is None:
         return None
     if fraction <= 0:
         raise ValueError("fraction must be > 0")
     return fraction * function.domain_width
-
-
-class NoClamp:
-    """Policy that leaves velocities unbounded."""
-
-    def __call__(self, velocities: np.ndarray) -> None:  # noqa: ARG002
-        return None
-
-
-class DomainFractionClamp:
-    """Clamp each dimension to ``±fraction × width_i`` of the domain.
-
-    Parameters
-    ----------
-    function:
-        Supplies per-dimension domain widths.
-    fraction:
-        Positive multiplier; 1.0 = full domain width (default used by
-        :class:`~repro.pso.swarm.Swarm`).
-    """
-
-    def __init__(self, function: Function, fraction: float):
-        vmax = resolve_vmax(function, fraction)
-        if vmax is None:
-            raise ValueError("fraction must be > 0")
-        self.vmax = vmax
-
-    def __call__(self, velocities: np.ndarray) -> None:
-        np.clip(velocities, -self.vmax, self.vmax, out=velocities)
-
-
-def no_clamp() -> VelocityClamp:
-    """Factory kept for API compatibility: an unbounded policy."""
-    return NoClamp()
-
-
-def domain_fraction_clamp(function: Function, fraction: float) -> VelocityClamp:
-    """Factory kept for API compatibility: a domain-fraction policy."""
-    return DomainFractionClamp(function, fraction)

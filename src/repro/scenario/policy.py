@@ -66,7 +66,9 @@ class ExecutionPolicy:
     workers:
         Process-parallel execution: repetitions for
         :meth:`Session.run`, (point, repetition) jobs for sweeps.
-        Results are identical to the sequential run on every path.
+        Every scenario runs this way (a scenario is a plain value, so
+        it crosses a process boundary as a pickle or a job file), and
+        results are identical to the sequential run on every path.
     spool:
         Spool directory.  For sweeps this routes jobs through the
         file-backed :class:`~repro.distributed.spool.JobQueue` (remote

@@ -9,10 +9,9 @@ the baseline comparisons, always returning the unified
 
 The facade owns everything that used to be scattered across
 hand-rolled entry points: repetition loops, process-parallel
-execution, per-engine argument adaptation, topology and per-node
-objective factory construction, and sweep iteration.  It is the only
-way to run a scenario; the engines below it take what the session
-hands them.
+execution, per-engine argument adaptation, topology construction and
+sweep iteration.  It is the only way to run a scenario; the engines
+below it take what the session hands them.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from dataclasses import asdict
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.runner import _run_single_reference
-from repro.scenario import support
 from repro.scenario.policy import ExecutionPolicy, process_context
 from repro.scenario.result import Result, RunRecord
 from repro.scenario.spec import Scenario
@@ -146,7 +144,6 @@ class Session:
             repetition=repetition,
             record_history=scenario.record_history,
             plan=_topology_plan(scenario),
-            extra_observers=scenario.observers,
             max_cycles=scenario.max_cycles,
             dynamics=scenario.dynamics,
             adversary=scenario.adversary,
@@ -161,7 +158,6 @@ class Session:
             scenario.to_experiment_config(),
             repetition=repetition,
             record_history=scenario.record_history,
-            extra_observers=scenario.observers,
             max_cycles=scenario.max_cycles,
             topology=scenario.topology,
             rng_mode=scenario.rng_mode,
@@ -247,8 +243,9 @@ class Session:
         policy:
             The unified execution surface
             (:class:`~repro.scenario.policy.ExecutionPolicy`):
-            ``workers`` runs repetitions process-parallel (results are
-            identical to the sequential run — each repetition's
+            ``workers`` runs repetitions process-parallel — any
+            scenario, since a scenario is a plain value — with results
+            identical to the sequential run (each repetition's
             randomness derives from its own seed-tree branch), and —
             ``run`` only — ``shards > 1`` partitions each
             repetition's overlay over shard engines
@@ -268,8 +265,6 @@ class Session:
         workers = policy.workers
         if policy.shards > 1:
             return self._run_sharded(policy, progress)
-        if workers > 1:
-            support.check(scenario, "jobs")
         t0 = time.perf_counter()
         records: list[RunRecord] = []
         if workers == 1 or scenario.repetitions == 1:

@@ -42,9 +42,8 @@ from repro.utils.config import (
     PSOConfig,
 )
 from repro.utils.validate import (
-    FRACTION, JITTER, LATENCY, PERIOD, REMOVED, ScenarioValidationError,
-    bundle, check, choice, count, flag, load, mapping, optional, real,
-    require, sequence, text
+    FRACTION, JITTER, LATENCY, PERIOD, ScenarioValidationError, bundle,
+    check, choice, count, flag, load, optional, real, require, text
 )
 
 __all__ = [
@@ -152,12 +151,6 @@ class Scenario:
     kernel_backend:
         The :mod:`repro.core.kernels` implementation of the fast
         engine's hot kernels: ``"numpy"``, the only value.
-    solver / partitioned / objective_map:
-        ``"pso"``, ``False`` and ``None``, the only values: every node
-        runs the paper's PSO on the one ``function`` over the whole
-        search space.  Any other value fails validation (the solver-mix,
-        partitioned-search and per-node objective extensions were
-        removed).
     baseline:
         ``"centralized"`` (one big swarm, same total budget) or
         ``"independent"`` (isolated multi-start, best-of-n); ``None``
@@ -193,13 +186,9 @@ class Scenario:
         positions or dropping gossip, plus the plausibility-filter
         defense toggle.  Default (``fraction=0``) is the honest
         network.
-    observers:
-        Extra engine observers, called once per cycle.  Not
-        serializable — :meth:`to_dict` requires this empty.
     """
 
     function: str | None = None
-    objective_map: Mapping[int, str] | None = None
     nodes: int = 16
     particles_per_node: int = 8
     total_evaluations: int = 16_000
@@ -210,8 +199,6 @@ class Scenario:
     topology: str = "newscast"
     rng_mode: str = "strict"
     kernel_backend: str = "numpy"
-    solver: str = "pso"
-    partitioned: bool = False
     baseline: str | None = None
     swarm_size: int | None = None
     synchronous: bool = True
@@ -228,16 +215,13 @@ class Scenario:
     coordination: CoordinationConfig = field(default_factory=CoordinationConfig)
     dynamics: DynamicsSpec = field(default_factory=DynamicsSpec)
     adversary: AdversarySpec = field(default_factory=AdversarySpec)
-    observers: tuple = ()
 
     RULES = {
-        "function": text, "objective_map": optional(mapping),
-        "nodes": count(), "particles_per_node": count(),
+        "function": text, "nodes": count(), "particles_per_node": count(),
         "total_evaluations": count(), "gossip_cycle": count(),
         "repetitions": count(), "seed": count(min=0),
         "engine": choice(*ENGINES), "topology": choice(*TOPOLOGIES),
         "rng_mode": choice(*RNG_MODES), "kernel_backend": choice("numpy"),
-        "solver": choice("pso"), "partitioned": flag,
         "baseline": optional(choice(*BASELINES)), "swarm_size": optional(count()),
         "synchronous": flag, "quality_threshold": optional(real(above=0)),
         "horizon": optional(real(above=0)),
@@ -248,7 +232,6 @@ class Scenario:
         "newscast": bundle(NewscastConfig), "pso": bundle(PSOConfig),
         "coordination": bundle(CoordinationConfig),
         "dynamics": bundle(DynamicsSpec), "adversary": bundle(AdversarySpec),
-        "observers": sequence(),
     }
 
     # -- validation -----------------------------------------------------------
@@ -258,14 +241,6 @@ class Scenario:
         # feature runs under which regime is repro.scenario.support.
         from repro.scenario.support import check as check_support
 
-        require(self.solver == "pso", "solver",
-                f"must be 'pso', got {self.solver!r}: {REMOVED}")
-        require(self.partitioned is False, "partitioned",
-                f"must be False, got {self.partitioned!r}: {REMOVED}")
-        require(self.objective_map is None, "objective_map",
-                f"must be None, got {self.objective_map!r}: {REMOVED}")
-        require(not callable(self.topology), "topology",
-                f"a factory callable is not accepted: {REMOVED}")
         check(self, self.RULES)
         known = available_functions()
         require(self.function.lower() in known, "function",
@@ -362,23 +337,11 @@ class Scenario:
     # -- JSON round-trip -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """JSON-safe dict representation (see :meth:`from_dict`).
-
-        Raises :class:`ScenarioValidationError` naming the field when
-        the scenario holds live observer objects — the ``jobs`` column
-        of :mod:`repro.scenario.support`.
-        """
-        from repro.scenario.support import check as check_support
-
-        check_support(self, "jobs")
+        """JSON-safe dict representation (see :meth:`from_dict`)."""
         out: dict[str, Any] = {}
         for name, rule in self.RULES.items():
             value = getattr(self, name)
-            if name == "observers":
-                continue
-            if isinstance(rule, bundle):
-                value = asdict(value)
-            out[name] = value
+            out[name] = asdict(value) if isinstance(rule, bundle) else value
         return out
 
     @classmethod
@@ -398,6 +361,4 @@ class Scenario:
                     "scenario says *what* to simulate; pass how-to-run "
                     "knobs via ExecutionPolicy (e.g. Session(s).run("
                     "policy=ExecutionPolicy(...)))")
-        require("observers" not in data, "observers",
-                "live observer objects are not serializable")
         return load(cls, data)

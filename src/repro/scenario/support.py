@@ -4,11 +4,11 @@ The paper needs four knobs on one stack; everything else a
 :class:`~repro.scenario.spec.Scenario` can say is an extension with a
 validity domain.  That domain is data, here and nowhere else:
 :data:`FEATURES` are the rows, :data:`COLUMNS` the six values of
-``Scenario.regime`` plus the two an
-:class:`~repro.scenario.policy.ExecutionPolicy` adds — ``jobs``
-(``workers > 1`` or a spool: the scenario crosses a process boundary as
-a pickle or a job file) and ``shards`` — and :data:`UNSUPPORTED` the
-cells.  Validation (:func:`check`), README's
+``Scenario.regime`` plus the one an
+:class:`~repro.scenario.policy.ExecutionPolicy` adds — ``shards`` —
+and :data:`UNSUPPORTED` the cells.  A scenario is a plain value, so
+whatever runs in process also runs as a job (``workers > 1`` or a
+spool): there is no column for it.  Validation (:func:`check`), README's
 "What runs where" block (:func:`markdown`) and the exhaustive
 ``tests/scenario/test_support.py`` all read the same rows.  Per-field
 range checks and the selector consistency that *derives* the regime
@@ -32,7 +32,7 @@ __all__ = [
 #: The values of ``Scenario.regime``.
 REGIMES = ("reference", "fast", "event", "event-fast", "centralized",
            "independent")
-COLUMNS = REGIMES + ("jobs", "shards")
+COLUMNS = REGIMES + ("shards",)
 
 _EVENT = ("event", "event-fast")
 _BASELINES = ("centralized", "independent")
@@ -54,7 +54,6 @@ FEATURES = {
         "quality_threshold", lambda s: s.quality_threshold is not None),
     "max_cycles": ("max_cycles", lambda s: s.max_cycles is not None),
     "record_history": ("record_history", lambda s: s.record_history),
-    "observers": ("observers", lambda s: bool(s.observers)),
     "swarm_size": ("swarm_size", lambda s: s.swarm_size is not None),
     "event_window": ("event_window", lambda s: s.event_window is not None),
     "latency beyond the fastest timer period": (
@@ -92,10 +91,9 @@ UNSUPPORTED = _cells([
      _BASELINES,
      "a baseline is plain PSO on one shared static function: no overlay, "
      "no population change, nobody to lie"),
-    (("quality_threshold", "max_cycles", "record_history", "observers"),
-     _BASELINES,
-     "a baseline runs to its budget outside any engine: no cycle to cap, "
-     "sample or observe, no threshold stop"),
+    (("quality_threshold", "max_cycles", "record_history"), _BASELINES,
+     "a baseline runs to its budget outside any engine: no cycle to cap "
+     "or sample, no threshold stop"),
     (("churn",), ("shards",), "joins allocate ids across shard boundaries"),
     (("dynamics",), ("shards",),
      "epoch transitions must refresh every node's stale bests atomically, "
@@ -104,13 +102,6 @@ UNSUPPORTED = _cells([
      "the Byzantine subset and its tallies are engine-global state"),
     (("max_cycles",), _EVENT,
      "the event engines are bounded by horizon, not cycles"),
-    (("observers",), _EVENT,
-     "observers are called once per cycle; the event engines have none"),
-    (("observers",), ("jobs",),
-     "live observer objects stay in the process that built them: a job "
-     "is a pickle or a JSON file"),
-    (("observers",), ("shards",),
-     "live observer objects cannot cross shard boundaries"),
     (("swarm_size",),
      ("reference", "fast", *_EVENT, "independent", "shards"),
      "only the centralized baseline's one big swarm takes a swarm_size"),
@@ -132,12 +123,14 @@ def check(scenario: Scenario, column: str | None = None) -> None:
     """Raise for the first feature ``scenario`` has on that ``column`` lacks.
 
     ``column=None`` is the scenario's own regime — what construction
-    validates; ``"jobs"`` / ``"shards"`` is what the execution layers
-    add.  Every violation is a
+    validates; ``"shards"`` is what the sharded execution layer adds.  Every violation is a
     :class:`~repro.scenario.spec.ScenarioValidationError` on the row's
-    field, naming the column.
+    field, naming the column; a column the table does not have is a
+    :class:`ValueError` (a stale name would otherwise check nothing).
     """
     column = scenario.regime if column is None else column
+    if column not in COLUMNS:
+        raise ValueError(f"no support column {column!r}; one of {COLUMNS}")
     for name, (field, is_on) in FEATURES.items():
         if (name, column) in UNSUPPORTED and is_on(scenario):
             raise ScenarioValidationError(

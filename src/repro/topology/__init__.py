@@ -9,8 +9,8 @@ with communication partners.  Implementations:
   push–pull exchanges, yielding an overlay close to a random graph
   with out-degree ``c`` that self-repairs under churn.
 * :mod:`~repro.topology.static` — fixed overlays (complete graph,
-  ring, star/master–slave, k-regular random, Watts–Strogatz
-  small-world, 2-D grid), mentioned by the paper as alternative
+  ring, star/master–slave, k-regular random, 2-D grid), mentioned by
+  the paper as alternative
   instantiations and used by our topology ablation.
 * :mod:`~repro.topology.array_views` — the same protocols as
   whole-overlay array kernels (packed descriptor matrices, vectorized
@@ -52,7 +52,6 @@ from repro.topology.static import (
     grid_2d,
     k_regular_random,
     ring_lattice,
-    small_world,
     star_graph,
 )
 from repro.topology.analysis import (
@@ -84,7 +83,6 @@ __all__ = [
     "ring_lattice",
     "star_graph",
     "k_regular_random",
-    "small_world",
     "grid_2d",
     "overlay_digraph",
     "overlay_metrics",

@@ -33,7 +33,6 @@ __all__ = [
     "ring_lattice",
     "star_graph",
     "k_regular_random",
-    "small_world",
     "grid_2d",
 ]
 
@@ -130,50 +129,6 @@ def k_regular_random(n: int, k: int, rng: np.random.Generator) -> dict[int, list
                 adj[i].append(j)
             if i not in adj[j]:
                 adj[j].append(i)
-    return adj
-
-
-def small_world(
-    n: int, k: int, beta: float, rng: np.random.Generator
-) -> dict[int, list[int]]:
-    """Watts–Strogatz small world: ring lattice with rewiring.
-
-    The paper cites Kennedy's "small worlds and mega-minds" topology
-    study; this builder reproduces that family.
-
-    Parameters
-    ----------
-    n:
-        Nodes; must satisfy ``n > k``.
-    k:
-        Even lattice degree (``k/2`` neighbors per side).
-    beta:
-        Rewiring probability in ``[0, 1]``.
-    """
-    if k % 2 != 0 or k < 2:
-        raise ValueError("k must be even and >= 2")
-    if n <= k:
-        raise ValueError("require n > k")
-    if not (0.0 <= beta <= 1.0):
-        raise ValueError("beta must be in [0, 1]")
-    adj = ring_lattice(n, k // 2)
-    for i in range(n):
-        for off in range(1, k // 2 + 1):
-            j = (i + off) % n
-            if rng.random() < beta:
-                # Rewire edge (i, j) to (i, m) with m uniform ≠ i, no dupes.
-                candidates = [
-                    m for m in range(n) if m != i and m not in adj[i]
-                ]
-                if not candidates:
-                    continue
-                m = candidates[int(rng.integers(len(candidates)))]
-                if j in adj[i]:
-                    adj[i].remove(j)
-                if i in adj[j]:
-                    adj[j].remove(i)
-                adj[i].append(m)
-                adj[m].append(i)
     return adj
 
 

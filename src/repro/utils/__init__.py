@@ -22,7 +22,6 @@ from repro.utils.exceptions import (
 from repro.utils.rng import SeedSequenceTree
 from repro.utils.numerics import (
     RunningStats,
-    clamp_array,
     geometric_mean,
     safe_log10,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "SimulationError",
     "SeedSequenceTree",
     "RunningStats",
-    "clamp_array",
     "geometric_mean",
     "safe_log10",
 ]

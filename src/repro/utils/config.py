@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.utils.validate import (
-    FRACTION, RATE, REMOVED, bundle, check, choice, count, flag, optional,
-    real, require, text
+    FRACTION, RATE, bundle, check, choice, count, flag, optional, real, text
 )
 
 __all__ = [
@@ -46,22 +45,16 @@ class NewscastConfig:
         ``c`` in the paper; number of node descriptors each node keeps.
         The paper reports ``c = 20`` is sufficient for "very stable and
         robust connectivity"; that is our default.
-    exchange_per_cycle:
-        ``1``, the only value: a node initiates one view exchange per
-        cycle, as PeerSim's cycle-driven NEWSCAST does.  Any other
-        value fails validation (the multi-exchange extension was
-        removed).
+
+    A node initiates one view exchange per cycle, as PeerSim's
+    cycle-driven NEWSCAST does.
     """
 
     view_size: int = 20
-    exchange_per_cycle: int = 1
 
-    RULES = {"view_size": count(), "exchange_per_cycle": count()}
+    RULES = {"view_size": count()}
 
     def __post_init__(self) -> None:
-        require(self.exchange_per_cycle == 1, "exchange_per_cycle",
-                f"must be 1, got {self.exchange_per_cycle!r}: {REMOVED}",
-                "NewscastConfig")
         check(self, self.RULES)
 
 

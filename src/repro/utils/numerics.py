@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "RunningStats",
-    "clamp_array",
     "geometric_mean",
     "safe_log10",
 ]
@@ -47,19 +46,6 @@ def safe_log10(values, floor: float = LOG_FLOOR):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def clamp_array(values: np.ndarray, lower, upper, out: np.ndarray | None = None):
-    """Clamp ``values`` into ``[lower, upper]`` (elementwise, broadcastable).
-
-    Thin wrapper over :func:`numpy.clip` that validates bound ordering,
-    which ``np.clip`` silently does not.
-    """
-    lo = np.asarray(lower, dtype=float)
-    hi = np.asarray(upper, dtype=float)
-    if np.any(lo > hi):
-        raise ValueError("clamp_array: lower bound exceeds upper bound")
-    return np.clip(values, lo, hi, out=out)
 
 
 def geometric_mean(values) -> float:

@@ -53,7 +53,6 @@ __all__ = [
     "ScenarioValidationError", "Rule", "count", "real", "flag", "choice",
     "text", "mapping", "sequence", "optional", "bundle", "check", "require",
     "load", "PERIOD", "LATENCY", "FRACTION", "JITTER", "RATE", "SEVERITY",
-    "REMOVED",
 ]
 
 
@@ -206,10 +205,6 @@ JITTER = real(min=0, max=1)
 RATE = real(min=0)
 #: Landscape change per epoch, as a fraction of the domain width.
 SEVERITY = real(above=0)
-
-#: Why a field of a removed extension keeps one legal value (checked by
-#: hand before the table, so the message names the removal).
-REMOVED = "the extension was removed; only the paper's stack runs"
 
 
 def check(obj: Any, rules: Mapping[str, Rule]) -> None:

@@ -23,6 +23,7 @@ from repro.core.fastpath import FastEngine, run_single_fast
 from repro.functions.base import available_functions
 from repro.pso.swarm import Swarm
 from repro.scenario import ExecutionPolicy, Scenario, Session
+from repro.simulator.observers import FunctionObserver, StopCondition
 from repro.topology.sampler import PeerSampler
 from repro.utils.config import (
     ChurnConfig,
@@ -328,6 +329,52 @@ class TestRunSemantics:
         engine = FastEngine(cfg)
         engine.run(40)
         assert engine.live_count >= 3
+
+
+class TestExtraObservers:
+    """``run_single_fast(extra_observers=…)``: the engine-level hook for
+    live observers, which a ``Scenario`` (a plain value) cannot carry."""
+
+    def test_called_once_per_cycle_with_the_engine(self):
+        seen = []
+        result = run_single_fast(
+            small_config(), extra_observers=(FunctionObserver(
+                lambda eng: seen.append((type(eng), eng.cycle))),))
+        # The observer loop breaks on stop: the cycle whose budget stop
+        # fires is the one the extra observers do not see.
+        assert result.stop_reason == "budget"
+        assert seen == [(FastEngine, c) for c in range(1, result.cycles)]
+
+    def test_a_silent_observer_leaves_the_run_unchanged(self):
+        cfg = small_config(churn=ChurnConfig(crash_rate=0.05, join_rate=0.05))
+        plain = run_single_fast(cfg, record_history=True)
+        watched = run_single_fast(cfg, record_history=True,
+                                  extra_observers=(FunctionObserver(lambda eng: None),))
+        assert watched == plain
+
+    def test_stop_condition_ends_the_run_with_its_reason(self):
+        stop = StopCondition(lambda eng: eng.cycle >= 2, reason="watched")
+        result = run_single_fast(small_config(), extra_observers=(stop,))
+        assert (result.cycles, result.stop_reason) == (2, "watched")
+        assert stop.triggered_at == 2
+
+    def test_builtin_stops_run_first(self):
+        """The budget stop precedes the extra observers: a run that ends
+        on budget reports ``budget`` even if an extra stop also fires."""
+        cfg = small_config(nodes=4, total_evaluations=4 * 8)
+        stop = StopCondition(lambda eng: True, reason="watched")
+        result = run_single_fast(cfg, extra_observers=(stop,))
+        assert (result.cycles, result.stop_reason) == (1, "budget")
+        assert stop.triggered_at is None
+
+    def test_crashes_injected_by_an_observer_are_counted(self):
+        def crash_first(engine):
+            if engine.cycle <= 3:
+                engine.crash_node(int(engine.live_ids()[0]))
+
+        result = run_single_fast(small_config(),
+                                 extra_observers=(FunctionObserver(crash_first),))
+        assert result.crashes == 3
 
 
 class TestEngineSelectionAPI:

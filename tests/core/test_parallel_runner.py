@@ -52,12 +52,6 @@ class TestParallelRuns:
         with pytest.raises(ValueError):
             Session(make_config()).run(policy=ExecutionPolicy(workers=0))
 
-    def test_observers_rejected_in_parallel(self):
-        with pytest.raises(ValueError):
-            Session(make_config(observers=(object(),))).run(
-                policy=ExecutionPolicy(workers=2)
-            )
-
 
 class TestDeploymentCli:
     def test_cli_runs(self, capsys):

@@ -9,7 +9,9 @@ row kind:
   :class:`ExecutionPolicy` at one repetition, digested as the sorted-key
   strict JSON of its ``RunRecord.to_dict()``.  A record pin covers every
   field a run reports (best value, budget, cycles, message tallies,
-  churn counts, history, problem-layer metrics), not one float.
+  churn counts, history, problem-layer metrics), not one float.  A
+  scenario is a plain value, so a run that needs live engine observers
+  drives ``run_single_fast`` with them directly (:class:`Observed`).
 * ``overlay/…`` — the NEWSCAST view matrices and exchange counters
   after a scripted driver (the engine-level digests see an overlay only
   through the optimizer; these see every descriptor, stamp and slot).
@@ -36,11 +38,12 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.fastpath import run_single_fast
 from repro.core.kernels import Workspace, get_backend
 from repro.distributed.jobs import jobs_for_sweep
 from repro.experiments.__main__ import main as experiments_main
 from repro.functions.problem import DynamicsSpec
-from repro.scenario import ExecutionPolicy, Scenario, Session, TransportSpec
+from repro.scenario import ExecutionPolicy, RunRecord, Scenario, Session, TransportSpec
 from repro.sharding.plan import ShardPlan
 from repro.sharding.views import ShardNewscastViews
 from repro.simulator.adversary import AdversarySpec
@@ -66,6 +69,10 @@ def save_pins(pins: dict[str, str]) -> None:
 # -- row kinds ------------------------------------------------------------------
 
 
+def record_digest(record: RunRecord) -> str:
+    return sha256(json.dumps(record.to_dict(), sort_keys=True, allow_nan=False))
+
+
 @dataclass(frozen=True)
 class Record:
     scenario: Scenario
@@ -78,7 +85,24 @@ class Record:
             record = session.run_one(self.repetition)
         else:
             record = session.run(policy=self.policy).records[self.repetition]
-        return sha256(json.dumps(record.to_dict(), sort_keys=True, allow_nan=False))
+        return record_digest(record)
+
+
+@dataclass(frozen=True)
+class Observed:
+    """A fast-engine scenario at repetition 0, with engine observers."""
+
+    scenario: Scenario
+    observers: tuple
+
+    def digest(self) -> str:
+        s = self.scenario
+        run = run_single_fast(
+            s.to_experiment_config(), record_history=s.record_history,
+            extra_observers=self.observers, max_cycles=s.max_cycles,
+            topology=s.topology, rng_mode=s.rng_mode,
+            dynamics=s.dynamics, adversary=s.adversary)
+        return record_digest(RunRecord.from_run_result(run))
 
 
 @dataclass(frozen=True)
@@ -255,10 +279,9 @@ RECORDS = {
         churned_event(gossip_cycle=3, rng_mode="batched")),
     "churn-hostile-batched": Record(churned_hostile("batched")),
     "churn-hostile-strict": Record(churned_hostile("strict")),
-    "churn-crash-node": Record(churned(
-        observers=(CrashEnds(),),
+    "churn-crash-node": Observed(churned(
         churn=ChurnConfig(crash_rate=0.03, join_rate=0.06, min_population=8),
-    )),
+    ), (CrashEnds(),)),
     # The cycle-driven oracle every fast path is measured against.
     "reference-newscast": Record(reference()),
     "reference-r-not-k": Record(reference(particles_per_node=6, gossip_cycle=3,

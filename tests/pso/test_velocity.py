@@ -1,47 +1,57 @@
-"""Tests for velocity clamping policies."""
+"""The velocity bound ``vmax_i = fraction × width_i`` and who applies it."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.core.fastpath import FastEngine
 from repro.functions.suite import Sphere
-from repro.pso.velocity import domain_fraction_clamp, no_clamp
+from repro.pso.swarm import Swarm
+from repro.pso.velocity import resolve_vmax
+from repro.utils.config import ExperimentConfig, PSOConfig
 
 
-class TestNoClamp:
-    def test_leaves_velocities_untouched(self):
-        clamp = no_clamp()
-        v = np.array([[1e9, -1e9]])
-        before = v.copy()
-        clamp(v)
-        assert np.array_equal(v, before)
+class TestResolveVmax:
+    def test_none_is_unclamped(self):
+        assert resolve_vmax(Sphere(2), None) is None
 
-
-class TestDomainFractionClamp:
-    def test_clamps_to_fraction(self):
-        f = Sphere(2)  # width 200 per dim
-        clamp = domain_fraction_clamp(f, 0.1)  # vmax = 20
-        v = np.array([[100.0, -100.0], [5.0, -5.0]])
-        clamp(v)
-        assert np.array_equal(v, [[20.0, -20.0], [5.0, -5.0]])
+    def test_fraction_of_each_width(self):
+        # Sphere's box is [-100, 100]: width 200 per dimension.
+        assert np.array_equal(resolve_vmax(Sphere(3), 0.1), [20.0, 20.0, 20.0])
 
     def test_full_width(self):
-        f = Sphere(2)
-        clamp = domain_fraction_clamp(f, 1.0)
-        v = np.array([[500.0, -500.0]])
-        clamp(v)
-        assert np.array_equal(v, [[200.0, -200.0]])
+        assert np.array_equal(resolve_vmax(Sphere(2), 1.0), [200.0, 200.0])
 
-    def test_in_place(self):
-        f = Sphere(2)
-        clamp = domain_fraction_clamp(f, 0.5)
-        v = np.full((3, 2), 1e6)
-        clamp(v)
-        assert np.all(v == 100.0)
+    def test_one_bound_per_dimension(self):
+        assert resolve_vmax(Sphere(5), 0.5).shape == (5,)
 
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            domain_fraction_clamp(Sphere(2), 0.0)
-        with pytest.raises(ValueError):
-            domain_fraction_clamp(Sphere(2), -1.0)
+    @pytest.mark.parametrize("fraction", [0.0, -1.0], ids=["zero", "negative"])
+    def test_invalid_fraction(self, fraction):
+        with pytest.raises(ValueError, match="fraction must be > 0"):
+            resolve_vmax(Sphere(2), fraction)
+
+
+class TestEnginesApplyIt:
+    def test_swarm_speeds_never_exceed_the_bound(self):
+        swarm = Swarm(Sphere(2), PSOConfig(particles=6, vmax_fraction=0.01),
+                      np.random.default_rng(5))
+        for _ in range(5):
+            swarm.step_cycle()
+            assert np.all(np.abs(swarm.state.velocities) <= 2.0)
+
+    def test_unclamped_swarm_keeps_no_bound(self):
+        swarm = Swarm(Sphere(2), PSOConfig(particles=6, vmax_fraction=None),
+                      np.random.default_rng(5))
+        assert swarm._vmax is None
+
+    def test_reference_and_fast_engine_share_the_bound(self):
+        """One source for the bound: the two engines cannot disagree."""
+        config = ExperimentConfig(function="sphere", nodes=2, particles_per_node=4,
+                                  total_evaluations=64, gossip_cycle=4,
+                                  pso=PSOConfig(vmax_fraction=0.25))
+        engine = FastEngine(config)
+        swarm = Swarm(engine.function, config.pso, np.random.default_rng(0))
+        assert np.array_equal(np.broadcast_to(engine._vmax, swarm._vmax.shape),
+                              swarm._vmax)
+        assert np.array_equal(swarm._vmax, resolve_vmax(engine.function, 0.25))

@@ -52,16 +52,6 @@ class TestRunReference:
         with pytest.raises(ConfigurationError):
             Session(make(nodes=6, total_evaluations=3)).run_one(0)
 
-    def test_observers_forwarded(self):
-        class Spy:
-            cycles = 0
-
-            def observe(self, engine):
-                Spy.cycles += 1
-
-        Session(make(observers=(Spy(),), repetitions=1)).run()
-        assert Spy.cycles > 0
-
     def test_workers_match_sequential(self):
         seq = Session(make()).run(policy=ExecutionPolicy(workers=1))
         par = Session(make()).run(policy=ExecutionPolicy(workers=2))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ import pytest
 from repro.deployment.runtime import DeploymentConfig
 from repro.functions.base import available_functions
 from repro.scenario import (
+    AdversarySpec,
+    DynamicsSpec,
     Scenario,
     ScenarioValidationError,
     TransportSpec,
@@ -36,97 +39,115 @@ class TestValidation:
         assert s.engine == "reference"
         assert s.evaluations_per_node == 1000
 
-    @pytest.mark.parametrize(
-        "field,overrides",
-        [
-            ("function", {"function": None}),
-            ("nodes", {"nodes": 0}),
-            ("particles_per_node", {"particles_per_node": 0}),
-            ("total_evaluations", {"total_evaluations": 0}),
-            # e < n: no node could spend one evaluation, on any engine.
-            ("total_evaluations", {"total_evaluations": 4}),
-            ("total_evaluations", {"total_evaluations": 4, "engine": "fast"}),
-            ("total_evaluations", {"total_evaluations": 4, "engine": "event",
-                                   "horizon": 10.0}),
-            ("total_evaluations", {"total_evaluations": 4, "engine": "event",
-                                   "event_backend": "fast", "horizon": 10.0}),
-            ("total_evaluations", {"total_evaluations": 4,
-                                   "baseline": "independent"}),
-            ("gossip_cycle", {"gossip_cycle": 0}),
-            ("repetitions", {"repetitions": 0}),
-            ("seed", {"seed": -1}),
-            ("engine", {"engine": "warp"}),
-            ("topology", {"topology": "torus"}),
-            ("topology", {"topology": "star", "engine": "event",
-                          "horizon": 50.0}),
-            ("topology", {"topology": "oracle"}),
-            ("rng_mode", {"rng_mode": "philox"}),
-            ("rng_mode", {"rng_mode": "batched"}),
-            ("solver", {"solver": "annealing"}),
-            ("solver", {"solver": ()}),
-            ("solver", {"solver": "de", "engine": "fast"}),
-            ("solver", {"solver": ("pso",)}),
-            ("partitioned", {"partitioned": True, "engine": "fast"}),
-            ("baseline", {"baseline": "quantum"}),
-            ("baseline", {"baseline": "centralized", "engine": "fast"}),
-            # A support-table cell blames the feature's own field.
-            ("churn", {"baseline": "independent",
-                       "churn": ChurnConfig(crash_rate=0.1)}),
-            ("topology", {"baseline": "centralized", "topology": "ring"}),
-            ("swarm_size", {"swarm_size": 9}),
-            ("swarm_size", {"baseline": "centralized", "swarm_size": 0}),
-            ("quality_threshold", {"quality_threshold": 0.0}),
-            ("quality_threshold", {"baseline": "centralized",
-                                   "quality_threshold": 1e-6}),
-            ("horizon", {"horizon": 100.0}),
-            ("horizon", {"engine": "event"}),
-            ("horizon", {"engine": "event", "horizon": 0.0}),
-            ("horizon", {"engine": "event", "horizon": -5.0}),
-            ("horizon", {"engine": "fast", "horizon": 100.0}),
-            ("event_backend", {"event_backend": "warp"}),
-            ("event_backend", {"event_backend": "fast"}),
-            ("event_backend", {"event_backend": "fast", "engine": "fast"}),
-            ("event_window", {"event_window": 0.5}),
-            ("event_window", {"event_window": 0.5, "engine": "event",
-                              "horizon": 10.0}),
-            ("event_window", {"event_window": 0.0, "engine": "event",
-                              "event_backend": "fast", "horizon": 10.0}),
-            ("event_window", {"event_window": -1.0, "engine": "event",
-                              "event_backend": "fast", "horizon": 10.0}),
-            ("event_window", {"event_window": float("inf"), "engine": "event",
-                              "event_backend": "fast", "horizon": 10.0}),
-            ("event_window", {"event_window": float("nan"), "engine": "event",
-                              "event_backend": "fast", "horizon": 10.0}),
-            ("rng_mode", {"rng_mode": "batched", "engine": "event",
-                          "horizon": 10.0}),
-            ("transport.latency_max",
-             {"engine": "event", "event_backend": "fast", "horizon": 10.0,
-              "transport": TransportSpec(latency_min=2.0, latency_max=8.0)}),
-            ("max_cycles", {"max_cycles": 0}),
-            ("max_cycles", {"max_cycles": 5, "engine": "event",
-                            "horizon": 10.0}),
-            # Non-finite clocks used to pass here and fail at run time
-            # as DeploymentConfig.<field>.
-            ("transport.compute_period",
-             {"transport": {"compute_period": float("inf")}}),
-            ("transport.monitor_period",
-             {"transport": {"monitor_period": float("inf")}}),
-            ("transport.latency_max",
-             {"transport": {"latency_max": float("inf")}}),
-            # A knob every path but the event engines used to ignore
-            # silently.
-            ("transport", {"engine": "fast",
-                           "transport": {"loss_rate": 0.9}}),
-            ("transport", {"transport": {"loss_rate": 0.9}}),
-            # Wrong types used to construct and fail inside an engine
-            # (the full type matrix is TestFieldTypes).
-            ("seed", {"seed": 1.5}),
-            ("churn", {"churn": 0.1}),
-            # A synchronous swarm rounds e down to whole iterations: none.
-            ("total_evaluations", {"baseline": "centralized",
-                                   "total_evaluations": 31}),
-        ],
-    )
+    @pytest.mark.parametrize("field,overrides", [
+        pytest.param("function", {"function": None}, id="function-none"),
+        pytest.param("nodes", {"nodes": 0}, id="nodes-zero"),
+        pytest.param("particles_per_node", {"particles_per_node": 0},
+                     id="particles_per_node-zero"),
+        pytest.param("total_evaluations", {"total_evaluations": 0},
+                     id="total_evaluations-zero"),
+        # e < n: no node could spend one evaluation, on any engine.
+        pytest.param("total_evaluations", {"total_evaluations": 4},
+                     id="total_evaluations-below-nodes"),
+        pytest.param("total_evaluations", {"total_evaluations": 4, "engine": "fast"},
+                     id="total_evaluations-below-nodes-fast"),
+        pytest.param("total_evaluations", {"total_evaluations": 4, "engine": "event",
+                                           "horizon": 10.0},
+                     id="total_evaluations-below-nodes-event"),
+        pytest.param("total_evaluations", {"total_evaluations": 4, "engine": "event",
+                                           "event_backend": "fast", "horizon": 10.0},
+                     id="total_evaluations-below-nodes-event-fast"),
+        pytest.param("total_evaluations", {"total_evaluations": 4,
+                                           "baseline": "independent"},
+                     id="total_evaluations-below-nodes-independent"),
+        pytest.param("gossip_cycle", {"gossip_cycle": 0}, id="gossip_cycle-zero"),
+        pytest.param("repetitions", {"repetitions": 0}, id="repetitions-zero"),
+        pytest.param("seed", {"seed": -1}, id="seed-negative"),
+        pytest.param("engine", {"engine": "warp"}, id="engine-unknown"),
+        pytest.param("topology", {"topology": "torus"}, id="topology-unknown"),
+        pytest.param("topology", {"topology": "star", "engine": "event",
+                                  "horizon": 50.0}, id="topology-star-event"),
+        pytest.param("topology", {"topology": "oracle"}, id="topology-oracle-reference"),
+        pytest.param("rng_mode", {"rng_mode": "philox"}, id="rng_mode-unknown"),
+        pytest.param("rng_mode", {"rng_mode": "batched"}, id="rng_mode-batched-reference"),
+        pytest.param("baseline", {"baseline": "quantum"}, id="baseline-unknown"),
+        pytest.param("baseline", {"baseline": "centralized", "engine": "fast"},
+                     id="baseline-centralized-fast"),
+        # A support-table cell blames the feature's own field.
+        pytest.param("churn", {"baseline": "independent",
+                               "churn": ChurnConfig(crash_rate=0.1)},
+                     id="churn-independent"),
+        pytest.param("topology", {"baseline": "centralized", "topology": "ring"},
+                     id="topology-ring-centralized"),
+        pytest.param("swarm_size", {"swarm_size": 9}, id="swarm_size-reference"),
+        pytest.param("swarm_size", {"baseline": "centralized", "swarm_size": 0},
+                     id="swarm_size-zero"),
+        pytest.param("quality_threshold", {"quality_threshold": 0.0},
+                     id="quality_threshold-zero"),
+        pytest.param("quality_threshold", {"baseline": "centralized",
+                                           "quality_threshold": 1e-6},
+                     id="quality_threshold-centralized"),
+        pytest.param("horizon", {"horizon": 100.0}, id="horizon-reference"),
+        pytest.param("horizon", {"engine": "event"}, id="horizon-missing"),
+        pytest.param("horizon", {"engine": "event", "horizon": 0.0}, id="horizon-zero"),
+        pytest.param("horizon", {"engine": "event", "horizon": -5.0},
+                     id="horizon-negative"),
+        pytest.param("horizon", {"engine": "fast", "horizon": 100.0}, id="horizon-fast"),
+        pytest.param("event_backend", {"event_backend": "warp"},
+                     id="event_backend-unknown"),
+        pytest.param("event_backend", {"event_backend": "fast"},
+                     id="event_backend-fast-reference"),
+        pytest.param("event_backend", {"event_backend": "fast", "engine": "fast"},
+                     id="event_backend-fast-fast"),
+        pytest.param("event_window", {"event_window": 0.5}, id="event_window-reference"),
+        pytest.param("event_window", {"event_window": 0.5, "engine": "event",
+                                      "horizon": 10.0}, id="event_window-event"),
+        pytest.param("event_window", {"event_window": 0.0, "engine": "event",
+                                      "event_backend": "fast", "horizon": 10.0},
+                     id="event_window-zero"),
+        pytest.param("event_window", {"event_window": -1.0, "engine": "event",
+                                      "event_backend": "fast", "horizon": 10.0},
+                     id="event_window-negative"),
+        pytest.param("event_window", {"event_window": float("inf"), "engine": "event",
+                                      "event_backend": "fast", "horizon": 10.0},
+                     id="event_window-inf"),
+        pytest.param("event_window", {"event_window": float("nan"), "engine": "event",
+                                      "event_backend": "fast", "horizon": 10.0},
+                     id="event_window-nan"),
+        pytest.param("rng_mode", {"rng_mode": "batched", "engine": "event",
+                                  "horizon": 10.0}, id="rng_mode-batched-event"),
+        pytest.param("transport.latency_max",
+                     {"engine": "event", "event_backend": "fast", "horizon": 10.0,
+                      "transport": TransportSpec(latency_min=2.0, latency_max=8.0)},
+                     id="latency_max-beyond-timer-event-fast"),
+        pytest.param("max_cycles", {"max_cycles": 0}, id="max_cycles-zero"),
+        pytest.param("max_cycles", {"max_cycles": 5, "engine": "event",
+                                    "horizon": 10.0}, id="max_cycles-event"),
+        # Non-finite clocks used to pass here and fail at run time
+        # as DeploymentConfig.<field>.
+        pytest.param("transport.compute_period",
+                     {"transport": {"compute_period": float("inf")}},
+                     id="compute_period-inf"),
+        pytest.param("transport.monitor_period",
+                     {"transport": {"monitor_period": float("inf")}},
+                     id="monitor_period-inf"),
+        pytest.param("transport.latency_max",
+                     {"transport": {"latency_max": float("inf")}}, id="latency_max-inf"),
+        # A knob every path but the event engines used to ignore
+        # silently.
+        pytest.param("transport", {"engine": "fast", "transport": {"loss_rate": 0.9}},
+                     id="transport-loss-fast"),
+        pytest.param("transport", {"transport": {"loss_rate": 0.9}},
+                     id="transport-loss-reference"),
+        # Wrong types used to construct and fail inside an engine
+        # (the full type matrix is TestFieldTypes).
+        pytest.param("seed", {"seed": 1.5}, id="seed-float"),
+        pytest.param("churn", {"churn": 0.1}, id="churn-float"),
+        # A synchronous swarm rounds e down to whole iterations: none.
+        pytest.param("total_evaluations", {"baseline": "centralized",
+                                           "total_evaluations": 31},
+                     id="total_evaluations-centralized-no-iteration"),
+    ])
     def test_errors_name_offending_field(self, field, overrides):
         with pytest.raises(ScenarioValidationError) as err:
             if isinstance(overrides.get("transport"), dict):
@@ -288,106 +309,111 @@ class TestFieldTypes:
     def test_unknown_function_named(self, bad):
         named("function", function=bad)
 
-    @pytest.mark.parametrize("objective_map", [
-        {**{i: "sphere" for i in range(7)}, 7: 3},
-        {**{i: "sphere" for i in range(7)}, 7.0: "sphere"},
-        {**{i: "sphere" for i in range(1, 8)}, False: "sphere"},
-    ], ids=["non-str-name", "float-id", "bool-id"])
-    def test_objective_map_rejects_wrong_types(self, objective_map):
-        """A malformed map fails as the removed extension, by name,
-        before any check of its keys or values."""
-        err = named("objective_map", function=None, objective_map=objective_map)
-        assert "extension was removed" in str(err)
+
+#: The keys of the removed extensions with values a sweep or spool file
+#: written by older code spells: the one value older code accepted, then
+#: values it rejected.
+REMOVED_KEYS = [
+    pytest.param("solver", "pso", id="solver-pso"),
+    pytest.param("solver", "de", id="solver-de"),
+    pytest.param("solver", ["de"], id="solver-de-list"),
+    pytest.param("solver", ["pso"], id="solver-pso-list"),
+    pytest.param("solver", ["pso", "de"], id="solver-mix"),
+    pytest.param("partitioned", False, id="partitioned-false"),
+    pytest.param("partitioned", True, id="partitioned-true"),
+    pytest.param("objective_map", None, id="objective_map-none"),
+    pytest.param("objective_map", {"0": "sphere"}, id="objective_map-map"),
+    pytest.param("objective_map", {str(i): "sphere" for i in range(8)},
+                 id="objective_map-full-map"),
+    pytest.param("observers", [], id="observers-empty"),
+    pytest.param("observers", ["spy"], id="observers-one"),
+]
+
+#: The same fields as Python callers passed them.
+REMOVED_ARGUMENTS = [
+    pytest.param("solver", "pso", id="solver-pso"),
+    pytest.param("solver", "de", id="solver-de"),
+    pytest.param("solver", "random", id="solver-random"),
+    pytest.param("solver", ("pso", "de"), id="solver-mix"),
+    pytest.param("solver", ["pso"], id="solver-pso-list"),
+    pytest.param("partitioned", False, id="partitioned-false"),
+    pytest.param("partitioned", True, id="partitioned-true"),
+    pytest.param("partitioned", 1, id="partitioned-one"),
+    pytest.param("partitioned", np.bool_(False), id="partitioned-np-false"),
+    pytest.param("objective_map", None, id="objective_map-none"),
+    pytest.param("objective_map", {i: "sphere" for i in range(8)},
+                 id="objective_map-map"),
+    pytest.param("objective_map", {}, id="objective_map-empty-map"),
+    pytest.param("observers", (), id="observers-empty"),
+    pytest.param("observers", (object(),), id="observers-one"),
+]
 
 
-#: A NEWSCAST bundle as a sweep or spool file spells it, two exchanges
-#: per cycle.
-MULTI_EXCHANGE = {"view_size": 20, "exchange_per_cycle": 2}
+class TestRemovedFields:
+    """The solver mix, partitioned search, the per-node objective map,
+    live observers and multi-exchange NEWSCAST were removed, fields and
+    all: an old key fails by its dotted path, with no alias and no
+    silent drop — even at the value that used to be the only legal one."""
 
-
-class TestRemovedExtensions:
-    """The solver mix, partitioned search, callable topologies, the
-    per-node objective map and multi-exchange NEWSCAST were removed:
-    each value of theirs fails by name, with no alias."""
-
-    @pytest.mark.parametrize("name,value", [
-        ("solver", "de"),
-        ("solver", "random"),
-        ("solver", ("pso", "de")),
-        ("solver", ["pso"]),
-        ("partitioned", True),
-        ("partitioned", 1),
-        ("partitioned", np.bool_(False)),
-        ("topology", ring_lattice),
-        ("topology", lambda node_id: None),
-        ("objective_map", {i: "sphere" for i in range(8)}),
-        ("objective_map", {}),
-    ], ids=["de", "random", "mix", "pso-list", "true", "one", "np-false",
-            "function", "lambda", "map", "empty-map"])
-    def test_constructor_names_the_field(self, name, value):
-        err = named(name, **{name: value})
-        assert "extension was removed" in str(err)
-
-    def test_objective_map_in_place_of_function_names_the_map(self):
+    @pytest.mark.parametrize("key,value", REMOVED_KEYS)
+    def test_from_dict_names_the_key(self, key, value):
         with pytest.raises(ScenarioValidationError) as err:
+            Scenario.from_dict(make().to_dict() | {key: value})
+        assert err.value.field == key
+        assert str(err.value) == f"Scenario.{key}: unknown field"
+
+    @pytest.mark.parametrize("key,value", REMOVED_ARGUMENTS)
+    def test_constructor_raises_type_error(self, key, value):
+        with pytest.raises(TypeError, match=f"'{key}'"):
+            make(**{key: value})
+
+    def test_objective_map_in_place_of_function_is_a_type_error(self):
+        with pytest.raises(TypeError, match="'objective_map'"):
             Scenario(function=None, objective_map={0: "sphere"}, nodes=1)
-        assert err.value.field == "objective_map"
-        assert "extension was removed" in str(err.value)
 
-    @pytest.mark.parametrize("name,value", [
-        ("solver", "de"),
-        ("solver", ["de"]),
-        ("solver", ["pso"]),
-        ("solver", ["pso", "de"]),
-        ("partitioned", True),
-        ("objective_map", {"0": "sphere"}),
-        ("objective_map", {str(i): "sphere" for i in range(8)}),
-    ], ids=["de", "de-list", "pso-list", "mix", "true", "map", "full-map"])
-    def test_from_dict_names_the_field(self, name, value):
+    @pytest.mark.parametrize("owner,build", [
+        ("Scenario",
+         lambda newscast: Scenario.from_dict(make().to_dict() | {"newscast": newscast})),
+        ("ExperimentConfig",
+         lambda newscast: load(ExperimentConfig, vars(make().to_experiment_config())
+                               | {"newscast": newscast})),
+        ("DeploymentConfig",
+         lambda newscast: load(DeploymentConfig, {"function": "sphere", "nodes": 4,
+                                                  "newscast": newscast})),
+        ("NewscastConfig",
+         lambda newscast: load(NewscastConfig, newscast)),
+    ], ids=["scenario", "experiment-config", "deployment-config", "newscast-config"])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_exchange_per_cycle_names_its_path(self, owner, build, count):
         with pytest.raises(ScenarioValidationError) as err:
-            Scenario.from_dict(make().to_dict() | {name: value})
-        assert err.value.field == name
-        assert "extension was removed" in str(err.value)
+            build({"view_size": 20, "exchange_per_cycle": count})
+        path = ("exchange_per_cycle" if owner == "NewscastConfig"
+                else "newscast.exchange_per_cycle")
+        assert (err.value.owner, err.value.field) == (owner, path)
+        assert str(err.value) == f"{owner}.{path}: unknown field"
 
-    @pytest.mark.parametrize("value", [0, -1, 5, np.int64(2), None, "1"],
-                             ids=["zero", "negative", "five", "np-two", "none",
-                                  "str-one"])
-    def test_every_other_exchange_count_is_removed(self, value):
+    @pytest.mark.parametrize("count", [0, -1, 5, None, "1", True, 1.0],
+                             ids=["zero", "negative", "five", "none", "str-one",
+                                  "bool", "float"])
+    def test_every_exchange_count_is_an_unknown_field(self, count):
+        """The key fails before its value is read: no count, of any
+        type, reaches a rule."""
+        data = make().to_dict()
+        data["newscast"]["exchange_per_cycle"] = count
         with pytest.raises(ScenarioValidationError) as err:
-            NewscastConfig(exchange_per_cycle=value)
-        assert err.value.field == "exchange_per_cycle"
-        assert "extension was removed" in str(err.value)
+            Scenario.from_dict(data)
+        assert str(err.value) == "Scenario.newscast.exchange_per_cycle: unknown field"
 
-    @pytest.mark.parametrize("value", [True, 1.0], ids=["bool", "float"])
-    def test_one_of_the_wrong_type_is_a_type_error(self, value):
-        """``True == 1.0 == 1``, so these pass the one-value check and
-        fall to the field rule, which still wants an integer."""
-        with pytest.raises(ScenarioValidationError) as err:
-            NewscastConfig(exchange_per_cycle=value)
-        assert err.value.field == "exchange_per_cycle"
-        assert "must be an integer" in str(err.value)
+    def test_newscast_config_is_the_view_size(self):
+        assert [f.name for f in fields(NewscastConfig)] == ["view_size"]
+        with pytest.raises(TypeError):
+            NewscastConfig(exchange_per_cycle=1)
 
-    def test_numpy_one_is_stored_as_int(self):
-        value = NewscastConfig(exchange_per_cycle=np.int64(1)).exchange_per_cycle
-        assert value == 1 and type(value) is int
-
-    @pytest.mark.parametrize("owner,field,build", [
-        ("NewscastConfig", "exchange_per_cycle",
-         lambda: NewscastConfig(exchange_per_cycle=2)),
-        ("Scenario", "newscast.exchange_per_cycle",
-         lambda: Scenario.from_dict(make().to_dict() | {"newscast": MULTI_EXCHANGE})),
-        ("ExperimentConfig", "newscast.exchange_per_cycle",
-         lambda: load(ExperimentConfig, vars(make().to_experiment_config())
-                      | {"newscast": MULTI_EXCHANGE})),
-        ("DeploymentConfig", "newscast.exchange_per_cycle",
-         lambda: load(DeploymentConfig, {"function": "sphere", "nodes": 4,
-                                         "newscast": MULTI_EXCHANGE})),
-    ], ids=["direct", "scenario", "experiment-config", "deployment-config"])
-    def test_exchange_per_cycle_names_the_field(self, owner, field, build):
-        with pytest.raises(ScenarioValidationError) as err:
-            build()
-        assert (err.value.owner, err.value.field) == (owner, field)
-        assert "extension was removed" in str(err.value)
+    @pytest.mark.parametrize("topology", [ring_lattice, lambda node_id: None],
+                             ids=["function", "lambda"])
+    def test_callable_topology_fails_the_choice_rule(self, topology):
+        err = named("topology", topology=topology)
+        assert str(err).startswith("Scenario.topology: must be one of (")
 
     @pytest.mark.parametrize("module", [
         "repro.aggregation", "repro.core.solvers", "repro.core.partitioning",
@@ -422,8 +448,6 @@ class TestDerivedViews:
     def test_describe_names_the_problem_layer(self):
         """Sweep progress lines are ``describe()``: cells that differ only
         in dynamics / adversary (exp6) must not read identically."""
-        from repro.scenario import AdversarySpec, DynamicsSpec
-
         plain = make().describe()
         assert "dynamics" not in plain and "adversary" not in plain
         hostile = make(
@@ -441,7 +465,7 @@ class TestRoundTrip:
         assert Scenario.from_dict(s.to_dict()) == s
 
     def test_round_trip_through_json_text(self):
-        s = make(function="levy", solver="pso", partitioned=False)
+        s = make(function="levy")
         blob = json.dumps(s.to_dict())
         assert Scenario.from_dict(json.loads(blob)) == s
 
@@ -464,10 +488,26 @@ class TestRoundTrip:
         assert s.event_backend == "reference"
         assert s.event_window is None
 
-    def test_one_value_fields_stay_in_the_dict(self):
-        d = make().to_dict()
-        assert (d["solver"], d["partitioned"], d["objective_map"]) == ("pso", False, None)
-        assert d["newscast"]["exchange_per_cycle"] == 1
+    @pytest.mark.parametrize("overrides", [
+        {}, {"engine": "fast", "topology": "oracle", "rng_mode": "batched"},
+        {"engine": "event", "event_backend": "fast", "horizon": 5.0,
+         "event_window": 0.5, "transport": TransportSpec(loss_rate=0.2)},
+        {"engine": "event", "horizon": 5.0,
+         "transport": TransportSpec(latency_min=0.1, latency_max=0.2)},
+        {"baseline": "centralized", "swarm_size": 6},
+        {"baseline": "independent"},
+        {"engine": "fast", "churn": ChurnConfig(crash_rate=0.1, join_rate=0.1),
+         "dynamics": DynamicsSpec(kind="shift", period=2.0),
+         "adversary": AdversarySpec(fraction=0.25)},
+    ], ids=["reference", "fast", "event-fast", "event", "centralized",
+            "independent", "churn-dynamic-hostile"])
+    def test_to_dict_never_raises(self, overrides):
+        """Every field is a plain value: whatever constructs serializes,
+        and the dict holds exactly the field table's keys."""
+        s = make(**overrides)
+        d = s.to_dict()
+        assert list(d) == list(Scenario.RULES) == [f.name for f in fields(Scenario)]
+        assert strict_round_trip(s) == s
 
     def test_unknown_key_named(self):
         with pytest.raises(ScenarioValidationError) as err:
@@ -495,9 +535,3 @@ class TestRoundTrip:
             Scenario.from_dict(data)
         assert err.value.field == path
         assert str(err.value) == f"Scenario.{path}: {reason}"
-
-    def test_observers_not_serializable(self):
-        s = make(observers=(object(),))
-        with pytest.raises(ScenarioValidationError) as err:
-            s.to_dict()
-        assert err.value.field == "observers"

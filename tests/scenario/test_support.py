@@ -5,6 +5,8 @@ an ``UNSUPPORTED`` cell must raise on the row's field with the table's
 reason, a supported cell must construct *and run* to a finite record
 that survives strict JSON.  The enabling override of each row lives
 here, beside the test (dotted field → value, everything else derived).
+A scenario is a plain value, so every row also runs as a spool-style
+job, with the record it gives in process.
 """
 
 from __future__ import annotations
@@ -46,11 +48,6 @@ REGIME = {
 }
 
 
-class Spy:
-    def observe(self, engine) -> None:
-        pass
-
-
 #: The smallest override that switches each row on.
 ENABLE = {
     "topology oracle": {"topology": "oracle"},
@@ -62,7 +59,6 @@ ENABLE = {
     "quality_threshold": {"quality_threshold": 1e-9},
     "max_cycles": {"max_cycles": 2},
     "record_history": {"record_history": True},
-    "observers": {"observers": (Spy(),)},
     "swarm_size": {"swarm_size": 6},
     "event_window": {"event_window": 0.25},
     "latency beyond the fastest timer period": {
@@ -75,7 +71,6 @@ ENABLE = {
 
 #: How a supported scenario runs under each execution column, in process.
 EXECUTE = {
-    "jobs": lambda s: run_sweep_jobs([s])[0].records[0],
     "shards": lambda s: Session(s).run(
         policy=ExecutionPolicy(shards=2)).records[0],
 }
@@ -83,13 +78,6 @@ EXECUTE = {
 #: Every way into an execution column; an unsupported cell must stop
 #: each of them before a process starts.
 ENTRIES = {
-    "jobs": [
-        lambda s, tmp: Session(s.with_(repetitions=2)).run(
-            policy=ExecutionPolicy(workers=2)),
-        lambda s, tmp: run_sweep_jobs([s]),
-        lambda s, tmp: run_points([s], policy=ExecutionPolicy(workers=2)),
-        lambda s, tmp: run_points([s], policy=ExecutionPolicy(spool=str(tmp))),
-    ],
     "shards": [
         lambda s, tmp: Session(s).run(policy=ExecutionPolicy(shards=2)),
         lambda s, tmp: run_sharded_detailed(s, shards=2),
@@ -135,6 +123,14 @@ def test_every_row_has_an_enabling_override_and_every_cell_a_row():
         assert row in support.FEATURES and column in support.COLUMNS
 
 
+def test_every_row_and_every_column_has_an_unsupported_cell():
+    """A row that runs everywhere is no feature with a validity domain,
+    and a column where everything runs is no regime: neither belongs in
+    the table."""
+    assert {row for row, _ in support.UNSUPPORTED} == set(support.FEATURES)
+    assert {column for _, column in support.UNSUPPORTED} == set(support.COLUMNS)
+
+
 @pytest.mark.filterwarnings("ignore:.*kernel backend:RuntimeWarning")
 @pytest.mark.parametrize("regime", support.REGIMES)
 @pytest.mark.parametrize("row", support.FEATURES)
@@ -167,11 +163,28 @@ def test_execution_cell(row, column, tmp_path):
     assert not (tmp_path / "spool").exists()
 
 
+@pytest.mark.parametrize("column", ["jobs", "workers", "Shards"])
+def test_check_refuses_a_column_the_table_lacks(column):
+    """A stale column name (``jobs`` was one) must not pass as "checked"."""
+    with pytest.raises(ValueError, match=f"no support column '{column}'"):
+        support.check(build("churn", "fast"), column)
+
+
 def test_a_cell_error_is_still_a_configuration_and_value_error():
     with pytest.raises(ConfigurationError):
         build("churn", "centralized")
     with pytest.raises(ValueError):
-        run_sweep_jobs([build("observers", "reference")])
+        Session(build("churn", "fast")).run(policy=ExecutionPolicy(shards=2))
+
+
+@pytest.mark.filterwarnings("ignore:.*kernel backend:RuntimeWarning")
+@pytest.mark.parametrize("row", support.FEATURES)
+def test_every_row_runs_as_a_job(row, tmp_path):
+    scenario = at_home(row)
+    alone = Session(scenario).run_one(0).to_dict()
+    assert run_sweep_jobs([scenario])[0].records[0].to_dict() == alone
+    spooled = run_points([scenario], policy=ExecutionPolicy(spool=str(tmp_path)))
+    assert spooled[0].records[0].to_dict() == alone
 
 
 def test_readme_table_is_the_generated_one():

@@ -3,7 +3,7 @@
 Every draw starts from a small scenario under one of the six regimes
 and replaces up to three fields with values from that field's pool:
 valid values, wrong types, NumPy scalars, out-of-range values, unknown
-names, NaN and inf, and the values of the removed extensions.  Each
+names, NaN and inf, and a callable topology (a removed extension).  Each
 draw must either fail construction with a ``ScenarioValidationError``
 naming a field, or run one repetition (n ≤ 8, a budget of ≤ 3 cycles)
 and survive the strict-JSON round trip with the same job id.
@@ -69,11 +69,6 @@ BUDGET = object()
 POOLS = {
     "function": ["rastrigin", "Sphere", np.str_("levy"), "nope", "", 3,
                  None],
-    "objective_map": [None, {0: "sphere"},
-                      {0: "sphere", 1: "sphere", 2: "sphere", 3: "sphere"},
-                      {"0": "sphere", "1": "sphere", "2": "sphere",
-                       "3": "sphere"},
-                      ["sphere"] * 4, 7],
     "nodes": [1, 2, 8, np.int64(3), np.uint8(5), 0, -2, 4.0, "4", True,
               NAN, INF],
     "particles_per_node": [1, 3, np.int32(2), 0, 2.5, "2", None],
@@ -87,8 +82,6 @@ POOLS = {
                  lambda node_id: None],
     "rng_mode": ["strict", "batched", "philox"],
     "kernel_backend": ["numpy", "numba"],
-    "solver": ["pso", "de", "random", ("pso", "de"), ["pso"]],
-    "partitioned": [False, True, np.bool_(False), 0],
     "baseline": [None, "centralized", "independent", "quantum"],
     "swarm_size": [None, 6, np.int16(5), 0, 6.5],
     "synchronous": [False, np.bool_(True), "no", 1],
@@ -108,8 +101,8 @@ POOLS = {
     "adversary": [AdversarySpec(fraction=0.25), 0.25],
 }
 
-#: Every serializable field has a pool (``observers`` holds live objects).
-assert set(POOLS) == {f.name for f in fields(Scenario)} - {"observers"}
+#: Every field has a pool.
+assert set(POOLS) == {f.name for f in fields(Scenario)}
 
 
 @st.composite

@@ -12,7 +12,6 @@ from repro.topology.static import (
     grid_2d,
     k_regular_random,
     ring_lattice,
-    small_world,
     star_graph,
 )
 
@@ -71,25 +70,6 @@ class TestBuilders:
             k_regular_random(1, 1, rng)
         with pytest.raises(ValueError):
             k_regular_random(5, 5, rng)
-
-    def test_small_world_connected_and_rewired(self, rng):
-        adj = small_world(60, 4, 0.3, rng)
-        g = to_nx(adj)
-        assert nx.is_connected(g)
-        lattice = to_nx(ring_lattice(60, 2))
-        assert set(g.edges) != set(lattice.edges)  # rewiring happened
-
-    def test_small_world_beta_zero_is_lattice(self, rng):
-        adj = small_world(20, 4, 0.0, rng)
-        assert set(to_nx(adj).edges) == set(to_nx(ring_lattice(20, 2)).edges)
-
-    def test_small_world_validation(self, rng):
-        with pytest.raises(ValueError):
-            small_world(10, 3, 0.1, rng)  # odd k
-        with pytest.raises(ValueError):
-            small_world(4, 4, 0.1, rng)  # n <= k
-        with pytest.raises(ValueError):
-            small_world(10, 4, 1.5, rng)
 
     def test_grid_torus_degree(self):
         adj = grid_2d(4, 5, torus=True)

@@ -32,16 +32,11 @@ class TestNewscastConfig:
     def test_defaults(self):
         cfg = NewscastConfig()
         assert cfg.view_size == 20
-        assert cfg.exchange_per_cycle == 1
 
     @pytest.mark.parametrize("view_size", [0, -1])
     def test_bad_view_size(self, view_size):
         with pytest.raises(ConfigurationError):
             NewscastConfig(view_size=view_size)
-
-    def test_bad_exchange_rate(self):
-        with pytest.raises(ConfigurationError):
-            NewscastConfig(exchange_per_cycle=0)
 
 
 class TestPSOConfig:

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from repro.utils.numerics import (
     RunningStats,
-    clamp_array,
     geometric_mean,
     safe_log10,
 )
@@ -38,27 +37,6 @@ class TestSafeLog10:
 
     def test_custom_floor(self):
         assert safe_log10(0.0, floor=1e-5) == pytest.approx(-5.0)
-
-
-class TestClampArray:
-    def test_basic(self):
-        out = clamp_array(np.array([-5.0, 0.5, 5.0]), -1.0, 1.0)
-        assert np.array_equal(out, [-1.0, 0.5, 1.0])
-
-    def test_vector_bounds(self):
-        vals = np.array([[10.0, -10.0]])
-        out = clamp_array(vals, np.array([-1.0, -2.0]), np.array([1.0, 2.0]))
-        assert np.array_equal(out, [[1.0, -2.0]])
-
-    def test_inverted_bounds_raise(self):
-        with pytest.raises(ValueError):
-            clamp_array(np.zeros(3), 1.0, -1.0)
-
-    def test_in_place(self):
-        vals = np.array([3.0, -3.0])
-        out = clamp_array(vals, -1.0, 1.0, out=vals)
-        assert out is vals
-        assert np.array_equal(vals, [1.0, -1.0])
 
 
 class TestGeometricMean:
